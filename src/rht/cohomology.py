@@ -21,7 +21,7 @@ from .algebra import Element, LAURENT, RATIONAL
 from .errors import DegreeRangeError, FamilyError, HomogeneityError, ToolkitError
 from .families import OneParameterFamily, verify_family
 from .model import SullivanPresentation, element_to_terms
-from .qlinalg import QMatrix, _rref_rows, kernel_basis, rank
+from .qlinalg import QMatrix, complement_basis, independent_columns, quotient_transform
 from .scalars import Laurent
 from .weights import WeightAssignment, check_weights
 
@@ -63,7 +63,8 @@ class CochainComplex:
 
     def d_matrix(self, n: int) -> QMatrix:
         """Matrix of the differential from degree n to degree n + 1,
-        columns indexed by the degree-n monomial basis."""
+        columns indexed by the degree-n monomial basis.  Degree -1 has an
+        empty basis, so d_matrix(-1) has no columns."""
         if n in self._dmat:
             return self._dmat[n]
         src = self.basis(n)
@@ -82,58 +83,28 @@ class CochainComplex:
     def quotient_data(self, n: int):
         """Representatives and the class-coordinate transform in degree n.
 
-        Returns (reps, bound_dim, T, K): reps is a list of cocycle
-        vectors whose classes form a basis, bound_dim the coboundary
-        rank, T the rational rows sending a cocycle vector to its
-        (class, coboundary) coordinates, and K the rows that vanish
+        Returns (reps, T, K): reps is a list of cocycle vectors whose
+        classes form a basis, T the rational rows sending a cocycle vector
+        to its (class, coboundary) coordinates, and K the rows that vanish
         exactly on cocycle vectors lying in the certified span.
         """
         self.check_degree(n)
         if n in self._quotient:
             return self._quotient[n]
-        m = len(self.basis(n))
-        d_in = self.d_matrix(n - 1) if n >= 1 else QMatrix(m, 0, {})
-        d_out = self.d_matrix(n)
-        bound_cols = []
-        if d_in.cols:
-            _, pivots = _rref_rows(
-                [list(row) for row in d_in.dense_rows()], d_in.cols
-            )
-            for j in pivots:
-                bound_cols.append(tuple(d_in.entry(i, j) for i in range(m)))
-        reps: list[tuple[Fraction, ...]] = []
-        span_rows = [list(v) for v in bound_cols]
-        if span_rows:
-            span_rows, _ = _rref_rows(span_rows, m)
-        for v in kernel_basis(d_out):
-            trial = span_rows + [list(v)]
-            reduced, _ = _rref_rows([r[:] for r in trial], m)
-            if len([r for r in reduced if any(r)]) > len(span_rows):
-                reps.append(v)
-                span_rows = [r for r in reduced if any(r)]
-        columns = reps + bound_cols
-        p_count = len(columns)
-        aug = []
-        for i in range(m):
-            row = [columns[j][i] for j in range(p_count)]
-            row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-            aug.append(row)
-        aug, pivots = _rref_rows(aug, p_count + m)
-        if tuple(pivots[:p_count]) != tuple(range(p_count)):
+        reps, bound_cols = complement_basis(self.d_matrix(n - 1), self.d_matrix(n))
+        transform = quotient_transform(reps + bound_cols, len(self.basis(n)))
+        if transform is None:
             raise AssertionError("quotient basis columns are not independent")
-        t_rows = [tuple(aug[i][p_count:]) for i in range(p_count)]
-        k_rows = [tuple(aug[i][p_count:]) for i in range(p_count, m)]
-        data = (reps, len(bound_cols), t_rows, k_rows)
+        data = (reps, *transform)
         self._quotient[n] = data
         return data
 
     def betti(self, n: int) -> int:
         self.check_degree(n)
-        reps, _, _, _ = self.quotient_data(n)
-        return len(reps)
+        return len(self.quotient_data(n)[0])
 
     def representatives(self, n: int) -> list[Element]:
-        reps, _, _, _ = self.quotient_data(n)
+        reps = self.quotient_data(n)[0]
         alg = self.presentation.algebra
         basis = self.basis(n)
         out = []
@@ -159,14 +130,21 @@ class CochainComplex:
         """
         if not x.is_homogeneous(n):
             raise HomogeneityError(f"element is not homogeneous of degree {n}")
-        reps, _, t_rows, k_rows = self.quotient_data(n)
-        vec = self.element_vector(x, n)
-        for row in k_rows:
-            if _dot(row, vec):
-                raise ToolkitError(
-                    f"element of degree {n} is not a certified cocycle"
-                )
-        return [_dot(row, vec) for row in t_rows[: len(reps)]]
+        return _coordinates(
+            self.quotient_data(n),
+            self.element_vector(x, n),
+            f"element of degree {n} is not a certified cocycle",
+        )
+
+
+def _coordinates(transform, vec, error: str) -> list:
+    """Class coordinates of vec under a (reps, T, K) transform; raises
+    ToolkitError with the given message when some row of K is nonzero on
+    vec."""
+    reps, t_rows, k_rows = transform
+    if any(_dot(row, vec) for row in k_rows):
+        raise ToolkitError(error)
+    return [_dot(row, vec) for row in t_rows[: len(reps)]]
 
 
 def _dot(rational_row, vec):
@@ -304,50 +282,10 @@ def weight_decomposition(
         reps[n] = {}
         basis = cx.basis(n)
         for weight in weights_present(n):
-            rows_in = stratum(n + 1, weight)
             cols = stratum(n, weight)
-            col_pos = {j: a for a, j in enumerate(cols)}
-            d_out = cx.d_matrix(n)
-            row_pos = {i: a for a, i in enumerate(rows_in)}
-            sub_out = QMatrix(
-                len(rows_in),
-                len(cols),
-                {
-                    (row_pos[i], col_pos[j]): d_out.entry(i, j)
-                    for i in rows_in
-                    for j in cols
-                    if d_out.entry(i, j)
-                },
-            )
-            if n >= 1:
-                cols_in = stratum(n - 1, weight)
-                d_in = cx.d_matrix(n - 1)
-                sub_in = QMatrix(
-                    len(cols),
-                    len(cols_in),
-                    {
-                        (col_pos[i], a): d_in.entry(i, j)
-                        for i in cols
-                        for a, j in enumerate(cols_in)
-                        if d_in.entry(i, j)
-                    },
-                )
-                bound_rank = rank(sub_in)
-                bound_cols = _independent_columns(sub_in)
-            else:
-                bound_rank = 0
-                bound_cols = []
-            span_rows = [list(v) for v in bound_cols]
-            if span_rows:
-                span_rows, _ = _rref_rows(span_rows, len(cols))
-            chosen = []
-            for v in kernel_basis(sub_out):
-                trial = span_rows + [list(v)]
-                reduced, _ = _rref_rows([r[:] for r in trial], len(cols))
-                nonzero = [r for r in reduced if any(r)]
-                if len(nonzero) > len(span_rows):
-                    chosen.append(v)
-                    span_rows = nonzero
+            sub_in = cx.d_matrix(n - 1).submatrix(cols, stratum(n - 1, weight))
+            sub_out = cx.d_matrix(n).submatrix(stratum(n + 1, weight), cols)
+            chosen, _ = complement_basis(sub_in, sub_out)
             h_dim = len(chosen)
             if h_dim:
                 dims[n][weight] = h_dim
@@ -370,13 +308,6 @@ def weight_decomposition(
         dimensions=dims,
         representatives=reps,
     )
-
-
-def _independent_columns(m: QMatrix) -> list[tuple]:
-    if not m.cols:
-        return []
-    _, pivots = _rref_rows([list(r) for r in m.dense_rows()], m.cols)
-    return [tuple(m.entry(i, j) for i in range(m.rows)) for j in pivots]
 
 
 @dataclass
@@ -442,7 +373,13 @@ def induced_action(
     columns = []
     for rep in reps:
         image = fam.apply(rep.with_laurent_scalars())
-        columns.append(_laurent_class_coordinates(cx, transform, image, n))
+        columns.append(
+            _coordinates(
+                transform,
+                cx.element_vector(image.with_laurent_scalars(), n),
+                f"image in degree {n} is not a certified cocycle",
+            )
+        )
     dim = len(reps)
     matrix = [[columns[j][i] for j in range(dim)] for i in range(dim)]
     return ActionReport(
@@ -456,10 +393,6 @@ def induced_action(
 
 def _transform_for_representatives(cx: CochainComplex, reps: list[Element], n: int):
     """Quotient transform for a caller-chosen representative basis."""
-    _, bound_dim, _, _ = cx.quotient_data(n)
-    m = len(cx.basis(n))
-    d_in = cx.d_matrix(n - 1) if n >= 1 else QMatrix(m, 0, {})
-    bound_cols = _independent_columns(d_in)
     vectors = []
     for x in reps:
         if not x.is_homogeneous(n):
@@ -467,34 +400,13 @@ def _transform_for_representatives(cx: CochainComplex, reps: list[Element], n: i
                 f"representative is not homogeneous of degree {n}"
             )
         vectors.append(tuple(cx.element_vector(x, n)))
-    columns = vectors + bound_cols
-    p_count = len(columns)
-    aug = []
-    for i in range(m):
-        row = [columns[j][i] for j in range(p_count)]
-        row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-        aug.append(row)
-    aug, pivots = _rref_rows(aug, p_count + m)
-    if tuple(pivots[:p_count]) != tuple(range(p_count)):
+    columns = vectors + independent_columns(cx.d_matrix(n - 1))
+    transform = quotient_transform(columns, len(cx.basis(n)))
+    if transform is None:
         raise ToolkitError(
             "supplied representatives do not project to a basis of the quotient"
         )
-    t_rows = [tuple(aug[i][p_count:]) for i in range(p_count)]
-    k_rows = [tuple(aug[i][p_count:]) for i in range(p_count, m)]
-    return (vectors, bound_dim, t_rows, k_rows)
-
-
-def _laurent_class_coordinates(cx, transform, x: Element, n: int) -> list[Laurent]:
-    reps, _, t_rows, k_rows = transform
-    vec = cx.element_vector(x.with_laurent_scalars(), n)
-    for row in k_rows:
-        if _dot(row, vec):
-            raise ToolkitError(f"image in degree {n} is not a certified cocycle")
-    out = []
-    for row in t_rows[: len(reps)]:
-        acc = _dot(row, vec)
-        out.append(acc if isinstance(acc, Laurent) else Laurent.from_rational(acc))
-    return out
+    return (vectors, *transform)
 
 
 def homology_action(

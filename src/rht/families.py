@@ -26,6 +26,7 @@ from .model import (
     SullivanPresentation,
     Violation,
     _expect_str,
+    _loads,
     _parse_monomial,
 )
 from .qlinalg import QMatrix, rank, solve
@@ -392,13 +393,7 @@ def family_from_dict(p: SullivanPresentation, doc, path: str = "") -> OneParamet
 
 
 def parse_family(p: SullivanPresentation, text: str) -> OneParameterFamily:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return family_from_dict(p, doc)
+    return family_from_dict(p, _loads(text))
 
 
 def load_family(p: SullivanPresentation, path) -> OneParameterFamily:
@@ -439,13 +434,7 @@ def automorphism_from_dict(p: SullivanPresentation, doc, path: str = "") -> Mode
 
 
 def parse_automorphism(p: SullivanPresentation, text: str) -> ModelAutomorphism:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return automorphism_from_dict(p, doc)
+    return automorphism_from_dict(p, _loads(text))
 
 
 def load_automorphism(p: SullivanPresentation, path) -> ModelAutomorphism:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .algebra import Element, FreeGCA, Generator, RATIONAL
 from .errors import DegreeRangeError
 from .model import GradedAlgebraTable, SullivanPresentation
-from .qlinalg import QMatrix, _rref_rows, kernel_basis
+from .qlinalg import EchelonSpan, QMatrix, kernel_basis
 from .weights import WeightAssignment
 
 
@@ -175,23 +175,11 @@ def _cover_cokernel(b: _Builder, k: int):
     table_basis = b.table.degree_basis(k)
     if not table_basis:
         return
-    p = b.presentation()
-    cx = complex_for(p)
-    reps = cx.representatives(k)
+    reps = complex_for(b.presentation()).representatives(k)
     dim = len(table_basis)
-    span_rows: list[list[Fraction]] = []
-    for rep in reps:
-        vec = list(b.rho_vector(rep, k))
-        trial = span_rows + [vec]
-        reduced, _ = _rref_rows([r[:] for r in trial], dim)
-        span_rows = [r for r in reduced if any(r)]
+    span = EchelonSpan(dim, (b.rho_vector(rep, k) for rep in reps))
     for idx, cls in enumerate(table_basis):
-        vec = [Fraction(1) if i == idx else Fraction(0) for i in range(dim)]
-        trial = span_rows + [vec]
-        reduced, _ = _rref_rows([r[:] for r in trial], dim)
-        nonzero = [r for r in reduced if any(r)]
-        if len(nonzero) > len(span_rows):
-            span_rows = nonzero
+        if span.add([Fraction(int(i == idx)) for i in range(dim)]):
             b.add_generator(cls, k, k, None, {cls: Fraction(1)})
 
 

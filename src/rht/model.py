@@ -291,12 +291,16 @@ def presentation_from_dict(doc, path: str = "") -> SullivanPresentation:
     return SullivanPresentation(name, gens, differential, trunc, formal)
 
 
-def parse_presentation(text: str) -> SullivanPresentation:
+def _loads(text: str):
+    """Decode a JSON document, reporting syntax errors as SchemaError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return presentation_from_dict(doc)
+
+
+def parse_presentation(text: str) -> SullivanPresentation:
+    return presentation_from_dict(_loads(text))
 
 
 def load_presentation(path) -> SullivanPresentation:
@@ -540,11 +544,7 @@ def table_from_dict(doc, path: str = "") -> GradedAlgebraTable:
 
 
 def parse_table(text: str) -> GradedAlgebraTable:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return table_from_dict(doc)
+    return table_from_dict(_loads(text))
 
 
 def load_table(path) -> GradedAlgebraTable:

@@ -5,6 +5,14 @@ elimination with `Fraction` scalars; there is no floating point anywhere.
 Matrices are stored sparsely but the algorithms work on dense row lists,
 which is the right trade at the sizes this package meets (tens of rows).
 
+`EchelonSpan` keeps a span in reduced row echelon form and grows it one
+candidate at a time, so choosing the candidates that extend a span costs
+one reduction per candidate rather than one elimination of the whole span.
+`complement_basis` uses it to pick kernel vectors whose classes span a
+quotient ker / im, and `quotient_transform` builds the rational rows that
+rewrite a vector in a basis of chosen columns and detect vectors outside
+their span.
+
 `positive_integer_kernel` answers the question the weight solver needs:
 does the kernel of an integer matrix meet the open positive orthant, and
 if so, which coprime positive integer vector does the deterministic
@@ -13,6 +21,7 @@ elimination order produce.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -67,6 +76,20 @@ class QMatrix:
 
     def row(self, i: int) -> Vector:
         return tuple(self.entry(i, j) for j in range(self.cols))
+
+    def submatrix(self, rows: list[int], cols: list[int]) -> "QMatrix":
+        """The entries at the given rows and columns, in the given order."""
+        row_pos = {i: a for a, i in enumerate(rows)}
+        col_pos = {j: b for b, j in enumerate(cols)}
+        return QMatrix(
+            len(rows),
+            len(cols),
+            {
+                (row_pos[i], col_pos[j]): v
+                for (i, j), v in self._entries.items()
+                if i in row_pos and j in col_pos
+            },
+        )
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
@@ -151,6 +174,84 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
             v[p] = -reduced.entry(r, f)
         basis.append(tuple(v))
     return basis
+
+
+class EchelonSpan:
+    """A span of row vectors kept in reduced row echelon form.
+
+    `rows` are ordered by their pivot columns, so they always equal the
+    nonzero rows of the RREF of the vectors added so far.
+    """
+
+    __slots__ = ("ncols", "rows", "pivots")
+
+    def __init__(self, ncols: int, vectors=()):
+        self.ncols = ncols
+        self.rows: list[list[Fraction]] = []
+        self.pivots: list[int] = []
+        for v in vectors:
+            self.add(v)
+
+    def add(self, v) -> bool:
+        """Insert v if it lies outside the span; report whether it did."""
+        if len(v) != self.ncols:
+            raise ValueError("length mismatch")
+        r = [Fraction(x) for x in v]
+        for row, p in zip(self.rows, self.pivots):
+            f = r[p]
+            if f:
+                r = [a - f * b for a, b in zip(r, row)]
+        c = next((j for j, x in enumerate(r) if x), None)
+        if c is None:
+            return False
+        inv = 1 / r[c]
+        r = [x * inv for x in r]
+        for i, row in enumerate(self.rows):
+            f = row[c]
+            if f:
+                self.rows[i] = [a - f * b for a, b in zip(row, r)]
+        k = bisect(self.pivots, c)
+        self.rows.insert(k, r)
+        self.pivots.insert(k, c)
+        return True
+
+
+def independent_columns(m: QMatrix) -> list[Vector]:
+    """The pivot columns of m: each column independent of those before it."""
+    _, pivots = _rref_rows(m.dense_rows(), m.cols)
+    return [tuple(m.entry(i, j) for i in range(m.rows)) for j in pivots]
+
+
+def complement_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[Vector]]:
+    """Kernel vectors of d_out whose classes form a basis of ker d_out / im d_in.
+
+    Returns (reps, bound): bound is `independent_columns(d_in)`, and reps
+    are the vectors of `kernel_basis(d_out)`, in order, that are
+    independent of bound and of the vectors picked before them.
+    """
+    bound = independent_columns(d_in)
+    span = EchelonSpan(d_out.cols, bound)
+    return [v for v in kernel_basis(d_out) if span.add(v)], bound
+
+
+def quotient_transform(
+    columns: list[Vector], m: int
+) -> tuple[list[Vector], list[Vector]] | None:
+    """Rows (T, K) that read vectors of length m against the given columns.
+
+    T has one row per column with T . col_j = e_j; K spans the rows that
+    vanish exactly on the span of the columns.  Returns None when the
+    columns are not independent.
+    """
+    p = len(columns)
+    aug = [
+        [col[i] for col in columns] + [Fraction(int(k == i)) for k in range(m)]
+        for i in range(m)
+    ]
+    aug, pivots = _rref_rows(aug, p + m)
+    if tuple(pivots[:p]) != tuple(range(p)):
+        return None
+    return [tuple(r[p:]) for r in aug[:p]], [tuple(r[p:]) for r in aug[p:]]
 
 
 def solve(m: QMatrix, b: Vector) -> Vector | None:
@@ -278,7 +379,8 @@ def _positive_kernel_point(m: QMatrix) -> list[Fraction] | None:
     if combo is None:
         return None
     point = [sum(v[j] * combo[k] for k, v in enumerate(basis)) for j in range(m.cols)]
-    assert all(x > 0 for x in point)
+    if not all(x > 0 for x in point):
+        raise AssertionError("kernel point is not strictly positive")
     return point
 
 
@@ -293,22 +395,14 @@ def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
     point = _positive_kernel_point(m)
     if point is not None:
         solution = coprime_integer_vector(point)
-        assert all(x == 0 for x in m.apply(tuple(map(Fraction, solution))))
+        if any(m.apply(tuple(map(Fraction, solution)))):
+            raise AssertionError("positive solution is not in the kernel")
         return FeasibilityResult(solution=solution, witness=None)
 
     kept = list(range(m.rows))
-    dense = m.dense_rows()
-
-    def feasible_with(indices: list[int]) -> bool:
-        entries = {}
-        for r, i in enumerate(indices):
-            for j, v in enumerate(dense[i]):
-                if v:
-                    entries[(r, j)] = v
-        return _positive_kernel_point(QMatrix(len(indices), m.cols, entries)) is not None
-
+    all_cols = list(range(m.cols))
     for i in list(kept):
         trial = [j for j in kept if j != i]
-        if not feasible_with(trial):
+        if _positive_kernel_point(m.submatrix(trial, all_cols)) is None:
             kept = trial
     return FeasibilityResult(solution=None, witness=tuple(kept))

@@ -129,12 +129,6 @@ def find_weights(p: SullivanPresentation) -> WeightReport:
     col_of = {j: k for k, j in enumerate(constrained)}
     sub_rows = [[row.coefficients[j] for j in constrained] for row in system.rows]
     sub = QMatrix.from_rows(sub_rows) if sub_rows else QMatrix(0, len(constrained), {})
-    if sub.cols != len(constrained):
-        sub = QMatrix(
-            sub.rows,
-            len(constrained),
-            {(i, j): sub.entry(i, j) for i in range(sub.rows) for j in range(sub.cols)},
-        )
     result = positive_integer_kernel(sub)
     if not result.feasible:
         witness = tuple(system.rows[i] for i in result.witness)

@@ -74,6 +74,14 @@ def test_class_coordinates_identify_generating_class():
     assert coords == [Fraction(1)]
 
 
+def test_class_coordinates_reject_non_cocycle():
+    p = load_presentation("s2")
+    cx = complex_for(p)
+    # d(y) = x^2, so y is not a cocycle
+    with pytest.raises(ToolkitError, match="not a certified cocycle"):
+        cx.class_coordinates(p.algebra.gen("y"), 3)
+
+
 # ----------------------------------------------------- weight decomposition
 
 

@@ -1,17 +1,25 @@
 """Exact linear algebra: RREF, kernels, solving, positive kernel points."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from rht.qlinalg import (
+    EchelonSpan,
     QMatrix,
     kernel_basis,
     positive_integer_kernel,
+    quotient_transform,
     rank,
     rref,
     solve,
 )
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 fractions = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -156,3 +164,67 @@ def test_witness_rows_are_minimal_for_conflict():
     )
     res = positive_integer_kernel(m)
     assert sorted(res.witness) == [0, 1]
+
+
+# ------------------------------------------------------- echelon span core
+
+
+@given(matrices())
+def test_echelon_span_add_reports_rank_increase(m):
+    span = EchelonSpan(m.cols)
+    accepted = []
+    for i in range(m.rows):
+        v = m.row(i)
+        before = rank(QMatrix.from_rows(accepted)) if accepted else 0
+        grew = rank(QMatrix.from_rows(accepted + [list(v)])) > before
+        assert span.add(v) == grew
+        if grew:
+            accepted.append(list(v))
+    assert len(span.rows) == len(accepted)
+
+
+@given(matrices())
+def test_echelon_span_rows_are_rref_of_accepted_vectors(m):
+    span = EchelonSpan(m.cols)
+    accepted = [list(m.row(i)) for i in range(m.rows) if span.add(m.row(i))]
+    if not accepted:
+        assert span.rows == []
+        return
+    reduced, pivots = rref(QMatrix.from_rows(accepted))
+    nonzero = [list(reduced.row(i)) for i in range(len(pivots))]
+    assert span.rows == nonzero
+    assert span.pivots == list(pivots)
+
+
+@given(matrices())
+def test_quotient_transform_reads_independent_columns(m):
+    columns = [tuple(m.entry(i, j) for i in range(m.rows)) for j in range(m.cols)]
+    transform = quotient_transform(columns, m.rows)
+    if rank(m) < m.cols:
+        assert transform is None
+        return
+    t_rows, k_rows = transform
+    assert len(t_rows) + len(k_rows) == m.rows
+    for j, col in enumerate(columns):
+        for i, row in enumerate(t_rows):
+            assert sum(a * b for a, b in zip(row, col)) == (1 if i == j else 0)
+        for row in k_rows:
+            assert sum(a * b for a, b in zip(row, col)) == 0
+
+
+def test_kernel_check_survives_optimized_mode():
+    # a wrong kernel vector must be caught even when python -O strips asserts
+    script = """
+import rht.qlinalg as q
+q.kernel_basis = lambda m: [(1, 1)]
+try:
+    q.positive_integer_kernel(q.QMatrix.from_rows([[1, -2]]))
+except AssertionError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
