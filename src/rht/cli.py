@@ -462,7 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser(
         "formal-model", help="build a bigraded model from a cohomology table"
     )
-    _add_common(s, max_degree=True)
+    _add_common(s)
+    s.add_argument(
+        "--max-degree",
+        type=int,
+        metavar="N",
+        help="truncation degree of the built model; certifies through N-1; "
+        "default: the table's top degree + 2",
+    )
     s.set_defaults(fn=_cmd_formal_model)
 
     s = subs.add_parser("growth", help="growth and dilatation exponents")

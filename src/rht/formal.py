@@ -179,7 +179,7 @@ def _cover_cokernel(b: _Builder, k: int):
     dim = len(table_basis)
     span = EchelonSpan(dim, (b.rho_vector(rep, k) for rep in reps))
     for idx, cls in enumerate(table_basis):
-        if span.add([Fraction(int(i == idx)) for i in range(dim)]):
+        if span.add([int(i == idx) for i in range(dim)]):
             b.add_generator(cls, k, k, None, {cls: Fraction(1)})
 
 

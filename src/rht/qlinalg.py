@@ -1,13 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Everything here is elementary Gaussian elimination and Fourier-Motzkin
-elimination with `Fraction` scalars; there is no floating point anywhere.
-Matrices are stored sparsely but the algorithms work on dense row lists,
-which is the right trade at the sizes this package meets (tens of rows).
+Everything here is Gaussian elimination and Fourier-Motzkin elimination;
+there is no floating point anywhere.  Rows are eliminated as primitive
+integer rows: a rational row is scaled by the lcm of its denominators and
+divided by its content (the gcd of its entries), two rows are combined by
+cross-multiplication, a * row_i - b * row_r, and the result is divided by
+its content again.  This is gcd-reduced fraction-free elimination in the
+spirit of E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22 (1968).  Results
+are exact `Fraction`s: a pivot row is divided by its pivot only when it is
+returned, and since the reduced row echelon form is canonical it is the
+one rational elimination would reach.  Matrices are stored sparsely and
+eliminated as dense integer rows, the right trade at the sizes this
+package meets (tens to a few hundred rows).
 
-`EchelonSpan` keeps a span in reduced row echelon form and grows it one
-candidate at a time, so choosing the candidates that extend a span costs
-one reduction per candidate rather than one elimination of the whole span.
+`EchelonSpan` keeps a span in echelon form and grows it one candidate at
+a time, so choosing the candidates that extend a span costs one reduction
+per candidate rather than one elimination of the whole span.
 `complement_basis` uses it to pick kernel vectors whose classes span a
 quotient ker / im, and `quotient_transform` builds the rational rows that
 rewrite a vector in a basis of chosen columns and detect vectors outside
@@ -24,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .rationals import coprime_integer_vector
 
@@ -112,8 +121,57 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}, {sorted(self._entries.items())})"
 
 
-def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of dense rows, in place; returns pivot columns."""
+def _primitive(row: list[int]) -> list[int]:
+    """Divide an integer row by its content; the zero row stays as it is."""
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                return row
+    if g > 1:
+        return [x // g for x in row]
+    return row
+
+
+def _integer_row(v) -> list[int]:
+    """The primitive integer row on the ray of a row of ints or Fractions."""
+    l = lcm(*[x.denominator for x in v])
+    return _primitive([x.numerator * (l // x.denominator) for x in v])
+
+
+def _integer_rows(m: QMatrix) -> list[list[int]]:
+    """The rows of m, each scaled to a primitive integer row."""
+    scale = [1] * m.rows
+    for (i, _), v in m._entries.items():
+        scale[i] = lcm(scale[i], v.denominator)
+    rows = [[0] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m._entries.items():
+        rows[i][j] = v.numerator * (scale[i] // v.denominator)
+    return [_primitive(row) for row in rows]
+
+
+def _eliminate(row: list[int], c: int, pivot_row: list[int]) -> list[int]:
+    """Clear column c of row against a row with a positive pivot at c.
+
+    The result is primitive and a positive multiple of
+    pivot_row[c] * row - row[c] * pivot_row.
+    """
+    p, a = pivot_row[c], row[c]
+    g = gcd(p, a)
+    p //= g
+    a //= g
+    return _primitive([p * x - a * y for x, y in zip(row, pivot_row)])
+
+
+def _echelonize(rows: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of primitive integer rows.
+
+    Works in place and returns the pivot columns.  Row r ends as a
+    primitive row with a positive entry at pivots[r] and zeros in every
+    other pivot column; the rows after the pivot rows are zero.  Dividing
+    each pivot row by its pivot gives the reduced row echelon form.
+    """
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -125,17 +183,30 @@ def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fracti
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = _eliminate(rows[i], c, rows[r])
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return pivots
+
+
+def _rational_row(row: list[int], pivot: int) -> list[Fraction]:
+    """An echelon row divided by its pivot entry."""
+    return [Fraction(x, pivot) for x in row]
+
+
+def _rref_rows(rows: list[list], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of dense rational rows; returns pivot columns."""
+    ints = [_integer_row(row) for row in rows]
+    pivots = _echelonize(ints, ncols)
+    reduced = [_rational_row(row, row[p]) for row, p in zip(ints, pivots)]
+    reduced += [[Fraction(0)] * len(row) for row in ints[len(pivots):]]
+    return reduced, pivots
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
@@ -144,17 +215,18 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     Pivot entries are 1 and are alone in their column; the row order is the
     pivot-column order, so the result is canonical for the row space.
     """
-    rows, pivots = _rref_rows(m.dense_rows(), m.cols)
+    rows = _integer_rows(m)
+    pivots = _echelonize(rows, m.cols)
     entries = {}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                entries[(i, j)] = v
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        for j, x in enumerate(row):
+            if x:
+                entries[(i, j)] = Fraction(x, row[p])
     return QMatrix(m.rows, m.cols, entries), tuple(pivots)
 
 
 def rank(m: QMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_echelonize(_integer_rows(m), m.cols))
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
@@ -163,15 +235,16 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
     The standard parametrization: the vector for free column f carries a 1
     in slot f and minus the reduced column entries in the pivot slots.
     """
-    reduced, pivots = rref(m)
+    rows = _integer_rows(m)
+    pivots = _echelonize(rows, m.cols)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for f in free:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entry(r, f)
+        for row, p in zip(rows, pivots):
+            v[p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
     return basis
 
@@ -179,46 +252,52 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
 class EchelonSpan:
     """A span of row vectors kept in reduced row echelon form.
 
-    `rows` are ordered by their pivot columns, so they always equal the
-    nonzero rows of the RREF of the vectors added so far.
+    The span is stored as primitive integer rows, each with a positive
+    entry in its pivot column and zeros in every other pivot column.
+    `rows` divides each by its pivot; rows are ordered by their pivot
+    columns, so they always equal the nonzero rows of the RREF of the
+    vectors added so far.
     """
 
-    __slots__ = ("ncols", "rows", "pivots")
+    __slots__ = ("ncols", "_rows", "pivots")
 
     def __init__(self, ncols: int, vectors=()):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
+        self._rows: list[list[int]] = []
         self.pivots: list[int] = []
         for v in vectors:
             self.add(v)
 
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        return [_rational_row(row, row[p]) for row, p in zip(self._rows, self.pivots)]
+
     def add(self, v) -> bool:
-        """Insert v if it lies outside the span; report whether it did."""
+        """Insert v (ints or Fractions) if it lies outside the span; report
+        whether it did."""
         if len(v) != self.ncols:
             raise ValueError("length mismatch")
-        r = [Fraction(x) for x in v]
-        for row, p in zip(self.rows, self.pivots):
-            f = r[p]
-            if f:
-                r = [a - f * b for a, b in zip(r, row)]
+        r = _integer_row(v)
+        for row, p in zip(self._rows, self.pivots):
+            if r[p]:
+                r = _eliminate(r, p, row)
         c = next((j for j, x in enumerate(r) if x), None)
         if c is None:
             return False
-        inv = 1 / r[c]
-        r = [x * inv for x in r]
-        for i, row in enumerate(self.rows):
-            f = row[c]
-            if f:
-                self.rows[i] = [a - f * b for a, b in zip(row, r)]
+        if r[c] < 0:
+            r = [-x for x in r]
+        for i, row in enumerate(self._rows):
+            if row[c]:
+                self._rows[i] = _eliminate(row, c, r)
         k = bisect(self.pivots, c)
-        self.rows.insert(k, r)
+        self._rows.insert(k, r)
         self.pivots.insert(k, c)
         return True
 
 
 def independent_columns(m: QMatrix) -> list[Vector]:
     """The pivot columns of m: each column independent of those before it."""
-    _, pivots = _rref_rows(m.dense_rows(), m.cols)
+    pivots = _echelonize(_integer_rows(m), m.cols)
     return [tuple(m.entry(i, j) for i in range(m.rows)) for j in pivots]
 
 
@@ -244,10 +323,7 @@ def quotient_transform(
     columns are not independent.
     """
     p = len(columns)
-    aug = [
-        [col[i] for col in columns] + [Fraction(int(k == i)) for k in range(m)]
-        for i in range(m)
-    ]
+    aug = [[col[i] for col in columns] + [int(k == i) for k in range(m)] for i in range(m)]
     aug, pivots = _rref_rows(aug, p + m)
     if tuple(pivots[:p]) != tuple(range(p)):
         return None
@@ -292,39 +368,26 @@ class FeasibilityResult:
         return self.solution is not None
 
 
-def _normalize_direction(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Scale an inequality row by a positive rational to a canonical form."""
-    nums = [abs(c.numerator) for c in coeffs if c]
-    if not nums:
-        return coeffs
-    dens = [c.denominator for c in coeffs if c]
-    g = gcd(*nums)
-    l = 1
-    for d in dens:
-        l = l * d // gcd(l, d)
-    scale = Fraction(l, g)
-    return tuple(c * scale for c in coeffs)
-
-
-def _fourier_motzkin(rows: list[tuple[Fraction, ...]], nvars: int) -> list[Fraction] | None:
+def _fourier_motzkin(rows: list[list[int]], nvars: int) -> list[Fraction] | None:
     """Solve the strict homogeneous system {r . c > 0} by elimination.
 
-    Variables are eliminated left to right; at each step duplicate
-    inequalities (up to positive scaling) are dropped.  Returns one exact
+    The rows are primitive integer rows.  Variables are eliminated left to
+    right, each combined row divided by its content, so every row is the
+    canonical representative of its direction and duplicate inequalities
+    (up to positive scaling) are dropped as equal rows.  Returns one exact
     solution vector, or None when some combination collapses to 0 > 0.
     """
     system = [tuple(r) for r in rows]
     # (var, lower rows, upper rows) stacks for back-substitution; rows are
     # kept in full length with the eliminated variable's coefficient intact.
-    stages: list[tuple[int, list[tuple[Fraction, ...]], list[tuple[Fraction, ...]]]] = []
+    stages: list[tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]] = []
     for var in range(nvars):
-        seen: set[tuple[Fraction, ...]] = set()
+        seen: set[tuple[int, ...]] = set()
         zero, lower, upper = [], [], []
         for r in system:
-            key = _normalize_direction(r)
-            if key in seen:
+            if r in seen:
                 continue
-            seen.add(key)
+            seen.add(r)
             c = r[var]
             if c > 0:
                 lower.append(r)
@@ -335,10 +398,10 @@ def _fourier_motzkin(rows: list[tuple[Fraction, ...]], nvars: int) -> list[Fract
         combined = list(zero)
         for p in lower:
             for n in upper:
-                new = tuple(p[var] * nv + (-n[var]) * pv for pv, nv in zip(p, n))
+                new = _eliminate(n, var, p)
                 if not any(new):
                     return None
-                combined.append(new)
+                combined.append(tuple(new))
         stages.append((var, lower, upper))
         system = combined
     if any(not any(r) for r in system):
@@ -346,7 +409,7 @@ def _fourier_motzkin(rows: list[tuple[Fraction, ...]], nvars: int) -> list[Fract
         return None
     values = [Fraction(0)] * nvars
 
-    def tail(r: tuple[Fraction, ...], var: int) -> Fraction:
+    def tail(r: tuple[int, ...], var: int) -> Fraction:
         return sum((r[j] * values[j] for j in range(var + 1, nvars)), Fraction(0))
 
     for var, lower, upper in reversed(stages):
@@ -371,7 +434,7 @@ def _positive_kernel_point(m: QMatrix) -> list[Fraction] | None:
         return []
     if not basis:
         return None
-    coord_rows = [tuple(v[j] for v in basis) for j in range(m.cols)]
+    coord_rows = [_integer_row([v[j] for v in basis]) for j in range(m.cols)]
     for r in coord_rows:
         if not any(r):
             return None

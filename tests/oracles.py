@@ -9,7 +9,9 @@ enumeration instead of cached bases.  Slow is fine; agreeing is the point.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from fractions import Fraction
+from math import gcd
 
 # A word is a sorted tuple of generator ids, repetition allowed.
 # degrees[g] is the degree of generator g.
@@ -277,3 +279,200 @@ def random_presentation(rng: random.Random, max_generators=5):
     return SullivanPresentation(
         f"random-{rng.randrange(10**6)}", gens, d_images, n_trunc, None
     )
+
+
+# ----------------------------------------------- Fraction elimination reference
+#
+# The dense-`Fraction` elimination `rht.qlinalg` used before its integer
+# core: RREF, kernel basis, quotient transform, echelon span and the
+# Fourier-Motzkin positive-kernel search with greedy witnesses.  Matrices
+# are dense lists of rows; every result is compared for exact equality.
+
+
+def fraction_rref_rows(rows, ncols):
+    """Reduced row echelon form of dense rows, in place; returns pivot columns."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def fraction_rref(rows, ncols):
+    """(reduced rows, pivots) of a dense matrix, leaving the input alone."""
+    return fraction_rref_rows([[Fraction(x) for x in row] for row in rows], ncols)
+
+
+def fraction_kernel_basis(rows, ncols):
+    """One kernel vector per free column: 1 there, minus the reduced column
+    entries in the pivot slots."""
+    reduced, pivots = fraction_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_quotient_transform(columns, m):
+    """(T, K) rows from the RREF of [columns | identity], or None when the
+    columns are dependent."""
+    p = len(columns)
+    aug = [
+        [Fraction(col[i]) for col in columns] + [Fraction(int(k == i)) for k in range(m)]
+        for i in range(m)
+    ]
+    aug, pivots = fraction_rref_rows(aug, p + m)
+    if tuple(pivots[:p]) != tuple(range(p)):
+        return None
+    return [tuple(r[p:]) for r in aug[:p]], [tuple(r[p:]) for r in aug[p:]]
+
+
+class FractionEchelonSpan:
+    """A span kept as the nonzero rows of its RREF, over Fraction."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    def add(self, v):
+        r = [Fraction(x) for x in v]
+        for row, p in zip(self.rows, self.pivots):
+            f = r[p]
+            if f:
+                r = [a - f * b for a, b in zip(r, row)]
+        c = next((j for j, x in enumerate(r) if x), None)
+        if c is None:
+            return False
+        inv = 1 / r[c]
+        r = [x * inv for x in r]
+        for i, row in enumerate(self.rows):
+            f = row[c]
+            if f:
+                self.rows[i] = [a - f * b for a, b in zip(row, r)]
+        k = bisect(self.pivots, c)
+        self.rows.insert(k, r)
+        self.pivots.insert(k, c)
+        return True
+
+
+def _normalize_direction(coeffs):
+    """Scale an inequality row by a positive rational to a canonical form."""
+    nums = [abs(c.numerator) for c in coeffs if c]
+    if not nums:
+        return coeffs
+    dens = [c.denominator for c in coeffs if c]
+    g = gcd(*nums)
+    l = 1
+    for d in dens:
+        l = l * d // gcd(l, d)
+    scale = Fraction(l, g)
+    return tuple(c * scale for c in coeffs)
+
+
+def fraction_fourier_motzkin(rows, nvars):
+    """A solution of {r . c > 0} by left-to-right elimination with duplicate
+    directions dropped, or None when a combination collapses to 0 > 0."""
+    system = [tuple(r) for r in rows]
+    stages = []
+    for var in range(nvars):
+        seen = set()
+        zero, lower, upper = [], [], []
+        for r in system:
+            key = _normalize_direction(r)
+            if key in seen:
+                continue
+            seen.add(key)
+            c = r[var]
+            if c > 0:
+                lower.append(r)
+            elif c < 0:
+                upper.append(r)
+            else:
+                zero.append(r)
+        combined = list(zero)
+        for p in lower:
+            for n in upper:
+                new = tuple(p[var] * nv + (-n[var]) * pv for pv, nv in zip(p, n))
+                if not any(new):
+                    return None
+                combined.append(new)
+        stages.append((var, lower, upper))
+        system = combined
+    if any(not any(r) for r in system):
+        return None
+    values = [Fraction(0)] * nvars
+
+    def tail(r, var):
+        return sum((r[j] * values[j] for j in range(var + 1, nvars)), Fraction(0))
+
+    for var, lower, upper in reversed(stages):
+        lo = [(-tail(r, var)) / r[var] for r in lower]
+        hi = [(-tail(r, var)) / r[var] for r in upper]
+        if lo and hi:
+            values[var] = (max(lo) + min(hi)) / 2
+        elif lo:
+            values[var] = max(lo) + 1
+        elif hi:
+            values[var] = min(hi) - 1
+        else:
+            values[var] = Fraction(1)
+    return values
+
+
+def _fraction_positive_kernel_point(rows, ncols):
+    basis = fraction_kernel_basis(rows, ncols)
+    if ncols == 0:
+        return []
+    if not basis:
+        return None
+    coord_rows = [tuple(v[j] for v in basis) for j in range(ncols)]
+    if any(not any(r) for r in coord_rows):
+        return None
+    combo = fraction_fourier_motzkin(coord_rows, len(basis))
+    if combo is None:
+        return None
+    return [sum(v[j] * combo[k] for k, v in enumerate(basis)) for j in range(ncols)]
+
+
+def fraction_positive_integer_kernel(rows, ncols):
+    """(solution, witness) of the positive-kernel search: the coprime
+    integer point of the elimination order, or the greedy minimal
+    infeasible row subset."""
+    point = _fraction_positive_kernel_point(rows, ncols)
+    if point is not None:
+        if not point:
+            return (), None
+        scale = 1
+        for v in point:
+            scale = scale * v.denominator // gcd(scale, v.denominator)
+        ints = [int(v * scale) for v in point]
+        g = gcd(*ints)
+        return tuple(n // g for n in ints), None
+    kept = list(range(len(rows)))
+    for i in list(kept):
+        trial = [j for j in kept if j != i]
+        if _fraction_positive_kernel_point([rows[j] for j in trial], ncols) is None:
+            kept = trial
+    return None, tuple(kept)

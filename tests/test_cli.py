@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from rht.cli import main
+from rht.cli import build_parser, main
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
 ROOT_DIR = TESTS_DIR.parent
@@ -294,6 +294,14 @@ def test_formal_model_deeper_truncation_adds_the_killer(capsys):
     assert names == ["x", "z5_0"]
     assert doc["stages"] == {"x": 0, "z5_0": 1}
     assert doc["weights"] == {"x": 2, "z5_0": 6}
+
+
+def test_formal_model_help_names_max_degree_the_truncation(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["formal-model", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "truncation degree of the built model; certifies through N-1" in text
+    assert "top degree to report" not in text
 
 
 def test_formal_model_rejects_a_presentation_file(capsys):

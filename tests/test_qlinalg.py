@@ -8,9 +8,17 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    FractionEchelonSpan,
+    fraction_kernel_basis,
+    fraction_positive_integer_kernel,
+    fraction_quotient_transform,
+    fraction_rref,
+)
 from rht.qlinalg import (
     EchelonSpan,
     QMatrix,
+    _rref_rows,
     kernel_basis,
     positive_integer_kernel,
     quotient_transform,
@@ -228,3 +236,112 @@ raise SystemExit(1)
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ------------------------------------ integer core against the Fraction oracle
+
+wide_entries = st.one_of(
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.just(Fraction(0)),
+)
+
+
+@st.composite
+def dense_systems(draw, max_rows=5, max_cols=6):
+    """(rows, ncols) with wide entries, some rows and columns forced to zero;
+    0 x n and n x 0 shapes included."""
+    r = draw(st.integers(0, max_rows))
+    c = draw(st.integers(0, max_cols))
+    rows = [[draw(wide_entries) for _ in range(c)] for _ in range(r)]
+    zero_rows = draw(st.sets(st.sampled_from(range(r)))) if r else set()
+    zero_cols = draw(st.sets(st.sampled_from(range(c)))) if c else set()
+    for i in range(r):
+        for j in range(c):
+            if i in zero_rows or j in zero_cols:
+                rows[i][j] = Fraction(0)
+    return rows, c
+
+
+@st.composite
+def positive_kernel_systems(draw):
+    """Dense systems, half of them built to have a known positive kernel
+    vector so the feasible branch is exercised as often as the witness."""
+    rows, c = draw(dense_systems(max_rows=4, max_cols=5))
+    if c and draw(st.booleans()):
+        x = [draw(st.integers(1, 7)) for _ in range(c)]
+        for row in rows:
+            row[-1] = -sum(a * xj for a, xj in zip(row[:-1], x[:-1])) / x[-1]
+    return rows, c
+
+
+def _qmatrix(rows, ncols):
+    return QMatrix(
+        len(rows), ncols, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    )
+
+
+def _assert_fractions(*vectors):
+    for v in vectors:
+        assert all(type(x) is Fraction for x in v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_systems())
+def test_rref_rows_matches_fraction_oracle(system):
+    rows, ncols = system
+    expected = fraction_rref(rows, ncols)
+    got = _rref_rows([list(row) for row in rows], ncols)
+    assert got == expected
+    _assert_fractions(*got[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_systems())
+def test_rref_matches_fraction_oracle(system):
+    rows, ncols = system
+    reduced, pivots = rref(_qmatrix(rows, ncols))
+    expected_rows, expected_pivots = fraction_rref(rows, ncols)
+    assert reduced.dense_rows() == expected_rows
+    assert pivots == tuple(expected_pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_systems())
+def test_kernel_basis_matches_fraction_oracle(system):
+    rows, ncols = system
+    got = kernel_basis(_qmatrix(rows, ncols))
+    assert got == fraction_kernel_basis(rows, ncols)
+    _assert_fractions(*got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_systems())
+def test_quotient_transform_matches_fraction_oracle(system):
+    rows, ncols = system
+    columns = [tuple(row[j] for row in rows) for j in range(ncols)]
+    got = quotient_transform(columns, len(rows))
+    assert got == fraction_quotient_transform(columns, len(rows))
+    if got is not None:
+        _assert_fractions(*got[0], *got[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_systems(), st.booleans())
+def test_echelon_span_matches_fraction_oracle(system, as_ints):
+    rows, ncols = system
+    span, reference = EchelonSpan(ncols), FractionEchelonSpan(ncols)
+    for row in rows:
+        v = [int(x) if as_ints and x.denominator == 1 else x for x in row]
+        assert span.add(v) == reference.add(row)
+        assert span.rows == reference.rows
+        assert span.pivots == reference.pivots
+        _assert_fractions(*span.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_kernel_systems())
+def test_positive_integer_kernel_matches_fraction_oracle(system):
+    rows, ncols = system
+    res = positive_integer_kernel(_qmatrix(rows, ncols))
+    assert (res.solution, res.witness) == fraction_positive_integer_kernel(rows, ncols)
