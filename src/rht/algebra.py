@@ -72,6 +72,11 @@ class FreeGCA:
     def word_length(self, mono: Monomial) -> int:
         return sum(e for _, e in mono)
 
+    def monomial_key(self, mono: Monomial) -> tuple:
+        """Sort key of the canonical monomial order: factor by factor, in
+        the (degree, id) generator order, then by exponent."""
+        return tuple((self._rank[g], e) for g, e in mono)
+
     def monomial_name(self, mono: Monomial) -> str:
         if not mono:
             return "1"
@@ -179,7 +184,7 @@ class FreeGCA:
                     e += 1
 
         walk(0, degree, [])
-        out.sort(key=lambda m: tuple((self._rank[g], e) for g, e in m))
+        out.sort(key=self.monomial_key)
         return out
 
     # ---- elements -----------------------------------------------------

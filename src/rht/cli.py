@@ -40,7 +40,7 @@ from .families import (
 )
 from .formal import build_formal_model
 from .growth import growth_report
-from .model import SullivanPresentation, load_presentation, load_table
+from .model import SullivanPresentation, _loads, load_presentation, load_table
 from .rationals import format_rational, parse_rational
 from .weights import WeightAssignment, check_weights, find_weights
 
@@ -61,15 +61,15 @@ def _load_presentation(path: str) -> SullivanPresentation:
 
 def _weights_from_file(p: SullivanPresentation, path: str) -> WeightAssignment:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}", path) from exc
+        doc = _loads(fh.read(), path)
     if not isinstance(doc, dict):
         raise SchemaError("weight file must hold a JSON object", path)
     # accept either a bare {name: weight} map or a solver report
     if "weights" in doc and isinstance(doc["weights"], dict):
         doc = doc["weights"]
+    unknown = set(doc) - {g.name for g in p.generators}
+    if unknown:
+        raise SchemaError(f"unknown generators {sorted(unknown)}", path)
     bad = {k for k in doc if not isinstance(doc[k], int)}
     if bad:
         raise SchemaError(f"non-integer weights for {sorted(bad)}", path)

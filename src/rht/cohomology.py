@@ -30,18 +30,22 @@ class CochainComplex:
     """Per-degree bases and differential matrices of a presentation.
 
     Degree n is certified only for n <= truncation_degree - 1; the
-    accessor methods enforce that bound.
+    accessor methods enforce that bound.  The complex keeps the algebra,
+    the truncation degree and the derivation, not the presentation, so a
+    presentation caching its complex forms no reference cycle.
     """
 
     def __init__(self, p: SullivanPresentation):
-        self.presentation = p
+        self.algebra = p.algebra
+        self.truncation_degree = p.truncation_degree
+        self.d = p.d
         self._basis: dict[int, list] = {}
         self._dmat: dict[int, QMatrix] = {}
         self._quotient: dict[int, tuple] = {}
 
     @property
     def certified_through(self) -> int:
-        return self.presentation.truncation_degree - 1
+        return self.truncation_degree - 1
 
     def check_degree(self, n: int):
         if n < 0:
@@ -49,13 +53,13 @@ class CochainComplex:
         if n > self.certified_through:
             raise DegreeRangeError(
                 f"degree {n} is not certified: truncation degree "
-                f"{self.presentation.truncation_degree} only covers degrees "
+                f"{self.truncation_degree} only covers degrees "
                 f"through {self.certified_through}"
             )
 
     def basis(self, n: int) -> list:
         if n not in self._basis:
-            self._basis[n] = self.presentation.algebra.monomial_basis(n)
+            self._basis[n] = self.algebra.monomial_basis(n)
         return self._basis[n]
 
     def basis_index(self, n: int) -> dict:
@@ -69,11 +73,9 @@ class CochainComplex:
             return self._dmat[n]
         src = self.basis(n)
         dst_index = self.basis_index(n + 1)
-        d = self.presentation.d
-        alg = self.presentation.algebra
         entries = {}
         for j, mono in enumerate(src):
-            img = d(Element(alg, RATIONAL, {mono: Fraction(1)}))
+            img = self.d(Element(self.algebra, RATIONAL, {mono: Fraction(1)}))
             for m, c in img.terms.items():
                 entries[(dst_index[m], j)] = c
         mat = QMatrix(len(self.basis(n + 1)), len(src), entries)
@@ -105,12 +107,11 @@ class CochainComplex:
 
     def representatives(self, n: int) -> list[Element]:
         reps = self.quotient_data(n)[0]
-        alg = self.presentation.algebra
         basis = self.basis(n)
         out = []
         for v in reps:
             out.append(
-                Element(alg, RATIONAL, {basis[i]: c for i, c in enumerate(v) if c})
+                Element(self.algebra, RATIONAL, {basis[i]: c for i, c in enumerate(v) if c})
             )
         return out
 

@@ -54,15 +54,25 @@ def entries() -> list[CorpusEntry]:
     return out
 
 
+def _record(section: str, key: str, kind: str) -> dict:
+    """The manifest record `key` of `section`, checked to hold a `kind`."""
+    records = load_manifest()[section]
+    if key not in records:
+        known = ", ".join(sorted(records))
+        raise SchemaError(f"unknown {kind} {key!r}; corpus has: {known}", key)
+    rec = records[key]
+    if rec.get("kind", kind) != kind:
+        raise SchemaError(f"{key!r} is {_a(rec['kind'])}, not {_a(kind)}", key)
+    return rec
+
+
+def _a(noun: str) -> str:
+    return f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
+
+
 def load_presentation(key: str) -> SullivanPresentation:
     """Load a corpus presentation by manifest key (for example ``"s2xs3"``)."""
-    manifest = load_manifest()
-    try:
-        rec = manifest["presentations"][key]
-    except KeyError:
-        known = ", ".join(sorted(manifest["presentations"]))
-        raise SchemaError(f"unknown presentation {key!r}; corpus has: {known}", key)
-    return parse_presentation(_read_text(rec["file"]))
+    return parse_presentation(_read_text(_record("presentations", key, "presentation")["file"]))
 
 
 def table_keys() -> list[str]:
@@ -71,13 +81,7 @@ def table_keys() -> list[str]:
 
 def load_table(key: str) -> GradedAlgebraTable:
     """Load a corpus cohomology table by manifest key (for example ``"h-cp2"``)."""
-    manifest = load_manifest()
-    try:
-        rec = manifest["tables"][key]
-    except KeyError:
-        known = ", ".join(sorted(manifest["tables"]))
-        raise SchemaError(f"unknown table {key!r}; corpus has: {known}", key)
-    return parse_table(_read_text(rec["file"]))
+    return parse_table(_read_text(_record("tables", key, "table")["file"]))
 
 
 def family_keys() -> list[str]:
@@ -86,27 +90,11 @@ def family_keys() -> list[str]:
 
 def load_corpus_family(key: str) -> OneParameterFamily:
     """Load a bundled one-parameter family; its presentation comes along for free."""
-    manifest = load_manifest()
-    try:
-        rec = manifest["families"][key]
-    except KeyError:
-        known = ", ".join(sorted(manifest["families"]))
-        raise SchemaError(f"unknown family {key!r}; corpus has: {known}", key)
-    if rec["kind"] != "family":
-        raise SchemaError(f"{key!r} is a {rec['kind']}, not a family", key)
-    p = load_presentation(rec["presentation"])
-    return parse_family(p, _read_text(rec["file"]))
+    rec = _record("families", key, "family")
+    return parse_family(load_presentation(rec["presentation"]), _read_text(rec["file"]))
 
 
 def load_corpus_automorphism(key: str) -> ModelMap:
     """Load a bundled automorphism (parameter-free, exact coefficients)."""
-    manifest = load_manifest()
-    try:
-        rec = manifest["families"][key]
-    except KeyError:
-        known = ", ".join(sorted(manifest["families"]))
-        raise SchemaError(f"unknown automorphism {key!r}; corpus has: {known}", key)
-    if rec["kind"] != "automorphism":
-        raise SchemaError(f"{key!r} is a {rec['kind']}, not an automorphism", key)
-    p = load_presentation(rec["presentation"])
-    return parse_automorphism(p, _read_text(rec["file"]))
+    rec = _record("families", key, "automorphism")
+    return parse_automorphism(load_presentation(rec["presentation"]), _read_text(rec["file"]))

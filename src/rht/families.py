@@ -22,13 +22,7 @@ from fractions import Fraction
 
 from .algebra import Element, LAURENT, RATIONAL, extend_algebra_map, extend_derivation
 from .errors import FamilyError, SchemaError, SingularMapError
-from .model import (
-    SullivanPresentation,
-    Violation,
-    _expect_str,
-    _loads,
-    _parse_monomial,
-)
+from .model import SullivanPresentation, Violation, _loads, element_to_terms, terms_to_element
 from .qlinalg import QMatrix, rank, solve
 from .scalars import Laurent
 from .weights import WeightAssignment, check_weights
@@ -366,30 +360,35 @@ def transport_presentation(p: SullivanPresentation, phi: ModelMap) -> SullivanPr
 # ---- JSON -------------------------------------------------------------
 
 
-def family_to_dict(fam: OneParameterFamily) -> dict:
-    alg = fam.presentation.algebra
-    doc = {}
-    for g in fam.presentation.generators:
-        img = fam.images[g.gid]
-        terms = []
-        for m in sorted(img.terms, key=lambda m: tuple((alg._rank[h], e) for h, e in m)):
-            terms.append(
-                {
-                    "coeff": str(img.terms[m]),
-                    "monomial": [[alg.generators[h].name, e] for h, e in m],
-                }
-            )
-        doc[g.name] = terms
-    return doc
+def family_to_dict(fam: OneParameterFamily | ModelMap) -> dict:
+    """Generator name -> canonical term list; families and model maps
+    share the format and differ only in their scalars."""
+    return {g.name: element_to_terms(fam.images[g.gid]) for g in fam.presentation.generators}
 
 
-def serialize_family(fam: OneParameterFamily) -> str:
+def serialize_family(fam: OneParameterFamily | ModelMap) -> str:
     return json.dumps(family_to_dict(fam), indent=2, sort_keys=True) + "\n"
 
 
+serialize_automorphism = serialize_family
+
+
+def _family_coeff(text: str, path: str) -> Laurent:
+    coeff = Laurent.parse(text, path)
+    if coeff.uses_s():
+        raise SchemaError("the variable s is reserved", path)
+    return coeff
+
+
+def _automorphism_coeff(text: str, path: str) -> Fraction:
+    coeff = _family_coeff(text, path)
+    if not coeff.is_rational():
+        raise SchemaError("automorphism coefficients must be rational", path)
+    return coeff.as_rational()
+
+
 def family_from_dict(p: SullivanPresentation, doc, path: str = "") -> OneParameterFamily:
-    images = _assignment_from_dict(p, doc, path, allow_t=True)
-    return OneParameterFamily(p, images)
+    return OneParameterFamily(p, _assignment_from_dict(p, doc, path, _family_coeff, LAURENT))
 
 
 def parse_family(p: SullivanPresentation, text: str) -> OneParameterFamily:
@@ -401,36 +400,8 @@ def load_family(p: SullivanPresentation, path) -> OneParameterFamily:
         return parse_family(p, fh.read())
 
 
-def automorphism_to_dict(phi: ModelMap) -> dict:
-    from .rationals import format_rational
-
-    alg = phi.presentation.algebra
-    doc = {}
-    for g in phi.presentation.generators:
-        img = phi.images[g.gid]
-        terms = []
-        for m in sorted(img.terms, key=lambda m: tuple((alg._rank[h], e) for h, e in m)):
-            terms.append(
-                {
-                    "coeff": format_rational(img.terms[m]),
-                    "monomial": [[alg.generators[h].name, e] for h, e in m],
-                }
-            )
-        doc[g.name] = terms
-    return doc
-
-
-def serialize_automorphism(phi: ModelMap) -> str:
-    return json.dumps(automorphism_to_dict(phi), indent=2, sort_keys=True) + "\n"
-
-
 def automorphism_from_dict(p: SullivanPresentation, doc, path: str = "") -> ModelAutomorphism:
-    images = _assignment_from_dict(p, doc, path, allow_t=False)
-    rational = {
-        gid: Element(p.algebra, RATIONAL, {m: c.as_rational() for m, c in img.terms.items()})
-        for gid, img in images.items()
-    }
-    return ModelAutomorphism(p, rational)
+    return ModelAutomorphism(p, _assignment_from_dict(p, doc, path, _automorphism_coeff, RATIONAL))
 
 
 def parse_automorphism(p: SullivanPresentation, text: str) -> ModelAutomorphism:
@@ -443,7 +414,7 @@ def load_automorphism(p: SullivanPresentation, path) -> ModelAutomorphism:
 
 
 def _assignment_from_dict(
-    p: SullivanPresentation, doc, path: str, allow_t: bool
+    p: SullivanPresentation, doc, path: str, read, kind: str
 ) -> dict[int, Element]:
     if not isinstance(doc, dict):
         raise SchemaError("assignment must be a JSON object", path)
@@ -455,28 +426,9 @@ def _assignment_from_dict(
     missing = known - set(doc)
     if missing:
         raise SchemaError(f"missing generators {sorted(missing)}", path)
-    images: dict[int, Element] = {}
-    for gname, terms in doc.items():
-        gpath = f"{path}.{gname}" if path else gname
-        if not isinstance(terms, list):
-            raise SchemaError("expected a list of terms", gpath)
-        total = alg.zero(LAURENT)
-        for i, term in enumerate(terms):
-            tpath = f"{gpath}[{i}]"
-            if not isinstance(term, dict) or set(term) != {"coeff", "monomial"}:
-                raise SchemaError("term must have exactly 'coeff' and 'monomial'", tpath)
-            coeff = Laurent.parse(
-                _expect_str(term["coeff"], f"{tpath}.coeff"), f"{tpath}.coeff"
-            )
-            if coeff.uses_s():
-                raise SchemaError("the variable s is reserved", f"{tpath}.coeff")
-            if not allow_t and not coeff.is_rational():
-                raise SchemaError(
-                    "automorphism coefficients must be rational", f"{tpath}.coeff"
-                )
-            sign, mono = _parse_monomial(alg, term["monomial"], f"{tpath}.monomial")
-            if sign < 0:
-                coeff = -coeff
-            total = total + Element(alg, LAURENT, {mono: coeff})
-        images[alg.by_name[gname].gid] = total
-    return images
+    return {
+        alg.by_name[gname].gid: terms_to_element(
+            alg, terms, f"{path}.{gname}" if path else gname, read, kind
+        )
+        for gname, terms in doc.items()
+    }

@@ -151,35 +151,37 @@ class SullivanPresentation:
 
 
 def element_to_terms(x: Element) -> list[dict]:
-    """Canonical term list for a rational-coefficient element."""
+    """Canonical term list of an element of either scalar kind: terms in
+    (degree, canonical monomial) order, coefficients as their string form
+    (``str`` of a Fraction is its format_rational form)."""
     alg = x.algebra
     out = []
-    for m in sorted(x.terms, key=lambda m: (alg.degree_of(m), _rank_key(alg, m))):
+    for m in sorted(x.terms, key=lambda m: (alg.degree_of(m), alg.monomial_key(m))):
         c = x.terms[m]
         out.append(
             {
-                "coeff": format_rational(c),
+                "coeff": str(c),
                 "monomial": [[alg.generators[g].name, e] for g, e in m],
             }
         )
     return out
 
 
-def _rank_key(alg: FreeGCA, m: Monomial):
-    return tuple((alg._rank[g], e) for g, e in m)
-
-
-def terms_to_element(alg: FreeGCA, terms, path: str) -> Element:
+def terms_to_element(
+    alg: FreeGCA, terms, path: str, read: Callable = parse_rational, kind: str = RATIONAL
+) -> Element:
+    """Inverse of element_to_terms; `read(text, path)` parses one
+    coefficient into a scalar of the given kind and may refuse it."""
     if not isinstance(terms, list):
         raise SchemaError("expected a list of terms", path)
-    total = alg.zero()
+    total = alg.zero(kind)
     for i, term in enumerate(terms):
         tpath = f"{path}[{i}]"
         if not isinstance(term, dict) or set(term) != {"coeff", "monomial"}:
             raise SchemaError("term must have exactly 'coeff' and 'monomial'", tpath)
-        coeff = parse_rational(_expect_str(term["coeff"], f"{tpath}.coeff"), f"{tpath}.coeff")
+        coeff = read(_expect_str(term["coeff"], f"{tpath}.coeff"), f"{tpath}.coeff")
         sign, mono = _parse_monomial(alg, term["monomial"], f"{tpath}.monomial")
-        total = total + Element(alg, RATIONAL, {mono: sign * coeff})
+        total = total + Element(alg, kind, {mono: sign * coeff})
     return total
 
 
@@ -291,12 +293,12 @@ def presentation_from_dict(doc, path: str = "") -> SullivanPresentation:
     return SullivanPresentation(name, gens, differential, trunc, formal)
 
 
-def _loads(text: str):
+def _loads(text: str, path: str = ""):
     """Decode a JSON document, reporting syntax errors as SchemaError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", path) from exc
 
 
 def parse_presentation(text: str) -> SullivanPresentation:

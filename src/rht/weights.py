@@ -53,7 +53,7 @@ class WeightAssignment:
 
     def __post_init__(self):
         for name, n in self.weights.items():
-            if not isinstance(n, int) or n < 1:
+            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise ToolkitError(f"weight of {name!r} must be a positive integer")
 
     def __getitem__(self, name: str) -> int:
@@ -99,7 +99,7 @@ def extract_constraints(p: SullivanPresentation) -> WeightConstraintSystem:
     for gid in sorted(p.differential):
         img = p.differential[gid]
         alg = p.algebra
-        for mono in sorted(img.terms, key=lambda m: tuple((alg._rank[g], e) for g, e in m)):
+        for mono in sorted(img.terms, key=alg.monomial_key):
             coeffs = [0] * len(names)
             for g, e in mono:
                 coeffs[g] += e

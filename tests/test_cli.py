@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, flags, error paths, golden replays."""
 
+import ast
 import importlib.metadata
 import importlib.util
 import json
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+import rht.cli
 from rht.cli import build_parser, main
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
@@ -44,6 +46,20 @@ def test_golden_byte_for_byte(filename, argv, expected_exit):
     )
     assert proc.returncode == expected_exit, proc.stderr.decode()
     assert proc.stdout == (GOLDEN_DIR / filename).read_bytes()
+
+
+def test_benchmark_patch_points_exist_on_the_cli():
+    # perfbench/run.py wraps each CLI_SPANS name on rht.cli with a timing
+    # span; read the table with ast so the harness is neither imported nor run
+    tree = ast.parse((ROOT_DIR / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    spans = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CLI_SPANS" for t in node.targets)
+    ]
+    assert len(spans) == 1 and spans[0]
+    assert sorted(name for name in spans[0] if not hasattr(rht.cli, name)) == []
 
 
 def test_console_script_is_installed(tmp_path):
@@ -169,6 +185,26 @@ def test_weights_from_report_file(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["weights"]["assignment"] == {"u": 1, "x": 1, "y": 2}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"x": true, "y": 2}', "weight of 'x' must be a positive integer"),
+        ('{"x": 1, "y": 2, "zz": 7}', "unknown generators ['zz']"),
+        ('{"weights": {"x": 1, "y": 2, "zz": 7}}', "unknown generators ['zz']"),
+        ('{"x": 1.5, "y": 3}', "non-integer weights for ['x']"),
+        ('{"x": 1,', "invalid JSON at line 1, column 9: Expecting property name enclosed in double quotes"),
+    ],
+    ids=["boolean", "unknown-name", "unknown-name-in-report", "float", "bad-json"],
+)
+def test_malformed_weight_file_is_an_input_error(tmp_path, capsys, text, message):
+    f = tmp_path / "w.json"
+    f.write_text(text)
+    assert main(["weights", corpus("s2.json"), "--weights", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {f}: {message}\n"
 
 
 def test_invalid_weight_file_rejected(tmp_path, capsys):

@@ -4,6 +4,8 @@ naive_betti in oracles.py shares no code with the package's complexes;
 agreement on every corpus model is the load-bearing check here.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -270,3 +272,17 @@ def test_flexibility_requires_formal_dimension():
     with pytest.raises((DegreeRangeError, FamilyError)):
         fam = diagonal_family(p, w)
         flexibility_report(p, fam)
+
+
+def test_presentation_is_freed_by_reference_counting_after_cohomology():
+    # the cached complex must not point back at its presentation, or every
+    # presentation it touches waits for a full garbage-collection pass
+    p = load_presentation("s2xs3")
+    cohomology(p)
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()

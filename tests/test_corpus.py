@@ -17,6 +17,7 @@ from rht.corpus import (
     table_keys,
 )
 from rht.cohomology import cohomology
+from rht.errors import SchemaError
 from rht.families import (
     parse_automorphism,
     parse_family,
@@ -126,3 +127,28 @@ def test_entry_notes_are_nonempty():
     for sec in ("tables", "families"):
         for rec in MANIFEST[sec].values():
             assert rec["note"].strip()
+
+
+@pytest.mark.parametrize(
+    "load,section,kind",
+    [
+        (load_presentation, "presentations", "presentation"),
+        (load_table, "tables", "table"),
+        (load_corpus_family, "families", "family"),
+        (load_corpus_automorphism, "families", "automorphism"),
+    ],
+)
+def test_unknown_corpus_key_lists_the_known_keys(load, section, kind):
+    with pytest.raises(SchemaError) as exc:
+        load("nope")
+    known = ", ".join(sorted(MANIFEST[section]))
+    assert str(exc.value) == f"nope: unknown {kind} 'nope'; corpus has: {known}"
+
+
+def test_wrong_kind_corpus_record_names_both_kinds():
+    with pytest.raises(SchemaError) as exc:
+        load_corpus_family("s2xs3-shear")
+    assert str(exc.value) == "s2xs3-shear: 's2xs3-shear' is an automorphism, not a family"
+    with pytest.raises(SchemaError) as exc:
+        load_corpus_automorphism("s2xs3-diagonal")
+    assert str(exc.value) == "s2xs3-diagonal: 's2xs3-diagonal' is a family, not an automorphism"

@@ -1,15 +1,18 @@
 """One-parameter families: laws, conjugation, inversion, serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rht.corpus import (
     load_corpus_automorphism,
     load_corpus_family,
     load_presentation,
 )
-from rht.errors import FamilyError, SingularMapError
+from rht.algebra import FreeGCA, Generator
+from rht.errors import FamilyError, SchemaError, SingularMapError
 from rht.families import (
     ModelAutomorphism,
     ModelMap,
@@ -18,11 +21,14 @@ from rht.families import (
     conjugate,
     diagonal_family,
     evaluate,
+    parse_automorphism,
     parse_family,
+    serialize_automorphism,
     serialize_family,
     transport_presentation,
     verify_family,
 )
+from rht.model import SullivanPresentation
 from rht.scalars import Laurent
 from rht.weights import WeightAssignment, find_weights
 
@@ -218,3 +224,74 @@ def test_conjugation_by_identity_is_a_no_op(product_model):
     fam = diagonal_family(p, find_weights(p).assignment)
     ident = ModelAutomorphism(p, {})
     assert conjugate(fam, ident) == fam
+
+
+# ---- JSON codec: error paths and round trips -------------------------
+
+
+def _identity_doc(p):
+    return {g.name: [{"coeff": "1", "monomial": [[g.name, 1]]}] for g in p.generators}
+
+
+@pytest.mark.parametrize(
+    "kind,edit,message",
+    [
+        ("family", lambda d: d["x"][0].update(coeff="s*t"), "x[0].coeff: the variable s is reserved"),
+        ("automorphism", lambda d: d["x"][0].update(coeff="s"), "x[0].coeff: the variable s is reserved"),
+        ("automorphism", lambda d: d["x"][0].update(coeff="t"), "x[0].coeff: automorphism coefficients must be rational"),
+        ("family", lambda d: d["x"][0].update(coeff="1.5"), "x[0].coeff: not an exact rational: '1.5'"),
+        ("family", lambda d: d["x"][0].update(coeff=1), "x[0].coeff: expected a string"),
+        ("family", lambda d: d.update(zz=[]), "unknown generators ['zz']"),
+        ("automorphism", lambda d: d.pop("y"), "missing generators ['y']"),
+        ("family", lambda d: d.update(x={}), "x: expected a list of terms"),
+        ("automorphism", lambda d: d["x"][0].pop("coeff"), "x[0]: term must have exactly 'coeff' and 'monomial'"),
+        ("family", lambda d: d["u"][0].update(monomial="u"), "u[0].monomial: monomial must be a list of [name, exponent] pairs"),
+        ("family", lambda d: d["u"][0].update(monomial=[["u", True]]), "u[0].monomial[0]: expected [generator name, positive exponent]"),
+        ("automorphism", lambda d: d["u"][0].update(monomial=[["u", 0]]), "u[0].monomial[0]: exponent 0 < 1"),
+        ("automorphism", lambda d: d["u"][0].update(monomial=[["q", 1]]), "u[0].monomial[0]: unknown generator 'q'"),
+        ("family", lambda d: d["u"][0].update(monomial=[["u", 1], ["u", 1]]), "u[0].monomial: monomial repeats an odd generator"),
+    ],
+)
+def test_assignment_codec_error_messages(product_model, kind, edit, message):
+    doc = _identity_doc(product_model)
+    edit(doc)
+    parse = parse_family if kind == "family" else parse_automorphism
+    with pytest.raises(SchemaError) as exc:
+        parse(product_model, json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_assignment_must_be_an_object(product_model):
+    with pytest.raises(SchemaError, match="^assignment must be a JSON object$"):
+        parse_automorphism(product_model, "[]")
+
+
+def _shear_model():
+    # x, y, z of degrees 2, 3, 4 with d(y) = x^2: decomposable shears of z
+    # commute with d, so conjugated families have multi-term Laurent images
+    gens = [Generator(0, "x", 2), Generator(1, "y", 3), Generator(2, "z", 4)]
+    alg = FreeGCA(gens)
+    return SullivanPresentation("shear", gens, {1: alg.gen("x") * alg.gen("x")}, 9)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+units = rationals.filter(bool)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 6), st.integers(1, 6), units, units, rationals)
+def test_assignment_files_round_trip_byte_identical(a, b, p_x, p_z, c):
+    p = _shear_model()
+    alg = p.algebra
+    x, y, z = (alg.gen(n) for n in "xyz")
+    phi = ModelAutomorphism(
+        p, {0: x.scale(p_x), 1: y.scale(p_x * p_x), 2: z.scale(p_z) + (x * x).scale(c)}
+    )
+    diag = diagonal_family(p, WeightAssignment({"x": a, "y": 2 * a, "z": b}))
+    for fam in (diag, conjugate(diag, phi)):
+        text = serialize_family(fam)
+        assert parse_family(p, text) == fam
+        assert serialize_family(parse_family(p, text)) == text
+    text = serialize_automorphism(phi)
+    assert parse_automorphism(p, text) == phi
+    assert serialize_automorphism(parse_automorphism(p, text)) == text

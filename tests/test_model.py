@@ -198,3 +198,31 @@ def test_table_round_trip_from_corpus_is_byte_identical():
     for key, rec in load_manifest()["tables"].items():
         text = _read_text(rec["file"])
         assert serialize_table(parse_table(text)) == text
+
+
+def _s2_doc(y_terms):
+    return {
+        "name": "s2",
+        "truncation_degree": 6,
+        "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}],
+        "differential": {"y": y_terms},
+    }
+
+
+@pytest.mark.parametrize(
+    "y_terms,message",
+    [
+        ([{"coeff": "0.5", "monomial": [["x", 2]]}], "differential.y[0].coeff: not an exact rational: '0.5'"),
+        ([{"coeff": "1/0", "monomial": [["x", 2]]}], "differential.y[0].coeff: not an exact rational: '1/0'"),
+        ([{"coeff": "t", "monomial": [["x", 2]]}], "differential.y[0].coeff: not an exact rational: 't'"),
+        ([{"coeff": 1, "monomial": [["x", 2]]}], "differential.y[0].coeff: expected a string"),
+        ({"coeff": "1", "monomial": [["x", 2]]}, "differential.y: expected a list of terms"),
+        ([{"coeff": "1", "monomial": [["x", 2]], "note": ""}], "differential.y[0]: term must have exactly 'coeff' and 'monomial'"),
+        ([{"coeff": "1", "monomial": [["x", 2, 1]]}], "differential.y[0].monomial[0]: expected [generator name, positive exponent]"),
+        ([{"coeff": "1", "monomial": [["w", 2]]}], "differential.y[0].monomial[0]: unknown generator 'w'"),
+    ],
+)
+def test_presentation_term_error_messages(y_terms, message):
+    with pytest.raises(SchemaError) as exc:
+        parse_presentation(json.dumps(_s2_doc(y_terms)))
+    assert str(exc.value) == message

@@ -119,3 +119,9 @@ def test_solver_agrees_with_box_oracle_on_random_presentations():
                 assert found is not None
         else:
             assert found is None
+
+
+@pytest.mark.parametrize("value", [True, 0, -1, 1.0, "1"])
+def test_weight_assignment_rejects_non_positive_integers(value):
+    with pytest.raises(ToolkitError, match="^weight of 'x' must be a positive integer$"):
+        WeightAssignment({"x": value, "y": 2})
