@@ -160,30 +160,24 @@ class FreeGCA:
             return [UNIT]
         order = self._order
         out: list[Monomial] = []
-
-        def walk(pos: int, remaining: int, acc: list[tuple[int, int]]):
+        # depth-first over (next generator position, degree left, prefix);
+        # an explicit stack, so no closure refers to itself
+        stack: list[tuple[int, int, Monomial]] = [(0, degree, UNIT)]
+        while stack:
+            pos, remaining, acc = stack.pop()
             if remaining == 0:
-                out.append(tuple(acc))
-                return
+                out.append(acc)
+                continue
             if pos == len(order):
-                return
+                continue
             gid = order[pos]
             d = self.generators[gid].degree
-            walk(pos + 1, remaining, acc)
+            stack.append((pos + 1, remaining, acc))
+            top = remaining // d
             if d % 2:
-                if d <= remaining:
-                    acc.append((gid, 1))
-                    walk(pos + 1, remaining - d, acc)
-                    acc.pop()
-            else:
-                e = 1
-                while e * d <= remaining:
-                    acc.append((gid, e))
-                    walk(pos + 1, remaining - e * d, acc)
-                    acc.pop()
-                    e += 1
-
-        walk(0, degree, [])
+                top = min(top, 1)
+            for e in range(1, top + 1):
+                stack.append((pos + 1, remaining - e * d, acc + ((gid, e),)))
         out.sort(key=self.monomial_key)
         return out
 
@@ -400,27 +394,34 @@ def extend_derivation(
         hit = cache.get(mono)
         if hit is not None:
             return hit
-        gid, e = mono[0]
-        rest = mono[1:]
-        g = algebra.generators[gid]
-        head_img = img_of.get(gid)
-        # d(g^e * rest) = e g^(e-1) dg * rest + (-1)^(deg g^e) g^e * d(rest)
-        total = zero
-        if head_img is not None:
-            head_pow: Monomial = ((gid, e - 1),) if e > 1 else UNIT
-            lead = Element(algebra, kind, {head_pow: _one_of(kind)})
-            if e > 1:
-                lead = lead.scale(Fraction(e))
-            total = total + lead * head_img * Element(algebra, kind, {rest: _one_of(kind)})
-        if rest:
-            tail = d_mono(rest)
+        # fill the uncached suffixes shortest first, from the longest cached
+        # proper suffix (the unit always is one); a loop, not a recursion,
+        # so no closure refers to itself
+        i = 1
+        while mono[i:] not in cache:
+            i += 1
+        tail = cache[mono[i:]]
+        for j in range(i - 1, -1, -1):
+            gid, e = mono[j]
+            rest = mono[j + 1:]
+            g = algebra.generators[gid]
+            head_img = img_of.get(gid)
+            # d(g^e * rest) = e g^(e-1) dg * rest + (-1)^(deg g^e) g^e * d(rest)
+            total = zero
+            if head_img is not None:
+                head_pow: Monomial = ((gid, e - 1),) if e > 1 else UNIT
+                lead = Element(algebra, kind, {head_pow: _one_of(kind)})
+                if e > 1:
+                    lead = lead.scale(Fraction(e))
+                total = total + lead * head_img * Element(algebra, kind, {rest: _one_of(kind)})
             if not tail.is_zero():
                 head = Element(algebra, kind, {((gid, e),): _one_of(kind)})
                 if (g.degree * e) % 2:
                     tail = -tail
                 total = total + head * tail
-        cache[mono] = total
-        return total
+            cache[mono[j:]] = total
+            tail = total
+        return tail
 
     def derivation(x: Element) -> Element:
         if x.algebra != algebra:

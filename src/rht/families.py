@@ -23,7 +23,7 @@ from fractions import Fraction
 from .algebra import Element, LAURENT, RATIONAL, extend_algebra_map, extend_derivation
 from .errors import FamilyError, SchemaError, SingularMapError
 from .model import SullivanPresentation, Violation, _loads, element_to_terms, terms_to_element
-from .qlinalg import QMatrix, rank, solve
+from .qlinalg import QMatrix, quotient_transform, rank
 from .scalars import Laurent
 from .weights import WeightAssignment, check_weights
 
@@ -52,9 +52,6 @@ class ModelMap:
         self._apply_laurent = None
         self._inverse: "ModelMap" | None = None
 
-    def image_of(self, gid: int) -> Element:
-        return self.images[gid]
-
     def apply(self, x: Element) -> Element:
         """Apply the extension; Laurent input widens the scalars."""
         if x.kind == LAURENT:
@@ -64,13 +61,6 @@ class ModelMap:
                 )
             return self._apply_laurent(x)
         return self._apply_rational(x)
-
-    def compose(self, other: "ModelMap") -> "ModelMap":
-        """self after other."""
-        return ModelMap(
-            self.presentation,
-            {gid: self.apply(img) for gid, img in other.images.items()},
-        )
 
     def is_identity(self) -> bool:
         alg = self.presentation.algebra
@@ -109,16 +99,11 @@ class ModelMap:
         inv_images: dict[int, Element] = {}
         for deg in degrees:
             gids, lin = self.linear_part(deg)
-            k = len(gids)
-            columns: list[tuple[Fraction, ...]] = []
-            for j in range(k):
-                rhs = tuple(Fraction(1) if i == j else Fraction(0) for i in range(k))
-                col = solve(lin, rhs)
-                if col is None:
-                    raise SingularMapError(
-                        f"linear part in degree {deg} is singular"
-                    )
-                columns.append(col)
+            # the transform of L's own columns is the rows of inv(L)
+            transform = quotient_transform(list(zip(*lin.dense_rows())), len(gids))
+            if transform is None:
+                raise SingularMapError(f"linear part in degree {deg} is singular")
+            inv_rows = transform[0]
             psi_lower = extend_algebra_map(alg, dict(inv_images), kind=RATIONAL)
             residues: list[Element] = []
             for gid in gids:
@@ -128,14 +113,14 @@ class ModelMap:
                     {m: c for m, c in self.images[gid].terms.items() if alg.word_length(m) >= 2},
                 )
                 residues.append(alg.gen(gid) - psi_lower(decomposable))
-            # columns[j] is the j-th column of inv(L); the images solve
-            # L^T (psi(h))_h = (residue(x))_x, so psi(h) = sum_x inv(L)[x, h] residue(x)
-            for row, hid in enumerate(gids):
+            # the images solve L^T (psi(h))_h = (residue(x))_x, so
+            # psi(h) = sum_x inv(L)[x, h] residue(x)
+            for h, hid in enumerate(gids):
                 acc = alg.zero()
-                for x_index in range(k):
-                    c = columns[row][x_index]
+                for x, residue in enumerate(residues):
+                    c = inv_rows[x][h]
                     if c:
-                        acc = acc + residues[x_index].scale(c)
+                        acc = acc + residue.scale(c)
                 inv_images[hid] = acc
         result = ModelMap(p, inv_images)
         # both compositions must fix every generator exactly
@@ -199,9 +184,6 @@ class OneParameterFamily:
         self.images = full
         self._apply = extend_algebra_map(alg, full, kind=LAURENT)
         self._verified: list[Violation] | None = None
-
-    def image_of(self, gid: int) -> Element:
-        return self.images[gid]
 
     def apply(self, x: Element) -> Element:
         return self._apply(x)

@@ -122,6 +122,39 @@ def test_extend_derivation_satisfies_leibniz(alg):
     assert left == right
 
 
+def _sample_derivation(alg):
+    from rht.algebra import extend_derivation
+
+    # d(b) = a^2, d(f) = a e, zero on the other generators
+    _, a2 = alg.normalize_word([0, 0])
+    _, ae = alg.normalize_word([0, 3])
+    return extend_derivation(
+        alg, {1: alg.element({a2: Fraction(1)}), 4: alg.element({ae: Fraction(1)})}
+    )
+
+
+# degree 1 has no monomials
+NONEMPTY_DEGREES = st.sampled_from([0, 2, 3, 4, 5, 6, 7, 8])
+
+
+@pytest.fixture(scope="module")
+def warm_d(alg):
+    # shared across examples, so its monomial cache is hit in every state:
+    # empty, holding some suffixes of a word, or holding the word itself
+    return _sample_derivation(alg)
+
+
+@settings(deadline=None)
+@given(NONEMPTY_DEGREES, NONEMPTY_DEGREES, st.data())
+def test_derivation_obeys_leibniz_on_monomials_whatever_is_cached(alg, warm_d, m, n, data):
+    x = alg.element({data.draw(st.sampled_from(alg.monomial_basis(m))): Fraction(1)})
+    y = alg.element({data.draw(st.sampled_from(alg.monomial_basis(n))): Fraction(1)})
+    cold = _sample_derivation(alg)
+    left = warm_d(x * y)
+    assert left == cold(x * y)
+    assert left == warm_d(x) * y + (x * warm_d(y)).scale(Fraction((-1) ** m))
+
+
 def test_extend_algebra_map_is_multiplicative(alg):
     from rht.algebra import extend_algebra_map
 

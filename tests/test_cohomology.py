@@ -5,6 +5,7 @@ agreement on every corpus model is the load-bearing check here.
 """
 
 import gc
+import importlib
 import weakref
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ import pytest
 
 from oracles import naive_betti
 from rht.cohomology import (
+    ActionReport,
     characteristic_polynomial,
     cohomology,
     complex_for,
@@ -223,6 +225,63 @@ def test_certificate_on_conjugation_invariant_action():
     assert cert.eigenvalue_powers == {1: 1}
 
 
+def _action(rows: list[list[str]]) -> ActionReport:
+    return ActionReport(
+        presentation_name="by-hand",
+        degree=0,
+        variance="cohomology",
+        basis=[],
+        matrix=[[Laurent.parse(c) for c in row] for row in rows],
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([["s"]], "trace uses s"),
+        ([["1/2*t"]], "trace coefficient 1/2 at t^1 is not a positive integer"),
+        ([["t", "0"], ["0", "0"]], "trace accounts for 1 of 2 eigenvalues"),
+        (
+            [["t", "1"], ["0", "t"]],
+            "matrix is not annihilated by its candidate eigenvalues",
+        ),
+    ],
+)
+def test_certificate_refusal_reasons(rows, reason):
+    cert = diagonalization_certificate(_action(rows))
+    assert not cert.diagonalizable
+    assert cert.eigenvalue_powers is None
+    assert cert.reason == reason
+
+
+def test_certificate_on_empty_matrix():
+    cert = diagonalization_certificate(_action([]))
+    assert cert.diagonalizable
+    assert cert.eigenvalue_powers == {}
+    assert cert.to_json_dict() == {"diagonalizable": True, "eigenvalue_powers": {}}
+
+
+def test_certificate_does_not_need_the_characteristic_polynomial(monkeypatch):
+    # trace and annihilator decide alone; see the diagonalization_certificate
+    # docstring for why the characteristic polynomial then always matches
+    def refuse(m):
+        raise AssertionError("characteristic polynomial computed")
+
+    # the package re-exports a function named cohomology over the submodule
+    module = importlib.import_module("rht.cohomology")
+    monkeypatch.setattr(module, "characteristic_polynomial", refuse)
+    p = load_presentation("s2xs3")
+    for fam in (
+        diagonal_family(p, find_weights(p).assignment),
+        load_corpus_family("s2xs3-conjugated"),
+    ):
+        for n in range(p.truncation_degree):
+            act = induced_action(p, fam, n)
+            cert = diagonalization_certificate(act)
+            assert cert.diagonalizable, (n, cert.reason)
+            assert sum(cert.eigenvalue_powers.values()) == act.dimension()
+
+
 def test_characteristic_polynomial_of_shear_matrix():
     # [[t, t], [0, t]] has char poly (X - t)^2
     m = [
@@ -284,5 +343,20 @@ def test_presentation_is_freed_by_reference_counting_after_cohomology():
     try:
         del p
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_validated_presentation_leaves_no_garbage_after_cohomology():
+    # derivations and basis enumeration must not build self-referencing
+    # closures, so everything here is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        p = load_presentation("s2xs3")
+        assert p.validate() == []
+        cohomology(p)
+        del p
+        assert gc.collect() == 0
     finally:
         gc.enable()

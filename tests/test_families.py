@@ -196,6 +196,28 @@ def test_singular_linear_part_is_rejected(product_model):
         ModelAutomorphism(p, {alg.by_name["u"].gid: zero_img})
 
 
+def test_inverse_of_mixing_linear_part(product_model):
+    # y -> 2y + u, u -> y + u: L = [[2, 1], [1, 1]], inv(L) = [[1, -1], [-1, 2]]
+    alg = product_model.algebra
+    y, u = alg.gen("y"), alg.gen("u")
+    phi = ModelMap(
+        product_model,
+        {alg.by_name["y"].gid: y.scale(Fraction(2)) + u, alg.by_name["u"].gid: y + u},
+    )
+    inv = phi.inverse()
+    assert inv.images[alg.by_name["y"].gid] == y - u
+    assert inv.images[alg.by_name["u"].gid] == u.scale(Fraction(2)) - y
+    assert inv.inverse() is phi
+
+
+def test_singular_linear_part_names_its_degree(product_model):
+    alg = product_model.algebra
+    y, u = alg.gen("y"), alg.gen("u")
+    phi = ModelMap(product_model, {alg.by_name["y"].gid: y + u, alg.by_name["u"].gid: y + u})
+    with pytest.raises(SingularMapError, match=r"^linear part in degree 3 is singular$"):
+        phi.inverse()
+
+
 def test_non_chain_automorphism_is_rejected(product_model):
     p = product_model
     alg = p.algebra
