@@ -444,18 +444,16 @@ def extend_algebra_map(
     algebra: FreeGCA,
     images: dict[int, Element],
     kind: str = RATIONAL,
-    target: FreeGCA | None = None,
 ) -> Callable[[Element], Element]:
     """Extend generator images to the degree-0 algebra map.
 
     `images` maps generator ids to homogeneous elements of the same degree
-    in the target algebra (default: the source).  Absent generators map to
-    themselves, so partial assignments describe maps fixing the rest.
+    in the same algebra.  Absent generators map to themselves, so partial
+    assignments describe maps fixing the rest.
     """
-    tgt = target or algebra
     for gid, img in images.items():
         g = algebra.generators[gid]
-        if img.algebra != tgt:
+        if img.algebra != algebra:
             raise AmbientMismatchError(f"image of {g.name} lives outside the target algebra")
         if not img.is_homogeneous(g.degree):
             raise HomogeneityError(f"image of {g.name} must be homogeneous of degree {g.degree}")
@@ -463,16 +461,12 @@ def extend_algebra_map(
     img_of: dict[int, Element] = {}
     for gid, img in images.items():
         img_of[gid] = img.with_laurent_scalars() if kind == LAURENT else img
-    cache: dict[Monomial, Element] = {UNIT: tgt.one(kind)}
+    cache: dict[Monomial, Element] = {UNIT: algebra.one(kind)}
 
     def image_of_gen(gid: int) -> Element:
         img = img_of.get(gid)
         if img is None:
-            if tgt != algebra:
-                raise HomogeneityError(
-                    f"no image for generator {algebra.generators[gid].name!r}"
-                )
-            img = Element(tgt, kind, {((gid, 1),): _one_of(kind)})
+            img = Element(algebra, kind, {((gid, 1),): _one_of(kind)})
             img_of[gid] = img
         return img
 
@@ -480,7 +474,7 @@ def extend_algebra_map(
         hit = cache.get(mono)
         if hit is not None:
             return hit
-        out = tgt.one(kind)
+        out = algebra.one(kind)
         for gid, e in mono:
             out = out * image_of_gen(gid).power(e)
         cache[mono] = out
@@ -493,7 +487,7 @@ def extend_algebra_map(
             x = x.with_laurent_scalars()
         elif x.kind != RATIONAL:
             raise ScalarKindError("rational map applied to Laurent element")
-        out = tgt.zero(kind)
+        out = algebra.zero(kind)
         for m, c in x.terms.items():
             part = phi_mono(m)
             if not part.is_zero():

@@ -17,6 +17,7 @@ without losing exactness.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ class ModelMap:
         self.images = full
         self._apply_rational = extend_algebra_map(alg, full, kind=RATIONAL)
         self._apply_laurent = None
-        self._inverse: "ModelMap" | None = None
+        self._inverse: "ModelMap" | weakref.ref | None = None
 
     def apply(self, x: Element) -> Element:
         """Apply the extension; Laurent input widens the scalars."""
@@ -77,22 +78,20 @@ class ModelMap:
         """Generator ids of the given degree and the matrix of the linear
         term, columns indexed by source generator."""
         gids = [g.gid for g in self.presentation.generators if g.degree == degree]
-        entries = {}
-        for col, gid in enumerate(gids):
-            img = self.images[gid]
-            for row, hid in enumerate(gids):
-                c = img.coefficient(((hid, 1),))
-                if c:
-                    entries[(row, col)] = c
-        return gids, QMatrix(len(gids), len(gids), entries)
+        images = [self.images[gid] for gid in gids]
+        rows = [[img.coefficient(((hid, 1),)) for img in images] for hid in gids]
+        return gids, QMatrix.from_rows(rows, len(gids))
 
     def inverse(self) -> "ModelMap":
         """Two-sided inverse, by degree and word-length induction.
 
         Raises SingularMapError when some linear part is not invertible.
         """
-        if self._inverse is not None:
-            return self._inverse
+        inv = self._inverse
+        if isinstance(inv, weakref.ref):
+            inv = inv()
+        if inv is not None:
+            return inv
         p = self.presentation
         alg = p.algebra
         degrees = sorted({g.degree for g in p.generators})
@@ -129,7 +128,8 @@ class ModelMap:
                 raise SingularMapError(f"inversion failed on generator {g.name}")
             if self.apply(result.images[g.gid]) != alg.gen(g.gid):
                 raise SingularMapError(f"inversion failed on generator {g.name}")
-        result._inverse = self
+        # the inverse points back weakly, so the pair forms no cycle
+        result._inverse = weakref.ref(self)
         self._inverse = result
         return result
 

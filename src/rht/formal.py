@@ -204,16 +204,9 @@ def _kill_kernel(b: _Builder, k: int):
             # the only stratum the table can see; kill just the part
             # mapping to zero there
             table_dim = len(b.table.degree_basis(target))
-            rho_rows = [list(b.rho_vector(x, target)) for x in class_basis]
-            columns_are_classes = QMatrix(
-                table_dim,
-                len(class_basis),
-                {
-                    (j, i): rho_rows[i][j]
-                    for i in range(len(class_basis))
-                    for j in range(table_dim)
-                    if rho_rows[i][j]
-                },
+            rho_rows = [b.rho_vector(x, target) for x in class_basis]
+            columns_are_classes = QMatrix.from_rows(
+                [[rho[j] for rho in rho_rows] for j in range(table_dim)], len(class_basis)
             )
             to_kill: list[Element] = []
             for v in kernel_basis(columns_are_classes):

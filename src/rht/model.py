@@ -522,8 +522,11 @@ def table_from_dict(doc, path: str = "") -> GradedAlgebraTable:
             BasisClass(_expect_str(b["name"], f"{bpath}.name"), _expect_int(b["degree"], f"{bpath}.degree", minimum=0))
         )
     unit = _expect_str(doc["unit"], "unit")
+    products_raw = doc.get("products", [])
+    if not isinstance(products_raw, list):
+        raise SchemaError("expected a list", "products")
     products: dict[tuple[str, str], dict[str, Fraction]] = {}
-    for i, prod in enumerate(doc.get("products", [])):
+    for i, prod in enumerate(products_raw):
         ppath = f"products[{i}]"
         if not isinstance(prod, dict) or set(prod) != {"left", "right", "value"}:
             raise SchemaError("product must have exactly 'left', 'right', 'value'", ppath)

@@ -10,9 +10,10 @@ spirit of E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22 (1968).  Results
 are exact `Fraction`s: a pivot row is divided by its pivot only when it is
 returned, and since the reduced row echelon form is canonical it is the
-one rational elimination would reach.  Matrices are stored sparsely and
-eliminated as dense integer rows, the right trade at the sizes this
-package meets (tens to a few hundred rows).
+one rational elimination would reach.  A `QMatrix` stores dense rows,
+the right trade at the sizes this package meets (tens to a few hundred
+rows), and every elimination enters through one door, `_echelon`: each
+row scaled to a primitive integer row, then `_echelonize`.
 
 `EchelonSpan` keeps a span in echelon form and grows it one candidate at
 a time, so choosing the candidates that extend a span costs one reduction
@@ -39,86 +40,75 @@ from .rationals import coprime_integer_vector
 
 Vector = tuple[Fraction, ...]
 
+_ZERO = Fraction(0)
+
 
 class QMatrix:
-    """Immutable sparse rational matrix.
+    """Immutable rational matrix stored as dense rows.
 
-    Entries live in a map (row, col) -> Fraction with zeros absent.  The
-    class is a value type: operations return new matrices.
+    Each row is a list of ints or Fractions, kept as given; every algorithm
+    reads the rows through one door, `_echelon`.  The class is a value
+    type: operations return new matrices.
     """
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
-        clean = {}
+        dense = [[_ZERO] * cols for _ in range(rows)]
         for (i, j), v in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-            v = Fraction(v)
-            if v:
-                clean[(i, j)] = v
-        self.rows = rows
-        self.cols = cols
-        self._entries = clean
+            dense[i][j] = Fraction(v)
+        self.rows, self.cols, self._rows = rows, cols, dense
 
     @classmethod
-    def from_rows(cls, rows: list[list]) -> "QMatrix":
-        ncols = max((len(r) for r in rows), default=0)
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                v = Fraction(v)
-                if v:
-                    entries[(i, j)] = v
-        return cls(len(rows), ncols, entries)
+    def from_rows(cls, rows, cols: int | None = None) -> "QMatrix":
+        """The matrix with a copy of each row.  `cols` is the shape, read
+        from the first row when omitted; a matrix with no rows needs it."""
+        dense = [list(row) for row in rows]
+        if cols is None:
+            cols = len(dense[0]) if dense else 0
+        if cols < 0:
+            raise ValueError("negative dimension")
+        if any(len(row) != cols for row in dense):
+            raise ValueError(f"every row must have length {cols}")
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._rows = len(dense), cols, dense
+        return m
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._entries.get((i, j), Fraction(0))
+        return self._rows[i][j]
 
     def dense_rows(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self._entries.items():
-            out[i][j] = v
-        return out
+        return [list(row) for row in self._rows]
 
     def row(self, i: int) -> Vector:
-        return tuple(self.entry(i, j) for j in range(self.cols))
+        return tuple(self._rows[i])
 
     def submatrix(self, rows: list[int], cols: list[int]) -> "QMatrix":
         """The entries at the given rows and columns, in the given order."""
-        row_pos = {i: a for a, i in enumerate(rows)}
-        col_pos = {j: b for b, j in enumerate(cols)}
-        return QMatrix(
-            len(rows),
-            len(cols),
-            {
-                (row_pos[i], col_pos[j]): v
-                for (i, j), v in self._entries.items()
-                if i in row_pos and j in col_pos
-            },
+        return QMatrix.from_rows(
+            [[self._rows[i][j] for j in cols] for i in rows], len(cols)
         )
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("length mismatch")
-        out = [Fraction(0)] * self.rows
-        for (i, j), a in self._entries.items():
-            out[i] += a * v[j]
-        return tuple(out)
+        return tuple(sum((a * x for a, x in zip(row, v) if a), _ZERO) for row in self._rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, QMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._entries == other._entries
+            and self._rows == other._rows
         )
 
     def __repr__(self):
-        return f"QMatrix({self.rows}x{self.cols}, {sorted(self._entries.items())})"
+        return f"QMatrix({self.rows}x{self.cols}, {self._rows})"
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -138,17 +128,6 @@ def _integer_row(v) -> list[int]:
     """The primitive integer row on the ray of a row of ints or Fractions."""
     l = lcm(*[x.denominator for x in v])
     return _primitive([x.numerator * (l // x.denominator) for x in v])
-
-
-def _integer_rows(m: QMatrix) -> list[list[int]]:
-    """The rows of m, each scaled to a primitive integer row."""
-    scale = [1] * m.rows
-    for (i, _), v in m._entries.items():
-        scale[i] = lcm(scale[i], v.denominator)
-    rows = [[0] * m.cols for _ in range(m.rows)]
-    for (i, j), v in m._entries.items():
-        rows[i][j] = v.numerator * (scale[i] // v.denominator)
-    return [_primitive(row) for row in rows]
 
 
 def _eliminate(row: list[int], c: int, pivot_row: list[int]) -> list[int]:
@@ -200,10 +179,16 @@ def _rational_row(row: list[int], pivot: int) -> list[Fraction]:
     return [Fraction(x, pivot) for x in row]
 
 
+def _echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """The one door into elimination: rows of ints or Fractions as
+    primitive integer rows, echelonized, and their pivot columns."""
+    ints = [_integer_row(row) for row in rows]
+    return ints, _echelonize(ints, ncols)
+
+
 def _rref_rows(rows: list[list], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of dense rational rows; returns pivot columns."""
-    ints = [_integer_row(row) for row in rows]
-    pivots = _echelonize(ints, ncols)
+    ints, pivots = _echelon(rows, ncols)
     reduced = [_rational_row(row, row[p]) for row, p in zip(ints, pivots)]
     reduced += [[Fraction(0)] * len(row) for row in ints[len(pivots):]]
     return reduced, pivots
@@ -215,18 +200,12 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     Pivot entries are 1 and are alone in their column; the row order is the
     pivot-column order, so the result is canonical for the row space.
     """
-    rows = _integer_rows(m)
-    pivots = _echelonize(rows, m.cols)
-    entries = {}
-    for i, (row, p) in enumerate(zip(rows, pivots)):
-        for j, x in enumerate(row):
-            if x:
-                entries[(i, j)] = Fraction(x, row[p])
-    return QMatrix(m.rows, m.cols, entries), tuple(pivots)
+    reduced, pivots = _rref_rows(m._rows, m.cols)
+    return QMatrix.from_rows(reduced, m.cols), tuple(pivots)
 
 
 def rank(m: QMatrix) -> int:
-    return len(_echelonize(_integer_rows(m), m.cols))
+    return len(_echelon(m._rows, m.cols)[1])
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
@@ -235,8 +214,7 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
     The standard parametrization: the vector for free column f carries a 1
     in slot f and minus the reduced column entries in the pivot slots.
     """
-    rows = _integer_rows(m)
-    pivots = _echelonize(rows, m.cols)
+    rows, pivots = _echelon(m._rows, m.cols)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -297,8 +275,8 @@ class EchelonSpan:
 
 def independent_columns(m: QMatrix) -> list[Vector]:
     """The pivot columns of m: each column independent of those before it."""
-    pivots = _echelonize(_integer_rows(m), m.cols)
-    return [tuple(m.entry(i, j) for i in range(m.rows)) for j in pivots]
+    _, pivots = _echelon(m._rows, m.cols)
+    return [tuple(row[j] for row in m._rows) for j in pivots]
 
 
 def complement_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[Vector]]:
@@ -328,26 +306,6 @@ def quotient_transform(
     if tuple(pivots[:p]) != tuple(range(p)):
         return None
     return [tuple(r[p:]) for r in aug[:p]], [tuple(r[p:]) for r in aug[p:]]
-
-
-def solve(m: QMatrix, b: Vector) -> Vector | None:
-    """One exact solution of m x = b, free variables set to zero.
-
-    Returns None when the system is inconsistent; inconsistency is a value
-    here, not an error.
-    """
-    if len(b) != m.rows:
-        raise ValueError("length mismatch")
-    rows = m.dense_rows()
-    for i, row in enumerate(rows):
-        row.append(Fraction(b[i]))
-    rows, pivots = _rref_rows(rows, m.cols + 1)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][m.cols]
-    return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -463,9 +421,9 @@ def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
         return FeasibilityResult(solution=solution, witness=None)
 
     kept = list(range(m.rows))
-    all_cols = list(range(m.cols))
     for i in list(kept):
         trial = [j for j in kept if j != i]
-        if _positive_kernel_point(m.submatrix(trial, all_cols)) is None:
+        sub = QMatrix.from_rows([m._rows[j] for j in trial], m.cols)
+        if _positive_kernel_point(sub) is None:
             kept = trial
     return FeasibilityResult(solution=None, witness=tuple(kept))

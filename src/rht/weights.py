@@ -128,7 +128,7 @@ def find_weights(p: SullivanPresentation) -> WeightReport:
     )
     col_of = {j: k for k, j in enumerate(constrained)}
     sub_rows = [[row.coefficients[j] for j in constrained] for row in system.rows]
-    sub = QMatrix.from_rows(sub_rows) if sub_rows else QMatrix(0, len(constrained), {})
+    sub = QMatrix.from_rows(sub_rows, len(constrained))
     result = positive_integer_kernel(sub)
     if not result.feasible:
         witness = tuple(system.rows[i] for i in result.witness)

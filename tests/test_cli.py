@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, flags, error paths, golden replays."""
 
 import ast
+import importlib
 import importlib.metadata
 import importlib.util
 import json
@@ -60,6 +61,27 @@ def test_benchmark_patch_points_exist_on_the_cli():
     ]
     assert len(spans) == 1 and spans[0]
     assert sorted(name for name in spans[0] if not hasattr(rht.cli, name)) == []
+
+
+def test_benchmark_imports_from_rht_resolve():
+    # the benchmark harness imports names from rht, also inside functions;
+    # a name deleted from rht must fail here and not only at measurement time
+    missing = []
+    for filename in ("run.py", "workloads.py"):
+        tree = ast.parse((ROOT_DIR / "perfbench" / filename).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rht":
+                module = importlib.import_module(node.module)
+                missing += [
+                    f"{node.module}.{alias.name}"
+                    for alias in node.names
+                    if not hasattr(module, alias.name)
+                ]
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "rht":
+                        importlib.import_module(alias.name)
+    assert missing == []
 
 
 def test_console_script_is_installed(tmp_path):
@@ -343,6 +365,15 @@ def test_formal_model_help_names_max_degree_the_truncation(capsys):
 def test_formal_model_rejects_a_presentation_file(capsys):
     assert main(["formal-model", corpus("s2.json"), "--json"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_formal_model_rejects_products_that_are_not_a_list(tmp_path, capsys):
+    doc = json.loads(pathlib.Path(corpus("h-cp2.json")).read_text(encoding="utf-8"))
+    doc["products"] = 5
+    bad = tmp_path / "bad-products.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["formal-model", str(bad), "--json"]) == 2
+    assert "error: products: expected a list" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ growth / flex

@@ -1,5 +1,6 @@
 """One-parameter families: laws, conjugation, inversion, serialization."""
 
+import gc
 import json
 from fractions import Fraction
 
@@ -208,6 +209,17 @@ def test_inverse_of_mixing_linear_part(product_model):
     assert inv.images[alg.by_name["y"].gid] == y - u
     assert inv.images[alg.by_name["u"].gid] == u.scale(Fraction(2)) - y
     assert inv.inverse() is phi
+
+
+def test_automorphism_and_its_inverse_need_no_cycle_collection():
+    gc.collect()
+    gc.disable()
+    try:
+        phi = load_corpus_automorphism("s2xs3-shear")
+        del phi
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_singular_linear_part_names_its_degree(product_model):

@@ -1,4 +1,4 @@
-"""Exact linear algebra: RREF, kernels, solving, positive kernel points."""
+"""Exact linear algebra: RREF, kernels, positive kernel points."""
 
 import os
 import subprocess
@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
@@ -24,7 +25,6 @@ from rht.qlinalg import (
     quotient_transform,
     rank,
     rref,
-    solve,
 )
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -63,28 +63,6 @@ def test_rank_plus_nullity_is_column_count(m):
 def test_kernel_vectors_are_killed(m):
     for v in kernel_basis(m):
         assert all(c == 0 for c in m.apply(v))
-
-
-@given(matrices())
-def test_solve_returns_actual_solutions(m):
-    # build a right-hand side that is certainly in the column span
-    x = [Fraction(i + 1, 2) for i in range(m.cols)]
-    b = m.apply(x)
-    y = solve(m, b)
-    assert y is not None
-    assert tuple(m.apply(y)) == tuple(b)
-
-
-@given(matrices(max_rows=3, max_cols=3))
-def test_solve_none_means_inconsistent(m):
-    b = [Fraction(1)] * m.rows
-    y = solve(m, b)
-    if y is None:
-        # b must be outside the column span: appending it raises the rank
-        aug = QMatrix.from_rows(
-            [list(m.row(i)) + [b[i]] for i in range(m.rows)]
-        )
-        assert rank(aug) == rank(m) + 1
 
 
 def _brute_positive_point(m, box):
@@ -345,3 +323,55 @@ def test_positive_integer_kernel_matches_fraction_oracle(system):
     rows, ncols = system
     res = positive_integer_kernel(_qmatrix(rows, ncols))
     assert (res.solution, res.witness) == fraction_positive_integer_kernel(rows, ncols)
+
+
+# ------------------------------------------------------- QMatrix row contract
+
+
+def test_from_rows_without_rows_keeps_the_column_shape():
+    m = QMatrix.from_rows([], 3)
+    assert (m.rows, m.cols) == (0, 3)
+    assert kernel_basis(m) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_from_rows_refuses_ragged_rows():
+    with pytest.raises(ValueError):
+        QMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        QMatrix.from_rows([[1, 2]], 3)
+
+
+def test_from_rows_copies_the_callers_rows():
+    rows = [[1, 2], [3, 4]]
+    m = QMatrix.from_rows(rows)
+    rows[0][0] = 9
+    rows.append([5, 6])
+    assert (m.rows, m.cols) == (2, 2)
+    assert m.dense_rows() == [[1, 2], [3, 4]]
+
+
+def _indices(n):
+    return st.lists(st.integers(0, n - 1), unique=True, max_size=n) if n else st.just([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_systems(), st.data())
+def test_qmatrix_accessors_agree_with_plain_lists(system, data):
+    rows, ncols = system
+    m = QMatrix.from_rows(rows, ncols)
+    assert m == _qmatrix(rows, ncols)
+    numerators = [[x.numerator for x in row] for row in rows]
+    assert QMatrix.from_rows(numerators, ncols) == QMatrix.from_rows(
+        [[Fraction(x) for x in row] for row in numerators], ncols
+    )
+    assert m.dense_rows() == rows
+    for i, row in enumerate(rows):
+        assert m.row(i) == tuple(row)
+        assert all(m.entry(i, j) == x for j, x in enumerate(row))
+    v = data.draw(st.lists(wide_entries, min_size=ncols, max_size=ncols))
+    assert m.apply(v) == tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in rows)
+    picked_rows = data.draw(_indices(len(rows)))
+    picked_cols = data.draw(_indices(ncols))
+    sub = m.submatrix(picked_rows, picked_cols)
+    assert (sub.rows, sub.cols) == (len(picked_rows), len(picked_cols))
+    assert sub.dense_rows() == [[rows[i][j] for j in picked_cols] for i in picked_rows]
