@@ -6,7 +6,8 @@ basis, and chosen representatives whose classes span the quotient.  A
 one-time rational transform per degree rewrites any cocycle in terms of
 representatives plus coboundaries; applying it entrywise to vectors with
 Laurent coefficients gives induced actions without ever dividing in the
-Laurent ring.
+Laurent ring.  Betti numbers need no transform: they come from the ranks
+of the differential alone, and a weight split reads one degree at a time.
 
 Degrees at and above the truncation degree are unavailable, not zero:
 asking for them raises DegreeRangeError.
@@ -21,7 +22,7 @@ from .algebra import Element, LAURENT, RATIONAL
 from .errors import DegreeRangeError, FamilyError, HomogeneityError, ToolkitError
 from .families import OneParameterFamily, verify_family
 from .model import SullivanPresentation, element_to_terms
-from .qlinalg import QMatrix, complement_basis, independent_columns, quotient_transform
+from .qlinalg import QMatrix, complement_basis, independent_columns, quotient_transform, rank
 from .scalars import Laurent
 from .weights import WeightAssignment, check_weights
 
@@ -41,6 +42,7 @@ class CochainComplex:
         self.d = p.d
         self._basis: dict[int, list] = {}
         self._dmat: dict[int, QMatrix] = {}
+        self._rank: dict[int, int] = {}
         self._quotient: dict[int, tuple] = {}
 
     @property
@@ -101,9 +103,54 @@ class CochainComplex:
         self._quotient[n] = data
         return data
 
+    def _d_rank(self, n: int) -> int:
+        """Rank of the differential from degree n to degree n + 1."""
+        if n not in self._rank:
+            self._rank[n] = rank(self.d_matrix(n))
+        return self._rank[n]
+
     def betti(self, n: int) -> int:
+        """dim H^n = dim C^n - rank d_n - rank d_(n-1)."""
         self.check_degree(n)
-        return len(self.quotient_data(n)[0])
+        return len(self.basis(n)) - self._d_rank(n) - self._d_rank(n - 1)
+
+    def weight_classes(self, n: int, w: WeightAssignment) -> dict[int, list[Element]]:
+        """Representatives of degree-n cohomology, grouped by weight.
+
+        The assignment must make the differential weight-homogeneous; each
+        weight stratum of degree n is then a subcomplex and is eliminated
+        on its own.  Only weights with classes appear, in increasing
+        order, and their counts must sum to `betti(n)`, which counts
+        ranks of the whole differential and so checks the split.
+        """
+        self.check_degree(n)
+        gen_weight = [w[g.name] for g in self.algebra.generators]
+        # basis indices of degrees n - 1, n, n + 1 grouped by weight
+        below, here, above = strata = ({}, {}, {})
+        for groups, m in zip(strata, (n - 1, n, n + 1)):
+            for i, mono in enumerate(self.basis(m)):
+                groups.setdefault(sum(gen_weight[g] * e for g, e in mono), []).append(i)
+        basis = self.basis(n)
+        classes: dict[int, list[Element]] = {}
+        for weight, cols in sorted(here.items()):
+            sub_in = self.d_matrix(n - 1).submatrix(cols, below.get(weight, []))
+            sub_out = self.d_matrix(n).submatrix(above.get(weight, []), cols)
+            chosen, _ = complement_basis(sub_in, sub_out)
+            if chosen:
+                classes[weight] = [
+                    Element(
+                        self.algebra,
+                        RATIONAL,
+                        {basis[cols[i]]: c for i, c in enumerate(v) if c},
+                    )
+                    for v in chosen
+                ]
+        total = sum(len(xs) for xs in classes.values())
+        if total != self.betti(n):
+            raise AssertionError(
+                f"weight strata in degree {n} sum to {total}, not {self.betti(n)}"
+            )
+        return classes
 
     def representatives(self, n: int) -> list[Element]:
         reps = self.quotient_data(n)[0]
@@ -250,9 +297,9 @@ def weight_decomposition(
 ) -> WeightDecompositionReport:
     """Split each cohomology group by the weight of its representatives.
 
-    The assignment must make the differential weight-homogeneous; each
-    weight stratum is then a subcomplex and is eliminated on its own.
-    The per-weight dimensions always sum to the plain Betti number.
+    The assignment must make the differential weight-homogeneous; it is
+    checked first, then each degree is split by `weight_classes`, so the
+    per-weight dimensions always sum to the plain Betti number.
     """
     problems = check_weights(p, w)
     if problems:
@@ -264,42 +311,8 @@ def weight_decomposition(
     if max_degree is None:
         max_degree = cx.certified_through
     cx.check_degree(max_degree)
-    alg = p.algebra
-
-    # basis indices of each degree grouped by weight, in basis order
-    strata: dict[int, dict[int, list[int]]] = {}
-    for n in range(-1, max_degree + 2):
-        groups = strata[n] = {}
-        for i, mono in enumerate(cx.basis(n)):
-            groups.setdefault(w.monomial_weight(p, mono), []).append(i)
-
-    dims: dict[int, dict[int, int]] = {}
-    reps: dict[int, dict[int, list[Element]]] = {}
-    for n in range(max_degree + 1):
-        dims[n] = {}
-        reps[n] = {}
-        basis = cx.basis(n)
-        below, above = strata[n - 1], strata[n + 1]
-        for weight, cols in sorted(strata[n].items()):
-            sub_in = cx.d_matrix(n - 1).submatrix(cols, below.get(weight, []))
-            sub_out = cx.d_matrix(n).submatrix(above.get(weight, []), cols)
-            chosen, _ = complement_basis(sub_in, sub_out)
-            h_dim = len(chosen)
-            if h_dim:
-                dims[n][weight] = h_dim
-                reps[n][weight] = [
-                    Element(
-                        alg,
-                        RATIONAL,
-                        {basis[cols[i]]: c for i, c in enumerate(v) if c},
-                    )
-                    for v in chosen
-                ]
-        total = sum(dims[n].values())
-        if total != cx.betti(n):
-            raise AssertionError(
-                f"weight strata in degree {n} sum to {total}, not {cx.betti(n)}"
-            )
+    reps = {n: cx.weight_classes(n, w) for n in range(max_degree + 1)}
+    dims = {n: {weight: len(xs) for weight, xs in by_w.items()} for n, by_w in reps.items()}
     return WeightDecompositionReport(
         presentation_name=p.name,
         max_degree=max_degree,

@@ -5,9 +5,12 @@ presentation realizing it degree by degree.  At degree k it first adds
 closed generators of weight k covering whatever the current model misses
 in table degree k, then adds generators one degree below whose
 differentials kill the degree-(k + 1) classes the table cannot see.
-Killing representatives are chosen weight-homogeneous, which is always
-possible because the partial model is weight-graded and its differential
-preserves weight; each killer inherits the weight of its differential.
+Both steps read only the degree they work on, split by weight
+(`CochainComplex.weight_classes`): the partial model is weight-graded and
+its differential preserves weight, so each degree splits into strata.
+Covering reads the weight-k stratum of H^k, the only one the map to the
+table does not kill; killing reads every stratum of H^(k+1), so each
+killer has a weight-homogeneous differential and inherits its weight.
 
 The outcome carries weights with weight = degree + stage, where stage 0
 marks the closed table-covering generators.  The diagonal family of
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element, FreeGCA, Generator, RATIONAL
+from .cohomology import complex_for
 from .errors import DegreeRangeError
 from .model import GradedAlgebraTable, SullivanPresentation
 from .qlinalg import EchelonSpan, QMatrix, kernel_basis
@@ -63,15 +67,19 @@ class _Builder:
         self.images: dict[int, dict[str, Fraction]] = {}
         self.used_names: set[str] = set()
 
-    def presentation(self) -> SullivanPresentation:
+    def presentation(self, formal_dimension: int | None = None) -> SullivanPresentation:
         alg = FreeGCA(self.gens)
         diff = {
             gid: Element(alg, RATIONAL, dict(img.terms))
             for gid, img in self.diff.items()
         }
-        return SullivanPresentation(
-            f"formal-{self.table.name}", list(alg.generators), diff, self.truncation
-        )
+        name, gens = f"formal-{self.table.name}", list(alg.generators)
+        return SullivanPresentation(name, gens, diff, self.truncation, formal_dimension)
+
+    def weight_classes(self, n: int) -> dict[int, list[Element]]:
+        """Degree-n cohomology classes of the current model, by weight."""
+        cx = complex_for(self.presentation())
+        return cx.weight_classes(n, WeightAssignment(self.weights))
 
     def fresh_name(self, base: str) -> str:
         name = base
@@ -100,28 +108,30 @@ class _Builder:
         self.images[gid] = dict(table_image)
         return name
 
-    def rho(self, x: Element) -> dict[str, Fraction]:
-        """Image of a model element under the map to the table."""
-        alg = x.algebra
-        acc = self.table.zero()
-        for mono, coeff in x.terms.items():
-            img = self.table.one()
-            for gid, exp in mono:
-                factor = self.images[gid]
-                for _ in range(exp):
-                    img = self.table.multiply(img, factor)
-                    if not img:
-                        break
+    def rho_vector(self, x: Element, degree: int) -> tuple[Fraction, ...]:
+        img = _rho(self.table, self.images, x)
+        return tuple(img.get(b, Fraction(0)) for b in self.table.degree_basis(degree))
+
+
+def _rho(
+    table: GradedAlgebraTable, images: dict[int, dict[str, Fraction]], x: Element
+) -> dict[str, Fraction]:
+    """Image of a model element under the multiplicative map to the table
+    that sends generator id g to images[g]."""
+    acc = table.zero()
+    for mono, coeff in x.terms.items():
+        img = table.one()
+        for gid, exp in mono:
+            factor = images[gid]
+            for _ in range(exp):
+                img = table.multiply(img, factor)
                 if not img:
                     break
-            if img:
-                acc = self.table.add(acc, self.table.scale(img, coeff))
-        return acc
-
-    def rho_vector(self, x: Element, degree: int) -> tuple[Fraction, ...]:
-        basis = self.table.degree_basis(degree)
-        img = self.rho(x)
-        return tuple(img.get(b, Fraction(0)) for b in basis)
+            if not img:
+                break
+        if img:
+            acc = table.add(acc, table.scale(img, coeff))
+    return acc
 
 
 def build_formal_model(table: GradedAlgebraTable, truncation_degree: int) -> FormalModelResult:
@@ -143,78 +153,48 @@ def build_formal_model(table: GradedAlgebraTable, truncation_degree: int) -> For
         _cover_cokernel(b, k)
         if k + 1 <= truncation_degree - 1:
             _kill_kernel(b, k)
-    model = b.presentation()
-    weights = WeightAssignment(dict(b.weights)) if b.weights else WeightAssignment({})
-    by_name = {g.name: b.images[g.gid] for g in b.gens}
-    result = FormalModelResult(
-        model=_with_formal_dimension(model, table),
-        weights=weights,
+    formal_dimension = top if top > 0 and len(table.degree_basis(top)) == 1 else None
+    return FormalModelResult(
+        model=b.presentation(formal_dimension),
+        weights=WeightAssignment(dict(b.weights)),
         stages=dict(b.stages),
-        quasi_iso=by_name,
+        quasi_iso={g.name: b.images[g.gid] for g in b.gens},
         table=table,
     )
-    return result
-
-
-def _with_formal_dimension(model: SullivanPresentation, table: GradedAlgebraTable):
-    top = table.max_degree()
-    if top > 0 and len(table.degree_basis(top)) == 1:
-        return SullivanPresentation(
-            model.name,
-            list(model.generators),
-            dict(model.differential),
-            model.truncation_degree,
-            top,
-        )
-    return model
 
 
 def _cover_cokernel(b: _Builder, k: int):
-    from .cohomology import complex_for
-
     table_basis = b.table.degree_basis(k)
     if not table_basis:
         return
-    reps = complex_for(b.presentation()).representatives(k)
+    # rho kills every monomial of weight above its degree, so the classes
+    # of weight k span the whole image of H^k in the table
+    classes = b.weight_classes(k).get(k, [])
     dim = len(table_basis)
-    span = EchelonSpan(dim, (b.rho_vector(rep, k) for rep in reps))
+    span = EchelonSpan(dim, (b.rho_vector(x, k) for x in classes))
     for idx, cls in enumerate(table_basis):
         if span.add([int(i == idx) for i in range(dim)]):
             b.add_generator(cls, k, k, None, {cls: Fraction(1)})
 
 
 def _kill_kernel(b: _Builder, k: int):
-    from .cohomology import complex_for, weight_decomposition
-
-    p = b.presentation()
-    if not p.generators:
+    if not b.gens:
         return
-    cx = complex_for(p)
     target = k + 1
-    if cx.betti(target) == 0:
-        return
-    alg = p.algebra
-    w = WeightAssignment(dict(b.weights))
-    decomposition = weight_decomposition(p, w, target)
-    strata = decomposition.representatives.get(target, {})
+    strata = b.weight_classes(target)
     killer_index = 0
     for mw in sorted(strata):
         class_basis = strata[mw]
         if mw == target:
             # the only stratum the table can see; kill just the part
             # mapping to zero there
-            table_dim = len(b.table.degree_basis(target))
             rho_rows = [b.rho_vector(x, target) for x in class_basis]
-            columns_are_classes = QMatrix.from_rows(
-                [[rho[j] for rho in rho_rows] for j in range(table_dim)], len(class_basis)
-            )
-            to_kill: list[Element] = []
-            for v in kernel_basis(columns_are_classes):
-                acc = alg.zero()
-                for c, x in zip(v, class_basis):
-                    if c:
-                        acc = acc + x.scale(c)
-                to_kill.append(acc)
+            columns_are_classes = QMatrix.from_rows(zip(*rho_rows), len(class_basis))
+            zero = class_basis[0].algebra.zero()
+            to_kill = [
+                sum((x.scale(c) for c, x in zip(v, class_basis) if c), zero)
+                for v in kernel_basis(columns_are_classes)
+            ]
         else:
             # classes of weight other than the degree vanish in the table
             to_kill = list(class_basis)
@@ -230,15 +210,9 @@ def verify_formal_result(result: FormalModelResult) -> list[str]:
     numbers match table dimensions in all certified degrees, and that
     the weight of every generator exceeds its degree by its stage.
     """
-    from .cohomology import complex_for
-
     issues: list[str] = []
     model = result.model
-    b = _Builder(result.table, model.truncation_degree)
-    b.gens = list(model.generators)
-    b.images = {
-        g.gid: dict(result.quasi_iso[g.name]) for g in model.generators
-    }
+    images = {g.gid: result.quasi_iso[g.name] for g in model.generators}
     for g in model.generators:
         w = result.weights[g.name]
         if w != g.degree + result.stages[g.name]:
@@ -246,13 +220,10 @@ def verify_formal_result(result: FormalModelResult) -> list[str]:
                 f"generator {g.name}: weight {w} != degree {g.degree} "
                 f"+ stage {result.stages[g.name]}"
             )
-        img = model.d_of(g.gid)
-        if not img.is_zero():
-            rho_d = b.rho(img)
-            if rho_d:
-                issues.append(
-                    f"generator {g.name}: differential does not map to zero in the table"
-                )
+        if _rho(result.table, images, model.d_of(g.gid)):
+            issues.append(
+                f"generator {g.name}: differential does not map to zero in the table"
+            )
     cx = complex_for(model)
     for n in range(model.truncation_degree):
         expected = len(result.table.degree_basis(n))

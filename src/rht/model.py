@@ -187,10 +187,12 @@ def terms_to_element(
 
 def _parse_monomial(alg: FreeGCA, raw, path: str) -> tuple[int, Monomial]:
     """Parse a factor list; out-of-order odd factors fold their Koszul sign
-    into the returned sign rather than being rejected."""
+    into the returned sign rather than being rejected.  Exponents are
+    summed, never expanded, so their size costs nothing."""
     if not isinstance(raw, list):
         raise SchemaError("monomial must be a list of [name, exponent] pairs", path)
     word: list[int] = []
+    exponents: dict[int, int] = {}
     for i, pair in enumerate(raw):
         ppath = f"{path}[{i}]"
         if (
@@ -206,11 +208,17 @@ def _parse_monomial(alg: FreeGCA, raw, path: str) -> tuple[int, Monomial]:
             raise SchemaError(f"unknown generator {name!r}", ppath)
         if exp < 1:
             raise SchemaError(f"exponent {exp} < 1", ppath)
-        word.extend([alg.by_name[name].gid] * exp)
+        gid = alg.by_name[name].gid
+        word.append(gid)
+        exponents[gid] = exponents.get(gid, 0) + exp
+    # one letter per pair: the sign only counts odd factors, and an odd
+    # factor with a total exponent above 1 makes the monomial vanish
     norm = alg.normalize_word(word)
-    if norm is None:
+    odd_power = any(e > 1 and alg.generators[g].degree % 2 for g, e in exponents.items())
+    if norm is None or odd_power:
         raise SchemaError("monomial repeats an odd generator", path)
-    return norm
+    sign, mono = norm
+    return sign, tuple((g, exponents[g]) for g, _ in mono)
 
 
 def _expect_str(v, path: str) -> str:

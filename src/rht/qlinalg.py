@@ -10,18 +10,19 @@ spirit of E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22 (1968).  Results
 are exact `Fraction`s: a pivot row is divided by its pivot only when it is
 returned, and since the reduced row echelon form is canonical it is the
-one rational elimination would reach.  A `QMatrix` stores dense rows,
-the right trade at the sizes this package meets (tens to a few hundred
-rows), and every elimination enters through one door, `_echelon`: each
-row scaled to a primitive integer row, then `_echelonize`.
+one rational elimination would reach.
 
-`EchelonSpan` keeps a span in echelon form and grows it one candidate at
-a time, so choosing the candidates that extend a span costs one reduction
-per candidate rather than one elimination of the whole span.
-`complement_basis` uses it to pick kernel vectors whose classes span a
-quotient ker / im, and `quotient_transform` builds the rational rows that
-rewrite a vector in a basis of chosen columns and detect vectors outside
-their span.
+There is one Gauss-Jordan loop, `EchelonSpan`: it keeps a span in
+reduced echelon form and grows it one candidate at a time, so choosing
+the candidates that extend a span costs one reduction per candidate
+rather than one elimination of the whole span.  A `QMatrix` stores dense
+rows, the right trade at the sizes this package meets (tens to a few
+hundred rows), and every elimination of a matrix enters through one door,
+`_echelon`, which adds its rows to an `EchelonSpan` and stops once the
+rank reaches the column count.  `complement_basis` uses the span to pick
+kernel vectors whose classes span a quotient ker / im, and
+`quotient_transform` builds the rational rows that rewrite a vector in a
+basis of chosen columns and detect vectors outside their span.
 
 `positive_integer_kernel` answers the question the weight solver needs:
 does the kernel of an integer matrix meet the open positive orthant, and
@@ -47,8 +48,9 @@ class QMatrix:
     """Immutable rational matrix stored as dense rows.
 
     Each row is a list of ints or Fractions, kept as given; every algorithm
-    reads the rows through one door, `_echelon`.  The class is a value
-    type: operations return new matrices.
+    reads the rows through one door, `_echelon`, which feeds them to the
+    one elimination loop, `EchelonSpan`, and stops at full column rank.
+    The class is a value type: operations return new matrices.
     """
 
     __slots__ = ("rows", "cols", "_rows")
@@ -143,55 +145,24 @@ def _eliminate(row: list[int], c: int, pivot_row: list[int]) -> list[int]:
     return _primitive([p * x - a * y for x, y in zip(row, pivot_row)])
 
 
-def _echelonize(rows: list[list[int]], ncols: int) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of primitive integer rows.
-
-    Works in place and returns the pivot columns.  Row r ends as a
-    primitive row with a positive entry at pivots[r] and zeros in every
-    other pivot column; the rows after the pivot rows are zero.  Dividing
-    each pivot row by its pivot gives the reduced row echelon form.
-    """
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                rows[i] = _eliminate(rows[i], c, rows[r])
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+def _echelon(rows, ncols: int) -> EchelonSpan:
+    """The one door into elimination: the rows of ints or Fractions added
+    one at a time to an `EchelonSpan`, stopping once the rank reaches the
+    column count, since no later row can then extend the span."""
+    span = EchelonSpan(ncols)
+    for row in rows:
+        if len(span.pivots) == ncols:
             break
-    return pivots
-
-
-def _rational_row(row: list[int], pivot: int) -> list[Fraction]:
-    """An echelon row divided by its pivot entry."""
-    return [Fraction(x, pivot) for x in row]
-
-
-def _echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
-    """The one door into elimination: rows of ints or Fractions as
-    primitive integer rows, echelonized, and their pivot columns."""
-    ints = [_integer_row(row) for row in rows]
-    return ints, _echelonize(ints, ncols)
+        span.add(row)
+    return span
 
 
 def _rref_rows(rows: list[list], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of dense rational rows; returns pivot columns."""
-    ints, pivots = _echelon(rows, ncols)
-    reduced = [_rational_row(row, row[p]) for row, p in zip(ints, pivots)]
-    reduced += [[Fraction(0)] * len(row) for row in ints[len(pivots):]]
-    return reduced, pivots
+    """Reduced row echelon form of dense rational rows, padded with zero
+    rows to the input row count; returns pivot columns."""
+    span = _echelon(rows, ncols)
+    reduced = span.rows + [[_ZERO] * ncols for _ in range(len(rows) - len(span.pivots))]
+    return reduced, span.pivots
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
@@ -205,7 +176,7 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
 
 def rank(m: QMatrix) -> int:
-    return len(_echelon(m._rows, m.cols)[1])
+    return len(_echelon(m._rows, m.cols).pivots)
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
@@ -214,7 +185,8 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
     The standard parametrization: the vector for free column f carries a 1
     in slot f and minus the reduced column entries in the pivot slots.
     """
-    rows, pivots = _echelon(m._rows, m.cols)
+    span = _echelon(m._rows, m.cols)
+    rows, pivots = span._rows, span.pivots
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -234,7 +206,8 @@ class EchelonSpan:
     entry in its pivot column and zeros in every other pivot column.
     `rows` divides each by its pivot; rows are ordered by their pivot
     columns, so they always equal the nonzero rows of the RREF of the
-    vectors added so far.
+    vectors added so far.  This is the one Gauss-Jordan loop of the
+    package: `_echelon` feeds it the rows of every matrix it eliminates.
     """
 
     __slots__ = ("ncols", "_rows", "pivots")
@@ -248,7 +221,7 @@ class EchelonSpan:
 
     @property
     def rows(self) -> list[list[Fraction]]:
-        return [_rational_row(row, row[p]) for row, p in zip(self._rows, self.pivots)]
+        return [[Fraction(x, row[p]) for x in row] for row, p in zip(self._rows, self.pivots)]
 
     def add(self, v) -> bool:
         """Insert v (ints or Fractions) if it lies outside the span; report
@@ -275,8 +248,7 @@ class EchelonSpan:
 
 def independent_columns(m: QMatrix) -> list[Vector]:
     """The pivot columns of m: each column independent of those before it."""
-    _, pivots = _echelon(m._rows, m.cols)
-    return [tuple(row[j] for row in m._rows) for j in pivots]
+    return [tuple(row[j] for row in m._rows) for j in _echelon(m._rows, m.cols).pivots]
 
 
 def complement_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[Vector]]:

@@ -10,6 +10,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -42,8 +43,12 @@ def corpus(filename: str) -> str:
 def test_golden_byte_for_byte(filename, argv, expected_exit):
     # the stored file came from an earlier process, so byte equality here
     # is also a cross-run determinism check
+    # PYTHONPATH names this checkout, so an installed rht cannot stand in
     proc = subprocess.run(
-        [sys.executable, "-m", "rht", *argv], capture_output=True, check=False
+        [sys.executable, "-m", "rht", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        capture_output=True,
+        check=False,
     )
     assert proc.returncode == expected_exit, proc.stderr.decode()
     assert proc.stdout == (GOLDEN_DIR / filename).read_bytes()
@@ -151,6 +156,25 @@ def test_check_reports_validation_failures(capsys):
     assert code == 1
     assert "INVALID" in out
     assert "degree" in out
+
+
+def test_huge_exponent_is_checked_without_expanding_it(tmp_path, capsys):
+    # d(y) = x^(10^12): one JSON integer must not become 10^12 list entries
+    doc = {
+        "name": "huge",
+        "truncation_degree": 6,
+        "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}],
+        "differential": {"y": [{"coeff": "1", "monomial": [["x", 10**12]]}]},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["check", str(path)])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "homogeneity(y): d(y) is not homogeneous of degree 4" in out
+    assert elapsed < 0.5
 
 
 def test_missing_file_is_an_input_error(capsys):

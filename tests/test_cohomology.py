@@ -23,9 +23,10 @@ from rht.cohomology import (
     induced_action,
     weight_decomposition,
 )
-from rht.corpus import entries, load_corpus_family, load_presentation
+from rht.corpus import entries, load_corpus_family, load_presentation, load_table
 from rht.errors import DegreeRangeError, FamilyError, HomogeneityError, ToolkitError
 from rht.families import diagonal_family
+from rht.formal import build_formal_model
 from rht.scalars import Laurent
 from rht.weights import WeightAssignment, find_weights
 
@@ -99,6 +100,38 @@ def test_weight_dimensions_sum_to_betti_everywhere():
         for n in range(p.truncation_degree):
             total = sum(wd.dimensions.get(n, {}).values())
             assert total == cohomology(p).betti_list()[n], (e.key, n)
+
+
+def _weighted_models():
+    """Every corpus model with its solved weights (None when infeasible),
+    and the formal model of h-s2ws4 at truncation 16 with its own."""
+    for e in entries():
+        p = e.load()
+        yield p, find_weights(p).assignment
+    res = build_formal_model(load_table("h-s2ws4"), 16)
+    yield res.model, res.weights
+
+
+def test_betti_from_ranks_counts_the_quotient_representatives():
+    for p, _ in _weighted_models():
+        cx = complex_for(p)
+        for n in range(p.truncation_degree):
+            assert cx.betti(n) == len(cx.quotient_data(n)[0]), (p.name, n)
+
+
+def test_weight_classes_are_the_weight_decomposition_per_degree():
+    for p, w in _weighted_models():
+        if w is None:
+            continue
+        cx = complex_for(p)
+        wd = weight_decomposition(p, w)
+        for n in range(p.truncation_degree):
+            classes = cx.weight_classes(n, w)
+            assert classes == wd.representatives[n], (p.name, n)
+            for weight, xs in classes.items():
+                for x in xs:
+                    assert x.is_homogeneous(n) and cx.d(x).is_zero()
+                    assert {w.monomial_weight(p, m) for m in x.terms} == {weight}
 
 
 def test_weight_decomposition_frozen_for_product_model():

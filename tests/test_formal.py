@@ -1,5 +1,7 @@
 """Bigraded model builder: structure, quasi-isomorphism, weight action."""
 
+import importlib
+
 import pytest
 
 from rht.cohomology import cohomology, induced_action, weight_decomposition
@@ -128,3 +130,18 @@ def test_weight_decomposition_of_built_model_is_single_stratum():
         for w, dim in by_w.items():
             if dim:
                 assert w == n, (n, w)
+
+
+def test_builder_and_verifier_build_no_quotient_transform(monkeypatch):
+    # the builder reads per-degree weight strata and the verifier counts
+    # Betti numbers from ranks; neither needs a class-coordinate transform
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    # the package re-exports a function named cohomology over the submodule
+    module = importlib.import_module("rht.cohomology")
+    monkeypatch.setattr(module, "quotient_transform", refuse)
+    monkeypatch.setattr(module, "weight_decomposition", refuse)
+    res = build_formal_model(load_table("h-s2ws4"), 16)
+    assert len(res.model.generators) == 43
+    assert verify_formal_result(res) == []

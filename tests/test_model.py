@@ -12,6 +12,7 @@ from rht.errors import SchemaError
 from rht.model import (
     GradedAlgebraTable,
     SullivanPresentation,
+    _parse_monomial,
     parse_presentation,
     parse_table,
     serialize_presentation,
@@ -226,3 +227,34 @@ def test_presentation_term_error_messages(y_terms, message):
     with pytest.raises(SchemaError) as exc:
         parse_presentation(json.dumps(_s2_doc(y_terms)))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "monomial,message",
+    [
+        ([["y", 2]], "differential.y[0].monomial: monomial repeats an odd generator"),
+        ([["y", 10**12]], "differential.y[0].monomial: monomial repeats an odd generator"),
+        ([["y", 1], ["x", 3], ["y", 1]], "differential.y[0].monomial: monomial repeats an odd generator"),
+        # every pair is checked before the monomial is normalised
+        ([["y", 2], ["q", 1]], "differential.y[0].monomial[1]: unknown generator 'q'"),
+    ],
+)
+def test_odd_generator_powers_are_refused_after_the_pair_checks(monomial, message):
+    with pytest.raises(SchemaError) as exc:
+        parse_presentation(json.dumps(_s2_doc([{"coeff": "1", "monomial": monomial}])))
+    assert str(exc.value) == message
+
+
+def test_parsed_monomials_equal_the_expanded_word():
+    # exponents are summed, not expanded; the sign and the monomial must be
+    # what sorting the fully expanded word gives
+    alg = FreeGCA([Generator(i, n, d) for i, (n, d) in enumerate(zip("abcde", (2, 3, 5, 4, 3)))])
+    rng = random.Random(8)
+    for _ in range(3000):
+        raw = [[rng.choice("abcde"), rng.randint(1, 3)] for _ in range(rng.randint(0, 6))]
+        expected = alg.normalize_word([alg.by_name[n].gid for n, e in raw for _ in range(e)])
+        if expected is None:
+            with pytest.raises(SchemaError, match="repeats an odd generator"):
+                _parse_monomial(alg, raw, "m")
+        else:
+            assert _parse_monomial(alg, raw, "m") == expected, raw

@@ -20,6 +20,7 @@ from rht.qlinalg import (
     EchelonSpan,
     QMatrix,
     _rref_rows,
+    independent_columns,
     kernel_basis,
     positive_integer_kernel,
     quotient_transform,
@@ -253,6 +254,19 @@ def positive_kernel_systems(draw):
     return rows, c
 
 
+@st.composite
+def tall_full_rank_systems(draw):
+    """(rows, ncols) of full column rank with more rows than columns: a
+    shuffled triangular block of rank ncols, then further rows, so the
+    elimination reaches full rank before the last row."""
+    c = draw(st.integers(1, 5))
+    block = [[draw(wide_entries) if j > i else Fraction(0) for j in range(c)] for i in range(c)]
+    for i in range(c):
+        block[i][i] = draw(wide_entries.filter(bool))
+    extra = draw(st.lists(st.lists(wide_entries, min_size=c, max_size=c), min_size=1, max_size=4))
+    return draw(st.permutations(block)) + extra, c
+
+
 def _qmatrix(rows, ncols):
     return QMatrix(
         len(rows), ncols, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
@@ -291,6 +305,30 @@ def test_kernel_basis_matches_fraction_oracle(system):
     got = kernel_basis(_qmatrix(rows, ncols))
     assert got == fraction_kernel_basis(rows, ncols)
     _assert_fractions(*got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dense_systems(), tall_full_rank_systems()))
+def test_rank_matches_fraction_oracle(system):
+    rows, ncols = system
+    assert rank(_qmatrix(rows, ncols)) == len(fraction_rref(rows, ncols)[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dense_systems(), tall_full_rank_systems()))
+def test_independent_columns_match_fraction_oracle(system):
+    rows, ncols = system
+    pivots = fraction_rref(rows, ncols)[1]
+    expected = [tuple(row[j] for row in rows) for j in pivots]
+    assert independent_columns(_qmatrix(rows, ncols)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_full_rank_systems())
+def test_rref_and_kernel_after_an_early_stop_match_fraction_oracle(system):
+    rows, ncols = system
+    assert _rref_rows([list(row) for row in rows], ncols) == fraction_rref(rows, ncols)
+    assert kernel_basis(_qmatrix(rows, ncols)) == []
 
 
 @settings(max_examples=300, deadline=None)
