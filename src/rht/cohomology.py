@@ -196,15 +196,10 @@ def _coordinates(transform, vec, error: str) -> list:
 
 
 def _dot(rational_row, vec):
-    acc = None
-    for c, v in zip(rational_row, vec):
-        if not c:
-            continue
-        term = v * c
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return vec[0] * 0 if vec else Fraction(0)
-    return acc
+    pairs = [(c, v) for c, v in zip(rational_row, vec) if c]
+    if vec and isinstance(vec[0], Laurent):
+        return Laurent.sum_of_products(pairs)
+    return sum((v * c for c, v in pairs), Fraction(0))
 
 
 _CACHE_ATTR = "_cochain_complex_cache"
@@ -457,17 +452,8 @@ class DiagonalizationCertificate:
 
 
 def _mat_mul(a: list[list[Laurent]], b: list[list[Laurent]]) -> list[list[Laurent]]:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Laurent.zero()
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    columns = list(zip(*b))
+    return [[Laurent.sum_of_products(zip(row, col)) for col in columns] for row in a]
 
 
 def _mat_minus_scalar(m: list[list[Laurent]], c: Laurent) -> list[list[Laurent]]:
@@ -478,10 +464,7 @@ def _mat_minus_scalar(m: list[list[Laurent]], c: Laurent) -> list[list[Laurent]]
 
 
 def _trace(m: list[list[Laurent]]) -> Laurent:
-    acc = Laurent.zero()
-    for i in range(len(m)):
-        acc = acc + m[i][i]
-    return acc
+    return Laurent.sum_of_products((row[i], 1) for i, row in enumerate(m))
 
 
 def characteristic_polynomial(m: list[list[Laurent]]) -> list[Laurent]:

@@ -228,6 +228,8 @@ class EchelonSpan:
         whether it did."""
         if len(v) != self.ncols:
             raise ValueError("length mismatch")
+        if not any(v):
+            return False
         r = _integer_row(v)
         for row, p in zip(self._rows, self.pivots):
             if r[p]:

@@ -4,8 +4,15 @@ variable s.
 A one-parameter rescaling family has images with coefficients in Q[t, 1/t].
 The second variable s exists for exactly one purpose: composing a family
 with an independent copy of itself to check the group law symbolically.
-Scalars are dicts (t-power, s-power) -> Fraction with zeros never stored,
-so equality is structural.
+Scalars are dicts (t-power, s-power) -> coefficient.  A coefficient is an
+`int` when it is integral and a `Fraction` otherwise, and zeros are never
+stored, so equality is structural.  Floats and bools are refused: every
+scalar is exact.
+
+`_coefficient` is the one normaliser.  The public constructor runs it on
+every term; the results of arithmetic go through `Laurent._trusted`, which
+stores its dict as given.  Its callers keep the invariant: every value is
+an int or a non-integral Fraction, and none is zero.
 """
 
 from __future__ import annotations
@@ -16,6 +23,24 @@ from fractions import Fraction
 from .errors import SchemaError
 from .rationals import format_rational, parse_rational
 
+
+def _coefficient(v):
+    """An int when v is integral, a Fraction otherwise; floats and bools
+    raise TypeError."""
+    if type(v) is int:
+        return v
+    if type(v) is Fraction:
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, (bool, float)):
+        raise TypeError(f"Laurent coefficients are exact rationals, not {type(v).__name__}")
+    return _coefficient(Fraction(v))
+
+
+def _collect(acc: dict) -> "Laurent":
+    """The Laurent of raw sums: zeros dropped, integral Fractions made ints."""
+    return Laurent._trusted({k: _coefficient(v) for k, v in acc.items() if v})
+
+
 class Laurent:
     """Bivariate Laurent polynomial over the rationals, in t and s."""
 
@@ -25,10 +50,17 @@ class Laurent:
         clean = {}
         if terms:
             for k, v in terms.items():
-                v = Fraction(v)
+                v = _coefficient(v)
                 if v:
                     clean[k] = v
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "Laurent":
+        """Wrap a dict that already keeps the module invariant."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
     # ---- constructors -------------------------------------------------
 
@@ -38,19 +70,34 @@ class Laurent:
 
     @classmethod
     def one(cls) -> "Laurent":
-        return cls({(0, 0): Fraction(1)})
+        return cls({(0, 0): 1})
 
     @classmethod
     def from_rational(cls, q) -> "Laurent":
-        return cls({(0, 0): Fraction(q)})
+        return cls({(0, 0): q})
 
     @classmethod
     def t(cls, power: int = 1) -> "Laurent":
-        return cls({(power, 0): Fraction(1)})
+        return cls({(power, 0): 1})
 
     @classmethod
     def s(cls, power: int = 1) -> "Laurent":
-        return cls({(0, power): Fraction(1)})
+        return cls({(0, power): 1})
+
+    @classmethod
+    def sum_of_products(cls, pairs) -> "Laurent":
+        """The sum of a * b over pairs (a, b) of Laurents or rationals,
+        accumulated into one term dict."""
+        acc: dict = {}
+        get = acc.get
+        for a, b in pairs:
+            ta = a._terms if type(a) is Laurent else _terms_of(a)
+            tb = b._terms if type(b) is Laurent else _terms_of(b)
+            for (pt1, ps1), c1 in ta.items():
+                for (pt2, ps2), c2 in tb.items():
+                    k = (pt1 + pt2, ps1 + ps2)
+                    acc[k] = get(k, 0) + c1 * c2
+        return _collect(acc)
 
     # ---- structure ----------------------------------------------------
 
@@ -61,11 +108,10 @@ class Laurent:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Laurent):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == Laurent.from_rational(other)
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
@@ -79,7 +125,7 @@ class Laurent:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a constant: {self}")
-        return self._terms.get((0, 0), Fraction(0))
+        return Fraction(self._terms.get((0, 0), 0))
 
     def uses_s(self) -> bool:
         return any(ps for _, ps in self._terms)
@@ -102,13 +148,17 @@ class Laurent:
             return NotImplemented
         terms = dict(self._terms)
         for k, v in other._terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        return Laurent(terms)
+            v = terms.get(k, 0) + v
+            if v:
+                terms[k] = _coefficient(v)
+            else:
+                del terms[k]
+        return Laurent._trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Laurent":
-        return Laurent({k: -v for k, v in self._terms.items()})
+        return Laurent._trusted({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other) -> "Laurent":
         other = _coerce(other)
@@ -123,12 +173,7 @@ class Laurent:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (pt1, ps1), c1 in self._terms.items():
-            for (pt2, ps2), c2 in other._terms.items():
-                k = (pt1 + pt2, ps1 + ps2)
-                terms[k] = terms.get(k, Fraction(0)) + c1 * c2
-        return Laurent(terms)
+        return Laurent.sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -137,7 +182,7 @@ class Laurent:
             if len(self._terms) != 1:
                 raise ValueError("negative powers only of single terms")
             ((pt, ps), c), = self._terms.items()
-            return Laurent({(pt * n, ps * n): Fraction(1) / c ** (-n)})
+            return Laurent._trusted({(pt * n, ps * n): _coefficient(Fraction(1) / c ** (-n))})
         out = Laurent.one()
         base = self
         k = n
@@ -152,31 +197,26 @@ class Laurent:
 
     def subs_t_with_s(self) -> "Laurent":
         """Rename the parameter: t^a s^b -> s^(a+b).  Defined for t-only scalars."""
-        terms: dict[tuple[int, int], Fraction] = {}
+        acc: dict = {}
         for (pt, ps), c in self._terms.items():
             k = (0, pt + ps)
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return Laurent(terms)
+            acc[k] = acc.get(k, 0) + c
+        return _collect(acc)
 
     def subs_t_with_st(self) -> "Laurent":
         """Substitute t -> s*t, the group-law comparison target."""
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (pt, ps), c in self._terms.items():
-            k = (pt, ps + pt)
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return Laurent(terms)
+        return Laurent._trusted({(pt, ps + pt): c for (pt, ps), c in self._terms.items()})
 
     def eval_t(self, value: Fraction) -> "Laurent":
         """Substitute a rational value for t; s survives."""
-        value = Fraction(value)
-        terms: dict[tuple[int, int], Fraction] = {}
+        value = Fraction(_coefficient(value))
+        acc: dict = {}
         for (pt, ps), c in self._terms.items():
             if pt < 0 and value == 0:
                 raise ZeroDivisionError("t^-1 at t = 0")
-            scaled = c * value**pt
             k = (0, ps)
-            terms[k] = terms.get(k, Fraction(0)) + scaled
-        return Laurent(terms)
+            acc[k] = acc.get(k, 0) + c * value**pt
+        return _collect(acc)
 
     # ---- text form ----------------------------------------------------
 
@@ -268,9 +308,18 @@ def _parse_term(chunk: str, path: str) -> tuple[Fraction, tuple[int, int]]:
     return coeff, (pt, ps)
 
 
+def _terms_of(value) -> dict:
+    value = _coerce(value)
+    if value is NotImplemented:
+        raise TypeError("expected a Laurent or an exact rational")
+    return value._terms
+
+
 def _coerce(value) -> "Laurent":
+    """value as a Laurent; NotImplemented for anything but a Laurent, an
+    int or a Fraction (bools included)."""
     if isinstance(value, Laurent):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Laurent.from_rational(value)
     return NotImplemented

@@ -476,3 +476,107 @@ def fraction_positive_integer_kernel(rows, ncols):
         if _fraction_positive_kernel_point([rows[j] for j in trial], ncols) is None:
             kept = trial
     return None, tuple(kept)
+
+
+# ------------------------------------------------ Fraction Laurent reference
+#
+# The all-`Fraction` Laurent arithmetic `rht.scalars` used before its
+# integer coefficients and fused sums: every coefficient rebuilt with
+# `Fraction(v)` and every partial sum its own object.  `terms` is a dict
+# (t-power, s-power) -> nonzero Fraction.
+
+
+class FractionLaurent:
+    def __init__(self, terms=None):
+        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if Fraction(v)}
+
+    def __eq__(self, other):
+        return isinstance(other, FractionLaurent) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            terms[k] = terms.get(k, Fraction(0)) + v
+        return FractionLaurent(terms)
+
+    def __neg__(self):
+        return FractionLaurent({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        terms = {}
+        for (pt1, ps1), c1 in self.terms.items():
+            for (pt2, ps2), c2 in other.terms.items():
+                k = (pt1 + pt2, ps1 + ps2)
+                terms[k] = terms.get(k, Fraction(0)) + c1 * c2
+        return FractionLaurent(terms)
+
+    def __pow__(self, n):
+        if n < 0:
+            ((pt, ps), c), = self.terms.items()
+            return FractionLaurent({(pt * n, ps * n): 1 / c ** (-n)})
+        out = FractionLaurent({(0, 0): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def _remap(self, key, scale=lambda pt: 1):
+        terms = {}
+        for (pt, ps), c in self.terms.items():
+            k = key(pt, ps)
+            terms[k] = terms.get(k, Fraction(0)) + c * scale(pt)
+        return FractionLaurent(terms)
+
+    def subs_t_with_s(self):
+        return self._remap(lambda pt, ps: (0, pt + ps))
+
+    def subs_t_with_st(self):
+        return self._remap(lambda pt, ps: (pt, ps + pt))
+
+    def eval_t(self, value):
+        return self._remap(lambda pt, ps: (0, ps), lambda pt: Fraction(value) ** pt)
+
+
+def fraction_mat_mul(a, b):
+    """Square matrix product, one partial sum at a time."""
+    n = len(a)
+    out = [[FractionLaurent() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+def fraction_diagonalization_certificate(m):
+    """(diagonalizable, eigenvalue powers, reason) of a square matrix of
+    FractionLaurents: the trace names the candidate t^w with their
+    multiplicities, and prod (M - t^w I) over the distinct w must vanish."""
+    n = len(m)
+    if n == 0:
+        return True, {}, ""
+    trace = FractionLaurent()
+    for i in range(n):
+        trace = trace + m[i][i]
+    candidate = {}
+    for (pt, ps), c in sorted(trace.terms.items()):
+        if ps != 0:
+            return False, None, "trace uses s"
+        if c.denominator != 1 or c <= 0:
+            return False, None, f"trace coefficient {c} at t^{pt} is not a positive integer"
+        candidate[pt] = int(c)
+    if sum(candidate.values()) != n:
+        return False, None, f"trace accounts for {sum(candidate.values())} of {n} eigenvalues"
+    product = None
+    for w in sorted(candidate):
+        shift = FractionLaurent({(w, 0): 1})
+        factor = [[m[i][j] - shift if i == j else m[i][j] for j in range(n)] for i in range(n)]
+        product = factor if product is None else fraction_mat_mul(product, factor)
+    if any(c.terms for row in product for c in row):
+        return False, None, "matrix is not annihilated by its candidate eigenvalues"
+    return True, candidate, ""

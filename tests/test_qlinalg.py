@@ -183,6 +183,18 @@ def test_echelon_span_rows_are_rref_of_accepted_vectors(m):
     assert span.pivots == list(pivots)
 
 
+@pytest.mark.parametrize("seeded", [False, True])
+def test_echelon_span_refuses_zero_rows_and_keeps_its_state(seeded):
+    span = EchelonSpan(3, [[1, 2, Fraction(1, 2)], [0, 0, 3]] if seeded else ())
+    rows, pivots = span.rows, list(span.pivots)
+    for zero in ([0, 0, 0], [Fraction(0)] * 3, [0, Fraction(0), 0]):
+        assert span.add(zero) is False
+        assert (span.rows, span.pivots) == (rows, pivots)
+    empty = EchelonSpan(0)
+    assert empty.add([]) is False and empty.add(()) is False
+    assert (empty.rows, empty.pivots) == ([], [])
+
+
 @given(matrices())
 def test_quotient_transform_reads_independent_columns(m):
     columns = [tuple(m.entry(i, j) for i in range(m.rows)) for j in range(m.cols)]
