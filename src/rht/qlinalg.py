@@ -27,7 +27,16 @@ basis of chosen columns and detect vectors outside their span.
 `positive_integer_kernel` answers the question the weight solver needs:
 does the kernel of an integer matrix meet the open positive orthant, and
 if so, which coprime positive integer vector does the deterministic
-elimination order produce.
+elimination order produce.  When it does not, the answer is certified by
+the greedy minimal infeasible row set of row order (the deletion filter of
+J. W. Chinneck and E. W. Dravnieks, ORSA J. Computing 3 (1991)), searched
+one connected component of the row-column incidence graph at a time.
+Rows of different components share no column, so a set of rows is
+infeasible iff the rows it keeps of some one component are, and a subset
+of a feasible homogeneous system is feasible.  A row is therefore dropped
+without a solve while another component's kept rows are infeasible, and
+otherwise only its own component is solved again, without it; the
+witness is the one that deletion from the whole matrix returns.
 """
 
 from __future__ import annotations
@@ -288,8 +297,13 @@ class FeasibilityResult:
 
     Exactly one of `solution` and `witness` is set.  `solution` is a
     coprime strictly positive integer vector in the kernel.  `witness` is a
-    subset of row indices of the input matrix that is already infeasible on
-    its own; removing any witness row makes the remainder feasible.
+    subset of row indices of the input matrix, in ascending order, that is
+    already infeasible on its own; removing any witness row makes the
+    remainder feasible.  It is the greedy witness of row order: each row in
+    turn is deleted when the rows kept without it stay infeasible.  Rows
+    of different components of the row-column incidence graph share no
+    column, so a set of rows is infeasible iff its rows in some one
+    component are, and the minimal witness lies in one component.
     """
 
     solution: tuple[int, ...] | None
@@ -379,13 +393,45 @@ def _positive_kernel_point(m: QMatrix) -> list[Fraction] | None:
     return point
 
 
+def _row_components(m: QMatrix) -> tuple[list[int | None], dict[int, list[int]]]:
+    """The connected components of the row-column incidence graph of m.
+
+    Returns a label per row, the root column of a small union-find over the
+    columns the row touches (None for an all-zero row, which touches none),
+    and the columns of each label.
+    """
+    parent = list(range(m.cols))
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    supports = [[j for j, x in enumerate(row) if x] for row in m._rows]
+    for support in supports:
+        for j in support[1:]:
+            parent[find(j)] = find(support[0])
+    columns: dict[int, list[int]] = {}
+    for j in range(m.cols):
+        columns.setdefault(find(j), []).append(j)
+    return [find(s[0]) if s else None for s in supports], columns
+
+
 def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
     """Decide whether ker(m) meets the open positive orthant.
 
     Feasible: returns the coprime positive integer vector reached by the
     deterministic elimination order (kernel coordinates in column order).
-    Infeasible: returns a witness, a minimal subset of rows of m that is
-    infeasible by itself, found by greedy row removal.
+    Infeasible: returns a witness, the minimal infeasible subset of rows
+    that greedy removal in row order keeps.  The removal works on the
+    components of the row-column incidence graph, each on its own columns:
+    rows of different components share no column, so the kept rows are
+    infeasible iff some component's are, and a subset of a feasible system
+    is feasible.  A row is therefore dropped unsolved while another
+    component is infeasible, and otherwise only its own component is solved
+    again without it; a component is re-solved only when a drop may have
+    made it feasible and its status is needed.
     """
     point = _positive_kernel_point(m)
     if point is not None:
@@ -394,10 +440,39 @@ def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
             raise AssertionError("positive solution is not in the kernel")
         return FeasibilityResult(solution=solution, witness=None)
 
-    kept = list(range(m.rows))
-    for i in list(kept):
-        trial = [j for j in kept if j != i]
-        sub = QMatrix.from_rows([m._rows[j] for j in trial], m.cols)
-        if _positive_kernel_point(sub) is None:
-            kept = trial
-    return FeasibilityResult(solution=None, witness=tuple(kept))
+    label, columns = _row_components(m)
+    kept: dict[int, list[int]] = {}
+    for i, c in enumerate(label):
+        if c is not None:
+            kept.setdefault(c, []).append(i)
+    # per component: True when its kept rows are infeasible, False when
+    # feasible, None when not known; a lone component carries the whole
+    # matrix's answer
+    blocked = dict.fromkeys(kept, True if len(kept) == 1 else None)
+
+    def infeasible(c: int, rows: list[int]) -> bool:
+        return bool(rows) and _positive_kernel_point(m.submatrix(rows, columns[c])) is None
+
+    def resolve(c: int) -> bool:
+        if blocked[c] is None:
+            blocked[c] = infeasible(c, kept[c])
+        return blocked[c]
+
+    for i, c in enumerate(label):
+        if c is None:
+            continue  # a zero row constrains nothing, so it is always dropped
+        others = [d for d in kept if d != c]
+        if any(blocked[d] for d in others) or any(resolve(d) for d in others):
+            kept[c].remove(i)
+            if blocked[c]:
+                blocked[c] = None
+        else:
+            trial = [j for j in kept[c] if j != i]
+            if infeasible(c, trial):
+                kept[c] = trial
+            blocked[c] = True
+    # a minimal infeasible set lies in one component, whose kept rows are
+    # in ascending order
+    return FeasibilityResult(
+        solution=None, witness=tuple(i for rows in kept.values() for i in rows)
+    )

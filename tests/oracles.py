@@ -287,6 +287,8 @@ def random_presentation(rng: random.Random, max_generators=5):
 # core: RREF, kernel basis, quotient transform, echelon span and the
 # Fourier-Motzkin positive-kernel search with greedy witnesses.  Matrices
 # are dense lists of rows; every result is compared for exact equality.
+# `greedy_witness` is the witness filter over the whole matrix that the
+# integer core ran before it split the rows by incidence component.
 
 
 def fraction_rref_rows(rows, ncols):
@@ -476,6 +478,23 @@ def fraction_positive_integer_kernel(rows, ncols):
         if _fraction_positive_kernel_point([rows[j] for j in trial], ncols) is None:
             kept = trial
     return None, tuple(kept)
+
+
+def greedy_witness(m):
+    """The whole-matrix greedy deletion filter on the integer core: each row
+    in turn is deleted when the rows kept without it, over every column,
+    still have no positive kernel point.  `m` is an infeasible
+    `rht.qlinalg.QMatrix`; returns the kept row indices in ascending order.
+    One solve of the whole remaining matrix per row, with no regard for
+    which rows share a column."""
+    from rht.qlinalg import QMatrix, _positive_kernel_point
+
+    kept = list(range(m.rows))
+    for i in list(kept):
+        trial = [j for j in kept if j != i]
+        if _positive_kernel_point(QMatrix.from_rows([m.row(j) for j in trial], m.cols)) is None:
+            kept = trial
+    return tuple(kept)
 
 
 # ------------------------------------------------ Fraction Laurent reference

@@ -15,6 +15,7 @@ from oracles import (
     fraction_positive_integer_kernel,
     fraction_quotient_transform,
     fraction_rref,
+    greedy_witness,
 )
 from rht.qlinalg import (
     EchelonSpan,
@@ -373,6 +374,75 @@ def test_positive_integer_kernel_matches_fraction_oracle(system):
     rows, ncols = system
     res = positive_integer_kernel(_qmatrix(rows, ncols))
     assert (res.solution, res.witness) == fraction_positive_integer_kernel(rows, ncols)
+
+
+# --------------------------------------- witness search on several components
+
+block_entries = st.integers(-3, 3)
+
+
+@st.composite
+def block_diagonal_systems(draw, max_block_rows=3, max_block_cols=3):
+    """(rows, ncols): 2-4 blocks on disjoint columns, at least one of them
+    infeasible, plus up to two zero rows; rows and columns then shuffled.
+
+    Feasible and infeasible blocks start from rows built around a positive
+    kernel vector x.  An infeasible block then gets one more row
+    s - sum(l_k r_k) over those rows r_k, with l_k > 0 and s >= 0 nonzero:
+    the row combination with weights (l, 1) is s, which no positive vector
+    annihilates (Stiemke), so the witness takes that row and some of the
+    r_k.  Random blocks keep their random entries.
+    """
+    kinds = draw(st.lists(st.sampled_from(["feasible", "infeasible", "random"]),
+                          min_size=2, max_size=4))
+    kinds[draw(st.integers(0, len(kinds) - 1))] = "infeasible"
+    blocks = []
+    for kind in kinds:
+        c = draw(st.integers(2, max_block_cols))
+        block = [[Fraction(draw(block_entries)) for _ in range(c)]
+                 for _ in range(draw(st.integers(1, max_block_rows)))]
+        if kind != "random":
+            x = [draw(st.integers(1, 5)) for _ in range(c)]
+            for row in block:
+                row[-1] = -sum(a * xj for a, xj in zip(row[:-1], x[:-1])) / x[-1]
+        if kind == "infeasible":
+            s = [Fraction(draw(st.integers(0, 2))) for _ in range(c)]
+            s[draw(st.integers(0, c - 1))] = Fraction(draw(st.integers(1, 2)))
+            for row in block:
+                l = draw(st.integers(1, 3))
+                s = [a - l * b for a, b in zip(s, row)]
+            block.insert(draw(st.integers(0, len(block))), s)
+        blocks.append(block)
+    ncols = sum(len(b[0]) for b in blocks)
+    rows, offset = [], 0
+    for block in blocks:
+        width = len(block[0])
+        rows += [[Fraction(0)] * offset + row + [Fraction(0)] * (ncols - offset - width)
+                 for row in block]
+        offset += width
+    rows += [[Fraction(0)] * ncols for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.permutations(rows))
+    order = draw(st.permutations(range(ncols)))
+    return [[row[j] for j in order] for row in rows], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_diagonal_systems())
+def test_witness_on_block_systems_matches_fraction_oracle(system):
+    rows, ncols = system
+    res = positive_integer_kernel(_qmatrix(rows, ncols))
+    assert not res.feasible
+    assert (res.solution, res.witness) == fraction_positive_integer_kernel(rows, ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_diagonal_systems(max_block_rows=7, max_block_cols=6))
+def test_witness_on_larger_block_systems_matches_whole_matrix_greedy_filter(system):
+    rows, ncols = system
+    m = _qmatrix(rows, ncols)
+    res = positive_integer_kernel(m)
+    assert not res.feasible
+    assert res.witness == greedy_witness(m)
 
 
 # ------------------------------------------------------- QMatrix row contract

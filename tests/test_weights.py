@@ -3,10 +3,18 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_force_weights, random_presentation
-from rht.corpus import entries, load_presentation
+import rht.qlinalg as qlinalg
+from oracles import (
+    brute_force_weights,
+    fraction_positive_integer_kernel,
+    random_presentation,
+)
+from rht.corpus import entries, load_presentation, load_table
 from rht.errors import ToolkitError
+from rht.formal import build_formal_model
+from rht.model import presentation_from_dict, presentation_to_dict
 from rht.weights import WeightAssignment, check_weights, extract_constraints, find_weights
 
 
@@ -125,3 +133,80 @@ def test_solver_agrees_with_box_oracle_on_random_presentations():
 def test_weight_assignment_rejects_non_positive_integers(value):
     with pytest.raises(ToolkitError, match="^weight of 'x' must be a positive integer$"):
         WeightAssignment({"x": value, "y": 2})
+
+
+# ------------------------------------------- witness search on joined systems
+
+
+def _join(blocks):
+    """The disjoint union of (presentation, prefix) blocks, in their order,
+    each generator renamed with its block's prefix."""
+    gens, diff = [], {}
+    for p, prefix in blocks:
+        doc = presentation_to_dict(p)
+        gens += [{**g, "name": prefix + g["name"]} for g in doc["generators"]]
+        for src, terms in doc["differential"].items():
+            diff[prefix + src] = [
+                {**t, "monomial": [[prefix + g, e] for g, e in t["monomial"]]} for t in terms
+            ]
+    return presentation_from_dict({
+        "name": "join",
+        "generators": gens,
+        "differential": diff,
+        "truncation_degree": max(p.truncation_degree for p, _ in blocks),
+    })
+
+
+def _feasible(rows, ncols):
+    return fraction_positive_integer_kernel(rows, ncols)[0] is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_join_witness_is_the_oracle_witness_inside_the_infeasible_block(seed, synthetic_first):
+    other = random_presentation(random.Random(seed), max_generators=12)
+    own = find_weights(other)
+    assume(own.feasible and own.system.rows)
+    blocks = [(load_presentation("infeasible-synthetic"), "i_"), (other, "r_")]
+    rep = find_weights(_join(blocks if synthetic_first else blocks[::-1]))
+    assert not rep.feasible
+    rows = [list(r.coefficients) for r in rep.system.rows]
+    ncols = len(rep.system.generator_names)
+    solution, witness = fraction_positive_integer_kernel(rows, ncols)
+    assert solution is None
+    assert [r.label for r in rep.witness_rows] == [rep.system.rows[i].label for i in witness]
+    assert all(r.source.startswith("i_") for r in rep.witness_rows)
+    kept = [list(r.coefficients) for r in rep.witness_rows]
+    assert not _feasible(kept, ncols)
+    for k in range(len(kept)):
+        assert _feasible(kept[:k] + kept[k + 1:], ncols)
+
+
+@pytest.mark.parametrize("synthetic_first", [True, False])
+def test_witness_search_solves_components_not_the_whole_matrix_per_row(
+    monkeypatch, synthetic_first
+):
+    # 8 synthetic rows and 24 rows of the N=12 formal model, in two
+    # components; deleting rows from the whole matrix took 33 solves
+    formal = build_formal_model(load_table("h-s2ws4"), 12).model
+    blocks = [(load_presentation("infeasible-synthetic"), "i_"), (formal, "f_")]
+    p = _join(blocks if synthetic_first else blocks[::-1])
+    solve = qlinalg._positive_kernel_point
+    calls = []
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return solve(m)
+
+    monkeypatch.setattr(qlinalg, "_positive_kernel_point", counted)
+    rep = find_weights(p)
+    assert len(rep.system.rows) == 32
+    assert [r.label for r in rep.witness_rows] == [
+        "d(i_q): i_a^3",
+        "d(i_z): i_a^2*i_p",
+        "d(i_z): i_a^2*i_u",
+        "d(i_w): i_a*i_p*i_u",
+        "d(i_w): i_a^4",
+        "d(i_w): i_p*i_q",
+    ]
+    assert len(calls) <= 11, calls
