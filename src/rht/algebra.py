@@ -364,6 +364,47 @@ class Element:
 # ---- extensions -------------------------------------------------------
 
 
+def _generator_images(
+    algebra: FreeGCA, images: dict[int, Element], kind: str, shift: int
+) -> dict[int, Element]:
+    """Check that each image lies in the algebra and is homogeneous of its
+    generator's degree plus shift; return the images in the given kind."""
+    for gid, img in images.items():
+        g = algebra.generators[gid]
+        if img.algebra != algebra:
+            raise AmbientMismatchError(f"image of {g.name} lives in a different algebra")
+        if not img.is_homogeneous(g.degree + shift):
+            raise HomogeneityError(
+                f"image of {g.name} must be homogeneous of degree {g.degree + shift}"
+            )
+    if kind == LAURENT:
+        return {gid: img.with_laurent_scalars() for gid, img in images.items()}
+    return dict(images)
+
+
+def _linear_extension(
+    algebra: FreeGCA, kind: str, of_monomial: Callable[[Monomial], Element], what: str
+) -> Callable[[Element], Element]:
+    """The linear map sending each monomial m to of_monomial(m): every term
+    of a result is added into one dict, and one Element is built from it."""
+
+    def apply(x: Element) -> Element:
+        if x.algebra != algebra:
+            raise AmbientMismatchError("element from a different ambient algebra")
+        if kind == LAURENT:
+            x = x.with_laurent_scalars()
+        elif x.kind != RATIONAL:
+            raise ScalarKindError(f"rational {what} applied to Laurent element")
+        terms: dict[Monomial, object] = {}
+        for m, c in x.terms.items():
+            for mono, coeff in of_monomial(m).terms.items():
+                acc = terms.get(mono)
+                terms[mono] = coeff * c if acc is None else acc + coeff * c
+        return Element(algebra, kind, terms)
+
+    return apply
+
+
 def extend_derivation(
     algebra: FreeGCA, images: dict[int, Element], kind: str = RATIONAL
 ) -> Callable[[Element], Element]:
@@ -373,21 +414,8 @@ def extend_derivation(
     deg(g) + 1; absent generators map to zero.  The extension obeys the
     graded Leibniz rule d(ab) = d(a) b + (-1)^{deg a} a d(b).
     """
-    for gid, img in images.items():
-        g = algebra.generators[gid]
-        if img.algebra != algebra:
-            raise AmbientMismatchError(f"image of {g.name} lives in a different algebra")
-        if not img.is_homogeneous(g.degree + 1):
-            raise HomogeneityError(
-                f"image of {g.name} must be homogeneous of degree {g.degree + 1}"
-            )
-
     zero = algebra.zero(kind)
-    img_of = {
-        gid: (img.with_laurent_scalars() if kind == LAURENT else img)
-        for gid, img in images.items()
-        if not img.is_zero()
-    }
+    img_of = {g: x for g, x in _generator_images(algebra, images, kind, 1).items() if x.terms}
     cache: dict[Monomial, Element] = {UNIT: zero}
 
     def d_mono(mono: Monomial) -> Element:
@@ -423,21 +451,7 @@ def extend_derivation(
             tail = total
         return tail
 
-    def derivation(x: Element) -> Element:
-        if x.algebra != algebra:
-            raise AmbientMismatchError("element from a different ambient algebra")
-        if kind == LAURENT:
-            x = x.with_laurent_scalars()
-        elif x.kind != RATIONAL:
-            raise ScalarKindError("rational derivation applied to Laurent element")
-        out = algebra.zero(kind)
-        for m, c in x.terms.items():
-            part = d_mono(m)
-            if not part.is_zero():
-                out = out + part.scale(c)
-        return out
-
-    return derivation
+    return _linear_extension(algebra, kind, d_mono, "derivation")
 
 
 def extend_algebra_map(
@@ -451,16 +465,7 @@ def extend_algebra_map(
     in the same algebra.  Absent generators map to themselves, so partial
     assignments describe maps fixing the rest.
     """
-    for gid, img in images.items():
-        g = algebra.generators[gid]
-        if img.algebra != algebra:
-            raise AmbientMismatchError(f"image of {g.name} lives outside the target algebra")
-        if not img.is_homogeneous(g.degree):
-            raise HomogeneityError(f"image of {g.name} must be homogeneous of degree {g.degree}")
-
-    img_of: dict[int, Element] = {}
-    for gid, img in images.items():
-        img_of[gid] = img.with_laurent_scalars() if kind == LAURENT else img
+    img_of = _generator_images(algebra, images, kind, 0)
     cache: dict[Monomial, Element] = {UNIT: algebra.one(kind)}
 
     def image_of_gen(gid: int) -> Element:
@@ -480,18 +485,4 @@ def extend_algebra_map(
         cache[mono] = out
         return out
 
-    def phi(x: Element) -> Element:
-        if x.algebra != algebra:
-            raise AmbientMismatchError("element from a different ambient algebra")
-        if kind == LAURENT:
-            x = x.with_laurent_scalars()
-        elif x.kind != RATIONAL:
-            raise ScalarKindError("rational map applied to Laurent element")
-        out = algebra.zero(kind)
-        for m, c in x.terms.items():
-            part = phi_mono(m)
-            if not part.is_zero():
-                out = out + part.scale(c)
-        return out
-
-    return phi
+    return _linear_extension(algebra, kind, phi_mono, "map")

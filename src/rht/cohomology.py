@@ -1,13 +1,17 @@
 """Cohomology of truncated presentations and induced family actions.
 
 Everything is exact.  Each degree n gets its monomial basis, the matrix
-of the differential into degree n + 1, a cocycle basis, a coboundary
-basis, and chosen representatives whose classes span the quotient.  A
-one-time rational transform per degree rewrites any cocycle in terms of
-representatives plus coboundaries; applying it entrywise to vectors with
-Laurent coefficients gives induced actions without ever dividing in the
-Laurent ring.  Betti numbers need no transform: they come from the ranks
-of the differential alone, and a weight split reads one degree at a time.
+of the differential into degree n + 1, and a reader (reps, T, K) built in
+one place, `CochainComplex._reader`, on the representatives that
+`complement_basis` picks (`quotient_data`, cached) or on a caller's
+(`quotient_for`): reps are rational cocycles whose classes form a basis
+of the quotient, T has one rational row per representative and reads a
+cocycle's class coordinates, and the rows of K all vanish on a vector
+exactly when it lies in the span of reps and the coboundaries.  Applying
+T and K entrywise to vectors with Laurent coefficients gives induced
+actions without ever dividing in the Laurent ring.  Betti numbers need
+no reader: they come from the ranks of the differential alone, and a
+weight split reads one degree at a time.
 
 Degrees at and above the truncation degree are unavailable, not zero:
 asking for them raises DegreeRangeError.
@@ -75,33 +79,68 @@ class CochainComplex:
             return self._dmat[n]
         src = self.basis(n)
         dst_index = self.basis_index(n + 1)
-        entries = {}
+        rows = [[Fraction(0)] * len(src) for _ in dst_index]
         for j, mono in enumerate(src):
             img = self.d(Element(self.algebra, RATIONAL, {mono: Fraction(1)}))
             for m, c in img.terms.items():
-                entries[(dst_index[m], j)] = c
-        mat = QMatrix(len(self.basis(n + 1)), len(src), entries)
+                rows[dst_index[m]][j] = c
+        mat = QMatrix.from_rows(rows, len(src))
         self._dmat[n] = mat
         return mat
 
     def quotient_data(self, n: int):
-        """Representatives and the class-coordinate transform in degree n.
-
-        Returns (reps, T, K): reps is a list of cocycle vectors whose
-        classes form a basis, T the rational rows sending a cocycle vector
-        to its (class, coboundary) coordinates, and K the rows that vanish
-        exactly on cocycle vectors lying in the certified span.
-        """
+        """The cached reader of degree n (see `_reader`) on the kernel
+        vectors that `complement_basis` picks; with its coboundary columns
+        they are a basis of the cocycles, so the reader always exists."""
         self.check_degree(n)
-        if n in self._quotient:
-            return self._quotient[n]
-        reps, bound_cols = complement_basis(self.d_matrix(n - 1), self.d_matrix(n))
-        transform = quotient_transform(reps + bound_cols, len(self.basis(n)))
-        if transform is None:
-            raise AssertionError("quotient basis columns are not independent")
-        data = (reps, *transform)
-        self._quotient[n] = data
+        if n not in self._quotient:
+            vectors, bound = complement_basis(self.d_matrix(n - 1), self.d_matrix(n))
+            reps = [self._element(v, self.basis(n)) for v in vectors]
+            data = self._reader(n, reps, bound)
+            if data is None:
+                raise AssertionError("quotient basis columns are not independent")
+            self._quotient[n] = data
+        return self._quotient[n]
+
+    def quotient_for(self, n: int, reps: list[Element]):
+        """The reader of degree n (see `_reader`) on caller-chosen
+        representatives.  Raises ToolkitError unless they are rational
+        cocycles of degree n whose classes form a basis of H^n."""
+        self.check_degree(n)
+        reps = list(reps)
+        for x in reps:
+            if not x.is_homogeneous(n):
+                raise HomogeneityError(f"representative {x} is not homogeneous of degree {n}")
+            # the rational differential refuses Laurent and foreign elements
+            if not (dx := self.d(x)).is_zero():
+                raise ToolkitError(f"representative {x} is not a cocycle: d of it is {dx}")
+        if len(reps) != self.betti(n):
+            raise ToolkitError(
+                f"{len(reps)} representatives supplied for a quotient of dimension {self.betti(n)}"
+            )
+        data = self._reader(n, reps, independent_columns(self.d_matrix(n - 1)))
+        if data is None:
+            raise ToolkitError("supplied representatives do not project to a basis of the quotient")
         return data
+
+    def _reader(self, n: int, reps: list[Element], bound: list):
+        """The one builder of a degree-n reader (reps, T, K), or None when
+        the columns of reps and of the coboundaries in bound are dependent.
+
+        T has one rational row per representative, with T . rep_j = e_j and
+        T . b = 0 for b in bound, so it reads a cocycle's class coordinates;
+        K spans the rows that vanish exactly on the span of reps and bound.
+        """
+        vectors = [self.element_vector(x, n) for x in reps]
+        transform = quotient_transform(vectors + bound, len(self.basis(n)))
+        if transform is None:
+            return None
+        t_rows, k_rows = transform
+        return reps, t_rows[: len(reps)], k_rows
+
+    def _element(self, vector, monomials: list) -> Element:
+        """The rational element with the given coordinates on the monomials."""
+        return Element(self.algebra, RATIONAL, {m: c for m, c in zip(monomials, vector) if c})
 
     def _d_rank(self, n: int) -> int:
         """Rank of the differential from degree n to degree n + 1."""
@@ -137,14 +176,8 @@ class CochainComplex:
             sub_out = self.d_matrix(n).submatrix(above.get(weight, []), cols)
             chosen, _ = complement_basis(sub_in, sub_out)
             if chosen:
-                classes[weight] = [
-                    Element(
-                        self.algebra,
-                        RATIONAL,
-                        {basis[cols[i]]: c for i, c in enumerate(v) if c},
-                    )
-                    for v in chosen
-                ]
+                monomials = [basis[i] for i in cols]
+                classes[weight] = [self._element(v, monomials) for v in chosen]
         total = sum(len(xs) for xs in classes.values())
         if total != self.betti(n):
             raise AssertionError(
@@ -153,14 +186,7 @@ class CochainComplex:
         return classes
 
     def representatives(self, n: int) -> list[Element]:
-        reps = self.quotient_data(n)[0]
-        basis = self.basis(n)
-        out = []
-        for v in reps:
-            out.append(
-                Element(self.algebra, RATIONAL, {basis[i]: c for i, c in enumerate(v) if c})
-            )
-        return out
+        return list(self.quotient_data(n)[0])
 
     def element_vector(self, x: Element, n: int) -> list:
         """Coordinates of a homogeneous element in the degree-n basis."""
@@ -174,7 +200,7 @@ class CochainComplex:
     def class_coordinates(self, x: Element, n: int) -> list:
         """Coordinates of a degree-n cocycle's class in the representative
         basis.  Raises ToolkitError when the element is not a cocycle in
-        the span the transform certifies.
+        the span the reader certifies.
         """
         if not x.is_homogeneous(n):
             raise HomogeneityError(f"element is not homogeneous of degree {n}")
@@ -186,13 +212,13 @@ class CochainComplex:
 
 
 def _coordinates(transform, vec, error: str) -> list:
-    """Class coordinates of vec under a (reps, T, K) transform; raises
-    ToolkitError with the given message when some row of K is nonzero on
-    vec."""
-    reps, t_rows, k_rows = transform
+    """Class coordinates of vec under a (reps, T, K) reader, one per row of
+    T; raises ToolkitError with the given message when some row of K is
+    nonzero on vec."""
+    _, t_rows, k_rows = transform
     if any(_dot(row, vec) for row in k_rows):
         raise ToolkitError(error)
-    return [_dot(row, vec) for row in t_rows[: len(reps)]]
+    return [_dot(row, vec) for row in t_rows]
 
 
 def _dot(rational_row, vec):
@@ -354,7 +380,8 @@ def induced_action(
     The family is verified first; a family that fails its laws has no
     well-defined action and the call raises FamilyError.  A custom
     representative basis (for instance a weight-homogeneous one) may be
-    supplied; its classes must be a basis of the quotient.
+    supplied: rational cocycles of degree n whose classes form a basis of
+    the quotient.  `CochainComplex.quotient_for` refuses anything else.
     """
     if fam.presentation != p:
         raise FamilyError("family belongs to a different presentation")
@@ -364,18 +391,11 @@ def induced_action(
             "family fails verification: " + "; ".join(str(v) for v in problems)
         )
     cx = complex_for(p)
-    cx.check_degree(n)
     if representatives is None:
-        reps = cx.representatives(n)
         transform = cx.quotient_data(n)
     else:
-        reps = list(representatives)
-        if len(reps) != cx.betti(n):
-            raise ToolkitError(
-                f"{len(reps)} representatives supplied for a quotient of "
-                f"dimension {cx.betti(n)}"
-            )
-        transform = _transform_for_representatives(cx, reps, n)
+        transform = cx.quotient_for(n, representatives)
+    reps = list(transform[0])
     columns = []
     for rep in reps:
         image = fam.apply(rep.with_laurent_scalars())
@@ -386,33 +406,13 @@ def induced_action(
                 f"image in degree {n} is not a certified cocycle",
             )
         )
-    dim = len(reps)
-    matrix = [[columns[j][i] for j in range(dim)] for i in range(dim)]
     return ActionReport(
         presentation_name=p.name,
         degree=n,
         variance="cohomology",
         basis=reps,
-        matrix=matrix,
+        matrix=[list(row) for row in zip(*columns)],
     )
-
-
-def _transform_for_representatives(cx: CochainComplex, reps: list[Element], n: int):
-    """Quotient transform for a caller-chosen representative basis."""
-    vectors = []
-    for x in reps:
-        if not x.is_homogeneous(n):
-            raise HomogeneityError(
-                f"representative is not homogeneous of degree {n}"
-            )
-        vectors.append(tuple(cx.element_vector(x, n)))
-    columns = vectors + independent_columns(cx.d_matrix(n - 1))
-    transform = quotient_transform(columns, len(cx.basis(n)))
-    if transform is None:
-        raise ToolkitError(
-            "supplied representatives do not project to a basis of the quotient"
-        )
-    return (vectors, *transform)
 
 
 def homology_action(

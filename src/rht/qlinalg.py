@@ -56,23 +56,14 @@ _ZERO = Fraction(0)
 class QMatrix:
     """Immutable rational matrix stored as dense rows.
 
-    Each row is a list of ints or Fractions, kept as given; every algorithm
-    reads the rows through one door, `_echelon`, which feeds them to the
-    one elimination loop, `EchelonSpan`, and stops at full column rank.
-    The class is a value type: operations return new matrices.
+    `from_rows` is the one constructor.  Each row is a list of ints or
+    Fractions, kept as given; every algorithm reads the rows through one
+    door, `_echelon`, which feeds them to the one elimination loop,
+    `EchelonSpan`, and stops at full column rank.  The class is a value
+    type: operations return new matrices.
     """
 
     __slots__ = ("rows", "cols", "_rows")
-
-    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimension")
-        dense = [[_ZERO] * cols for _ in range(rows)]
-        for (i, j), v in entries.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-            dense[i][j] = Fraction(v)
-        self.rows, self.cols, self._rows = rows, cols, dense
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "QMatrix":

@@ -187,3 +187,12 @@ def test_sort_word_oracle_agrees_with_normalize(w):
     s3, m3 = alg.normalize_word(list(sorted_w))
     assert m1 == m3
     assert s1 == s2 * s3
+
+
+def test_extensions_refuse_a_foreign_image_with_one_message(alg):
+    from rht.algebra import extend_algebra_map, extend_derivation
+
+    foreign = FreeGCA([Generator(0, "z", 3)]).gen("z")
+    for extend in (extend_derivation, extend_algebra_map):
+        with pytest.raises(AmbientMismatchError, match="image of a lives in a different algebra"):
+            extend(alg, {0: foreign})

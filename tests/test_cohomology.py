@@ -237,6 +237,55 @@ def test_bad_custom_representatives_are_rejected():
         induced_action(p, fam, 4, representatives=[x2])
 
 
+def _s2xs3_diagonal():
+    p = load_presentation("s2xs3")
+    return p, diagonal_family(p, find_weights(p).assignment)
+
+
+@pytest.mark.parametrize(
+    "pick, fault",
+    [
+        # d(y) = x^2; the diagonal family scales y by t^2 and u by t
+        (lambda y, u: [y], "representative y is not a cocycle"),
+        (lambda y, u: [y + u], "representative y . u is not a cocycle"),
+        (lambda y, u: [u.with_laurent_scalars()], "Laurent element"),
+    ],
+    ids=["y", "y+u", "laurent-u"],
+)
+def test_custom_representatives_must_be_rational_cocycles(pick, fault):
+    p, fam = _s2xs3_diagonal()
+    reps = pick(p.algebra.gen("y"), p.algebra.gen("u"))
+    with pytest.raises(ToolkitError, match=fault):
+        induced_action(p, fam, 3, representatives=reps)
+
+
+def test_custom_cocycle_representative_reads_its_action():
+    p, fam = _s2xs3_diagonal()
+    act = induced_action(p, fam, 3, representatives=[p.algebra.gen("u")])
+    assert act.matrix == [[Laurent.t(1)]]
+
+
+def test_default_action_runs_the_same_eliminations(monkeypatch):
+    # the default representatives reuse complement_basis's coboundary
+    # columns and need no Betti number, so every degree of s2xs3 costs
+    # 24 eliminations in all, and a second pass hits the caches
+    module = importlib.import_module("rht.qlinalg")
+    calls = []
+    echelon = module._echelon
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return echelon(rows, ncols)
+
+    monkeypatch.setattr(module, "_echelon", counting)
+    p = load_presentation("s2xs3")
+    fam = load_corpus_family("s2xs3-conjugated")
+    for _ in range(2):
+        for n in range(p.truncation_degree):
+            induced_action(p, fam, n)
+    assert len(calls) == 24
+
+
 # ------------------------------------------------- diagonalization evidence
 
 
