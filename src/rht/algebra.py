@@ -239,15 +239,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int | None:
-        """The common degree of all terms, None for 0, error if mixed."""
-        degs = {self.algebra.degree_of(m) for m in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise HomogeneityError(f"mixed degrees {sorted(degs)} in {self}")
-        return degs.pop()
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = {self.algebra.degree_of(m) for m in self.terms}
         if not degs:

@@ -1,14 +1,14 @@
 """Cohomology of truncated presentations and induced family actions.
 
 Everything is exact.  Each degree n gets its monomial basis, the matrix
-of the differential into degree n + 1, and a reader (reps, T, K) built in
-one place, `CochainComplex._reader`, on the representatives that
-`complement_basis` picks (`quotient_data`, cached) or on a caller's
+d_n of the differential into degree n + 1, and a reader (reps, T, rows)
+built in one place, `CochainComplex._reader`, on the representatives
+that `complement_basis` picks (`quotient_data`, cached) or on a caller's
 (`quotient_for`): reps are rational cocycles whose classes form a basis
 of the quotient, T has one rational row per representative and reads a
-cocycle's class coordinates, and the rows of K all vanish on a vector
-exactly when it lies in the span of reps and the coboundaries.  Applying
-T and K entrywise to vectors with Laurent coefficients gives induced
+cocycle's class coordinates, and the integer rows of d_n's echelon span
+all vanish on a vector exactly when it is a cocycle.  Applying T and
+those rows entrywise to vectors with Laurent coefficients gives induced
 actions without ever dividing in the Laurent ring.  Betti numbers need
 no reader: they come from the ranks of the differential alone, and a
 weight split reads one degree at a time.
@@ -46,7 +46,6 @@ class CochainComplex:
         self.d = p.d
         self._basis: dict[int, list] = {}
         self._dmat: dict[int, QMatrix] = {}
-        self._rank: dict[int, int] = {}
         self._quotient: dict[int, tuple] = {}
 
     @property
@@ -124,34 +123,28 @@ class CochainComplex:
         return data
 
     def _reader(self, n: int, reps: list[Element], bound: list):
-        """The one builder of a degree-n reader (reps, T, K), or None when
+        """The one builder of a degree-n reader (reps, T, rows), or None when
         the columns of reps and of the coboundaries in bound are dependent.
 
         T has one rational row per representative, with T . rep_j = e_j and
-        T . b = 0 for b in bound, so it reads a cocycle's class coordinates;
-        K spans the rows that vanish exactly on the span of reps and bound.
+        T . b = 0 for b in bound, so it reads a cocycle's class coordinates.
+        rows, the integer rows of d_n's echelon span, vanish together
+        exactly on the cocycles, which reps and bound span for both callers.
         """
         vectors = [self.element_vector(x, n) for x in reps]
-        transform = quotient_transform(vectors + bound, len(self.basis(n)))
-        if transform is None:
+        t_rows = quotient_transform(vectors + bound, len(self.basis(n)))
+        if t_rows is None:
             return None
-        t_rows, k_rows = transform
-        return reps, t_rows[: len(reps)], k_rows
+        return reps, t_rows[: len(reps)], self.d_matrix(n).echelon().integer_rows
 
     def _element(self, vector, monomials: list) -> Element:
         """The rational element with the given coordinates on the monomials."""
         return Element(self.algebra, RATIONAL, {m: c for m, c in zip(monomials, vector) if c})
 
-    def _d_rank(self, n: int) -> int:
-        """Rank of the differential from degree n to degree n + 1."""
-        if n not in self._rank:
-            self._rank[n] = rank(self.d_matrix(n))
-        return self._rank[n]
-
     def betti(self, n: int) -> int:
         """dim H^n = dim C^n - rank d_n - rank d_(n-1)."""
         self.check_degree(n)
-        return len(self.basis(n)) - self._d_rank(n) - self._d_rank(n - 1)
+        return len(self.basis(n)) - rank(self.d_matrix(n)) - rank(self.d_matrix(n - 1))
 
     def weight_classes(self, n: int, w: WeightAssignment) -> dict[int, list[Element]]:
         """Representatives of degree-n cohomology, grouped by weight.
@@ -212,11 +205,11 @@ class CochainComplex:
 
 
 def _coordinates(transform, vec, error: str) -> list:
-    """Class coordinates of vec under a (reps, T, K) reader, one per row of
-    T; raises ToolkitError with the given message when some row of K is
-    nonzero on vec."""
-    _, t_rows, k_rows = transform
-    if any(_dot(row, vec) for row in k_rows):
+    """Class coordinates of vec under a (reps, T, rows) reader, one per row
+    of T; raises ToolkitError with the given message when some row of d_n's
+    echelon span is nonzero on vec, that is, when vec is not a cocycle."""
+    _, t_rows, d_rows = transform
+    if any(_dot(row, vec) for row in d_rows):
         raise ToolkitError(error)
     return [_dot(row, vec) for row in t_rows]
 

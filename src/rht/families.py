@@ -98,11 +98,10 @@ class ModelMap:
         inv_images: dict[int, Element] = {}
         for deg in degrees:
             gids, lin = self.linear_part(deg)
-            # the transform of L's own columns is the rows of inv(L)
-            transform = quotient_transform(list(zip(*lin.dense_rows())), len(gids))
-            if transform is None:
+            # read against L's own columns, T . col_j = e_j makes T = inv(L)
+            inv_rows = quotient_transform(list(zip(*lin.dense_rows())), len(gids))
+            if inv_rows is None:
                 raise SingularMapError(f"linear part in degree {deg} is singular")
-            inv_rows = transform[0]
             psi_lower = extend_algebra_map(alg, dict(inv_images), kind=RATIONAL)
             residues: list[Element] = []
             for gid in gids:

@@ -19,10 +19,11 @@ rather than one elimination of the whole span.  A `QMatrix` stores dense
 rows, the right trade at the sizes this package meets (tens to a few
 hundred rows), and every elimination of a matrix enters through one door,
 `_echelon`, which adds its rows to an `EchelonSpan` and stops once the
-rank reaches the column count.  `complement_basis` uses the span to pick
+rank reaches the column count; a matrix keeps that span, so it is
+eliminated at most once.  `complement_basis` grows its own span to pick
 kernel vectors whose classes span a quotient ker / im, and
 `quotient_transform` builds the rational rows that rewrite a vector in a
-basis of chosen columns and detect vectors outside their span.
+basis of chosen columns.
 
 `positive_integer_kernel` answers the question the weight solver needs:
 does the kernel of an integer matrix meet the open positive orthant, and
@@ -59,11 +60,12 @@ class QMatrix:
     `from_rows` is the one constructor.  Each row is a list of ints or
     Fractions, kept as given; every algorithm reads the rows through one
     door, `_echelon`, which feeds them to the one elimination loop,
-    `EchelonSpan`, and stops at full column rank.  The class is a value
-    type: operations return new matrices.
+    `EchelonSpan`, and stops at full column rank.  `echelon` keeps that
+    span, and no caller extends it.  The class is a value type:
+    operations return new matrices.
     """
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_rows", "_span")
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "QMatrix":
@@ -77,8 +79,14 @@ class QMatrix:
         if any(len(row) != cols for row in dense):
             raise ValueError(f"every row must have length {cols}")
         m = cls.__new__(cls)
-        m.rows, m.cols, m._rows = len(dense), cols, dense
+        m.rows, m.cols, m._rows, m._span = len(dense), cols, dense, None
         return m
+
+    def echelon(self) -> "EchelonSpan":
+        """The span of the rows, eliminated on first use; read, never extended."""
+        if self._span is None:
+            self._span = _echelon(self._rows, self.cols)
+        return self._span
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
@@ -176,7 +184,7 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
 
 def rank(m: QMatrix) -> int:
-    return len(_echelon(m._rows, m.cols).pivots)
+    return len(m.echelon().pivots)
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
@@ -185,8 +193,8 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
     The standard parametrization: the vector for free column f carries a 1
     in slot f and minus the reduced column entries in the pivot slots.
     """
-    span = _echelon(m._rows, m.cols)
-    rows, pivots = span._rows, span.pivots
+    span = m.echelon()
+    rows, pivots = span.integer_rows, span.pivots
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -202,26 +210,26 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
 class EchelonSpan:
     """A span of row vectors kept in reduced row echelon form.
 
-    The span is stored as primitive integer rows, each with a positive
-    entry in its pivot column and zeros in every other pivot column.
-    `rows` divides each by its pivot; rows are ordered by their pivot
-    columns, so they always equal the nonzero rows of the RREF of the
-    vectors added so far.  This is the one Gauss-Jordan loop of the
+    The span is stored as `integer_rows`: primitive integer rows, each
+    with a positive entry in its pivot column and zeros in every other
+    pivot column.  `rows` divides each by its pivot; rows are ordered by
+    their pivot columns, so they always equal the nonzero rows of the RREF
+    of the vectors added so far.  This is the one Gauss-Jordan loop of the
     package: `_echelon` feeds it the rows of every matrix it eliminates.
     """
 
-    __slots__ = ("ncols", "_rows", "pivots")
+    __slots__ = ("ncols", "integer_rows", "pivots")
 
     def __init__(self, ncols: int, vectors=()):
         self.ncols = ncols
-        self._rows: list[list[int]] = []
+        self.integer_rows: list[list[int]] = []
         self.pivots: list[int] = []
         for v in vectors:
             self.add(v)
 
     @property
     def rows(self) -> list[list[Fraction]]:
-        return [[Fraction(x, row[p]) for x in row] for row, p in zip(self._rows, self.pivots)]
+        return [[Fraction(x, row[p]) for x in row] for row, p in zip(self.integer_rows, self.pivots)]
 
     def add(self, v) -> bool:
         """Insert v (ints or Fractions) if it lies outside the span; report
@@ -231,7 +239,7 @@ class EchelonSpan:
         if not any(v):
             return False
         r = _integer_row(v)
-        for row, p in zip(self._rows, self.pivots):
+        for row, p in zip(self.integer_rows, self.pivots):
             if r[p]:
                 r = _eliminate(r, p, row)
         c = next((j for j, x in enumerate(r) if x), None)
@@ -239,18 +247,18 @@ class EchelonSpan:
             return False
         if r[c] < 0:
             r = [-x for x in r]
-        for i, row in enumerate(self._rows):
+        for i, row in enumerate(self.integer_rows):
             if row[c]:
-                self._rows[i] = _eliminate(row, c, r)
+                self.integer_rows[i] = _eliminate(row, c, r)
         k = bisect(self.pivots, c)
-        self._rows.insert(k, r)
+        self.integer_rows.insert(k, r)
         self.pivots.insert(k, c)
         return True
 
 
 def independent_columns(m: QMatrix) -> list[Vector]:
     """The pivot columns of m: each column independent of those before it."""
-    return [tuple(row[j] for row in m._rows) for j in _echelon(m._rows, m.cols).pivots]
+    return [tuple(row[j] for row in m._rows) for j in m.echelon().pivots]
 
 
 def complement_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[Vector]]:
@@ -265,21 +273,17 @@ def complement_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[
     return [v for v in kernel_basis(d_out) if span.add(v)], bound
 
 
-def quotient_transform(
-    columns: list[Vector], m: int
-) -> tuple[list[Vector], list[Vector]] | None:
-    """Rows (T, K) that read vectors of length m against the given columns.
-
-    T has one row per column with T . col_j = e_j; K spans the rows that
-    vanish exactly on the span of the columns.  Returns None when the
-    columns are not independent.
+def quotient_transform(columns: list[Vector], m: int) -> list[Vector] | None:
+    """Rows T that read vectors of length m in the basis of the given
+    columns: one row per column, with T . col_j = e_j, from the RREF of
+    [columns | I].  Returns None when the columns are not independent.
     """
     p = len(columns)
     aug = [[col[i] for col in columns] + [int(k == i) for k in range(m)] for i in range(m)]
-    aug, pivots = _rref_rows(aug, p + m)
-    if tuple(pivots[:p]) != tuple(range(p)):
+    span = _echelon(aug, p + m)
+    if span.pivots[:p] != list(range(p)):
         return None
-    return [tuple(r[p:]) for r in aug[:p]], [tuple(r[p:]) for r in aug[p:]]
+    return [tuple(Fraction(x, r[j]) for x in r[p:]) for j, r in enumerate(span.integer_rows[:p])]
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,17 @@ naive_betti in oracles.py shares no code with the package's complexes;
 agreement on every corpus model is the load-bearing check here.
 """
 
+import functools
 import gc
 import importlib
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import naive_betti
+from oracles import fraction_quotient_transform, naive_betti
+from rht.algebra import RATIONAL, Element
 from rht.cohomology import (
     ActionReport,
     characteristic_polynomial,
@@ -27,6 +30,7 @@ from rht.corpus import entries, load_corpus_family, load_presentation, load_tabl
 from rht.errors import DegreeRangeError, FamilyError, HomogeneityError, ToolkitError
 from rht.families import diagonal_family
 from rht.formal import build_formal_model
+from rht.qlinalg import _echelon, independent_columns
 from rht.scalars import Laurent
 from rht.weights import WeightAssignment, find_weights
 
@@ -85,6 +89,64 @@ def test_class_coordinates_reject_non_cocycle():
     # d(y) = x^2, so y is not a cocycle
     with pytest.raises(ToolkitError, match="not a certified cocycle"):
         cx.class_coordinates(p.algebra.gen("y"), 3)
+
+
+@functools.cache
+def _cocycle_cases():
+    """Per corpus model and certified degree: the complex, the degree, the
+    columns [reps | bound] of its reader, and the oracle's K rows, which
+    vanish exactly on the span of those columns."""
+    cases = []
+    for e in entries():
+        cx = complex_for(e.load())
+        for n in range(cx.truncation_degree):
+            columns = [tuple(cx.element_vector(x, n)) for x in cx.representatives(n)]
+            columns += independent_columns(cx.d_matrix(n - 1))
+            k_rows = fraction_quotient_transform(columns, len(cx.basis(n)))[1]
+            cases.append((cx, n, columns, k_rows))
+    return cases
+
+
+def _check_cocycle_refusal(cx, n, k_rows, v):
+    """The rows of d_n's span and the oracle's K rows vanish on v together,
+    and class_coordinates accepts v, with rational or Laurent scalars,
+    exactly then."""
+    cocycle = not any(
+        sum(a * b for a, b in zip(row, v)) for row in cx.d_matrix(n).echelon().integer_rows
+    )
+    assert cocycle == (not any(sum(a * b for a, b in zip(row, v)) for row in k_rows))
+    x = Element(cx.algebra, RATIONAL, {m: c for m, c in zip(cx.basis(n), v) if c})
+    for y in (x, x.with_laurent_scalars()):
+        if cocycle:
+            assert len(cx.class_coordinates(y, n)) == cx.betti(n)
+        else:
+            with pytest.raises(ToolkitError, match=f"element of degree {n} is not a certified"):
+                cx.class_coordinates(y, n)
+
+
+def test_cocycle_refusal_reads_the_rows_of_d_on_every_corpus_degree():
+    for cx, n, columns, k_rows in _cocycle_cases():
+        size = len(cx.basis(n))
+        units = [[int(i == j) for j in range(size)] for i in range(size)]
+        total = [sum(c) for c in zip(*columns)] if columns else [0] * size
+        for v in units + [list(c) for c in columns] + [total]:
+            _check_cocycle_refusal(cx, n, k_rows, v)
+        for u in units:
+            _check_cocycle_refusal(cx, n, k_rows, [a + b for a, b in zip(total, u)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cocycle_refusal_matches_oracle_k_rows_on_drawn_vectors(data):
+    cases = [case for case in _cocycle_cases() if case[0].basis(case[1])]
+    cx, n, columns, k_rows = data.draw(st.sampled_from(cases))
+    size = len(cx.basis(n))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(columns), max_size=len(columns)))
+    v = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(size)]
+    if data.draw(st.booleans()):
+        noise = data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        v = [a + b for a, b in zip(v, noise)]
+    _check_cocycle_refusal(cx, n, k_rows, v)
 
 
 # ----------------------------------------------------- weight decomposition
@@ -266,9 +328,12 @@ def test_custom_cocycle_representative_reads_its_action():
 
 
 def test_default_action_runs_the_same_eliminations(monkeypatch):
-    # the default representatives reuse complement_basis's coboundary
-    # columns and need no Betti number, so every degree of s2xs3 costs
-    # 24 eliminations in all, and a second pass hits the caches
+    # each d-matrix keeps the one elimination of its rows, which serves
+    # its kernel, its independent columns and the reader's cocycle test,
+    # and each degree's reader adds one elimination of [reps | bound | I]:
+    # the nine d-matrices of s2xs3 (degrees -1 to 7) and its eight readers
+    # make 17.  Eliminating d_(n-1) and d_n afresh in every degree made 24.
+    # A second pass hits the caches.
     module = importlib.import_module("rht.qlinalg")
     calls = []
     echelon = module._echelon
@@ -283,7 +348,22 @@ def test_default_action_runs_the_same_eliminations(monkeypatch):
     for _ in range(2):
         for n in range(p.truncation_degree):
             induced_action(p, fam, n)
-    assert len(calls) == 24
+    assert len(calls) == 17
+
+
+def test_cached_d_matrix_spans_are_never_extended():
+    p = load_presentation("s2xs3")
+    fam = load_corpus_family("s2xs3-conjugated")
+    cohomology(p)
+    cx = complex_for(p)
+    for n in range(p.truncation_degree):
+        induced_action(p, fam, n)
+        homology_action(p, fam, n)
+        induced_action(p, fam, n, representatives=cx.representatives(n)[::-1])
+    for n in range(-1, p.truncation_degree):
+        m = cx.d_matrix(n)
+        span, fresh = m.echelon(), _echelon(m.dense_rows(), m.cols)
+        assert (span.integer_rows, span.pivots) == (fresh.integer_rows, fresh.pivots), n
 
 
 # ------------------------------------------------- diagonalization evidence
