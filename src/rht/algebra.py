@@ -8,11 +8,15 @@ exponent.  Reordering a word picks up the Koszul sign, minus one for every
 transposition of two odd factors; a repeated odd generator kills the word.
 
 Elements carry one of two scalar kinds, plain rationals or Laurent scalars
-in (t, s).  The kinds share the representation but never mix in
+in (t, s).  The kinds share the representation but never mix in `Element`
 arithmetic; rational elements embed into Laurent ones explicitly via
 `with_laurent_scalars`.  Derivations and algebra maps are defined on
 generators and extended: a derivation by the graded Leibniz rule, an
-algebra map multiplicatively.
+algebra map multiplicatively.  A map's kind comes from its images: it is
+Laurent when some image is, and then it widens its argument; otherwise it
+is rational, and a rational map or derivation keeps the kind of its
+argument, multiplying each coefficient by the rational image of its
+monomial.
 """
 
 from __future__ import annotations
@@ -356,10 +360,11 @@ class Element:
 
 
 def _generator_images(
-    algebra: FreeGCA, images: dict[int, Element], kind: str, shift: int
-) -> dict[int, Element]:
+    algebra: FreeGCA, images: dict[int, Element], shift: int
+) -> tuple[str, dict[int, Element]]:
     """Check that each image lies in the algebra and is homogeneous of its
-    generator's degree plus shift; return the images in the given kind."""
+    generator's degree plus shift; return the map's kind, Laurent when some
+    image is Laurent and rational otherwise, with the images in that kind."""
     for gid, img in images.items():
         g = algebra.generators[gid]
         if img.algebra != algebra:
@@ -368,45 +373,43 @@ def _generator_images(
             raise HomogeneityError(
                 f"image of {g.name} must be homogeneous of degree {g.degree + shift}"
             )
-    if kind == LAURENT:
-        return {gid: img.with_laurent_scalars() for gid, img in images.items()}
-    return dict(images)
+    if any(img.kind == LAURENT for img in images.values()):
+        return LAURENT, {gid: img.with_laurent_scalars() for gid, img in images.items()}
+    return RATIONAL, dict(images)
 
 
 def _linear_extension(
-    algebra: FreeGCA, kind: str, of_monomial: Callable[[Monomial], Element], what: str
+    algebra: FreeGCA, kind: str, of_monomial: Callable[[Monomial], Element]
 ) -> Callable[[Element], Element]:
     """The linear map sending each monomial m to of_monomial(m): every term
-    of a result is added into one dict, and one Element is built from it."""
+    of a result is added into one dict, and one Element is built from it.
+    A Laurent map widens its argument; a rational one keeps its kind."""
 
     def apply(x: Element) -> Element:
         if x.algebra != algebra:
             raise AmbientMismatchError("element from a different ambient algebra")
         if kind == LAURENT:
             x = x.with_laurent_scalars()
-        elif x.kind != RATIONAL:
-            raise ScalarKindError(f"rational {what} applied to Laurent element")
         terms: dict[Monomial, object] = {}
         for m, c in x.terms.items():
             for mono, coeff in of_monomial(m).terms.items():
                 acc = terms.get(mono)
-                terms[mono] = coeff * c if acc is None else acc + coeff * c
-        return Element(algebra, kind, terms)
+                terms[mono] = c * coeff if acc is None else acc + c * coeff
+        return Element(algebra, x.kind, terms)
 
     return apply
 
 
-def extend_derivation(
-    algebra: FreeGCA, images: dict[int, Element], kind: str = RATIONAL
-) -> Callable[[Element], Element]:
+def extend_derivation(algebra: FreeGCA, images: dict[int, Element]) -> Callable[[Element], Element]:
     """Extend generator images to the degree +1 derivation d.
 
     `images` maps generator ids to homogeneous elements of degree
     deg(g) + 1; absent generators map to zero.  The extension obeys the
     graded Leibniz rule d(ab) = d(a) b + (-1)^{deg a} a d(b).
     """
+    kind, img_of = _generator_images(algebra, images, 1)
+    img_of = {g: x for g, x in img_of.items() if x.terms}
     zero = algebra.zero(kind)
-    img_of = {g: x for g, x in _generator_images(algebra, images, kind, 1).items() if x.terms}
     cache: dict[Monomial, Element] = {UNIT: zero}
 
     def d_mono(mono: Monomial) -> Element:
@@ -442,21 +445,17 @@ def extend_derivation(
             tail = total
         return tail
 
-    return _linear_extension(algebra, kind, d_mono, "derivation")
+    return _linear_extension(algebra, kind, d_mono)
 
 
-def extend_algebra_map(
-    algebra: FreeGCA,
-    images: dict[int, Element],
-    kind: str = RATIONAL,
-) -> Callable[[Element], Element]:
+def extend_algebra_map(algebra: FreeGCA, images: dict[int, Element]) -> Callable[[Element], Element]:
     """Extend generator images to the degree-0 algebra map.
 
     `images` maps generator ids to homogeneous elements of the same degree
     in the same algebra.  Absent generators map to themselves, so partial
     assignments describe maps fixing the rest.
     """
-    img_of = _generator_images(algebra, images, kind, 0)
+    kind, img_of = _generator_images(algebra, images, 0)
     cache: dict[Monomial, Element] = {UNIT: algebra.one(kind)}
 
     def image_of_gen(gid: int) -> Element:
@@ -476,4 +475,4 @@ def extend_algebra_map(
         cache[mono] = out
         return out
 
-    return _linear_extension(algebra, kind, phi_mono, "map")
+    return _linear_extension(algebra, kind, phi_mono)

@@ -491,7 +491,9 @@ def main(argv=None) -> int:
     except _Negative as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (SchemaError, AmbientMismatchError, DegreeRangeError) as exc:
+    except (
+        SchemaError, AmbientMismatchError, DegreeRangeError, OSError, ValueError, ZeroDivisionError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:
@@ -499,12 +501,6 @@ def main(argv=None) -> int:
         # singular conjugators
         print(str(exc), file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element, LAURENT, RATIONAL
-from .errors import DegreeRangeError, FamilyError, HomogeneityError, ToolkitError
+from .errors import DegreeRangeError, FamilyError, HomogeneityError, ScalarKindError, ToolkitError
 from .families import OneParameterFamily, verify_family
 from .model import SullivanPresentation, element_to_terms
 from .qlinalg import QMatrix, complement_basis, independent_columns, quotient_transform, rank
@@ -45,6 +45,7 @@ class CochainComplex:
         self.truncation_degree = p.truncation_degree
         self.d = p.d
         self._basis: dict[int, list] = {}
+        self._index: dict[int, dict] = {}
         self._dmat: dict[int, QMatrix] = {}
         self._quotient: dict[int, tuple] = {}
 
@@ -68,7 +69,9 @@ class CochainComplex:
         return self._basis[n]
 
     def basis_index(self, n: int) -> dict:
-        return {m: i for i, m in enumerate(self.basis(n))}
+        if n not in self._index:
+            self._index[n] = {m: i for i, m in enumerate(self.basis(n))}
+        return self._index[n]
 
     def d_matrix(self, n: int) -> QMatrix:
         """Matrix of the differential from degree n to degree n + 1,
@@ -108,9 +111,12 @@ class CochainComplex:
         self.check_degree(n)
         reps = list(reps)
         for x in reps:
+            if x.kind != RATIONAL:
+                raise ScalarKindError(f"representative {x} is a Laurent element")
             if not x.is_homogeneous(n):
                 raise HomogeneityError(f"representative {x} is not homogeneous of degree {n}")
-            # the rational differential refuses Laurent and foreign elements
+            # a rational differential keeps a Laurent argument's kind, hence
+            # the kind check above; foreign elements it refuses itself
             if not (dx := self.d(x)).is_zero():
                 raise ToolkitError(f"representative {x} is not a cocycle: d of it is {dx}")
         if len(reps) != self.betti(n):
@@ -395,7 +401,7 @@ def induced_action(
         columns.append(
             _coordinates(
                 transform,
-                cx.element_vector(image.with_laurent_scalars(), n),
+                cx.element_vector(image, n),
                 f"image in degree {n} is not a certified cocycle",
             )
         )
@@ -473,11 +479,7 @@ def characteristic_polynomial(m: list[list[Laurent]]) -> list[Laurent]:
         ck = _trace(mk) * Fraction(-1, k)
         coeffs.append(ck)
         if k < n:
-            shifted = [
-                [mk[i][j] + ck if i == j else mk[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-            mk = _mat_mul(m, shifted)
+            mk = _mat_mul(m, _mat_minus_scalar(mk, -ck))
     return coeffs
 
 

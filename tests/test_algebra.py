@@ -196,3 +196,64 @@ def test_extensions_refuse_a_foreign_image_with_one_message(alg):
     for extend in (extend_derivation, extend_algebra_map):
         with pytest.raises(AmbientMismatchError, match="image of a lives in a different algebra"):
             extend(alg, {0: foreign})
+
+
+def _sample_images(alg):
+    # the rational algebra map of test_extend_algebra_map_is_multiplicative
+    return {
+        0: alg.gen("a").scale(Fraction(2)),
+        1: alg.gen("b") + alg.gen("c"),
+        2: alg.gen("c"),
+        3: alg.gen("e"),
+        4: alg.gen("f"),
+    }
+
+
+laurent_parts = st.lists(
+    st.tuples(
+        st.integers(-2, 2),
+        st.integers(-1, 1),
+        NONEMPTY_DEGREES,
+        st.integers(0, 30),
+        st.integers(-3, 3).filter(bool),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(deadline=None)
+@given(laurent_parts)
+def test_a_maps_kind_comes_from_its_images(alg, parts):
+    # x = sum t^a s^b x_ab with rational x_ab; a rational map or derivation
+    # keeps the kind of its argument and commutes with the Laurent scalars
+    from rht.algebra import LAURENT, RATIONAL, extend_algebra_map, extend_derivation
+    from rht.scalars import Laurent
+
+    phi = extend_algebra_map(alg, _sample_images(alg))
+    d = _sample_derivation(alg)
+    pieces = []
+    for a, b, n, pick, coeff in parts:
+        basis = alg.monomial_basis(n)
+        pieces.append(
+            (Laurent({(a, b): 1}), alg.element({basis[pick % len(basis)]: Fraction(coeff)}))
+        )
+    x = alg.zero(LAURENT)
+    for scalar, x_ab in pieces:
+        x = x + x_ab.with_laurent_scalars().scale(scalar)
+    for f in (phi, d):
+        expected = alg.zero(LAURENT)
+        for scalar, x_ab in pieces:
+            image = f(x_ab)
+            assert image.kind == RATIONAL
+            expected = expected + image.with_laurent_scalars().scale(scalar)
+        got = f(x)
+        assert got.kind == LAURENT
+        assert got == expected
+    # one Laurent image makes the whole map Laurent: it widens a rational
+    # argument, and a widened image changes no value
+    images = _sample_images(alg)
+    images[0] = images[0].with_laurent_scalars()
+    widened = extend_algebra_map(alg, images)
+    for _, x_ab in pieces:
+        assert widened(x_ab) == phi(x_ab).with_laurent_scalars()

@@ -322,6 +322,33 @@ def test_family_failing_verification_exits_one(capsys):
     assert "chain" in out
 
 
+
+def _family_file(tmp_path, images: dict) -> str:
+    doc = {
+        name: [{"coeff": coeff, "monomial": [[target, 1]]}]
+        for name, (coeff, target) in images.items()
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_family_image_of_the_wrong_degree_exits_one(tmp_path, capsys):
+    family = _family_file(tmp_path, {"x": ("t", "y"), "y": ("t^2", "y")})
+    code = main(["family", corpus("s2.json"), "--family", family])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "image of x must be homogeneous of degree 2" in err
+
+
+def test_family_eval_at_a_pole_is_an_input_error(tmp_path, capsys):
+    # a verified family with negative powers of t has no value at t = 0
+    family = _family_file(tmp_path, {"x": ("t^-1", "x"), "y": ("t^-2", "y")})
+    code = main(["family", corpus("s2.json"), "--family", family, "--eval", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: t^-1 at t = 0" in err
+
 def test_family_conjugation_changes_the_images(capsys):
     assert main(["family", corpus("s2xs3.json"), "--json"]) == 0
     plain = json.loads(capsys.readouterr().out)

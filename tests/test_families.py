@@ -112,6 +112,52 @@ def test_family_rejects_s_in_input(product_model):
         OneParameterFamily(p, bad)
 
 
+
+def _assignment(p, **changed):
+    """Every generator to itself, except the named ones."""
+    alg = p.algebra
+    return {g.gid: changed.get(g.name, alg.gen(g.gid)) for g in p.generators}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        ModelMap,
+        ModelAutomorphism,
+        lambda p, images: OneParameterFamily(
+            p, {gid: img.with_laurent_scalars() for gid, img in images.items()}
+        ),
+    ],
+    ids=["map", "automorphism", "family"],
+)
+def test_map_images_are_checked_once_by_the_extension(product_model, build):
+    from rht.errors import AmbientMismatchError, HomogeneityError
+
+    p = product_model
+    with pytest.raises(HomogeneityError, match="image of x must be homogeneous of degree 2"):
+        build(p, _assignment(p, x=p.algebra.gen("y")))
+    foreign = FreeGCA([Generator(0, "z", 2)]).gen("z")
+    with pytest.raises(AmbientMismatchError, match="image of x lives in a different algebra"):
+        build(p, _assignment(p, x=foreign))
+
+
+def test_map_and_family_keep_their_own_image_checks(product_model):
+    p = product_model
+    alg = p.algebra
+    x_t = alg.gen("x").with_laurent_scalars().scale(laurent("t"))
+    with pytest.raises(FamilyError, match="image of x must have rational coefficients"):
+        ModelMap(p, _assignment(p, x=x_t))
+    laurent_images = {
+        gid: img.with_laurent_scalars() for gid, img in _assignment(p, x=x_t).items()
+    }
+    partial = dict(laurent_images)
+    del partial[alg.by_name["u"].gid]
+    with pytest.raises(FamilyError, match="no image for generator u"):
+        OneParameterFamily(p, partial)
+    laurent_images[alg.by_name["x"].gid] = x_t.scale(laurent("s"))
+    with pytest.raises(FamilyError, match="image of x uses the reserve variable s"):
+        OneParameterFamily(p, laurent_images)
+
 def test_non_chain_map_family_fails_verification(product_model):
     p = product_model
     alg = p.algebra
