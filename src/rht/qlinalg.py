@@ -22,22 +22,21 @@ hundred rows), and every elimination of a matrix enters through one door,
 rank reaches the column count; a matrix keeps that span, so it is
 eliminated at most once.  `complement_basis` grows its own span to pick
 kernel vectors whose classes span a quotient ker / im, and
-`quotient_transform` builds the rational rows that rewrite a vector in a
-basis of chosen columns.
+`quotient_transform` eliminates one tagged row per chosen column to build
+the rational rows that rewrite a vector in their basis.
 
 `positive_integer_kernel` answers the question the weight solver needs:
 does the kernel of an integer matrix meet the open positive orthant, and
 if so, which coprime positive integer vector does the deterministic
-elimination order produce.  When it does not, the answer is certified by
-the greedy minimal infeasible row set of row order (the deletion filter of
-J. W. Chinneck and E. W. Dravnieks, ORSA J. Computing 3 (1991)), searched
-one connected component of the row-column incidence graph at a time.
-Rows of different components share no column, so a set of rows is
-infeasible iff the rows it keeps of some one component are, and a subset
-of a feasible homogeneous system is feasible.  A row is therefore dropped
-without a solve while another component's kept rows are infeasible, and
-otherwise only its own component is solved again, without it; the
-witness is the one that deletion from the whole matrix returns.
+elimination order produce.  Each connected component of the row-column
+incidence graph is solved once, and the joined points are the whole
+matrix's, since a block matrix's elimination stays inside its blocks.
+When some component is infeasible, the answer is certified by the greedy
+minimal infeasible row set of row order (the deletion filter of J. W.
+Chinneck and E. W. Dravnieks, ORSA J. Computing 3 (1991)): a set of rows
+is infeasible iff the rows it keeps of some one component are, so a row
+is dropped unsolved while another component is infeasible, and otherwise
+only its own component is solved again, without it.
 """
 
 from __future__ import annotations
@@ -275,15 +274,24 @@ def complement_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[
 
 def quotient_transform(columns: list[Vector], m: int) -> list[Vector] | None:
     """Rows T that read vectors of length m in the basis of the given
-    columns: one row per column, with T . col_j = e_j, from the RREF of
-    [columns | I].  Returns None when the columns are not independent.
+    columns: one row per column, with T . col_j = e_j, or None when the
+    columns are dependent, that is, when eliminating the p rows
+    [reversed col_j | e_j] puts a pivot in the tag block.  Otherwise T_j
+    is tag / pivot at each pivot coordinate and zero elsewhere.  This is
+    the T of the RREF of [columns | I]: by matroid duality, the last
+    coordinates that reversed elimination picks are the complement of
+    that RREF's tag pivots, on which its T vanishes.
     """
     p = len(columns)
-    aug = [[col[i] for col in columns] + [int(k == i) for k in range(m)] for i in range(m)]
-    span = _echelon(aug, p + m)
-    if span.pivots[:p] != list(range(p)):
+    tagged = [list(col[::-1]) + [int(k == j) for k in range(p)] for j, col in enumerate(columns)]
+    span = _echelon(tagged, m + p)
+    if any(c >= m for c in span.pivots):
         return None
-    return [tuple(Fraction(x, r[j]) for x in r[p:]) for j, r in enumerate(span.integer_rows[:p])]
+    t_rows = [[_ZERO] * m for _ in range(p)]
+    for r, c in zip(span.integer_rows, span.pivots):
+        for t_row, x in zip(t_rows, r[m:]):
+            t_row[m - 1 - c] = Fraction(x, r[c])
+    return [tuple(t_row) for t_row in t_rows]
 
 
 @dataclass(frozen=True)
@@ -295,10 +303,9 @@ class FeasibilityResult:
     subset of row indices of the input matrix, in ascending order, that is
     already infeasible on its own; removing any witness row makes the
     remainder feasible.  It is the greedy witness of row order: each row in
-    turn is deleted when the rows kept without it stay infeasible.  Rows
-    of different components of the row-column incidence graph share no
-    column, so a set of rows is infeasible iff its rows in some one
-    component are, and the minimal witness lies in one component.
+    turn is deleted when the rows kept without it stay infeasible.  Both
+    come from one solve per component of the row-column incidence graph,
+    and the witness lies in one component.
     """
 
     solution: tuple[int, ...] | None
@@ -317,10 +324,13 @@ def _fourier_motzkin(rows: list[list[int]], nvars: int) -> list[Fraction] | None
     canonical representative of its direction and duplicate inequalities
     (up to positive scaling) are dropped as equal rows.  Returns one exact
     solution vector, or None when some combination collapses to 0 > 0.
+
+    Its one caller passes the nonzero coordinate rows of a kernel basis, so
+    each variable's unit row, its free column's row, is a lower row at its
+    stage, and a row outliving the last stage would be a zero combination.
     """
     system = [tuple(r) for r in rows]
-    # (var, lower rows, upper rows) stacks for back-substitution; rows are
-    # kept in full length with the eliminated variable's coefficient intact.
+    # (var, lower rows, upper rows) stacks for back-substitution
     stages: list[tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]] = []
     for var in range(nvars):
         seen: set[tuple[int, ...]] = set()
@@ -345,9 +355,6 @@ def _fourier_motzkin(rows: list[list[int]], nvars: int) -> list[Fraction] | None
                 combined.append(tuple(new))
         stages.append((var, lower, upper))
         system = combined
-    if any(not any(r) for r in system):
-        # all-zero rows present before any variable existed to eliminate
-        return None
     values = [Fraction(0)] * nvars
 
     def tail(r: tuple[int, ...], var: int) -> Fraction:
@@ -356,29 +363,18 @@ def _fourier_motzkin(rows: list[list[int]], nvars: int) -> list[Fraction] | None
     for var, lower, upper in reversed(stages):
         lo = [(-tail(r, var)) / r[var] for r in lower]
         hi = [(-tail(r, var)) / r[var] for r in upper]
-        if lo and hi:
-            lmax, hmin = max(lo), min(hi)
-            values[var] = (lmax + hmin) / 2
-        elif lo:
-            values[var] = max(lo) + 1
-        elif hi:
-            values[var] = min(hi) - 1
-        else:
-            values[var] = Fraction(1)
+        values[var] = (max(lo) + min(hi)) / 2 if hi else max(lo) + 1
     return values
 
 
 def _positive_kernel_point(m: QMatrix) -> list[Fraction] | None:
     """A strictly positive rational kernel vector of m, or None."""
     basis = kernel_basis(m)
-    if m.cols == 0:
-        return []
     if not basis:
         return None
     coord_rows = [_integer_row([v[j] for v in basis]) for j in range(m.cols)]
-    for r in coord_rows:
-        if not any(r):
-            return None
+    if not all(map(any, coord_rows)):
+        return None
     combo = _fourier_motzkin(coord_rows, len(basis))
     if combo is None:
         return None
@@ -416,34 +412,38 @@ def _row_components(m: QMatrix) -> tuple[list[int | None], dict[int, list[int]]]
 def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
     """Decide whether ker(m) meets the open positive orthant.
 
-    Feasible: returns the coprime positive integer vector reached by the
-    deterministic elimination order (kernel coordinates in column order).
-    Infeasible: returns a witness, the minimal infeasible subset of rows
-    that greedy removal in row order keeps.  The removal works on the
-    components of the row-column incidence graph, each on its own columns:
-    rows of different components share no column, so the kept rows are
-    infeasible iff some component's are, and a subset of a feasible system
-    is feasible.  A row is therefore dropped unsolved while another
-    component is infeasible, and otherwise only its own component is solved
-    again without it; a component is re-solved only when a drop may have
-    made it feasible and its status is needed.
+    The rows are split into the components of the row-column incidence
+    graph, and each component's rows are solved once, on its own columns.
+    Feasible: returns the joined component points, a column no row
+    touches taking 1, normalised once by `coprime_integer_vector`.  That is
+    the whole-matrix solve's vector: the RREF, the kernel vectors and every
+    Fourier-Motzkin row of a block matrix stay inside one block.
+    Infeasible: returns the minimal infeasible row subset that greedy
+    removal in row order keeps.  The kept rows are infeasible iff some
+    component's are, so a row is dropped unsolved while another component
+    is infeasible, and otherwise only its own component is solved again
+    without it; a component is re-solved only when a drop may have made
+    it feasible and its status is needed.
     """
-    point = _positive_kernel_point(m)
-    if point is not None:
-        solution = coprime_integer_vector(point)
-        if any(m.apply(tuple(map(Fraction, solution)))):
-            raise AssertionError("positive solution is not in the kernel")
-        return FeasibilityResult(solution=solution, witness=None)
-
     label, columns = _row_components(m)
     kept: dict[int, list[int]] = {}
     for i, c in enumerate(label):
         if c is not None:
             kept.setdefault(c, []).append(i)
+    point = [Fraction(1)] * m.cols
     # per component: True when its kept rows are infeasible, False when
-    # feasible, None when not known; a lone component carries the whole
-    # matrix's answer
-    blocked = dict.fromkeys(kept, True if len(kept) == 1 else None)
+    # feasible, None when not known
+    blocked: dict[int, bool | None] = {}
+    for c, rows in kept.items():
+        part = _positive_kernel_point(m.submatrix(rows, columns[c]))
+        blocked[c] = part is None
+        for j, x in zip(columns[c], part or ()):
+            point[j] = x
+    if not any(blocked.values()):
+        solution = coprime_integer_vector(point)
+        if any(m.apply(tuple(map(Fraction, solution)))):
+            raise AssertionError("positive solution is not in the kernel")
+        return FeasibilityResult(solution=solution, witness=None)
 
     def infeasible(c: int, rows: list[int]) -> bool:
         return bool(rows) and _positive_kernel_point(m.submatrix(rows, columns[c])) is None

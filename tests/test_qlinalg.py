@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     FractionEchelonSpan,
@@ -18,6 +18,7 @@ from oracles import (
     fraction_rref,
     greedy_witness,
 )
+from rht.corpus import load_presentation
 from rht.qlinalg import (
     EchelonSpan,
     QMatrix,
@@ -369,6 +370,54 @@ def test_quotient_transform_matches_fraction_oracle(system):
         _assert_fractions(*got)
 
 
+def _eliminated_shapes(columns, m):
+    """(row count, row lengths, column count) of each elimination that
+    quotient_transform(columns, m) runs."""
+    module = importlib.import_module("rht.qlinalg")
+    echelon, shapes = module._echelon, []
+
+    def recording(rows, ncols):
+        rows = [list(row) for row in rows]
+        shapes.append((len(rows), {len(row) for row in rows}, ncols))
+        return echelon(rows, ncols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_echelon", recording)
+        quotient_transform(columns, m)
+    return shapes
+
+
+def _one_tagged_row_per_column(columns, m):
+    p = len(columns)
+    return [(p, {m + p} if p else set(), m + p)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_systems())
+def test_quotient_transform_eliminates_one_tagged_row_per_column(system):
+    # p rows of width m + p, not the m rows of [columns | I]
+    rows, ncols = system
+    columns = [tuple(row[j] for row in rows) for j in range(ncols)]
+    assert _eliminated_shapes(columns, len(rows)) == _one_tagged_row_per_column(columns, len(rows))
+
+
+def test_s2xs3_readers_eliminate_one_tagged_row_per_column(monkeypatch):
+    cohomology = importlib.import_module("rht.cohomology")
+    inputs = []
+
+    def recording(columns, m):
+        inputs.append((columns, m))
+        return quotient_transform(columns, m)
+
+    monkeypatch.setattr(cohomology, "quotient_transform", recording)
+    cx = cohomology.complex_for(load_presentation("s2xs3"))
+    for n in range(cx.certified_through + 1):
+        cx.quotient_data(n)
+    assert len(inputs) == cx.certified_through + 1
+    for columns, m in inputs:
+        assert _eliminated_shapes(columns, m) == _one_tagged_row_per_column(columns, m)
+
+
 @settings(max_examples=300, deadline=None)
 @given(dense_systems(), st.booleans())
 def test_echelon_span_matches_fraction_oracle(system, as_ints):
@@ -396,9 +445,11 @@ block_entries = st.integers(-3, 3)
 
 
 @st.composite
-def block_diagonal_systems(draw, max_block_rows=3, max_block_cols=3):
+def block_diagonal_systems(draw, max_block_rows=3, max_block_cols=3, feasible=False):
     """(rows, ncols): 2-4 blocks on disjoint columns, at least one of them
     infeasible, plus up to two zero rows; rows and columns then shuffled.
+    With `feasible`, every block is feasible and up to two all-zero
+    columns are mixed in.
 
     Feasible and infeasible blocks start from rows built around a positive
     kernel vector x.  An infeasible block then gets one more row
@@ -407,9 +458,12 @@ def block_diagonal_systems(draw, max_block_rows=3, max_block_cols=3):
     annihilates (Stiemke), so the witness takes that row and some of the
     r_k.  Random blocks keep their random entries.
     """
-    kinds = draw(st.lists(st.sampled_from(["feasible", "infeasible", "random"]),
-                          min_size=2, max_size=4))
-    kinds[draw(st.integers(0, len(kinds) - 1))] = "infeasible"
+    if feasible:
+        kinds = ["feasible"] * draw(st.integers(2, 4))
+    else:
+        kinds = draw(st.lists(st.sampled_from(["feasible", "infeasible", "random"]),
+                              min_size=2, max_size=4))
+        kinds[draw(st.integers(0, len(kinds) - 1))] = "infeasible"
     blocks = []
     for kind in kinds:
         c = draw(st.integers(2, max_block_cols))
@@ -427,7 +481,7 @@ def block_diagonal_systems(draw, max_block_rows=3, max_block_cols=3):
                 s = [a - l * b for a, b in zip(s, row)]
             block.insert(draw(st.integers(0, len(block))), s)
         blocks.append(block)
-    ncols = sum(len(b[0]) for b in blocks)
+    ncols = sum(len(b[0]) for b in blocks) + (draw(st.integers(0, 2)) if feasible else 0)
     rows, offset = [], 0
     for block in blocks:
         width = len(block[0])
@@ -457,6 +511,18 @@ def test_witness_on_larger_block_systems_matches_whole_matrix_greedy_filter(syst
     res = positive_integer_kernel(m)
     assert not res.feasible
     assert res.witness == greedy_witness(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_diagonal_systems(max_block_rows=4, max_block_cols=4, feasible=True))
+# the points (1/2, 1), (1, 1) and (1) join to (1, 2, 2, 2, 2) once
+# normalised; each normalised on its own would give (1, 2, 1, 1, 1)
+@example(([[2, -1, 0, 0, 0], [0, 0, 1, -1, 0]], 5))
+def test_joined_component_points_match_the_whole_matrix_solution(system):
+    rows, ncols = system
+    res = positive_integer_kernel(_qmatrix(rows, ncols))
+    assert res.feasible
+    assert res.solution == fraction_positive_integer_kernel(rows, ncols)[0]
 
 
 # ------------------------------------------------------- QMatrix row contract

@@ -1,6 +1,7 @@
 """Positive weight detection: solver vs oracle, frozen cases, witnesses."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -210,3 +211,13 @@ def test_witness_search_solves_components_not_the_whole_matrix_per_row(
         "d(i_w): i_p*i_q",
     ]
     assert len(calls) <= 11, calls
+    # each component is solved on its own columns, never the whole matrix,
+    # so which block comes first changes no solve
+    names, rows = rep.system.generator_names, rep.system.rows
+    touched = [g for j, g in enumerate(names) if any(r.coefficients[j] for r in rows)]
+    wider = max(sum(g.startswith(prefix) for g in touched) for _, prefix in blocks)
+    assert all(cols <= wider for _, cols in calls), calls
+    shapes = Counter(calls)
+    calls.clear()
+    find_weights(_join(blocks[::-1] if synthetic_first else blocks))
+    assert Counter(calls) == shapes
