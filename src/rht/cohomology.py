@@ -1,17 +1,17 @@
 """Cohomology of truncated presentations and induced family actions.
 
 Everything is exact.  Each degree n gets its monomial basis, the matrix
-d_n of the differential into degree n + 1, and a reader (reps, T, rows)
-built in one place, `CochainComplex._reader`, on the representatives
-that `complement_basis` picks (`quotient_data`, cached) or on a caller's
+d_n of the differential into degree n + 1, and a reader (reps, T) built
+in one place, `CochainComplex._reader`, on the representatives that
+`complement_basis` picks (`quotient_data`, cached) or on a caller's
 (`quotient_for`): reps are rational cocycles whose classes form a basis
-of the quotient, T has one rational row per representative and reads a
-cocycle's class coordinates, and the integer rows of d_n's echelon span
-all vanish on a vector exactly when it is a cocycle.  Applying T and
-those rows entrywise to vectors with Laurent coefficients gives induced
-actions without ever dividing in the Laurent ring.  Betti numbers need
-no reader: they come from the ranks of the differential alone, and a
-weight split reads one degree at a time.
+of the quotient, and T has one rational row per representative and
+reads a cocycle's class coordinates.  Whether an element is a cocycle
+is decided by the derivation alone: it is one exactly when d of it is
+zero.  Applying T entrywise to vectors with Laurent coefficients gives
+induced actions without ever dividing in the Laurent ring.  Betti
+numbers need no reader: they come from the ranks of the differential
+alone, and a weight split reads one degree at a time.
 
 Degrees at and above the truncation degree are unavailable, not zero:
 asking for them raises DegreeRangeError.
@@ -91,9 +91,10 @@ class CochainComplex:
         return mat
 
     def quotient_data(self, n: int):
-        """The cached reader of degree n (see `_reader`) on the kernel
-        vectors that `complement_basis` picks; with its coboundary columns
-        they are a basis of the cocycles, so the reader always exists."""
+        """The cached reader (reps, T) of degree n (see `_reader`) on the
+        kernel vectors that `complement_basis` picks; with its coboundary
+        columns they are a basis of the cocycles, so the reader always
+        exists."""
         self.check_degree(n)
         if n not in self._quotient:
             vectors, bound = complement_basis(self.d_matrix(n - 1), self.d_matrix(n))
@@ -129,19 +130,18 @@ class CochainComplex:
         return data
 
     def _reader(self, n: int, reps: list[Element], bound: list):
-        """The one builder of a degree-n reader (reps, T, rows), or None when
-        the columns of reps and of the coboundaries in bound are dependent.
+        """The one builder of a degree-n reader (reps, T), or None when the
+        columns of reps and of the coboundaries in bound are dependent.
 
         T has one rational row per representative, with T . rep_j = e_j and
-        T . b = 0 for b in bound, so it reads a cocycle's class coordinates.
-        rows, the integer rows of d_n's echelon span, vanish together
-        exactly on the cocycles, which reps and bound span for both callers.
+        T . b = 0 for b in bound.  For both callers reps and bound span the
+        cocycles, so T reads the class coordinates of every cocycle.
         """
         vectors = [self.element_vector(x, n) for x in reps]
         t_rows = quotient_transform(vectors + bound, len(self.basis(n)))
         if t_rows is None:
             return None
-        return reps, t_rows[: len(reps)], self.d_matrix(n).echelon().integer_rows
+        return reps, t_rows[: len(reps)]
 
     def _element(self, vector, monomials: list) -> Element:
         """The rational element with the given coordinates on the monomials."""
@@ -198,26 +198,23 @@ class CochainComplex:
 
     def class_coordinates(self, x: Element, n: int) -> list:
         """Coordinates of a degree-n cocycle's class in the representative
-        basis.  Raises ToolkitError when the element is not a cocycle in
-        the span the reader certifies.
+        basis.  Raises ToolkitError unless d of the element is zero; an
+        element of another algebra is refused by d itself.
         """
         if not x.is_homogeneous(n):
             raise HomogeneityError(f"element is not homogeneous of degree {n}")
-        return _coordinates(
-            self.quotient_data(n),
-            self.element_vector(x, n),
-            f"element of degree {n} is not a certified cocycle",
+        return self._coordinates(
+            self.quotient_data(n)[1], x, n, f"element of degree {n} is not a certified cocycle"
         )
 
-
-def _coordinates(transform, vec, error: str) -> list:
-    """Class coordinates of vec under a (reps, T, rows) reader, one per row
-    of T; raises ToolkitError with the given message when some row of d_n's
-    echelon span is nonzero on vec, that is, when vec is not a cocycle."""
-    _, t_rows, d_rows = transform
-    if any(_dot(row, vec) for row in d_rows):
-        raise ToolkitError(error)
-    return [_dot(row, vec) for row in t_rows]
+    def _coordinates(self, t_rows: list, x: Element, n: int, error: str) -> list:
+        """Class coordinates of a degree-n element, one per row of a reader's
+        T; raises ToolkitError with the given message unless d of the
+        element is zero, that is, unless it is a cocycle."""
+        if not self.d(x).is_zero():
+            raise ToolkitError(error)
+        vec = self.element_vector(x, n)
+        return [_dot(row, vec) for row in t_rows]
 
 
 def _dot(rational_row, vec):
@@ -391,25 +388,23 @@ def induced_action(
         )
     cx = complex_for(p)
     if representatives is None:
-        transform = cx.quotient_data(n)
+        reps, t_rows = cx.quotient_data(n)
     else:
-        transform = cx.quotient_for(n, representatives)
-    reps = list(transform[0])
-    columns = []
-    for rep in reps:
-        image = fam.apply(rep.with_laurent_scalars())
-        columns.append(
-            _coordinates(
-                transform,
-                cx.element_vector(image, n),
-                f"image in degree {n} is not a certified cocycle",
-            )
+        reps, t_rows = cx.quotient_for(n, representatives)
+    columns = [
+        cx._coordinates(
+            t_rows,
+            fam.apply(rep.with_laurent_scalars()),
+            n,
+            f"image in degree {n} is not a certified cocycle",
         )
+        for rep in reps
+    ]
     return ActionReport(
         presentation_name=p.name,
         degree=n,
         variance="cohomology",
-        basis=reps,
+        basis=list(reps),
         matrix=[list(row) for row in zip(*columns)],
     )
 

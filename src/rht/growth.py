@@ -97,15 +97,13 @@ def _qualifying_ratios(
 def growth_exponent(p: SullivanPresentation, w: WeightAssignment) -> Fraction:
     """Smallest degree/weight ratio over generators within the formal
     dimension: the exponent of the mapping-count lower bound."""
-    _, ratios = _qualifying_ratios(p, w)
-    return min(r.degree_over_weight for r in ratios)
+    return growth_report(p, w).growth_exponent
 
 
 def dil_exponent(p: SullivanPresentation, w: WeightAssignment) -> Fraction:
     """Largest weight/degree ratio over the same generators: the scaling
     exponent of the family's dilation as the parameter grows."""
-    _, ratios = _qualifying_ratios(p, w)
-    return max(r.weight_over_degree for r in ratios)
+    return growth_report(p, w).dil_exponent
 
 
 def growth_report(p: SullivanPresentation, w: WeightAssignment) -> GrowthReport:

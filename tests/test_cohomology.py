@@ -27,8 +27,14 @@ from rht.cohomology import (
     weight_decomposition,
 )
 from rht.corpus import entries, load_corpus_family, load_presentation, load_table
-from rht.errors import DegreeRangeError, FamilyError, HomogeneityError, ToolkitError
-from rht.families import diagonal_family
+from rht.errors import (
+    AmbientMismatchError,
+    DegreeRangeError,
+    FamilyError,
+    HomogeneityError,
+    ToolkitError,
+)
+from rht.families import OneParameterFamily, diagonal_family
 from rht.formal import build_formal_model
 from rht.qlinalg import _echelon, independent_columns
 from rht.scalars import Laurent
@@ -91,6 +97,13 @@ def test_class_coordinates_reject_non_cocycle():
         cx.class_coordinates(p.algebra.gen("y"), 3)
 
 
+def test_class_coordinates_refuse_an_element_of_another_algebra():
+    # cp2's x has the same monomial tuple as s2xs3's x; d refuses it
+    cx = complex_for(load_presentation("s2xs3"))
+    with pytest.raises(AmbientMismatchError):
+        cx.class_coordinates(load_presentation("cp2").algebra.gen("x"), 2)
+
+
 @functools.cache
 def _cocycle_cases():
     """Per corpus model and certified degree: the complex, the degree, the
@@ -108,11 +121,11 @@ def _cocycle_cases():
 
 
 def _check_cocycle_refusal(cx, n, k_rows, v):
-    """The rows of d_n's span and the oracle's K rows vanish on v together,
-    and class_coordinates accepts v, with rational or Laurent scalars,
-    exactly then."""
+    """The rows of d_n and the oracle's K rows vanish on v together, and
+    class_coordinates accepts v, with rational or Laurent scalars, exactly
+    then."""
     cocycle = not any(
-        sum(a * b for a, b in zip(row, v)) for row in cx.d_matrix(n).echelon().integer_rows
+        sum(a * b for a, b in zip(row, v)) for row in cx.d_matrix(n).dense_rows()
     )
     assert cocycle == (not any(sum(a * b for a, b in zip(row, v)) for row in k_rows))
     x = Element(cx.algebra, RATIONAL, {m: c for m, c in zip(cx.basis(n), v) if c})
@@ -327,13 +340,31 @@ def test_custom_cocycle_representative_reads_its_action():
     assert act.matrix == [[Laurent.t(1)]]
 
 
+def test_action_refuses_an_image_that_is_not_a_cocycle():
+    # u -> t u + t y sends the class of u to an element with d = t x^2;
+    # the family is not a chain map, so its verification is stubbed out
+    p = load_presentation("s2xs3")
+    alg = p.algebra
+    t = Laurent.t(1)
+    images = {g.gid: alg.gen(g.gid).with_laurent_scalars() for g in p.generators}
+    images[alg.by_name["u"].gid] = (alg.gen("u") + alg.gen("y")).with_laurent_scalars().scale(t)
+    fam = OneParameterFamily(p, images)
+    fam._verified = []
+    image = fam.apply(alg.gen("u").with_laurent_scalars())
+    assert p.d(image) == (alg.gen("x") * alg.gen("x")).with_laurent_scalars().scale(t)
+    for reps in (None, [alg.gen("u")]):
+        with pytest.raises(ToolkitError, match="image in degree 3 is not a certified cocycle"):
+            induced_action(p, fam, 3, representatives=reps)
+
+
 def test_default_action_runs_the_same_eliminations(monkeypatch):
     # each d-matrix keeps the one elimination of its rows, which serves
-    # its kernel, its independent columns and the reader's cocycle test,
-    # and each degree's reader adds one elimination of [reps | bound | I]:
-    # the nine d-matrices of s2xs3 (degrees -1 to 7) and its eight readers
-    # make 17.  Eliminating d_(n-1) and d_n afresh in every degree made 24.
-    # A second pass hits the caches.
+    # its kernel and its independent columns, and each degree's reader
+    # adds one elimination of its tagged rows; the reader does not use
+    # d_n's span, since d itself tests the cocycles.  The nine d-matrices
+    # of s2xs3 (degrees -1 to 7) and its eight readers make 17.
+    # Eliminating d_(n-1) and d_n afresh in every degree made 24.  A
+    # second pass hits the caches.
     module = importlib.import_module("rht.qlinalg")
     calls = []
     echelon = module._echelon
