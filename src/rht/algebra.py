@@ -8,14 +8,16 @@ exponent.  Reordering a word picks up the Koszul sign, minus one for every
 transposition of two odd factors; a repeated odd generator kills the word.
 
 Elements carry one of two scalar kinds, plain rationals or Laurent scalars
-in (t, s).  The kinds share the representation but never mix in `Element`
+in t.  The kinds share the representation but never mix in `Element`
 arithmetic; rational elements embed into Laurent ones explicitly via
-`with_laurent_scalars`.  Derivations and algebra maps are defined on
-generators and extended: a derivation by the graded Leibniz rule, an
-algebra map multiplicatively.  A map's kind comes from its images: it is
-Laurent when some image is, and then it widens its argument; otherwise it
-is rational, and a rational map or derivation keeps the kind of its
-argument, multiplying each coefficient by the rational image of its
+`with_laurent_scalars`.  A coefficient is a `Fraction` or a `Laurent` by
+kind, and never zero: `Element(...)` enforces it, arithmetic keeps it and
+builds its results with `Element._trusted`.  Derivations and algebra maps
+are defined on generators and extended: a derivation by the graded Leibniz
+rule, an algebra map multiplicatively.  A map's kind comes from its
+images: it is Laurent when some image is, and then it widens its argument;
+otherwise it is rational, and a rational map or derivation keeps the kind
+of its argument, multiplying each coefficient by the rational image of its
 monomial.
 """
 
@@ -238,6 +240,13 @@ class Element:
         self.kind = kind
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, algebra: FreeGCA, kind: str, terms: dict[Monomial, object]) -> "Element":
+        """Wrap terms that already keep the class invariant."""
+        out = object.__new__(cls)
+        out.algebra, out.kind, out.terms = algebra, kind, terms
+        return out
+
     # ---- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -263,20 +272,27 @@ class Element:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            acc = terms.get(m)
-            terms[m] = c if acc is None else acc + c
-        return Element(self.algebra, self.kind, terms)
+            c = terms[m] + c if m in terms else c
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+        return Element._trusted(self.algebra, self.kind, terms)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, self.kind, {m: -c for m, c in self.terms.items()})
+        return Element._trusted(self.algebra, self.kind, {m: -c for m, c in self.terms.items()})
 
     def scale(self, scalar) -> "Element":
-        if self.kind == RATIONAL and isinstance(scalar, Laurent):
-            raise ScalarKindError("Laurent scalar on rational element")
-        return Element(self.algebra, self.kind, {m: c * scalar for m, c in self.terms.items()})
+        if self.kind == RATIONAL:
+            if isinstance(scalar, Laurent):
+                raise ScalarKindError("Laurent scalar on rational element")
+            scalar = Fraction(scalar)
+        terms = {m: c * scalar for m, c in self.terms.items()}
+        # no product of two nonzero scalars is zero, in either kind
+        return Element._trusted(self.algebra, self.kind, terms if scalar else {})
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
@@ -293,7 +309,7 @@ class Element:
                     c = -c
                 acc = terms.get(m)
                 terms[m] = c if acc is None else acc + c
-        return Element(alg, self.kind, terms)
+        return Element._trusted(alg, self.kind, {m: c for m, c in terms.items() if c})
 
     def power(self, n: int) -> "Element":
         if n < 0:
@@ -319,7 +335,7 @@ class Element:
 
     def eval_t(self, value: Fraction) -> "Element":
         """Substitute a rational for t in every coefficient, landing in the
-        rational kind.  Errors if any coefficient still involves s."""
+        rational kind."""
         if self.kind == RATIONAL:
             return self
         terms = {}
@@ -327,9 +343,6 @@ class Element:
             ev = c.eval_t(value)
             terms[m] = ev.as_rational()
         return Element(self.algebra, RATIONAL, terms)
-
-    def map_scalars(self, fn: Callable) -> "Element":
-        return Element(self.algebra, self.kind, {m: fn(c) for m, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -395,7 +408,7 @@ def _linear_extension(
             for mono, coeff in of_monomial(m).terms.items():
                 acc = terms.get(mono)
                 terms[mono] = c * coeff if acc is None else acc + c * coeff
-        return Element(algebra, x.kind, terms)
+        return Element._trusted(algebra, x.kind, {m: c for m, c in terms.items() if c})
 
     return apply
 

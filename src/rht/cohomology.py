@@ -386,20 +386,26 @@ def induced_action(
         raise FamilyError(
             "family fails verification: " + "; ".join(str(v) for v in problems)
         )
-    cx = complex_for(p)
-    if representatives is None:
-        reps, t_rows = cx.quotient_data(n)
+    # the family keeps its action on the default representatives, not others
+    if representatives is None and n in fam._actions:
+        reps, columns = fam._actions[n]
     else:
-        reps, t_rows = cx.quotient_for(n, representatives)
-    columns = [
-        cx._coordinates(
-            t_rows,
-            fam.apply(rep.with_laurent_scalars()),
-            n,
-            f"image in degree {n} is not a certified cocycle",
-        )
-        for rep in reps
-    ]
+        cx = complex_for(p)
+        if representatives is None:
+            reps, t_rows = cx.quotient_data(n)
+        else:
+            reps, t_rows = cx.quotient_for(n, representatives)
+        columns = [
+            cx._coordinates(
+                t_rows,
+                fam.apply(rep.with_laurent_scalars()),
+                n,
+                f"image in degree {n} is not a certified cocycle",
+            )
+            for rep in reps
+        ]
+        if representatives is None:
+            fam._actions[n] = reps, columns
     return ActionReport(
         presentation_name=p.name,
         degree=n,
@@ -485,7 +491,7 @@ def diagonalization_certificate(action: ActionReport) -> DiagonalizationCertific
     The candidate multiset comes from the trace; the matrix must then be
     annihilated by the squarefree product of (M - t^w I) over distinct
     candidates.  Nothing more is needed: if tr M = sum m_w t^w and that
-    product is 0, M is diagonalisable over Q(t, s) with eigenvalues among
+    product is 0, M is diagonalisable over Q(t) with eigenvalues among
     the t^w.  Distinct t^w are Q-linearly independent, so the trace fixes
     each multiplicity at m_w, and the characteristic polynomial is
     prod (X - t^w)^(m_w).
@@ -497,9 +503,7 @@ def diagonalization_certificate(action: ActionReport) -> DiagonalizationCertific
     tr = _trace(m)
     candidate: dict[int, int] = {}
     total = 0
-    for (pt, ps), coeff in tr.items():
-        if ps != 0:
-            return DiagonalizationCertificate(False, None, "trace uses s")
+    for pt, coeff in tr.items():
         if coeff.denominator != 1 or coeff <= 0:
             return DiagonalizationCertificate(
                 False, None, f"trace coefficient {coeff} at t^{pt} is not a positive integer"

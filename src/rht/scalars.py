@@ -1,13 +1,10 @@
-"""Laurent-polynomial scalars in the family parameter t and a reserve
-variable s.
+"""Laurent-polynomial scalars in the family parameter t.
 
 A one-parameter rescaling family has images with coefficients in Q[t, 1/t].
-The second variable s exists for exactly one purpose: composing a family
-with an independent copy of itself to check the group law symbolically.
-Scalars are dicts (t-power, s-power) -> coefficient.  A coefficient is an
-`int` when it is integral and a `Fraction` otherwise, and zeros are never
-stored, so equality is structural.  Floats and bools are refused: every
-scalar is exact.
+Scalars are dicts t-power -> coefficient.  A coefficient is an `int` when
+it is integral and a `Fraction` otherwise, and zeros are never stored, so
+equality is structural.  Floats and bools are refused: every scalar is
+exact.
 
 `_coefficient` is the one normaliser.  The public constructor runs it on
 every term; the results of arithmetic go through `Laurent._trusted`, which
@@ -42,11 +39,11 @@ def _collect(acc: dict) -> "Laurent":
 
 
 class Laurent:
-    """Bivariate Laurent polynomial over the rationals, in t and s."""
+    """Laurent polynomial in t over the rationals."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
+    def __init__(self, terms: dict[int, Fraction] | None = None):
         clean = {}
         if terms:
             for k, v in terms.items():
@@ -70,19 +67,15 @@ class Laurent:
 
     @classmethod
     def one(cls) -> "Laurent":
-        return cls({(0, 0): 1})
+        return cls({0: 1})
 
     @classmethod
     def from_rational(cls, q) -> "Laurent":
-        return cls({(0, 0): q})
+        return cls({0: q})
 
     @classmethod
     def t(cls, power: int = 1) -> "Laurent":
-        return cls({(power, 0): 1})
-
-    @classmethod
-    def s(cls, power: int = 1) -> "Laurent":
-        return cls({(0, power): 1})
+        return cls({power: 1})
 
     @classmethod
     def sum_of_products(cls, pairs) -> "Laurent":
@@ -93,9 +86,9 @@ class Laurent:
         for a, b in pairs:
             ta = a._terms if type(a) is Laurent else _terms_of(a)
             tb = b._terms if type(b) is Laurent else _terms_of(b)
-            for (pt1, ps1), c1 in ta.items():
-                for (pt2, ps2), c2 in tb.items():
-                    k = (pt1 + pt2, ps1 + ps2)
+            for k1, c1 in ta.items():
+                for k2, c2 in tb.items():
+                    k = k1 + k2
                     acc[k] = get(k, 0) + c1 * c2
         return _collect(acc)
 
@@ -117,7 +110,7 @@ class Laurent:
         return hash(frozenset(self._terms.items()))
 
     def is_rational(self) -> bool:
-        return all(k == (0, 0) for k in self._terms)
+        return all(k == 0 for k in self._terms)
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -125,20 +118,15 @@ class Laurent:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a constant: {self}")
-        return Fraction(self._terms.get((0, 0), 0))
-
-    def uses_s(self) -> bool:
-        return any(ps for _, ps in self._terms)
+        return Fraction(self._terms.get(0, 0))
 
     def monomial_t_power(self) -> int | None:
         """The exponent w when self is exactly one term c*t^w with c = 1;
         otherwise None."""
         if len(self._terms) != 1:
             return None
-        ((pt, ps), c), = self._terms.items()
-        if ps == 0 and c == 1:
-            return pt
-        return None
+        (k, c), = self._terms.items()
+        return k if c == 1 else None
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -181,8 +169,8 @@ class Laurent:
         if n < 0:
             if len(self._terms) != 1:
                 raise ValueError("negative powers only of single terms")
-            ((pt, ps), c), = self._terms.items()
-            return Laurent._trusted({(pt * n, ps * n): _coefficient(Fraction(1) / c ** (-n))})
+            (k, c), = self._terms.items()
+            return Laurent._trusted({k * n: _coefficient(Fraction(1) / c ** (-n))})
         out = Laurent.one()
         base = self
         k = n
@@ -193,30 +181,12 @@ class Laurent:
             k >>= 1
         return out
 
-    # ---- substitutions ------------------------------------------------
-
-    def subs_t_with_s(self) -> "Laurent":
-        """Rename the parameter: t^a s^b -> s^(a+b).  Defined for t-only scalars."""
-        acc: dict = {}
-        for (pt, ps), c in self._terms.items():
-            k = (0, pt + ps)
-            acc[k] = acc.get(k, 0) + c
-        return _collect(acc)
-
-    def subs_t_with_st(self) -> "Laurent":
-        """Substitute t -> s*t, the group-law comparison target."""
-        return Laurent._trusted({(pt, ps + pt): c for (pt, ps), c in self._terms.items()})
-
     def eval_t(self, value: Fraction) -> "Laurent":
-        """Substitute a rational value for t; s survives."""
+        """Substitute a rational value for t: a constant Laurent."""
         value = Fraction(_coefficient(value))
-        acc: dict = {}
-        for (pt, ps), c in self._terms.items():
-            if pt < 0 and value == 0:
-                raise ZeroDivisionError("t^-1 at t = 0")
-            k = (0, ps)
-            acc[k] = acc.get(k, 0) + c * value**pt
-        return _collect(acc)
+        if value == 0 and any(k < 0 for k in self._terms):
+            raise ZeroDivisionError("t^-1 at t = 0")
+        return _collect({0: sum(c * value**k for k, c in self._terms.items())})
 
     # ---- text form ----------------------------------------------------
 
@@ -224,18 +194,12 @@ class Laurent:
         if not self._terms:
             return "0"
         parts = []
-        for (pt, ps), c in sorted(self._terms.items(), reverse=True):
-            vars_part = []
-            if pt:
-                vars_part.append("t" if pt == 1 else f"t^{pt}")
-            if ps:
-                vars_part.append("s" if ps == 1 else f"s^{ps}")
-            if not vars_part:
+        for k, c in sorted(self._terms.items(), reverse=True):
+            if not k:
                 body = format_rational(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(vars_part)
             else:
-                body = "*".join([format_rational(abs(c))] + vars_part)
+                power = "t" if k == 1 else f"t^{k}"
+                body = power if abs(c) == 1 else f"{format_rational(abs(c))}*{power}"
             sign = "-" if c < 0 else "+"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
@@ -248,7 +212,7 @@ class Laurent:
 
     @classmethod
     def parse(cls, text: str, path: str = "") -> "Laurent":
-        """Parse the canonical form, e.g. "1/2*t^2 - t" or "t^-1*s + 3"."""
+        """Parse the canonical form, e.g. "1/2*t^2 - t" or "t^-1 + 3"."""
         src = text.strip()
         if not src:
             raise SchemaError("empty scalar literal", path)
@@ -272,40 +236,35 @@ class Laurent:
             i += 1
         if "".join(buf).strip():
             chunks.append((sign, "".join(buf).strip()))
-        terms: dict[tuple[int, int], Fraction] = {}
+        terms: dict[int, Fraction] = {}
         for sgn, chunk in chunks:
-            coeff, powers = _parse_term(chunk, path)
-            k = powers
+            coeff, k = _parse_term(chunk, path)
             terms[k] = terms.get(k, Fraction(0)) + sgn * coeff
         return cls(terms)
 
 
-def _parse_term(chunk: str, path: str) -> tuple[Fraction, tuple[int, int]]:
+def _parse_term(chunk: str, path: str) -> tuple[Fraction, int]:
     factors = chunk.split("*")
     coeff = Fraction(1)
-    pt = ps = 0
+    power = 0
     saw_var = False
     saw_coeff = False
     for f in factors:
         f = f.strip()
         if not f:
             raise SchemaError(f"malformed scalar term {chunk!r}", path)
-        if f[0] in "ts":
-            m = re.fullmatch(r"([ts])(?:\^(-?\d+))?", f)
+        if f[0] == "t":
+            m = re.fullmatch(r"t(?:\^(-?\d+))?", f)
             if not m:
                 raise SchemaError(f"malformed scalar term {chunk!r}", path)
-            exp = int(m.group(2)) if m.group(2) else 1
-            if m.group(1) == "t":
-                pt += exp
-            else:
-                ps += exp
+            power += int(m.group(1)) if m.group(1) else 1
             saw_var = True
         else:
             if saw_coeff or saw_var:
                 raise SchemaError(f"malformed scalar term {chunk!r}", path)
             coeff = parse_rational(f, path)
             saw_coeff = True
-    return coeff, (pt, ps)
+    return coeff, power
 
 
 def _terms_of(value) -> dict:

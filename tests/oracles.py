@@ -502,7 +502,8 @@ def greedy_witness(m):
 # The all-`Fraction` Laurent arithmetic `rht.scalars` used before its
 # integer coefficients and fused sums: every coefficient rebuilt with
 # `Fraction(v)` and every partial sum its own object.  `terms` is a dict
-# (t-power, s-power) -> nonzero Fraction.
+# (t-power, s-power) -> nonzero Fraction; the second variable s serves the
+# two-variable group-law reference below.
 
 
 class FractionLaurent:
@@ -583,9 +584,7 @@ def fraction_diagonalization_certificate(m):
     for i in range(n):
         trace = trace + m[i][i]
     candidate = {}
-    for (pt, ps), c in sorted(trace.terms.items()):
-        if ps != 0:
-            return False, None, "trace uses s"
+    for (pt, _), c in sorted(trace.terms.items()):
         if c.denominator != 1 or c <= 0:
             return False, None, f"trace coefficient {c} at t^{pt} is not a positive integer"
         candidate[pt] = int(c)
@@ -599,3 +598,65 @@ def fraction_diagonalization_certificate(m):
     if any(c.terms for row in product for c in row):
         return False, None, "matrix is not annihilated by its candidate eigenvalues"
     return True, candidate, ""
+
+
+# ------------------------------------------- two-variable group-law reference
+#
+# The group-law check `rht.families` made before it compared t-coefficients:
+# compose the family at s with the family at t and compare with the family
+# at s*t, word by word.  An element here is a dict word -> FractionLaurent.
+
+
+def element_words(x, degrees):
+    """A package element with Laurent coefficients as a dict word ->
+    FractionLaurent.  Each monomial is expanded into its factors in the
+    package's order and sorted into an oracle word with its Koszul sign;
+    each coefficient is read through its sorted (t-power, value) items."""
+    out = {}
+    for mono, c in x.terms.items():
+        sign, word = sort_word([g for g, e in mono for _ in range(e)], degrees)
+        value = FractionLaurent({(k, 0): sign * Fraction(v) for k, v in c.items()})
+        out[word] = out.get(word, FractionLaurent()) + value
+    return {w: c for w, c in out.items() if c.terms}
+
+
+def word_algebra_map(images, degrees):
+    """The algebra map sending generator g to images[g]: a word, the
+    product of its letters in order, goes to the product of their images."""
+
+    def apply(x):
+        out = {}
+        for word, c in x.items():
+            acc = {(): c}
+            for g in word:
+                step = {}
+                for w1, c1 in acc.items():
+                    for w2, c2 in images[g].items():
+                        sign, w = multiply_words(w1, w2, degrees)
+                        if sign:
+                            term = c1 * c2 * FractionLaurent({(0, 0): sign})
+                            step[w] = step.get(w, FractionLaurent()) + term
+                acc = step
+            for w, v in acc.items():
+                out[w] = out.get(w, FractionLaurent()) + v
+        return {w: v for w, v in out.items() if v.terms}
+
+    return apply
+
+
+def oracle_group_law(p, images):
+    """Names of the generators g, in presentation order, where (family at
+    s)((family at t)(g)) differs from (family at s*t)(g).  `images` maps
+    generator ids to the family's images, elements with Laurent
+    coefficients in t."""
+    degrees = {g.gid: g.degree for g in p.generators}
+    at_t = {gid: element_words(img, degrees) for gid, img in images.items()}
+    at_s = {
+        gid: {w: c.subs_t_with_s() for w, c in words.items()} for gid, words in at_t.items()
+    }
+    apply_s = word_algebra_map(at_s, degrees)
+    return [
+        g.name
+        for g in p.generators
+        if apply_s(at_t[g.gid]) != {w: c.subs_t_with_st() for w, c in at_t[g.gid].items()}
+    ]

@@ -54,7 +54,7 @@ def conjugated(draw, jordan: bool):
 def _laurent(entry) -> Laurent:
     terms = {}
     for (power,), coeff in sympy.Poly(entry * T**-LOWEST, T).terms():
-        terms[(power + LOWEST, 0)] = Fraction(int(coeff.p), int(coeff.q))
+        terms[power + LOWEST] = Fraction(int(coeff.p), int(coeff.q))
     return Laurent(terms)
 
 

@@ -1,4 +1,4 @@
-"""Bivariate Laurent scalars: ring laws, substitutions, canonical strings."""
+"""Laurent scalars in t: ring laws, evaluation, canonical strings."""
 
 from fractions import Fraction
 
@@ -18,13 +18,11 @@ coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
 
 
 @st.composite
-def laurents(draw, allow_s=True):
+def laurents(draw):
     n = draw(st.integers(0, 3))
     terms = {}
     for _ in range(n):
-        i = draw(st.integers(-3, 3))
-        j = draw(st.integers(-2, 2)) if allow_s else 0
-        terms[(i, j)] = draw(coeffs)
+        terms[draw(st.integers(-3, 3))] = draw(coeffs)
     return Laurent(terms)
 
 
@@ -40,26 +38,11 @@ def test_ring_laws(a, b, c):
     assert a - a == Laurent.zero()
 
 
-@given(laurents(allow_s=False), st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool))
+@given(laurents(), st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool))
 def test_eval_t_is_a_ring_map(a, q):
     b = Laurent.t(2) - Laurent.from_rational(Fraction(1, 2))
     assert (a * b).eval_t(q) == a.eval_t(q) * b.eval_t(q)
     assert (a + b).eval_t(q) == a.eval_t(q) + b.eval_t(q)
-
-
-@given(laurents(allow_s=False))
-def test_substitutions_are_ring_maps(a):
-    b = Laurent.t(1) + Laurent.one()
-    for sub in (Laurent.subs_t_with_s, Laurent.subs_t_with_st):
-        assert sub(a * b) == sub(a) * sub(b)
-        assert sub(a + b) == sub(a) + sub(b)
-
-
-def test_substitution_on_atoms():
-    t = Laurent.t(3)
-    assert t.subs_t_with_s() == Laurent.s(3)
-    assert t.subs_t_with_st() == Laurent.s(3) * Laurent.t(3)
-    assert Laurent.t(-2).subs_t_with_st() == Laurent.s(-2) * Laurent.t(-2)
 
 
 @given(laurents())
@@ -68,17 +51,16 @@ def test_parse_of_str_round_trips(a):
 
 
 def test_canonical_string_examples():
-    x = Laurent({(2, 0): Fraction(1, 2), (1, 0): Fraction(-1)})
+    x = Laurent({2: Fraction(1, 2), 1: Fraction(-1)})
     assert str(x) == "1/2*t^2 - t"
     assert str(Laurent.zero()) == "0"
     assert str(Laurent.one()) == "1"
     assert str(Laurent.t(-1)) == "t^-1"
-    assert str(Laurent.t() * Laurent.s()) == "t*s"
+    assert str(Laurent({0: -1, -2: 3})) == "-1 + 3*t^-2"
 
 
 def test_t_power_zero_is_one():
     assert Laurent.t(0) == Laurent.one()
-    assert Laurent.s(0) == Laurent.one()
 
 
 def test_monomial_t_power():
@@ -92,11 +74,6 @@ def test_as_rational_rejects_t_terms():
     with pytest.raises(Exception):
         Laurent.t(1).as_rational()
     assert Laurent.from_rational(Fraction(7, 3)).as_rational() == Fraction(7, 3)
-
-
-def test_eval_t_keeps_s_alone():
-    a = Laurent.t(2) * Laurent.s(1)
-    assert a.eval_t(Fraction(3)) == Laurent.s(1) * Laurent.from_rational(Fraction(9))
 
 
 def test_parse_rejects_garbage():
@@ -114,21 +91,23 @@ def test_integer_powers_agree_with_repeated_product(a, n):
 
 
 # ------------------------------------------ against the Fraction oracle
+#
+# The oracle keeps (t-power, s-power) keys; a Laurent in t alone is its
+# s-power 0 part.
 
 term_dicts = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+    st.integers(-3, 3),
     st.fractions(min_value=-4, max_value=4, max_denominator=3),
     max_size=4,
 )
-t_term_dicts = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.just(0)),
-    st.fractions(min_value=-4, max_value=4, max_denominator=3),
-    max_size=4,
-)
+
+
+def _reference(terms) -> FractionLaurent:
+    return FractionLaurent({(k, 0): c for k, c in terms.items()})
 
 
 def _pair(terms):
-    return Laurent(terms), FractionLaurent(terms)
+    return Laurent(terms), _reference(terms)
 
 
 def _agrees(x: Laurent, ref: FractionLaurent) -> bool:
@@ -139,7 +118,7 @@ def _agrees(x: Laurent, ref: FractionLaurent) -> bool:
         c and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
         for _, c in items
     )
-    return canonical and dict(items) == ref.terms
+    return canonical and {(k, 0): c for k, c in items} == ref.terms
 
 
 @given(term_dicts, term_dicts)
@@ -160,7 +139,7 @@ def test_nonnegative_powers_match_fraction_oracle(terms, n):
 
 
 @given(
-    st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+    st.integers(-3, 3),
     st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
     st.integers(-4, -1),
 )
@@ -173,9 +152,6 @@ def test_negative_powers_match_fraction_oracle(key, coeff, n):
 @given(term_dicts, st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
 def test_substitutions_match_fraction_oracle(terms, q):
     a, ra = _pair(terms)
-    t_only, rt_only = _pair({(pt, 0): c for (pt, _), c in terms.items()})
-    assert _agrees(t_only.subs_t_with_s(), rt_only.subs_t_with_s())
-    assert _agrees(a.subs_t_with_st(), ra.subs_t_with_st())
     assert _agrees(a.eval_t(q), ra.eval_t(q))
     assert _agrees(a.eval_t(q.numerator), ra.eval_t(q.numerator))
 
@@ -184,7 +160,7 @@ def test_substitutions_match_fraction_oracle(terms, q):
 def test_equal_values_hash_equal_however_the_coefficient_was_given(terms):
     a = Laurent(terms)
     integral = {k: v.numerator for k, v in terms.items() if v.denominator == 1}
-    halves = Laurent({(0, 0): Fraction(1, 2)})
+    halves = Laurent({0: Fraction(1, 2)})
     for x, y in (
         (Laurent(integral), Laurent({k: Fraction(v) for k, v in integral.items()})),
         (a * Fraction(3, 2) * Fraction(2, 3), a),
@@ -205,9 +181,9 @@ def test_as_rational_returns_a_fraction(q):
 def test_floats_and_bools_are_refused():
     for bad in (0.1, 0.5, 1.0, True, False):
         with pytest.raises(TypeError):
-            Laurent({(0, 0): bad})
+            Laurent({0: bad})
         with pytest.raises(TypeError):
-            Laurent({(1, 0): bad})
+            Laurent({1: bad})
         with pytest.raises(TypeError):
             Laurent.from_rational(bad)
     with pytest.raises(TypeError):
@@ -223,12 +199,12 @@ def test_floats_and_bools_are_refused():
 
 
 def test_cancellation_stores_no_zero_term():
-    t, s = Laurent.t(), Laurent.s()
+    t, u = Laurent.t(), Laurent.t(-2) + 3
     for x, count in (
         ((t + 1) * (t - 1), 2),
         ((t - Fraction(1, 2)) * (t + Fraction(1, 2)), 2),
         ((t - 1).eval_t(1), 0),
-        (Laurent.sum_of_products([(t, s), (-s, t)]), 0),
+        (Laurent.sum_of_products([(t, u), (-u, t)]), 0),
         (_mat_mul([[t, 1], [1, t]], [[t, -1], [-1, t]])[0][1], 0),
     ):
         assert x.term_count() == count and all(c for _, c in x.items())
@@ -247,7 +223,7 @@ def _laurents(rows):
 
 
 def _oracle(rows):
-    return [[FractionLaurent(t) for t in row] for row in rows]
+    return [[_reference(t) for t in row] for row in rows]
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,8 +243,7 @@ def certificate_cases(draw):
     kind = draw(st.sampled_from(["random", "diagonal", "jordan"]))
     n = draw(st.integers(2 if kind == "jordan" else 0, 4))
     if kind == "random":
-        entries = term_dicts if draw(st.booleans()) else t_term_dicts
-        return [[draw(entries) for _ in range(n)] for _ in range(n)]
+        return [[draw(term_dicts) for _ in range(n)] for _ in range(n)]
     ws = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
     if kind == "jordan":
         ws[1] = ws[0]
@@ -292,7 +267,7 @@ def certificate_cases(draw):
         power = fraction_mat_mul(power, neg_nil)
         inverse = [[x + y for x, y in zip(r, s)] for r, s in zip(inverse, power)]
     m = fraction_mat_mul(fraction_mat_mul(u, core), inverse)
-    return [[dict(x.terms) for x in row] for row in m]
+    return [[{pt: c for (pt, _), c in x.terms.items()} for x in row] for row in m]
 
 
 @settings(max_examples=80, deadline=None)
