@@ -383,7 +383,11 @@ def _identity_doc(p):
 @pytest.mark.parametrize(
     "kind,edit,message",
     [
-        ("family", lambda d: d["x"][0].update(coeff="s*t"), "x[0].coeff: not an exact rational: 's'"),
+        # Named by its input: by message alone it reads like the '1.5' case.
+        pytest.param(
+            "family", lambda d: d["x"][0].update(coeff="s*t"), "x[0].coeff: not an exact rational: 's'",
+            id="family-s*t-x[0].coeff: not an exact rational: 's'",
+        ),
         ("automorphism", lambda d: d["x"][0].update(coeff="s"), "x[0].coeff: not an exact rational: 's'"),
         ("automorphism", lambda d: d["x"][0].update(coeff="t"), "x[0].coeff: automorphism coefficients must be rational"),
         ("family", lambda d: d["x"][0].update(coeff="1.5"), "x[0].coeff: not an exact rational: '1.5'"),
