@@ -11,8 +11,8 @@ Elements carry one of two scalar kinds, plain rationals or Laurent scalars
 in t.  The kinds share the representation but never mix in `Element`
 arithmetic; rational elements embed into Laurent ones explicitly via
 `with_laurent_scalars`.  A coefficient is a `Fraction` or a `Laurent` by
-kind, and never zero: `Element(...)` enforces it, arithmetic keeps it and
-builds its results with `Element._trusted`.  Derivations and algebra maps
+kind, never zero: `Element(...)` enforces it and refuses floats and bools,
+arithmetic keeps it and builds its results with `Element._trusted`.  Maps
 are defined on generators and extended: a derivation by the graded Leibniz
 rule, an algebra map multiplicatively.  A map's kind comes from its
 images: it is Laurent when some image is, and then it widens its argument;
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import AmbientMismatchError, HomogeneityError, ScalarKindError
-from .scalars import Laurent
+from .scalars import Laurent, exact_rational
 
 RATIONAL = "rational"
 LAURENT = "laurent"
@@ -230,7 +230,7 @@ class Element:
             if kind == RATIONAL:
                 if isinstance(c, Laurent):
                     raise ScalarKindError("Laurent scalar in rational element")
-                c = Fraction(c)
+                c = exact_rational(c)
             else:
                 if not isinstance(c, Laurent):
                     c = Laurent.from_rational(c)
@@ -289,7 +289,7 @@ class Element:
         if self.kind == RATIONAL:
             if isinstance(scalar, Laurent):
                 raise ScalarKindError("Laurent scalar on rational element")
-            scalar = Fraction(scalar)
+            scalar = exact_rational(scalar)
         terms = {m: c * scalar for m, c in self.terms.items()}
         # no product of two nonzero scalars is zero, in either kind
         return Element._trusted(self.algebra, self.kind, terms if scalar else {})

@@ -1,17 +1,17 @@
 """Cohomology of truncated presentations and induced family actions.
 
 Everything is exact.  Each degree n gets its monomial basis, the matrix
-d_n of the differential into degree n + 1, and a reader (reps, T) built
-in one place, `CochainComplex._reader`, on the representatives that
-`complement_basis` picks (`quotient_data`, cached) or on a caller's
-(`quotient_for`): reps are rational cocycles whose classes form a basis
-of the quotient, and T has one rational row per representative and
-reads a cocycle's class coordinates.  Whether an element is a cocycle
-is decided by the derivation alone: it is one exactly when d of it is
-zero.  Applying T entrywise to vectors with Laurent coefficients gives
-induced actions without ever dividing in the Laurent ring.  Betti
-numbers need no reader: they come from the ranks of the differential
-alone, and a weight split reads one degree at a time.
+d_n of the differential into degree n + 1, its default representatives
+(the kernel vectors that `complement_basis` picks: rational cocycles
+whose classes form a basis of H^n), and a reader (reps, T) built in one
+place, `CochainComplex._reader`, on those (`quotient_data`, on first use)
+or on a caller's (`quotient_for`): T has one rational row per
+representative and reads a cocycle's class coordinates.  Whether an
+element is a cocycle is decided by the derivation alone: it is one
+exactly when d of it is zero.  Applying T entrywise to vectors with
+Laurent coefficients gives induced actions without ever dividing in the
+Laurent ring.  Betti numbers need no reader, as they come from ranks,
+and neither does a weight split: it groups the default representatives.
 
 Degrees at and above the truncation degree are unavailable, not zero:
 asking for them raises DegreeRangeError.
@@ -47,6 +47,7 @@ class CochainComplex:
         self._basis: dict[int, list] = {}
         self._index: dict[int, dict] = {}
         self._dmat: dict[int, QMatrix] = {}
+        self._reps: dict[int, list[Element]] = {}
         self._quotient: dict[int, tuple] = {}
 
     @property
@@ -90,16 +91,21 @@ class CochainComplex:
         self._dmat[n] = mat
         return mat
 
-    def quotient_data(self, n: int):
-        """The cached reader (reps, T) of degree n (see `_reader`) on the
-        kernel vectors that `complement_basis` picks; with its coboundary
-        columns they are a basis of the cocycles, so the reader always
-        exists."""
+    def representatives(self, n: int) -> list[Element]:
+        """Cocycles of degree n whose classes form a basis of H^n, cached:
+        the kernel vectors of d_n that `complement_basis` picks."""
         self.check_degree(n)
+        if n not in self._reps:
+            vectors = complement_basis(self.d_matrix(n - 1), self.d_matrix(n))
+            self._reps[n] = [self._element(v, self.basis(n)) for v in vectors]
+        return list(self._reps[n])
+
+    def quotient_data(self, n: int):
+        """The reader (reps, T) of degree n (see `_reader`) on the
+        `representatives`, built on first use and cached; with the
+        coboundaries they span the cocycles, so it always exists."""
         if n not in self._quotient:
-            vectors, bound = complement_basis(self.d_matrix(n - 1), self.d_matrix(n))
-            reps = [self._element(v, self.basis(n)) for v in vectors]
-            data = self._reader(n, reps, bound)
+            data = self._reader(n, self.representatives(n))
             if data is None:
                 raise AssertionError("quotient basis columns are not independent")
             self._quotient[n] = data
@@ -124,20 +130,22 @@ class CochainComplex:
             raise ToolkitError(
                 f"{len(reps)} representatives supplied for a quotient of dimension {self.betti(n)}"
             )
-        data = self._reader(n, reps, independent_columns(self.d_matrix(n - 1)))
+        data = self._reader(n, reps)
         if data is None:
             raise ToolkitError("supplied representatives do not project to a basis of the quotient")
         return data
 
-    def _reader(self, n: int, reps: list[Element], bound: list):
+    def _reader(self, n: int, reps: list[Element]):
         """The one builder of a degree-n reader (reps, T), or None when the
-        columns of reps and of the coboundaries in bound are dependent.
+        columns of reps and the independent columns of d_(n-1) are dependent.
 
         T has one rational row per representative, with T . rep_j = e_j and
-        T . b = 0 for b in bound.  For both callers reps and bound span the
-        cocycles, so T reads the class coordinates of every cocycle.
+        T . b = 0 for each such column b.  For both callers reps and those
+        columns span the cocycles, so T reads the class coordinates of
+        every cocycle.
         """
         vectors = [self.element_vector(x, n) for x in reps]
+        bound = independent_columns(self.d_matrix(n - 1))
         t_rows = quotient_transform(vectors + bound, len(self.basis(n)))
         if t_rows is None:
             return None
@@ -153,39 +161,22 @@ class CochainComplex:
         return len(self.basis(n)) - rank(self.d_matrix(n)) - rank(self.d_matrix(n - 1))
 
     def weight_classes(self, n: int, w: WeightAssignment) -> dict[int, list[Element]]:
-        """Representatives of degree-n cohomology, grouped by weight.
+        """The `representatives` of degree n grouped by weight, in increasing
+        weight order; only weights with classes appear.
 
-        The assignment must make the differential weight-homogeneous; each
-        weight stratum of degree n is then a subcomplex and is eliminated
-        on its own.  Only weights with classes appear, in increasing
-        order, and their counts must sum to `betti(n)`, which counts
-        ranks of the whole differential and so checks the split.
+        Precondition: w makes the differential weight-homogeneous, as
+        `weight_decomposition` checks with `check_weights` and the formal
+        builder's weights are by construction.  Then every representative
+        is weight-homogeneous (README, "Guarantees and limits"); one that is
+        not shows a broken precondition and raises HomogeneityError.
         """
-        self.check_degree(n)
-        gen_weight = [w[g.name] for g in self.algebra.generators]
-        # basis indices of degrees n - 1, n, n + 1 grouped by weight
-        below, here, above = strata = ({}, {}, {})
-        for groups, m in zip(strata, (n - 1, n, n + 1)):
-            for i, mono in enumerate(self.basis(m)):
-                groups.setdefault(sum(gen_weight[g] * e for g, e in mono), []).append(i)
-        basis = self.basis(n)
         classes: dict[int, list[Element]] = {}
-        for weight, cols in sorted(here.items()):
-            sub_in = self.d_matrix(n - 1).submatrix(cols, below.get(weight, []))
-            sub_out = self.d_matrix(n).submatrix(above.get(weight, []), cols)
-            chosen, _ = complement_basis(sub_in, sub_out)
-            if chosen:
-                monomials = [basis[i] for i in cols]
-                classes[weight] = [self._element(v, monomials) for v in chosen]
-        total = sum(len(xs) for xs in classes.values())
-        if total != self.betti(n):
-            raise AssertionError(
-                f"weight strata in degree {n} sum to {total}, not {self.betti(n)}"
-            )
-        return classes
-
-    def representatives(self, n: int) -> list[Element]:
-        return list(self.quotient_data(n)[0])
+        for x in self.representatives(n):
+            weights = sorted({w.monomial_weight(self.algebra, m) for m in x.terms})
+            if len(weights) > 1:
+                raise HomogeneityError(f"representative {x} of degree {n} has weights {weights}")
+            classes.setdefault(weights[0], []).append(x)
+        return dict(sorted(classes.items()))
 
     def element_vector(self, x: Element, n: int) -> list:
         """Coordinates of a homogeneous element in the degree-n basis."""
@@ -314,9 +305,9 @@ def weight_decomposition(
 ) -> WeightDecompositionReport:
     """Split each cohomology group by the weight of its representatives.
 
-    The assignment must make the differential weight-homogeneous; it is
-    checked first, then each degree is split by `weight_classes`, so the
-    per-weight dimensions always sum to the plain Betti number.
+    The assignment must make the differential weight-homogeneous, which
+    `check_weights` checks first.  Then `weight_classes` groups each degree's
+    default representatives by weight, so the dimensions sum to its Betti number.
     """
     problems = check_weights(p, w)
     if problems:

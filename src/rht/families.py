@@ -25,7 +25,7 @@ from .algebra import Element, LAURENT, RATIONAL, extend_algebra_map
 from .errors import FamilyError, SchemaError, SingularMapError
 from .model import SullivanPresentation, Violation, _loads, element_to_terms, terms_to_element
 from .qlinalg import QMatrix, quotient_transform, rank
-from .scalars import Laurent
+from .scalars import Laurent, exact_rational
 from .weights import WeightAssignment, check_weights
 
 
@@ -263,8 +263,8 @@ def verify_family(fam: OneParameterFamily) -> list[Violation]:
 
 
 def evaluate(fam: OneParameterFamily, t0: Fraction) -> EvaluatedFamily:
-    """Substitute a rational parameter value into the family."""
-    t0 = Fraction(t0)
+    """Substitute an exact rational parameter value into the family."""
+    t0 = exact_rational(t0)
     p = fam.presentation
     images = {gid: img.eval_t(t0) for gid, img in fam.images.items()}
     mm = ModelMap(p, images)

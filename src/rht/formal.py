@@ -5,9 +5,9 @@ presentation realizing it degree by degree.  At degree k it first adds
 closed generators of weight k covering whatever the current model misses
 in table degree k, then adds generators one degree below whose
 differentials kill the degree-(k + 1) classes the table cannot see.
-Both steps read only the degree they work on, split by weight
-(`CochainComplex.weight_classes`): the partial model is weight-graded and
-its differential preserves weight, so each degree splits into strata.
+Both steps read only the degree they work on: its cohomology
+representatives grouped by weight (`CochainComplex.weight_classes`), each
+weight-homogeneous since the partial model's differential preserves weight.
 Covering reads the weight-k stratum of H^k, the only one the map to the
 table does not kill; killing reads every stratum of H^(k+1), so each
 killer has a weight-homogeneous differential and inherits its weight.

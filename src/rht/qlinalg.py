@@ -20,10 +20,10 @@ rows, the right trade at the sizes this package meets (tens to a few
 hundred rows), and every elimination of a matrix enters through one door,
 `_echelon`, which adds its rows to an `EchelonSpan` and stops once the
 rank reaches the column count; a matrix keeps that span, so it is
-eliminated at most once.  `complement_basis` grows its own span to pick
-kernel vectors whose classes span a quotient ker / im, and
-`quotient_transform` eliminates one tagged row per chosen column to build
-the rational rows that rewrite a vector in their basis.
+eliminated at most once.  `complement_basis` picks, with a span of its
+own, the kernel vectors whose classes form a basis of a quotient ker / im,
+and `quotient_transform` eliminates one tagged row per chosen column to
+build the rational rows that rewrite a vector in their basis.
 
 `positive_integer_kernel` answers the question the weight solver needs:
 does the kernel of an integer matrix meet the open positive orthant, and
@@ -260,16 +260,12 @@ def independent_columns(m: QMatrix) -> list[Vector]:
     return [tuple(row[j] for row in m._rows) for j in m.echelon().pivots]
 
 
-def complement_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[Vector]]:
-    """Kernel vectors of d_out whose classes form a basis of ker d_out / im d_in.
-
-    Returns (reps, bound): bound is `independent_columns(d_in)`, and reps
-    are the vectors of `kernel_basis(d_out)`, in order, that are
-    independent of bound and of the vectors picked before them.
-    """
-    bound = independent_columns(d_in)
-    span = EchelonSpan(d_out.cols, bound)
-    return [v for v in kernel_basis(d_out) if span.add(v)], bound
+def complement_basis(d_in: QMatrix, d_out: QMatrix) -> list[Vector]:
+    """Kernel vectors of d_out whose classes form a basis of ker d_out / im d_in:
+    the vectors of `kernel_basis(d_out)`, in order, that are independent of
+    `independent_columns(d_in)` and of the vectors picked before them."""
+    span = EchelonSpan(d_out.cols, independent_columns(d_in))
+    return [v for v in kernel_basis(d_out) if span.add(v)]
 
 
 def quotient_transform(columns: list[Vector], m: int) -> list[Vector] | None:

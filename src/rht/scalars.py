@@ -21,6 +21,13 @@ from .errors import SchemaError
 from .rationals import format_rational, parse_rational
 
 
+def exact_rational(v) -> Fraction:
+    """Fraction(v) for an exact v; floats and bools raise TypeError."""
+    if isinstance(v, (bool, float)):
+        raise TypeError(f"scalars are exact rationals, not {type(v).__name__}")
+    return Fraction(v)
+
+
 def _coefficient(v):
     """An int when v is integral, a Fraction otherwise; floats and bools
     raise TypeError."""
@@ -28,9 +35,7 @@ def _coefficient(v):
         return v
     if type(v) is Fraction:
         return v.numerator if v.denominator == 1 else v
-    if isinstance(v, (bool, float)):
-        raise TypeError(f"Laurent coefficients are exact rationals, not {type(v).__name__}")
-    return _coefficient(Fraction(v))
+    return _coefficient(exact_rational(v))
 
 
 def _collect(acc: dict) -> "Laurent":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Monomial
+from .algebra import FreeGCA, Monomial
 from .errors import ToolkitError
 from .model import SullivanPresentation, Violation
 from .qlinalg import QMatrix, positive_integer_kernel
@@ -59,7 +59,7 @@ class WeightAssignment:
     def __getitem__(self, name: str) -> int:
         return self.weights[name]
 
-    def monomial_weight(self, p: SullivanPresentation, mono: Monomial) -> int:
+    def monomial_weight(self, p: SullivanPresentation | FreeGCA, mono: Monomial) -> int:
         return sum(self.weights[p.generators[g].name] * e for g, e in mono)
 
 

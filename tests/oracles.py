@@ -161,6 +161,34 @@ def naive_betti(p, n):
     return (dim_n - rank_n) - rank_prev
 
 
+def oracle_weight_betti(p, w, n):
+    """dim H^n split by weight, one weight block at a time: for each weight
+    k, dim C^(n,k) - rank d_n^k - rank d_(n-1)^k, where d_m^k is d on the
+    degree-m words of weight k.  w maps generator names to weights and
+    must make d weight-homogeneous, so each block's images stay in weight
+    k.  Weights with no classes are left out."""
+    degrees, d_images = presentation_data(p)
+    weight_of = {g.gid: w[g.name] for g in p.generators}
+
+    def blocks(m):
+        """Per weight, the image vectors of the degree-m words of that weight."""
+        index = {word: i for i, word in enumerate(enumerate_words(degrees, m + 1))}
+        out = {}
+        for word in enumerate_words(degrees, m):
+            vec = [Fraction(0)] * len(index)
+            for image, c in apply_d_word(word, degrees, d_images).items():
+                vec[index[image]] += c
+            out.setdefault(sum(weight_of[g] for g in word), []).append(vec)
+        return out
+
+    below = blocks(n - 1)
+    dims = {
+        k: len(vecs) - gaussian_rank(vecs) - gaussian_rank(below.get(k, []))
+        for k, vecs in blocks(n).items()
+    }
+    return {k: dim for k, dim in sorted(dims.items()) if dim}
+
+
 def monomial_count_series(generator_degrees, top):
     """Coefficients of the free graded-commutative Hilbert series through
     degree `top`: product of 1/(1-q^d) for even d and (1+q^d) for odd d."""

@@ -7,13 +7,21 @@ agreement on every corpus model is the load-bearing check here.
 import functools
 import gc
 import importlib
+import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import fraction_quotient_transform, naive_betti
+from oracles import (
+    brute_force_weights,
+    fraction_quotient_transform,
+    naive_betti,
+    oracle_weight_betti,
+    random_presentation,
+)
 from rht.algebra import RATIONAL, Element
 from rht.cohomology import (
     ActionReport,
@@ -36,6 +44,7 @@ from rht.errors import (
 )
 from rht.families import OneParameterFamily, diagonal_family, verify_family
 from rht.formal import build_formal_model
+from rht.model import presentation_from_dict
 from rht.qlinalg import _echelon, independent_columns
 from rht.scalars import Laurent
 from rht.weights import WeightAssignment, find_weights
@@ -207,6 +216,46 @@ def test_weight_classes_are_the_weight_decomposition_per_degree():
                 for x in xs:
                     assert x.is_homogeneous(n) and cx.d(x).is_zero()
                     assert {w.monomial_weight(p, m) for m in x.terms} == {weight}
+
+
+def _weight_counts(p, w, n):
+    return {weight: len(xs) for weight, xs in complex_for(p).weight_classes(n, w).items()}
+
+
+def test_weight_classes_count_the_per_block_oracle():
+    # the oracle eliminates each weight block of d on its own, with dense
+    # Fraction rows over its own words: an independent path to the counts
+    for p, w in _weighted_models():
+        if w is None:
+            continue
+        for n in range(p.truncation_degree):
+            assert _weight_counts(p, w, n) == oracle_weight_betti(p, w, n), (p.name, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_weight_classes_count_the_per_block_oracle_on_random_presentations(seed):
+    p = random_presentation(random.Random(seed))
+    weights = brute_force_weights(p)
+    assume(weights is not None)
+    w = WeightAssignment(weights)
+    for n in range(p.truncation_degree):
+        assert _weight_counts(p, w, n) == oracle_weight_betti(p, w, n), n
+
+
+def test_weight_classes_refuse_an_assignment_that_breaks_d():
+    # d(y) = d(u) = x^2 is not homogeneous for these weights: u alone
+    # would look like a weight-3 cocycle, but d(u) = x^2 is not zero
+    p = presentation_from_dict({
+        "name": "two-killers",
+        "generators": [{"name": g, "degree": k} for g, k in (("x", 2), ("y", 3), ("u", 3))],
+        "differential": {g: [{"coeff": "1", "monomial": [["x", 2]]}] for g in ("y", "u")},
+        "truncation_degree": 8,
+    })
+    assert p.validate() == []
+    w = WeightAssignment({"x": 1, "y": 2, "u": 3})
+    with pytest.raises(HomogeneityError, match=r"^representative -y \+ u of degree 3 has weights \[2, 3\]$"):
+        complex_for(p).weight_classes(3, w)
 
 
 def test_weight_decomposition_frozen_for_product_model():
@@ -383,6 +432,26 @@ def test_action_refuses_an_image_that_is_not_a_cocycle():
             induced_action(p, fam, 3, representatives=reps)
 
 
+def _count_eliminations(monkeypatch) -> Counter:
+    """From now on, count the calls of `_echelon`, of `EchelonSpan.add`
+    and of the `quotient_transform` that builds the cohomology readers."""
+    qlinalg = importlib.import_module("rht.qlinalg")
+    # the package re-exports a function named cohomology over the submodule
+    module = importlib.import_module("rht.cohomology")
+    counts = Counter()
+    for owner, name in (
+        (qlinalg, "_echelon"),
+        (qlinalg.EchelonSpan, "add"),
+        (module, "quotient_transform"),
+    ):
+        def counting(*args, _name=name, _call=getattr(owner, name)):
+            counts[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
 def test_default_action_runs_the_same_eliminations(monkeypatch):
     # each d-matrix keeps the one elimination of its rows, which serves
     # its kernel and its independent columns, and each degree's reader
@@ -391,21 +460,36 @@ def test_default_action_runs_the_same_eliminations(monkeypatch):
     # of s2xs3 (degrees -1 to 7) and its eight readers make 17.
     # Eliminating d_(n-1) and d_n afresh in every degree made 24.  A
     # second pass hits the caches.
-    module = importlib.import_module("rht.qlinalg")
-    calls = []
-    echelon = module._echelon
-
-    def counting(rows, ncols):
-        calls.append(ncols)
-        return echelon(rows, ncols)
-
-    monkeypatch.setattr(module, "_echelon", counting)
+    counts = _count_eliminations(monkeypatch)
     p = load_presentation("s2xs3")
     fam = load_corpus_family("s2xs3-conjugated")
     for _ in range(2):
         for n in range(p.truncation_degree):
             induced_action(p, fam, n)
-    assert len(calls) == 17
+    assert counts["_echelon"] == 17
+
+
+def test_cohomology_builds_no_reader(monkeypatch):
+    # Betti numbers come from ranks and representatives from the picks of
+    # complement_basis; a reader is built only to read class coordinates
+    counts = _count_eliminations(monkeypatch)
+    p = load_presentation("s2xs3")
+    assert cohomology(p).betti_list() == [1, 0, 1, 1, 0, 1, 0, 0]
+    assert counts["quotient_transform"] == 0
+    complex_for(p).class_coordinates(p.algebra.gen("u"), 3)
+    assert counts["quotient_transform"] == 1
+
+
+def test_weight_split_after_cohomology_eliminates_nothing(monkeypatch):
+    # weight_classes groups the cached default representatives, so it
+    # neither eliminates a weight block nor re-ranks a d-matrix
+    models = [(p, w) for p, w in _weighted_models() if w is not None]
+    for p, _ in models:
+        cohomology(p)
+    counts = _count_eliminations(monkeypatch)
+    for p, w in models:
+        weight_decomposition(p, w)
+    assert counts["_echelon"] == counts["add"] == 0
 
 
 def test_cached_d_matrix_spans_are_never_extended():

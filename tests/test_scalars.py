@@ -10,8 +10,11 @@ from oracles import (
     fraction_diagonalization_certificate,
     fraction_mat_mul,
 )
+from rht.algebra import RATIONAL, Element
 from rht.cohomology import ActionReport, _mat_mul, diagonalization_certificate
+from rht.corpus import load_corpus_family
 from rht.errors import SchemaError
+from rht.families import evaluate
 from rht.scalars import Laurent
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
@@ -178,7 +181,23 @@ def test_as_rational_returns_a_fraction(q):
         assert type(got) is Fraction and got == want
 
 
+def _exact_scalar_takers():
+    """Rational elements and family evaluation on s2xs3, each as a function
+    of one scalar."""
+    fam = load_corpus_family("s2xs3-conjugated")
+    alg = fam.presentation.algebra
+    x = alg.gen("x")
+    (mono,) = x.terms
+    return [
+        lambda c: Element(alg, RATIONAL, {mono: c}),
+        lambda c: alg.element({mono: c}),
+        x.scale,
+        lambda c: evaluate(fam, c),
+    ]
+
+
 def test_floats_and_bools_are_refused():
+    takers = _exact_scalar_takers()
     for bad in (0.1, 0.5, 1.0, True, False):
         with pytest.raises(TypeError):
             Laurent({0: bad})
@@ -186,6 +205,9 @@ def test_floats_and_bools_are_refused():
             Laurent({1: bad})
         with pytest.raises(TypeError):
             Laurent.from_rational(bad)
+        for take in takers:
+            with pytest.raises(TypeError):
+                take(bad)
     with pytest.raises(TypeError):
         Laurent.t() * 0.5
     with pytest.raises(TypeError):
@@ -196,6 +218,14 @@ def test_floats_and_bools_are_refused():
         Laurent.sum_of_products([(Laurent.t(), 0.5)])
     # a bool is not a scalar, so it compares unequal instead of raising
     assert Laurent.one() != True and Laurent.zero() != False
+
+
+@pytest.mark.parametrize("good", [2, Fraction(2), "2", "4/2"], ids=["int", "Fraction", "str", "str-quotient"])
+def test_ints_fractions_and_rational_strings_are_accepted(good):
+    element, element_from_dict, scaled, evaluated = (take(good) for take in _exact_scalar_takers())
+    assert element == element_from_dict == scaled
+    assert set(element.terms.values()) == {Fraction(2)}
+    assert evaluated.parameter == Fraction(2)
 
 
 def test_cancellation_stores_no_zero_term():
