@@ -1,17 +1,17 @@
 """Cohomology of truncated presentations and induced family actions.
 
 Everything is exact.  Each degree n gets its monomial basis, the matrix
-d_n of the differential into degree n + 1, its default representatives
-(the kernel vectors that `complement_basis` picks: rational cocycles
-whose classes form a basis of H^n), and a reader (reps, T) built in one
-place, `CochainComplex._reader`, on those (`quotient_data`, on first use)
-or on a caller's (`quotient_for`): T has one rational row per
-representative and reads a cocycle's class coordinates.  Whether an
-element is a cocycle is decided by the derivation alone: it is one
-exactly when d of it is zero.  Applying T entrywise to vectors with
-Laurent coefficients gives induced actions without ever dividing in the
-Laurent ring.  Betti numbers need no reader, as they come from ranks,
-and neither does a weight split: it groups the default representatives.
+d_n of the differential into degree n + 1, and its default reader
+(reps, T) from one elimination, `quotient_basis` (`quotient_data`, on
+first use): the representatives are rational cocycles whose classes
+form a basis of H^n, and T has one rational row per representative and
+reads a cocycle's class coordinates.  A caller's representatives get
+the reader C^-1 . T, where C holds their default class coordinates
+(`quotient_for`).  Whether an element is a cocycle is decided by the
+derivation alone: it is one exactly when d of it is zero.  Applying T
+entrywise to vectors with Laurent coefficients gives induced actions
+without ever dividing in the Laurent ring.  Betti numbers come from
+ranks, and a weight split groups the default representatives.
 
 Degrees at and above the truncation degree are unavailable, not zero:
 asking for them raises DegreeRangeError.
@@ -26,7 +26,7 @@ from .algebra import Element, LAURENT, RATIONAL
 from .errors import DegreeRangeError, FamilyError, HomogeneityError, ScalarKindError, ToolkitError
 from .families import OneParameterFamily, verify_family
 from .model import SullivanPresentation, element_to_terms
-from .qlinalg import QMatrix, complement_basis, independent_columns, quotient_transform, rank
+from .qlinalg import QMatrix, quotient_basis, quotient_transform, rank
 from .scalars import Laurent
 from .weights import WeightAssignment, check_weights
 
@@ -47,7 +47,6 @@ class CochainComplex:
         self._basis: dict[int, list] = {}
         self._index: dict[int, dict] = {}
         self._dmat: dict[int, QMatrix] = {}
-        self._reps: dict[int, list[Element]] = {}
         self._quotient: dict[int, tuple] = {}
 
     @property
@@ -92,29 +91,28 @@ class CochainComplex:
         return mat
 
     def representatives(self, n: int) -> list[Element]:
-        """Cocycles of degree n whose classes form a basis of H^n, cached:
-        the kernel vectors of d_n that `complement_basis` picks."""
-        self.check_degree(n)
-        if n not in self._reps:
-            vectors = complement_basis(self.d_matrix(n - 1), self.d_matrix(n))
-            self._reps[n] = [self._element(v, self.basis(n)) for v in vectors]
-        return list(self._reps[n])
+        """Cocycles whose classes form a basis of H^n: `quotient_data`'s, copied."""
+        return list(self.quotient_data(n)[0])
 
     def quotient_data(self, n: int):
-        """The reader (reps, T) of degree n (see `_reader`) on the
-        `representatives`, built on first use and cached; with the
-        coboundaries they span the cocycles, so it always exists."""
+        """The default reader (reps, T) of degree n, cached: the kernel vectors
+        of d_n that `quotient_basis` picks, as rational cocycles, and rows
+        with T . rep_j = e_j and T . b = 0 on every coboundary b."""
+        self.check_degree(n)
         if n not in self._quotient:
-            data = self._reader(n, self.representatives(n))
-            if data is None:
-                raise AssertionError("quotient basis columns are not independent")
-            self._quotient[n] = data
+            vectors, t_rows = quotient_basis(self.d_matrix(n - 1), self.d_matrix(n))
+            if len(vectors) != self.betti(n):
+                raise AssertionError(f"{len(vectors)} classes picked, b_{n} = {self.betti(n)}")
+            terms = [{m: c for m, c in zip(self.basis(n), v) if c} for v in vectors]
+            self._quotient[n] = [Element(self.algebra, RATIONAL, x) for x in terms], t_rows
         return self._quotient[n]
 
     def quotient_for(self, n: int, reps: list[Element]):
-        """The reader of degree n (see `_reader`) on caller-chosen
-        representatives.  Raises ToolkitError unless they are rational
-        cocycles of degree n whose classes form a basis of H^n."""
+        """The reader (reps, T) of degree n on caller-chosen representatives.
+        Raises ToolkitError unless they are rational cocycles of degree n
+        whose classes form a basis of H^n.  The default reader gives their
+        class coordinates, the columns of an h x h matrix C, and the reader
+        is C^-1 . T."""
         self.check_degree(n)
         reps = list(reps)
         for x in reps:
@@ -130,30 +128,12 @@ class CochainComplex:
             raise ToolkitError(
                 f"{len(reps)} representatives supplied for a quotient of dimension {self.betti(n)}"
             )
-        data = self._reader(n, reps)
-        if data is None:
-            raise ToolkitError("supplied representatives do not project to a basis of the quotient")
-        return data
-
-    def _reader(self, n: int, reps: list[Element]):
-        """The one builder of a degree-n reader (reps, T), or None when the
-        columns of reps and the independent columns of d_(n-1) are dependent.
-
-        T has one rational row per representative, with T . rep_j = e_j and
-        T . b = 0 for each such column b.  For both callers reps and those
-        columns span the cocycles, so T reads the class coordinates of
-        every cocycle.
-        """
+        t_rows = self.quotient_data(n)[1]
         vectors = [self.element_vector(x, n) for x in reps]
-        bound = independent_columns(self.d_matrix(n - 1))
-        t_rows = quotient_transform(vectors + bound, len(self.basis(n)))
-        if t_rows is None:
-            return None
-        return reps, t_rows[: len(reps)]
-
-    def _element(self, vector, monomials: list) -> Element:
-        """The rational element with the given coordinates on the monomials."""
-        return Element(self.algebra, RATIONAL, {m: c for m, c in zip(monomials, vector) if c})
+        inverse = quotient_transform([[_dot(row, v) for row in t_rows] for v in vectors], len(reps))
+        if inverse is None:
+            raise ToolkitError("supplied representatives do not project to a basis of the quotient")
+        return reps, [tuple(_dot(s_row, column) for column in zip(*t_rows)) for s_row in inverse]
 
     def betti(self, n: int) -> int:
         """dim H^n = dim C^n - rank d_n - rank d_(n-1)."""

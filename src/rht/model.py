@@ -21,6 +21,7 @@ from typing import Callable
 from .algebra import Element, FreeGCA, Generator, Monomial, RATIONAL, extend_derivation
 from .errors import SchemaError
 from .rationals import format_rational, parse_rational
+from .scalars import exact_rational
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,7 @@ class GradedAlgebraTable:
             for bname in (l, r):
                 if bname not in self.by_name:
                     raise SchemaError(f"unknown basis element {bname!r}", "products")
-            clean = {k: Fraction(v) for k, v in value.items() if Fraction(v)}
+            clean = {k: q for k, v in value.items() if (q := exact_rational(v))}
             for k in clean:
                 if k not in self.by_name:
                     raise SchemaError(f"unknown basis element {k!r}", "products")

@@ -20,10 +20,12 @@ rows, the right trade at the sizes this package meets (tens to a few
 hundred rows), and every elimination of a matrix enters through one door,
 `_echelon`, which adds its rows to an `EchelonSpan` and stops once the
 rank reaches the column count; a matrix keeps that span, so it is
-eliminated at most once.  `complement_basis` picks, with a span of its
-own, the kernel vectors whose classes form a basis of a quotient ker / im,
-and `quotient_transform` eliminates one tagged row per chosen column to
-build the rational rows that rewrite a vector in their basis.
+eliminated at most once.  `quotient_basis` picks the kernel vectors whose
+classes form a basis of a quotient ker / im, and the rows that read a
+class in their basis, from one elimination: the image's columns on the
+kernel's free columns.  `quotient_transform` eliminates one tagged row
+per column to build the rows that rewrite a vector in the basis of
+independent columns; on square columns that is the inverse.
 
 `positive_integer_kernel` answers the question the weight solver needs:
 does the kernel of an integer matrix meet the open positive orthant, and
@@ -260,12 +262,28 @@ def independent_columns(m: QMatrix) -> list[Vector]:
     return [tuple(row[j] for row in m._rows) for j in m.echelon().pivots]
 
 
-def complement_basis(d_in: QMatrix, d_out: QMatrix) -> list[Vector]:
-    """Kernel vectors of d_out whose classes form a basis of ker d_out / im d_in:
-    the vectors of `kernel_basis(d_out)`, in order, that are independent of
-    `independent_columns(d_in)` and of the vectors picked before them."""
-    span = EchelonSpan(d_out.cols, independent_columns(d_in))
-    return [v for v in kernel_basis(d_out) if span.add(v)]
+def quotient_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[Vector]]:
+    """Kernel vectors of d_out whose classes form a basis of ker d_out / im d_in,
+    and rows T with T . rep_j = e_j and T . b = 0 on every column b of d_in.
+
+    A kernel vector is fixed by its entries on the free columns of d_out,
+    where `kernel_basis(d_out)` is the unit basis.  So one elimination of
+    `independent_columns(d_in)` on the free columns, taken last first,
+    decides both: a kernel vector is picked when its free column is no
+    pivot, which is when it is independent of the coboundaries and of the
+    vectors before it, and T reduces a cocycle's free entries against it.
+    """
+    pivots = set(d_out.echelon().pivots)
+    free = [c for c in reversed(range(d_out.cols)) if c not in pivots]
+    span = _echelon([[b[f] for f in free] for b in independent_columns(d_in)], len(free))
+    reps, t_rows = [], []
+    for v, i in zip(kernel_basis(d_out), reversed(range(len(free)))):
+        if i not in span.pivots:
+            t_row = {free[c]: Fraction(-r[i], r[c]) for r, c in zip(span.integer_rows, span.pivots)}
+            t_row[free[i]] = Fraction(1)
+            reps.append(v)
+            t_rows.append(tuple(t_row.get(j, _ZERO) for j in range(d_out.cols)))
+    return reps, t_rows
 
 
 def quotient_transform(columns: list[Vector], m: int) -> list[Vector] | None:

@@ -455,9 +455,9 @@ def _count_eliminations(monkeypatch) -> Counter:
 def test_default_action_runs_the_same_eliminations(monkeypatch):
     # each d-matrix keeps the one elimination of its rows, which serves
     # its kernel and its independent columns, and each degree's reader
-    # adds one elimination of its tagged rows; the reader does not use
-    # d_n's span, since d itself tests the cocycles.  The nine d-matrices
-    # of s2xs3 (degrees -1 to 7) and its eight readers make 17.
+    # adds one elimination: the coboundaries on the free columns of d_n,
+    # which picks the representatives too.  The nine d-matrices of s2xs3
+    # (degrees -1 to 7) and its eight coboundary spans make 17.
     # Eliminating d_(n-1) and d_n afresh in every degree made 24.  A
     # second pass hits the caches.
     counts = _count_eliminations(monkeypatch)
@@ -469,15 +469,64 @@ def test_default_action_runs_the_same_eliminations(monkeypatch):
     assert counts["_echelon"] == 17
 
 
-def test_cohomology_builds_no_reader(monkeypatch):
-    # Betti numbers come from ranks and representatives from the picks of
-    # complement_basis; a reader is built only to read class coordinates
-    counts = _count_eliminations(monkeypatch)
+def test_only_a_custom_reader_calls_quotient_transform(monkeypatch):
+    # Betti numbers come from ranks, and the default representatives and
+    # reader from one elimination; a custom reader inverts the h x h matrix
+    # of its representatives' default class coordinates
+    module = importlib.import_module("rht.cohomology")
+    calls = []
+
+    def recording(columns, m, _call=module.quotient_transform):
+        calls.append((len(columns), {len(col) for col in columns}, m))
+        return _call(columns, m)
+
+    monkeypatch.setattr(module, "quotient_transform", recording)
     p = load_presentation("s2xs3")
     assert cohomology(p).betti_list() == [1, 0, 1, 1, 0, 1, 0, 0]
-    assert counts["quotient_transform"] == 0
     complex_for(p).class_coordinates(p.algebra.gen("u"), 3)
-    assert counts["quotient_transform"] == 1
+    assert calls == []
+    cx = complex_for(load_presentation("infeasible-synthetic"))
+    cx.quotient_for(5, cx.representatives(5)[::-1])
+    assert calls == [(2, {2}, 2)]
+
+
+def _read(t_rows, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in t_rows]
+
+
+def test_quotient_for_refuses_representatives_of_too_few_classes():
+    # b_5 = 2 on infeasible-synthetic
+    cx = complex_for(load_presentation("infeasible-synthetic"))
+    r0, r1 = cx.representatives(5)
+    with pytest.raises(ToolkitError, match="do not project to a basis of the quotient"):
+        cx.quotient_for(5, [r0, r0])
+    reps, t_rows = cx.quotient_for(5, [r0 + r1, r0 - r1])
+    assert reps == [r0 + r1, r0 - r1]
+    half = Fraction(1, 2)
+    assert _read(t_rows, cx.element_vector(r0, 5)) == [half, half]
+    assert _read(t_rows, cx.element_vector(r1, 5)) == [half, -half]
+
+
+def test_every_reader_reads_its_representatives_and_kills_the_coboundaries():
+    # T . rep_j = e_j and T . b = 0 for every independent coboundary column
+    # b, for the default reader and for custom ones on the default
+    # representatives reversed and mixed by a unitriangular matrix
+    for e in entries():
+        cx = complex_for(e.load())
+        for n in range(cx.truncation_degree):
+            reps = cx.representatives(n)
+            mixed = list(reps)
+            for j in range(len(reps)):
+                for k in range(j + 1, len(reps)):
+                    mixed[j] = mixed[j] + reps[k].scale(Fraction(k + 1, j + 2))
+            bound = independent_columns(cx.d_matrix(n - 1))
+            readers = [cx.quotient_data(n)] + [cx.quotient_for(n, xs) for xs in (reps[::-1], mixed)]
+            for basis, t_rows in readers:
+                for j, x in enumerate(basis):
+                    unit = [int(i == j) for i in range(len(basis))]
+                    assert _read(t_rows, cx.element_vector(x, n)) == unit, (e.key, n)
+                for b in bound:
+                    assert not any(_read(t_rows, b)), (e.key, n)
 
 
 def test_weight_split_after_cohomology_eliminates_nothing(monkeypatch):

@@ -26,6 +26,7 @@ from rht.qlinalg import (
     independent_columns,
     kernel_basis,
     positive_integer_kernel,
+    quotient_basis,
     quotient_transform,
     rank,
     rref,
@@ -370,9 +371,9 @@ def test_quotient_transform_matches_fraction_oracle(system):
         _assert_fractions(*got)
 
 
-def _eliminated_shapes(columns, m):
+def _eliminated_shapes(call):
     """(row count, row lengths, column count) of each elimination that
-    quotient_transform(columns, m) runs."""
+    call() runs."""
     module = importlib.import_module("rht.qlinalg")
     echelon, shapes = module._echelon, []
 
@@ -383,7 +384,7 @@ def _eliminated_shapes(columns, m):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "_echelon", recording)
-        quotient_transform(columns, m)
+        call()
     return shapes
 
 
@@ -398,24 +399,53 @@ def test_quotient_transform_eliminates_one_tagged_row_per_column(system):
     # p rows of width m + p, not the m rows of [columns | I]
     rows, ncols = system
     columns = [tuple(row[j] for row in rows) for j in range(ncols)]
-    assert _eliminated_shapes(columns, len(rows)) == _one_tagged_row_per_column(columns, len(rows))
+    shapes = _eliminated_shapes(lambda: quotient_transform(columns, len(rows)))
+    assert shapes == _one_tagged_row_per_column(columns, len(rows))
 
 
-def test_s2xs3_readers_eliminate_one_tagged_row_per_column(monkeypatch):
+def test_s2xs3_readers_eliminate_the_coboundaries_on_the_free_columns():
+    # each degree's reader is one elimination past the d-matrices' own: the
+    # rank d_(n-1) independent coboundaries, each restricted to the
+    # dim C^n - rank d_n free columns of d_n
     cohomology = importlib.import_module("rht.cohomology")
-    inputs = []
-
-    def recording(columns, m):
-        inputs.append((columns, m))
-        return quotient_transform(columns, m)
-
-    monkeypatch.setattr(cohomology, "quotient_transform", recording)
     cx = cohomology.complex_for(load_presentation("s2xs3"))
-    for n in range(cx.certified_through + 1):
-        cx.quotient_data(n)
-    assert len(inputs) == cx.certified_through + 1
-    for columns, m in inputs:
-        assert _eliminated_shapes(columns, m) == _one_tagged_row_per_column(columns, m)
+    degrees = range(cx.certified_through + 1)
+    for n in range(-1, cx.certified_through + 1):
+        cx.d_matrix(n).echelon()
+    shapes = _eliminated_shapes(lambda: [cx.quotient_data(n) for n in degrees])
+    expected = []
+    for n in degrees:
+        bound, free = rank(cx.d_matrix(n - 1)), len(cx.basis(n)) - rank(cx.d_matrix(n))
+        expected.append((bound, {free} if bound else set(), free))
+    assert shapes == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_systems(), st.data())
+def test_quotient_basis_picks_the_greedy_complement_and_reads_it(system, data):
+    # d_out drawn, d_in's columns integer combinations of d_out's kernel
+    rows, ncols = system
+    d_out = _qmatrix(rows, ncols)
+    kernel = kernel_basis(d_out)
+    combo = st.lists(st.integers(-2, 2), min_size=len(kernel), max_size=len(kernel))
+    image = [
+        [sum((c * v[i] for c, v in zip(cs, kernel)), Fraction(0)) for i in range(ncols)]
+        for cs in data.draw(st.lists(combo, max_size=4))
+    ]
+    d_in = _qmatrix([[col[i] for col in image] for i in range(ncols)], len(image))
+    reps, t_rows = quotient_basis(d_in, d_out)
+    # the old rule: the kernel vectors independent of the image and of the
+    # vectors picked before them
+    span = FractionEchelonSpan(ncols)
+    for col in image:
+        span.add(col)
+    assert reps == [v for v in kernel if span.add(v)]
+    assert len(t_rows) == len(reps)
+    _assert_fractions(*reps, *t_rows)
+    for i, row in enumerate(t_rows):
+        unit = [int(i == j) for j in range(len(reps))]
+        assert [sum(a * b for a, b in zip(row, v)) for v in reps] == unit
+        assert not any(sum(a * b for a, b in zip(row, col)) for col in image)
 
 
 @settings(max_examples=300, deadline=None)

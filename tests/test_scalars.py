@@ -15,6 +15,7 @@ from rht.cohomology import ActionReport, _mat_mul, diagonalization_certificate
 from rht.corpus import load_corpus_family
 from rht.errors import SchemaError
 from rht.families import evaluate
+from rht.model import BasisClass, GradedAlgebraTable
 from rht.scalars import Laurent
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
@@ -196,8 +197,14 @@ def _exact_scalar_takers():
     ]
 
 
+def _table_product(c):
+    """A graded algebra table with a . a = c b."""
+    basis = [BasisClass("1", 0), BasisClass("a", 2), BasisClass("b", 4)]
+    return GradedAlgebraTable("t", basis, "1", {("a", "a"): {"b": c}})
+
+
 def test_floats_and_bools_are_refused():
-    takers = _exact_scalar_takers()
+    takers = _exact_scalar_takers() + [_table_product]
     for bad in (0.1, 0.5, 1.0, True, False):
         with pytest.raises(TypeError):
             Laurent({0: bad})
