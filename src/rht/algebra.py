@@ -178,6 +178,9 @@ class FreeGCA:
                 continue
             gid = order[pos]
             d = self.generators[gid].degree
+            if d > remaining:
+                # the order sorts by degree: every later generator is too big
+                continue
             stack.append((pos + 1, remaining, acc))
             top = remaining // d
             if d % 2:
@@ -215,6 +218,11 @@ def _one_of(kind: str):
 
 def _zero_of(kind: str):
     return Fraction(0) if kind == RATIONAL else Laurent.zero()
+
+
+def _integral(c):
+    """An integral Fraction as an int; any other scalar as it is."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 class Element:
@@ -391,77 +399,67 @@ def _generator_images(
     return RATIONAL, dict(images)
 
 
-def _linear_extension(
-    algebra: FreeGCA, kind: str, of_monomial: Callable[[Monomial], Element]
-) -> Callable[[Element], Element]:
-    """The linear map sending each monomial m to of_monomial(m): every term
-    of a result is added into one dict, and one Element is built from it.
-    A Laurent map widens its argument; a rational one keeps its kind."""
+class LinearMap:
+    """The linear map sending each monomial m to of_monomial(m), a cached dict
+    of nonzero coefficients that callers only read.  A Laurent map widens its
+    argument; a rational one keeps its kind."""
 
-    def apply(x: Element) -> Element:
-        if x.algebra != algebra:
+    __slots__ = ("algebra", "kind", "of_monomial")
+
+    def __init__(self, algebra: FreeGCA, kind: str, of_monomial: Callable[[Monomial], dict]):
+        self.algebra, self.kind, self.of_monomial = algebra, kind, of_monomial
+
+    def __call__(self, x: Element) -> Element:
+        if x.algebra != self.algebra:
             raise AmbientMismatchError("element from a different ambient algebra")
-        if kind == LAURENT:
+        if self.kind == LAURENT:
             x = x.with_laurent_scalars()
         terms: dict[Monomial, object] = {}
         for m, c in x.terms.items():
-            for mono, coeff in of_monomial(m).terms.items():
+            for mono, coeff in self.of_monomial(m).items():
                 acc = terms.get(mono)
                 terms[mono] = c * coeff if acc is None else acc + c * coeff
-        return Element._trusted(algebra, x.kind, {m: c for m, c in terms.items() if c})
-
-    return apply
+        return Element._trusted(self.algebra, x.kind, {m: c for m, c in terms.items() if c})
 
 
-def extend_derivation(algebra: FreeGCA, images: dict[int, Element]) -> Callable[[Element], Element]:
+def extend_derivation(algebra: FreeGCA, images: dict[int, Element]) -> LinearMap:
     """Extend generator images to the degree +1 derivation d.
 
     `images` maps generator ids to homogeneous elements of degree
     deg(g) + 1; absent generators map to zero.  The extension obeys the
-    graded Leibniz rule d(ab) = d(a) b + (-1)^{deg a} a d(b).
+    graded Leibniz rule d(ab) = d(a) b + (-1)^{deg a} a d(b), applied once
+    per factor of a word m = P g^e S: d(m) is the sum, over factors with
+    d(g) != 0, of (-1)^{deg P} e P g^(e-1) d(g) S.  `of_monomial` caches
+    each word's image as a coefficient dict, ints where integral.
     """
     kind, img_of = _generator_images(algebra, images, 1)
-    img_of = {g: x for g, x in img_of.items() if x.terms}
-    zero = algebra.zero(kind)
-    cache: dict[Monomial, Element] = {UNIT: zero}
+    degree = [g.degree for g in algebra.generators]
+    d_gen = {g: [(m, _integral(c)) for m, c in x.terms.items()] for g, x in img_of.items() if x.terms}
+    cache: dict[Monomial, dict] = {}
 
-    def d_mono(mono: Monomial) -> Element:
-        hit = cache.get(mono)
-        if hit is not None:
-            return hit
-        # fill the uncached suffixes shortest first, from the longest cached
-        # proper suffix (the unit always is one); a loop, not a recursion,
-        # so no closure refers to itself
-        i = 1
-        while mono[i:] not in cache:
-            i += 1
-        tail = cache[mono[i:]]
-        for j in range(i - 1, -1, -1):
-            gid, e = mono[j]
-            rest = mono[j + 1:]
-            g = algebra.generators[gid]
-            head_img = img_of.get(gid)
-            # d(g^e * rest) = e g^(e-1) dg * rest + (-1)^(deg g^e) g^e * d(rest)
-            total = zero
-            if head_img is not None:
-                head_pow: Monomial = ((gid, e - 1),) if e > 1 else UNIT
-                lead = Element(algebra, kind, {head_pow: _one_of(kind)})
-                if e > 1:
-                    lead = lead.scale(Fraction(e))
-                total = total + lead * head_img * Element(algebra, kind, {rest: _one_of(kind)})
-            if not tail.is_zero():
-                head = Element(algebra, kind, {((gid, e),): _one_of(kind)})
-                if (g.degree * e) % 2:
-                    tail = -tail
-                total = total + head * tail
-            cache[mono[j:]] = total
-            tail = total
-        return tail
+    def d_mono(mono: Monomial) -> dict:
+        if mono in cache:
+            return cache[mono]
+        out: dict[Monomial, object] = {}
+        before, after = 0, algebra.degree_of(mono)
+        for i, (gid, e) in enumerate(mono):
+            after -= degree[gid] * e
+            if gid in d_gen:
+                # P g^(e-1) d(g) S = (-1)^(deg d(g) deg S) (P g^(e-1) S) d(g)
+                rest = mono[:i] + (((gid, e - 1),) if e > 1 else ()) + mono[i + 1:]
+                scale = -e if (before + (degree[gid] + 1) * after) % 2 else e
+                for t, c in d_gen[gid]:
+                    if (merged := algebra.multiply_monomials(rest, t)) is not None:
+                        sign, m = merged
+                        out[m] = out.get(m, 0) + sign * scale * c
+            before += degree[gid] * e
+        cache[mono] = out = {m: c for m, c in out.items() if c}
+        return out
 
-    return _linear_extension(algebra, kind, d_mono)
+    return LinearMap(algebra, kind, d_mono)
 
 
-def extend_algebra_map(algebra: FreeGCA, images: dict[int, Element]) -> Callable[[Element], Element]:
+def extend_algebra_map(algebra: FreeGCA, images: dict[int, Element]) -> LinearMap:
     """Extend generator images to the degree-0 algebra map.
 
     `images` maps generator ids to homogeneous elements of the same degree
@@ -478,14 +476,14 @@ def extend_algebra_map(algebra: FreeGCA, images: dict[int, Element]) -> Callable
             img_of[gid] = img
         return img
 
-    def phi_mono(mono: Monomial) -> Element:
+    def phi_mono(mono: Monomial) -> dict:
         hit = cache.get(mono)
         if hit is not None:
-            return hit
+            return hit.terms
         out = algebra.one(kind)
         for gid, e in mono:
             out = out * image_of_gen(gid).power(e)
         cache[mono] = out
-        return out
+        return out.terms
 
-    return _linear_extension(algebra, kind, phi_mono)
+    return LinearMap(algebra, kind, phi_mono)

@@ -74,17 +74,17 @@ class CochainComplex:
         return self._index[n]
 
     def d_matrix(self, n: int) -> QMatrix:
-        """Matrix of the differential from degree n to degree n + 1,
-        columns indexed by the degree-n monomial basis.  Degree -1 has an
-        empty basis, so d_matrix(-1) has no columns."""
+        """Matrix of the differential from degree n to degree n + 1: column j
+        is the derivation's cached image of basis monomial j, ints where the
+        differential's coefficients are integral, Fractions otherwise.
+        Degree -1 has an empty basis, so d_matrix(-1) has no columns."""
         if n in self._dmat:
             return self._dmat[n]
         src = self.basis(n)
         dst_index = self.basis_index(n + 1)
-        rows = [[Fraction(0)] * len(src) for _ in dst_index]
+        rows = [[0] * len(src) for _ in dst_index]
         for j, mono in enumerate(src):
-            img = self.d(Element(self.algebra, RATIONAL, {mono: Fraction(1)}))
-            for m, c in img.terms.items():
+            for m, c in self.d.of_monomial(mono).items():
                 rows[dst_index[m]][j] = c
         mat = QMatrix.from_rows(rows, len(src))
         self._dmat[n] = mat

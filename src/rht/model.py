@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import Element, FreeGCA, Generator, Monomial, RATIONAL, extend_derivation
+from .algebra import Element, FreeGCA, Generator, LinearMap, Monomial, RATIONAL, extend_derivation
 from .errors import SchemaError
 from .rationals import format_rational, parse_rational
 from .scalars import exact_rational
@@ -64,13 +64,13 @@ class SullivanPresentation:
                 raise SchemaError("differential image outside the presentation algebra")
             if img.kind != RATIONAL:
                 raise SchemaError("differential coefficients must be rational")
-        self._d: Callable[[Element], Element] | None = None
+        self._d: LinearMap | None = None
 
     def d_of(self, gid: int) -> Element:
         return self.differential.get(gid, self.algebra.zero())
 
     @property
-    def d(self) -> Callable[[Element], Element]:
+    def d(self) -> LinearMap:
         """The derivation, extended to the whole algebra.  Requires
         homogeneous images; call validate() first on untrusted data."""
         if self._d is None:

@@ -68,6 +68,19 @@ def enumerate_words(degrees, n):
     return out
 
 
+def canonical_monomial(word, degrees):
+    """(sign, monomial) of a word sorted by id, rewritten in the package's
+    canonical (degree, id) order: the monomial is a tuple of (id, exponent)
+    pairs, and the sign counts the odd pairs that the reordering swaps."""
+    key = lambda g: (degrees[g], g)
+    sign = 1
+    for i, a in enumerate(word):
+        for b in word[i + 1 :]:
+            if key(b) < key(a) and degrees[a] % 2 == 1 and degrees[b] % 2 == 1:
+                sign = -sign
+    return sign, tuple((g, word.count(g)) for g in sorted(set(word), key=key))
+
+
 def apply_d_word(word, degrees, d_images):
     """Leibniz expansion of d on a single word.
 
@@ -121,7 +134,9 @@ def gaussian_rank(rows):
 
 def presentation_data(p):
     """Extract (degrees, d_images) in oracle form from a package
-    presentation, translating sparse Elements into plain word dicts."""
+    presentation, translating sparse Elements into plain word dicts.  A
+    monomial in (degree, id) order is its id-sorted word times the sign
+    of the reordering."""
     degrees = {g.gid: g.degree for g in p.generators}
     d_images = {}
     for g in p.generators:
@@ -129,7 +144,8 @@ def presentation_data(p):
         word_map = {}
         for mono, coeff in img.terms.items():
             flat = tuple(sorted(h for h, e in mono for _ in range(e)))
-            word_map[flat] = word_map.get(flat, Fraction(0)) + Fraction(coeff)
+            sign = canonical_monomial(flat, degrees)[0]
+            word_map[flat] = word_map.get(flat, Fraction(0)) + sign * Fraction(coeff)
         d_images[g.gid] = {w: c for w, c in word_map.items() if c != 0}
     return degrees, d_images
 

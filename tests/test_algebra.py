@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import monomial_count_series, multiply_words, sort_word
+from oracles import canonical_monomial, enumerate_words, monomial_count_series, multiply_words, sort_word
 from rht.algebra import FreeGCA, Generator
 from rht.errors import AmbientMismatchError
 
@@ -97,6 +97,31 @@ def test_monomial_basis_is_sorted_and_unique(alg):
         assert len(set(basis)) == len(basis)
         ranked = [tuple((alg._rank[g], e) for g, e in m) for m in basis]
         assert ranked == sorted(ranked)
+
+
+@st.composite
+def unsorted_degrees(draw):
+    """(generator degrees, n): the degrees are not in id order, and one or
+    two generators are above n, placed before a smaller one."""
+    n = draw(st.integers(2, 12))
+    degrees = draw(st.lists(st.integers(2, 7), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(1, 2))):
+        big = max(n, *degrees) + draw(st.integers(1, 3))
+        degrees.insert(draw(st.integers(0, len(degrees) - 1)), big)
+    return degrees, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(unsorted_degrees())
+def test_monomial_basis_is_the_sorted_oracle_enumeration(case):
+    # the enumeration stops a branch at the first generator above the degree
+    # left, which needs the (degree, id) order; the oracle recurses over ids
+    gen_degrees, n = case
+    degrees = dict(enumerate(gen_degrees))
+    alg = FreeGCA(Generator(g, f"g{g}", d) for g, d in degrees.items())
+    oracle = [canonical_monomial(w, degrees)[1] for w in enumerate_words(degrees, n)]
+    key = lambda m: [((degrees[g], g), e) for g, e in m]
+    assert alg.monomial_basis(n) == sorted(oracle, key=key)
 
 
 def test_elements_from_different_ambients_do_not_mix(alg):

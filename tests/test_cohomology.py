@@ -13,13 +13,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
+    apply_d_word,
     brute_force_weights,
+    canonical_monomial,
+    enumerate_words,
     fraction_quotient_transform,
     naive_betti,
     oracle_weight_betti,
+    presentation_data,
     random_presentation,
 )
 from rht.algebra import RATIONAL, Element
@@ -61,6 +65,45 @@ def test_betti_matches_oracle_on_every_corpus_model():
 def test_betti_matches_frozen_expectations():
     for e in entries():
         assert cohomology(e.load()).betti_list() == e.expected["betti"], e.key
+
+
+def _oracle_d_matrix(p, n):
+    """Dense matrix of d from degree n to n + 1 by the oracle's Leibniz
+    expansion of id-sorted words, rows and columns in the package's basis
+    order, each word moved to canonical order with its Koszul sign."""
+    degrees, d_images = presentation_data(p)
+    basis = lambda k: [canonical_monomial(w, degrees) + (w,) for w in enumerate_words(degrees, k)]
+    key = lambda m: [((degrees[g], g), e) for g, e in m]
+    src = sorted(basis(n), key=lambda b: key(b[1]))
+    row_of = {m: i for i, (_, m, _) in enumerate(sorted(basis(n + 1), key=lambda b: key(b[1])))}
+    rows = [[Fraction(0)] * len(src) for _ in row_of]
+    for j, (sign, _, word) in enumerate(src):
+        for out, c in apply_d_word(word, degrees, d_images).items():
+            out_sign, m = canonical_monomial(out, degrees)
+            rows[row_of[m]][j] += sign * out_sign * c
+    return rows
+
+
+def _assert_d_matrices_match_the_oracle(p):
+    cx = complex_for(p)
+    for n in range(-1, p.truncation_degree):
+        m = cx.d_matrix(n)
+        assert (m.rows, m.cols) == (len(cx.basis(n + 1)), len(cx.basis(n))), n
+        assert m.dense_rows() == _oracle_d_matrix(p, n), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(15115)  # d(g3) = -g1*g0 with both odd and g1 first by degree, not by id
+def test_d_matrix_matches_the_oracle_leibniz_expansion_on_random_presentations(seed):
+    _assert_d_matrices_match_the_oracle(random_presentation(random.Random(seed)))
+
+
+def test_d_matrix_matches_the_oracle_on_the_formal_model_of_s2_wedge_s4():
+    # many odd killers, so most columns carry Koszul signs
+    p = build_formal_model(load_table("h-s2ws4"), 14).model
+    assert sum(g.degree % 2 for g in p.generators) >= 10
+    _assert_d_matrices_match_the_oracle(p)
 
 
 def test_degrees_beyond_certified_range_error():
@@ -507,12 +550,30 @@ def test_quotient_for_refuses_representatives_of_too_few_classes():
     assert _read(t_rows, cx.element_vector(r1, 5)) == [half, -half]
 
 
+def _off_pick_model():
+    """d(z) = 2ab - a^3 bounds in degree 6, where d vanishes, so the default
+    reader's T row there is 1 at its pick ab and 2 off it, at a^3."""
+    return presentation_from_dict({
+        "name": "off-pick",
+        "generators": [{"name": g, "degree": k} for g, k in (("a", 2), ("b", 4), ("z", 5))],
+        "differential": {"z": [
+            {"coeff": "2", "monomial": [["a", 1], ["b", 1]]},
+            {"coeff": "-1", "monomial": [["a", 3]]},
+        ]},
+        "truncation_degree": 7,
+    })
+
+
 def test_every_reader_reads_its_representatives_and_kills_the_coboundaries():
     # T . rep_j = e_j and T . b = 0 for every independent coboundary column
     # b, for the default reader and for custom ones on the default
-    # representatives reversed and mixed by a unitriangular matrix
-    for e in entries():
-        cx = complex_for(e.load())
+    # representatives reversed and mixed by a unitriangular matrix; no
+    # corpus reader has an entry off its picks, so one more model has
+    off_pick = _off_pick_model()
+    assert [str(x) for x in complex_for(off_pick).representatives(6)] == ["a*b"]
+    assert complex_for(off_pick).quotient_data(6)[1] == [(1, 2)]
+    for key, p in [(e.key, e.load()) for e in entries()] + [("off-pick", off_pick)]:
+        cx = complex_for(p)
         for n in range(cx.truncation_degree):
             reps = cx.representatives(n)
             mixed = list(reps)
@@ -524,9 +585,9 @@ def test_every_reader_reads_its_representatives_and_kills_the_coboundaries():
             for basis, t_rows in readers:
                 for j, x in enumerate(basis):
                     unit = [int(i == j) for i in range(len(basis))]
-                    assert _read(t_rows, cx.element_vector(x, n)) == unit, (e.key, n)
+                    assert _read(t_rows, cx.element_vector(x, n)) == unit, (key, n)
                 for b in bound:
-                    assert not any(_read(t_rows, b)), (e.key, n)
+                    assert not any(_read(t_rows, b)), (key, n)
 
 
 def test_weight_split_after_cohomology_eliminates_nothing(monkeypatch):

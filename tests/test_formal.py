@@ -1,6 +1,8 @@
 """Bigraded model builder: structure, quasi-isomorphism, weight action."""
 
+import hashlib
 import importlib
+import json
 
 import pytest
 
@@ -9,6 +11,7 @@ from rht.corpus import load_table, table_keys
 from rht.errors import DegreeRangeError
 from rht.families import diagonal_family
 from rht.formal import build_formal_model, verify_formal_result
+from rht.model import serialize_presentation
 from rht.scalars import Laurent
 from rht.weights import check_weights, find_weights
 
@@ -145,3 +148,33 @@ def test_builder_and_verifier_build_no_quotient_transform(monkeypatch):
     res = build_formal_model(load_table("h-s2ws4"), 16)
     assert len(res.model.generators) == 43
     assert verify_formal_result(res) == []
+
+
+# SHA-256 of the serialized model of h-s2ws4 with its sorted weights and
+# stages, frozen before the Leibniz rule on monomials and the degree-pruned
+# basis enumeration replaced the suffix recursion and the full search
+S2WS4_MODEL_DIGESTS = {
+    8: "d7cb76ba52c9a4dd23c255a445bf9fd0f04ebf767fc6a9780011a8d4eb395c2a",
+    9: "6491880203a9efdb3bf88174bd24e4ec0187a372c8f641613d8a6f59dc80522e",
+    10: "378ea91f852284ce31ebcfc960f71bf9b2ab61c44778596e114f014ba9c9c117",
+    11: "129ff4f68a5fed5fb6d006eae98af8bb89eab242715b45a4fe0bc99e6e2f8f28",
+    12: "c5ed15fe3a1df2ff0025f06877977447ef7502ea1c528da0c125bbd45789b5fc",
+    13: "4d37009cad30b136310264f4d635ab4ade093ff261555b7b5c3f1abf209f14d7",
+    14: "9418dee8509a3e376987702a1d564e13f8e320babbe8b08cf12a6f3f7ed38a37",
+    15: "fa0fa35fdcaa5d59f0c7222804f852b52eeaebc7b098c3e711a9d3274ba2f8ab",
+    16: "e8dc74ffa730c8e1cee151df06f565a43c5d4905cc1537b2852b16ee6b1c9131",
+    17: "05d1d180e00c5b283567c6004c385280a2093b6508a2f76854fd8474c3eca518",
+    18: "044e90dbe82dfc9295c06a8dd06557dfe387e3e4c581cf0bf44c6edb977ad668",
+}
+
+
+@pytest.mark.parametrize("truncation", sorted(S2WS4_MODEL_DIGESTS))
+def test_formal_model_of_s2_wedge_s4_is_frozen(truncation):
+    res = build_formal_model(load_table("h-s2ws4"), truncation)
+    doc = [
+        serialize_presentation(res.model),
+        sorted(res.weights.weights.items()),
+        sorted(res.stages.items()),
+    ]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == S2WS4_MODEL_DIGESTS[truncation]
