@@ -26,7 +26,7 @@ from .algebra import Element, LAURENT, RATIONAL
 from .errors import DegreeRangeError, FamilyError, HomogeneityError, ScalarKindError, ToolkitError
 from .families import OneParameterFamily, verify_family
 from .model import SullivanPresentation, element_to_terms
-from .qlinalg import QMatrix, quotient_basis, quotient_transform, rank
+from .qlinalg import QMatrix, invert, quotient_basis, rank
 from .scalars import Laurent
 from .weights import WeightAssignment, check_weights
 
@@ -130,7 +130,7 @@ class CochainComplex:
             )
         t_rows = self.quotient_data(n)[1]
         vectors = [self.element_vector(x, n) for x in reps]
-        inverse = quotient_transform([[_dot(row, v) for row in t_rows] for v in vectors], len(reps))
+        inverse = invert(QMatrix.from_rows([[_dot(row, v) for v in vectors] for row in t_rows], len(reps)))
         if inverse is None:
             raise ToolkitError("supplied representatives do not project to a basis of the quotient")
         return reps, [tuple(_dot(s_row, column) for column in zip(*t_rows)) for s_row in inverse]

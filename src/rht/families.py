@@ -24,7 +24,7 @@ from fractions import Fraction
 from .algebra import Element, LAURENT, RATIONAL, extend_algebra_map
 from .errors import FamilyError, SchemaError, SingularMapError
 from .model import SullivanPresentation, Violation, _loads, element_to_terms, terms_to_element
-from .qlinalg import QMatrix, quotient_transform, rank
+from .qlinalg import QMatrix, invert, rank
 from .scalars import Laurent, exact_rational
 from .weights import WeightAssignment, check_weights
 
@@ -42,6 +42,8 @@ class ModelMap:
             if img.kind != RATIONAL:
                 raise FamilyError(f"image of {g.name} must have rational coefficients")
             full[g.gid] = img
+        if unknown := sorted(images.keys() - full.keys()):
+            raise FamilyError(f"image on unknown generator id {unknown[0]}")
         self.images = full
         self._apply = extend_algebra_map(alg, full)
         self._inverse: "ModelMap" | weakref.ref | None = None
@@ -86,8 +88,7 @@ class ModelMap:
         inv_images: dict[int, Element] = {}
         for deg in degrees:
             gids, lin = self.linear_part(deg)
-            # read against L's own columns, T . col_j = e_j makes T = inv(L)
-            inv_rows = quotient_transform(list(zip(*lin.dense_rows())), len(gids))
+            inv_rows = invert(lin)
             if inv_rows is None:
                 raise SingularMapError(f"linear part in degree {deg} is singular")
             psi_lower = extend_algebra_map(alg, dict(inv_images))
@@ -156,6 +157,8 @@ class OneParameterFamily:
             if img is None:
                 raise FamilyError(f"no image for generator {g.name}")
             full[g.gid] = img.with_laurent_scalars()
+        if unknown := sorted(images.keys() - full.keys()):
+            raise FamilyError(f"image on unknown generator id {unknown[0]}")
         self.images = full
         self._apply = extend_algebra_map(alg, full)
         self._verified: list[Violation] | None = None

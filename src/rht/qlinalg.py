@@ -20,12 +20,12 @@ rows, the right trade at the sizes this package meets (tens to a few
 hundred rows), and every elimination of a matrix enters through one door,
 `_echelon`, which adds its rows to an `EchelonSpan` and stops once the
 rank reaches the column count; a matrix keeps that span, so it is
-eliminated at most once.  `quotient_basis` picks the kernel vectors whose
+eliminated at most once.  A span's reduced rows have one reader,
+`EchelonSpan.kernel_vector`, and every kernel answer is built from it:
+`kernel_basis`; `quotient_basis`, which picks the kernel vectors whose
 classes form a basis of a quotient ker / im, and the rows that read a
-class in their basis, from one elimination: the image's columns on the
-kernel's free columns.  `quotient_transform` eliminates one tagged row
-per column to build the rows that rewrite a vector in the basis of
-independent columns; on square columns that is the inverse.
+class in their basis, from one elimination of the image's columns on the
+kernel's free columns; and `invert`, from one elimination of [m | -I].
 
 `positive_integer_kernel` answers the question the weight solver needs:
 does the kernel of an integer matrix meet the open positive orthant, and
@@ -166,22 +166,16 @@ def _echelon(rows, ncols: int) -> EchelonSpan:
     return span
 
 
-def _rref_rows(rows: list[list], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of dense rational rows, padded with zero
-    rows to the input row count; returns pivot columns."""
-    span = _echelon(rows, ncols)
-    reduced = span.rows + [[_ZERO] * ncols for _ in range(len(rows) - len(span.pivots))]
-    return reduced, span.pivots
-
-
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns.
 
     Pivot entries are 1 and are alone in their column; the row order is the
-    pivot-column order, so the result is canonical for the row space.
+    pivot-column order, so the result is canonical for the row space.  The
+    nonzero rows are padded with zero rows to the row count of m.
     """
-    reduced, pivots = _rref_rows(m._rows, m.cols)
-    return QMatrix.from_rows(reduced, m.cols), tuple(pivots)
+    span = _echelon(m._rows, m.cols)
+    zero_rows = [[_ZERO] * m.cols for _ in range(m.rows - len(span.pivots))]
+    return QMatrix.from_rows(span.rows + zero_rows, m.cols), tuple(span.pivots)
 
 
 def rank(m: QMatrix) -> int:
@@ -189,23 +183,10 @@ def rank(m: QMatrix) -> int:
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
-    """Basis of the right kernel, one vector per free column.
-
-    The standard parametrization: the vector for free column f carries a 1
-    in slot f and minus the reduced column entries in the pivot slots.
-    """
+    """Basis of the right kernel: `EchelonSpan.kernel_vector` at each free
+    column, in column order."""
     span = m.echelon()
-    rows, pivots = span.integer_rows, span.pivots
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(v))
-    return basis
+    return [span.kernel_vector(f) for f in span.free_columns()]
 
 
 class EchelonSpan:
@@ -256,6 +237,22 @@ class EchelonSpan:
         self.pivots.insert(k, c)
         return True
 
+    def free_columns(self) -> list[int]:
+        """The columns that hold no pivot, in increasing order."""
+        pivots = set(self.pivots)
+        return [c for c in range(self.ncols) if c not in pivots]
+
+    def kernel_vector(self, f: int) -> Vector:
+        """The kernel vector of the span at free column f: 1 there, minus
+        the reduced entry at f of each pivot's row in that pivot's slot,
+        and zero at every other free column."""
+        v = [_ZERO] * self.ncols
+        v[f] = Fraction(1)
+        for row, p in zip(self.integer_rows, self.pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
+        return tuple(v)
+
 
 def independent_columns(m: QMatrix) -> list[Vector]:
     """The pivot columns of m: each column independent of those before it."""
@@ -271,41 +268,33 @@ def quotient_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[Ve
     `independent_columns(d_in)` on the free columns, taken last first,
     decides both: a kernel vector is picked when its free column is no
     pivot, which is when it is independent of the coboundaries and of the
-    vectors before it, and T reduces a cocycle's free entries against it.
+    vectors before it, and its T row is that elimination's kernel vector at
+    the pick, read back on the free columns of d_out.
     """
-    pivots = set(d_out.echelon().pivots)
-    free = [c for c in reversed(range(d_out.cols)) if c not in pivots]
+    kernel = d_out.echelon()
+    free = kernel.free_columns()[::-1]
     span = _echelon([[b[f] for f in free] for b in independent_columns(d_in)], len(free))
     reps, t_rows = [], []
-    for v, i in zip(kernel_basis(d_out), reversed(range(len(free)))):
-        if i not in span.pivots:
-            t_row = {free[c]: Fraction(-r[i], r[c]) for r, c in zip(span.integer_rows, span.pivots)}
-            t_row[free[i]] = Fraction(1)
-            reps.append(v)
-            t_rows.append(tuple(t_row.get(j, _ZERO) for j in range(d_out.cols)))
+    for i in reversed(span.free_columns()):
+        reps.append(kernel.kernel_vector(free[i]))
+        t_row = dict(zip(free, span.kernel_vector(i)))
+        t_rows.append(tuple(t_row.get(j, _ZERO) for j in range(d_out.cols)))
     return reps, t_rows
 
 
-def quotient_transform(columns: list[Vector], m: int) -> list[Vector] | None:
-    """Rows T that read vectors of length m in the basis of the given
-    columns: one row per column, with T . col_j = e_j, or None when the
-    columns are dependent, that is, when eliminating the p rows
-    [reversed col_j | e_j] puts a pivot in the tag block.  Otherwise T_j
-    is tag / pivot at each pivot coordinate and zero elsewhere.  This is
-    the T of the RREF of [columns | I]: by matroid duality, the last
-    coordinates that reversed elimination picks are the complement of
-    that RREF's tag pivots, on which its T vanishes.
-    """
-    p = len(columns)
-    tagged = [list(col[::-1]) + [int(k == j) for k in range(p)] for j, col in enumerate(columns)]
-    span = _echelon(tagged, m + p)
-    if any(c >= m for c in span.pivots):
+def invert(m: QMatrix) -> list[Vector] | None:
+    """The rows of the inverse of a square matrix, or None when it is
+    singular.  The rows [m | -I] are eliminated once; m is invertible
+    exactly when the pivots are the first n columns, and then column j of
+    the inverse is the first n entries of the kernel vector at n + j."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError(f"cannot invert a {n}x{m.cols} matrix")
+    span = _echelon([row + [-int(i == j) for j in range(n)] for i, row in enumerate(m._rows)], 2 * n)
+    if span.pivots != list(range(n)):
         return None
-    t_rows = [[_ZERO] * m for _ in range(p)]
-    for r, c in zip(span.integer_rows, span.pivots):
-        for t_row, x in zip(t_rows, r[m:]):
-            t_row[m - 1 - c] = Fraction(x, r[c])
-    return [tuple(t_row) for t_row in t_rows]
+    columns = [span.kernel_vector(n + j)[:n] for j in range(n)]
+    return list(zip(*columns))
 
 
 @dataclass(frozen=True)

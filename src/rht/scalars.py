@@ -112,6 +112,9 @@ class Laurent:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its rational value, so it hashes like it too
+        if self.is_rational():
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def is_rational(self) -> bool:

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -87,6 +88,17 @@ def test_benchmark_imports_from_rht_resolve():
                     if alias.name.split(".")[0] == "rht":
                         importlib.import_module(alias.name)
     assert missing == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # the tests run on one interpreter; parse every module with the grammar
+    # of the oldest Python that pyproject.toml accepts
+    pyproject = (ROOT_DIR / "pyproject.toml").read_text(encoding="utf-8")
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    sources = sorted((SRC_DIR / "rht").rglob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
 
 
 def test_console_script_is_installed(tmp_path):

@@ -477,7 +477,7 @@ def test_action_refuses_an_image_that_is_not_a_cocycle():
 
 def _count_eliminations(monkeypatch) -> Counter:
     """From now on, count the calls of `_echelon`, of `EchelonSpan.add`
-    and of the `quotient_transform` that builds the cohomology readers."""
+    and of the `invert` that builds the custom cohomology readers."""
     qlinalg = importlib.import_module("rht.qlinalg")
     # the package re-exports a function named cohomology over the submodule
     module = importlib.import_module("rht.cohomology")
@@ -485,7 +485,7 @@ def _count_eliminations(monkeypatch) -> Counter:
     for owner, name in (
         (qlinalg, "_echelon"),
         (qlinalg.EchelonSpan, "add"),
-        (module, "quotient_transform"),
+        (module, "invert"),
     ):
         def counting(*args, _name=name, _call=getattr(owner, name)):
             counts[_name] += 1
@@ -512,18 +512,19 @@ def test_default_action_runs_the_same_eliminations(monkeypatch):
     assert counts["_echelon"] == 17
 
 
-def test_only_a_custom_reader_calls_quotient_transform(monkeypatch):
+def test_only_a_custom_reader_calls_invert(monkeypatch):
     # Betti numbers come from ranks, and the default representatives and
     # reader from one elimination; a custom reader inverts the h x h matrix
     # of its representatives' default class coordinates
     module = importlib.import_module("rht.cohomology")
     calls = []
 
-    def recording(columns, m, _call=module.quotient_transform):
-        calls.append((len(columns), {len(col) for col in columns}, m))
-        return _call(columns, m)
+    def recording(m, _call=module.invert):
+        rows = m.dense_rows()
+        calls.append((len(rows), {len(row) for row in rows}, m.cols))
+        return _call(m)
 
-    monkeypatch.setattr(module, "quotient_transform", recording)
+    monkeypatch.setattr(module, "invert", recording)
     p = load_presentation("s2xs3")
     assert cohomology(p).betti_list() == [1, 0, 1, 1, 0, 1, 0, 0]
     complex_for(p).class_coordinates(p.algebra.gen("u"), 3)
@@ -531,6 +532,33 @@ def test_only_a_custom_reader_calls_quotient_transform(monkeypatch):
     cx = complex_for(load_presentation("infeasible-synthetic"))
     cx.quotient_for(5, cx.representatives(5)[::-1])
     assert calls == [(2, {2}, 2)]
+
+
+def test_quotient_basis_builds_only_the_vectors_it_returns(monkeypatch):
+    # one kernel vector of d_n and one of the coboundary span per pick: no
+    # whole kernel basis of d_n is built to keep a few of its vectors
+    qlinalg = importlib.import_module("rht.qlinalg")
+    module = importlib.import_module("rht.cohomology")
+    counts, calls = Counter(), []
+    for owner, name in ((qlinalg.EchelonSpan, "kernel_vector"), (qlinalg, "kernel_basis")):
+        def counting(*args, _name=name, _call=getattr(owner, name)):
+            counts[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    def recording(d_in, d_out, _call=module.quotient_basis):
+        before = Counter(counts)
+        reps, t_rows = _call(d_in, d_out)
+        calls.append((len(reps), counts - before))
+        return reps, t_rows
+
+    monkeypatch.setattr(module, "quotient_basis", recording)
+    cohomology(load_presentation("s2xs3"))
+    build_formal_model(load_table("h-s2ws4"), 16)
+    assert sum(picks for picks, _ in calls) > len(calls) > 0
+    for picks, built in calls:
+        assert built == Counter(kernel_vector=2 * picks)
 
 
 def _read(t_rows, v):

@@ -149,6 +149,22 @@ def test_map_and_family_keep_their_own_image_checks(product_model):
     with pytest.raises(FamilyError, match="no image for generator u"):
         OneParameterFamily(p, partial)
 
+
+def test_map_refuses_an_image_on_an_unknown_generator_id(product_model):
+    # s2xs3 has generator ids 0, 1 and 2; an image on id 7 used to be
+    # dropped, leaving the identity
+    p = product_model
+    with pytest.raises(FamilyError, match="image on unknown generator id 7"):
+        ModelMap(p, {7: p.algebra.gen("x")})
+
+
+def test_family_refuses_an_image_on_an_unknown_generator_id(product_model):
+    p = product_model
+    images = {g.gid: p.algebra.gen(g.gid).with_laurent_scalars() for g in p.generators}
+    with pytest.raises(FamilyError, match="image on unknown generator id -1"):
+        OneParameterFamily(p, {**images, -1: images[0]})
+
+
 def test_non_chain_map_family_fails_verification(product_model):
     p = product_model
     alg = p.algebra

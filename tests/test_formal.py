@@ -135,15 +135,15 @@ def test_weight_decomposition_of_built_model_is_single_stratum():
                 assert w == n, (n, w)
 
 
-def test_builder_and_verifier_build_no_quotient_transform(monkeypatch):
+def test_builder_and_verifier_call_no_invert(monkeypatch):
     # the builder reads per-degree weight strata and the verifier counts
-    # Betti numbers from ranks; neither needs a class-coordinate transform
+    # Betti numbers from ranks; neither needs a class-coordinate inverse
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
     # the package re-exports a function named cohomology over the submodule
     module = importlib.import_module("rht.cohomology")
-    monkeypatch.setattr(module, "quotient_transform", refuse)
+    monkeypatch.setattr(module, "invert", refuse)
     monkeypatch.setattr(module, "weight_decomposition", refuse)
     res = build_formal_model(load_table("h-s2ws4"), 16)
     assert len(res.model.generators) == 43

@@ -22,12 +22,11 @@ from rht.corpus import load_presentation
 from rht.qlinalg import (
     EchelonSpan,
     QMatrix,
-    _rref_rows,
     independent_columns,
+    invert,
     kernel_basis,
     positive_integer_kernel,
     quotient_basis,
-    quotient_transform,
     rank,
     rref,
 )
@@ -200,19 +199,6 @@ def test_echelon_span_refuses_zero_rows_and_keeps_its_state(seeded):
 
 
 @given(matrices())
-def test_quotient_transform_reads_independent_columns(m):
-    columns = [tuple(m.entry(i, j) for i in range(m.rows)) for j in range(m.cols)]
-    transform = quotient_transform(columns, m.rows)
-    if rank(m) < m.cols:
-        assert transform is None
-        return
-    assert len(transform) == m.cols
-    for j, col in enumerate(columns):
-        for i, row in enumerate(transform):
-            assert sum(a * b for a, b in zip(row, col)) == (1 if i == j else 0)
-
-
-@given(matrices())
 def test_rank_kernel_and_columns_share_one_elimination(m):
     module = importlib.import_module("rht.qlinalg")
     calls = []
@@ -257,11 +243,11 @@ wide_entries = st.one_of(
 
 
 @st.composite
-def dense_systems(draw, max_rows=5, max_cols=6):
+def dense_systems(draw, max_rows=5, max_cols=6, square=False):
     """(rows, ncols) with wide entries, some rows and columns forced to zero;
-    0 x n and n x 0 shapes included."""
+    0 x n and n x 0 shapes included, or n x n ones when `square`."""
     r = draw(st.integers(0, max_rows))
-    c = draw(st.integers(0, max_cols))
+    c = r if square else draw(st.integers(0, max_cols))
     rows = [[draw(wide_entries) for _ in range(c)] for _ in range(r)]
     zero_rows = draw(st.sets(st.sampled_from(range(r)))) if r else set()
     zero_cols = draw(st.sets(st.sampled_from(range(c)))) if c else set()
@@ -309,11 +295,12 @@ def _assert_fractions(*vectors):
 @settings(max_examples=300, deadline=None)
 @given(dense_systems())
 def test_rref_rows_matches_fraction_oracle(system):
+    # integral entries given as ints still come back as Fractions
     rows, ncols = system
-    expected = fraction_rref(rows, ncols)
-    got = _rref_rows([list(row) for row in rows], ncols)
-    assert got == expected
-    _assert_fractions(*got[0])
+    ints = [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
+    reduced, pivots = rref(QMatrix.from_rows(ints, ncols))
+    assert (reduced.dense_rows(), list(pivots)) == fraction_rref(rows, ncols)
+    _assert_fractions(*reduced.dense_rows())
 
 
 @settings(max_examples=300, deadline=None)
@@ -355,20 +342,69 @@ def test_independent_columns_match_fraction_oracle(system):
 @given(tall_full_rank_systems())
 def test_rref_and_kernel_after_an_early_stop_match_fraction_oracle(system):
     rows, ncols = system
-    assert _rref_rows([list(row) for row in rows], ncols) == fraction_rref(rows, ncols)
+    reduced, pivots = rref(QMatrix.from_rows(rows, ncols))
+    assert (reduced.dense_rows(), list(pivots)) == fraction_rref(rows, ncols)
     assert kernel_basis(_qmatrix(rows, ncols)) == []
 
 
 @settings(max_examples=300, deadline=None)
-@given(dense_systems())
-def test_quotient_transform_matches_fraction_oracle(system):
-    rows, ncols = system
-    columns = [tuple(row[j] for row in rows) for j in range(ncols)]
-    got = quotient_transform(columns, len(rows))
-    want = fraction_quotient_transform(columns, len(rows))
+@given(dense_systems(square=True))
+def test_invert_matches_fraction_oracle(system):
+    # the T rows of [columns | I] read a vector in the basis of the columns,
+    # so on square columns they are the rows of the inverse
+    rows, n = system
+    columns = [tuple(row[j] for row in rows) for j in range(n)]
+    got = invert(_qmatrix(rows, n))
+    want = fraction_quotient_transform(columns, n)
     assert got == (None if want is None else want[0])
     if got is not None:
         _assert_fractions(*got)
+
+
+@st.composite
+def square_matrices(draw):
+    """(kind, rows) of a square matrix: "invertible", a triangular matrix
+    with a nonzero diagonal after some row additions, rows then shuffled;
+    "singular", whose last row combines the others; or "random"."""
+    kind = draw(st.sampled_from(["invertible", "singular", "random"]))
+    n = draw(st.integers(int(kind == "singular"), 5))
+    rows = [[draw(wide_entries) for _ in range(n)] for _ in range(n)]
+    if kind == "invertible":
+        for i in range(n):
+            rows[i][:i] = [Fraction(0)] * i
+            rows[i][i] = draw(wide_entries.filter(bool))
+        for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+            i, j = draw(st.permutations(range(n)))[:2]
+            rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
+        rows = draw(st.permutations(rows))
+    elif kind == "singular":
+        combo = [draw(st.integers(-2, 2)) for _ in range(n - 1)]
+        rows[-1] = [sum((c * row[j] for c, row in zip(combo, rows)), Fraction(0)) for j in range(n)]
+    return kind, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_invert_is_a_right_inverse_exactly_when_the_rank_is_full(case):
+    kind, rows = case
+    n = len(rows)
+    m = _qmatrix(rows, n)
+    inverse = invert(m)
+    assert (inverse is None) == (rank(m) < n)
+    if kind != "random":
+        assert (inverse is None) == (kind == "singular")
+    if inverse is not None:
+        assert len(inverse) == n
+        _assert_fractions(*inverse)
+        for i, row in enumerate(rows):
+            for j in range(n):
+                assert sum(a * inv[j] for a, inv in zip(row, inverse)) == (i == j)
+
+
+def test_invert_refuses_a_matrix_that_is_not_square():
+    for rows, cols in (([[1, 2]], 2), ([], 1), ([[1], [2]], 1)):
+        with pytest.raises(ValueError, match="cannot invert"):
+            invert(QMatrix.from_rows(rows, cols))
 
 
 def _eliminated_shapes(call):
@@ -388,19 +424,13 @@ def _eliminated_shapes(call):
     return shapes
 
 
-def _one_tagged_row_per_column(columns, m):
-    p = len(columns)
-    return [(p, {m + p} if p else set(), m + p)]
-
-
 @settings(max_examples=200, deadline=None)
-@given(dense_systems())
-def test_quotient_transform_eliminates_one_tagged_row_per_column(system):
-    # p rows of width m + p, not the m rows of [columns | I]
-    rows, ncols = system
-    columns = [tuple(row[j] for row in rows) for j in range(ncols)]
-    shapes = _eliminated_shapes(lambda: quotient_transform(columns, len(rows)))
-    assert shapes == _one_tagged_row_per_column(columns, len(rows))
+@given(dense_systems(square=True))
+def test_invert_eliminates_n_rows_of_width_2n_once(system):
+    # the n rows [m | -I], whether or not m is invertible
+    rows, n = system
+    shapes = _eliminated_shapes(lambda: invert(_qmatrix(rows, n)))
+    assert shapes == [(n, {2 * n} if n else set(), 2 * n)]
 
 
 def test_s2xs3_readers_eliminate_the_coboundaries_on_the_free_columns():

@@ -170,6 +170,11 @@ def test_equal_values_hash_equal_however_the_coefficient_was_given(terms):
         (a * Fraction(3, 2) * Fraction(2, 3), a),
         (halves + halves, Laurent.one()),
         (Laurent.from_rational(Fraction(6, 3)), Laurent.from_rational(2)),
+        (Laurent.one(), 1),
+        (Laurent.zero(), 0),
+        (halves, Fraction(1, 2)),
+        (Laurent.from_rational(Fraction(6, 3)), 2),
+        (Laurent({0: terms.get(0, 0)}), terms.get(0, 0)),
     ):
         assert x == y and hash(x) == hash(y)
 
