@@ -515,14 +515,11 @@ class FlexibilityReport:
         }
 
 
-def flexibility_report(
-    p: SullivanPresentation, fam: OneParameterFamily
-) -> FlexibilityReport:
-    """Exponent of the family's action on the one-dimensional top group.
-
-    Needs a declared formal dimension D with D certified and b_D = 1;
-    the verified family then scales H^D by a single power of t, and that
-    power is the reported top weight.
+def checked_formal_dimension(p: SullivanPresentation) -> int:
+    """The declared formal dimension D, once the certified cohomology
+    agrees that H^D is the top group: b_D = 1 and H^n = 0 for
+    D < n <= N - 1.  Raises DegreeRangeError when no D is declared or D
+    is not certified, and ToolkitError when the cohomology contradicts it.
     """
     d_top = p.formal_dimension
     if d_top is None:
@@ -536,6 +533,25 @@ def flexibility_report(
         raise ToolkitError(
             f"top cohomology of {p.name} has dimension {b}, not 1"
         )
+    for n in range(d_top + 1, cx.truncation_degree):
+        if b := cx.betti(n):
+            raise ToolkitError(
+                f"{p.name} declares formal dimension {d_top}, "
+                f"but H^{n} has dimension {b}"
+            )
+    return d_top
+
+
+def flexibility_report(
+    p: SullivanPresentation, fam: OneParameterFamily
+) -> FlexibilityReport:
+    """Exponent of the family's action on the one-dimensional top group.
+
+    Needs a declared formal dimension D that `checked_formal_dimension`
+    accepts; the verified family then scales the one-dimensional H^D by a
+    single power of t, and that power is the reported top weight.
+    """
+    d_top = checked_formal_dimension(p)
     act = induced_action(p, fam, d_top)
     entry = act.matrix[0][0]
     power = entry.monomial_t_power()

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cohomology import checked_formal_dimension
 from .errors import DegreeRangeError, HomogeneityError
 from .model import SullivanPresentation
 from .rationals import format_rational
@@ -73,9 +74,7 @@ class GrowthReport:
 def _qualifying_ratios(
     p: SullivanPresentation, w: WeightAssignment
 ) -> tuple[int, list[GeneratorRatio]]:
-    d_top = p.formal_dimension
-    if d_top is None:
-        raise DegreeRangeError(f"presentation {p.name} declares no formal dimension")
+    d_top = checked_formal_dimension(p)
     problems = check_weights(p, w)
     if problems:
         raise HomogeneityError(

@@ -35,10 +35,9 @@ incidence graph is solved once, and the joined points are the whole
 matrix's, since a block matrix's elimination stays inside its blocks.
 When some component is infeasible, the answer is certified by the greedy
 minimal infeasible row set of row order (the deletion filter of J. W.
-Chinneck and E. W. Dravnieks, ORSA J. Computing 3 (1991)): a set of rows
-is infeasible iff the rows it keeps of some one component are, so a row
-is dropped unsolved while another component is infeasible, and otherwise
-only its own component is solved again, without it.
+Chinneck and E. W. Dravnieks, ORSA J. Computing 3 (1991)), run on each
+infeasible component alone: the whole matrix's is the one of these whose
+first kept row is latest.
 """
 
 from __future__ import annotations
@@ -412,6 +411,18 @@ def _row_components(m: QMatrix) -> tuple[list[int | None], dict[int, list[int]]]
     return [find(s[0]) if s else None for s in supports], columns
 
 
+def _deletion_filter(m: QMatrix, rows: list[int], cols: list[int]) -> tuple[int, ...]:
+    """The greedy minimal infeasible subset of `rows` of m, on `cols`: each
+    row in turn is dropped when the rows kept without it, if any, have no
+    positive kernel point; an empty trial counts as feasible."""
+    kept = list(rows)
+    for i in rows:
+        trial = [j for j in kept if j != i]
+        if trial and _positive_kernel_point(m.submatrix(trial, cols)) is None:
+            kept = trial
+    return tuple(kept)
+
+
 def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
     """Decide whether ker(m) meets the open positive orthant.
 
@@ -421,56 +432,30 @@ def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
     touches taking 1, normalised once by `coprime_integer_vector`.  That is
     the whole-matrix solve's vector: the RREF, the kernel vectors and every
     Fourier-Motzkin row of a block matrix stay inside one block.
-    Infeasible: returns the minimal infeasible row subset that greedy
-    removal in row order keeps.  The kept rows are infeasible iff some
-    component's are, so a row is dropped unsolved while another component
-    is infeasible, and otherwise only its own component is solved again
-    without it; a component is re-solved only when a drop may have made
-    it feasible and its status is needed.
+    Infeasible: returns the greedy minimal infeasible row subset of row
+    order, which is the `_deletion_filter` of the infeasible component
+    whose own filter keeps the latest first row: the whole-matrix filter
+    drops every row before it, then every row of the other components,
+    whose rows after their own first kept row are feasible.
     """
     label, columns = _row_components(m)
-    kept: dict[int, list[int]] = {}
+    rows_of: dict[int, list[int]] = {}
     for i, c in enumerate(label):
         if c is not None:
-            kept.setdefault(c, []).append(i)
+            rows_of.setdefault(c, []).append(i)
     point = [Fraction(1)] * m.cols
-    # per component: True when its kept rows are infeasible, False when
-    # feasible, None when not known
-    blocked: dict[int, bool | None] = {}
-    for c, rows in kept.items():
+    infeasible = []
+    for c, rows in rows_of.items():
         part = _positive_kernel_point(m.submatrix(rows, columns[c]))
-        blocked[c] = part is None
+        if part is None:
+            infeasible.append(c)
         for j, x in zip(columns[c], part or ()):
             point[j] = x
-    if not any(blocked.values()):
-        solution = coprime_integer_vector(point)
-        if any(m.apply(tuple(map(Fraction, solution)))):
-            raise AssertionError("positive solution is not in the kernel")
-        return FeasibilityResult(solution=solution, witness=None)
-
-    def infeasible(c: int, rows: list[int]) -> bool:
-        return bool(rows) and _positive_kernel_point(m.submatrix(rows, columns[c])) is None
-
-    def resolve(c: int) -> bool:
-        if blocked[c] is None:
-            blocked[c] = infeasible(c, kept[c])
-        return blocked[c]
-
-    for i, c in enumerate(label):
-        if c is None:
-            continue  # a zero row constrains nothing, so it is always dropped
-        others = [d for d in kept if d != c]
-        if any(blocked[d] for d in others) or any(resolve(d) for d in others):
-            kept[c].remove(i)
-            if blocked[c]:
-                blocked[c] = None
-        else:
-            trial = [j for j in kept[c] if j != i]
-            if infeasible(c, trial):
-                kept[c] = trial
-            blocked[c] = True
-    # a minimal infeasible set lies in one component, whose kept rows are
-    # in ascending order
-    return FeasibilityResult(
-        solution=None, witness=tuple(i for rows in kept.values() for i in rows)
-    )
+    if infeasible:
+        witness = max((_deletion_filter(m, rows_of[c], columns[c]) for c in infeasible),
+                      key=lambda w: w[0])
+        return FeasibilityResult(solution=None, witness=witness)
+    solution = coprime_integer_vector(point)
+    if any(m.apply(tuple(map(Fraction, solution)))):
+        raise AssertionError("positive solution is not in the kernel")
+    return FeasibilityResult(solution=solution, witness=None)

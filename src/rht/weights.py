@@ -150,20 +150,19 @@ def check_weights(p: SullivanPresentation, w: WeightAssignment) -> list[Violatio
             out.append(Violation("weights", name, "no weight assigned"))
     if out:
         return out
-    system = extract_constraints(p)
-    for row in system.rows:
-        total = sum(
-            c * w.weights[gname]
-            for c, gname in zip(row.coefficients, system.generator_names)
-        )
-        if total != 0:
-            source_w = w.weights[row.source]
-            out.append(
-                Violation(
-                    "weights",
-                    row.source,
-                    f"monomial {row.monomial_name} of d({row.source}) has weight "
-                    f"{total + source_w}, the source has weight {source_w}",
+    alg = p.algebra
+    for gid in sorted(p.differential):
+        source = p.generators[gid].name
+        source_w = w.weights[source]
+        for mono in sorted(p.differential[gid].terms, key=alg.monomial_key):
+            weight = w.monomial_weight(p, mono)
+            if weight != source_w:
+                out.append(
+                    Violation(
+                        "weights",
+                        source,
+                        f"monomial {alg.monomial_name(mono)} of d({source}) has weight "
+                        f"{weight}, the source has weight {source_w}",
+                    )
                 )
-            )
     return out

@@ -101,6 +101,23 @@ def test_sources_parse_at_the_declared_python_floor():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
 
 
+def test_sources_import_only_the_standard_library():
+    # pyproject.toml declares no runtime dependency; relative imports stay
+    # inside the package, so every absolute one must be rht or stdlib
+    allowed = set(sys.stdlib_module_names) | {"rht", "__future__"}
+    foreign = []
+    for path in sorted((SRC_DIR / "rht").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert foreign == []
+
+
 def test_console_script_is_installed(tmp_path):
     # Checks the declared `rht` script from the checkout, without an install:
     # build the metadata with the installed setuptools in a copy (egg_info
@@ -461,6 +478,34 @@ def test_flex_text_output(capsys):
 def test_growth_needs_a_formal_dimension(capsys):
     assert main(["growth", corpus("infeasible-synthetic.json")]) == 1
     assert capsys.readouterr().err.strip()
+
+
+@pytest.mark.parametrize("command", ["flex", "growth"])
+@pytest.mark.parametrize(
+    "declared,expected_exit,message",
+    [
+        # s2xs3 has b_3 = b_5 = 1, b_4 = b_7 = 0, and truncation 8
+        (3, 1, "declares formal dimension 3, but H^5 has dimension 1"),
+        (4, 1, "top cohomology of s2xs3 has dimension 0, not 1"),
+        (7, 1, "top cohomology of s2xs3 has dimension 0, not 1"),
+        (8, 2, "degree 8 is not certified"),
+        (None, 2, "declares no formal dimension"),
+    ],
+    ids=["D3", "D4", "D7", "D8", "none"],
+)
+def test_a_declared_formal_dimension_the_cohomology_contradicts_is_refused(
+    tmp_path, capsys, command, declared, expected_exit, message
+):
+    doc = json.loads(pathlib.Path(corpus("s2xs3.json")).read_text())
+    del doc["formal_dimension"]
+    if declared is not None:
+        doc["formal_dimension"] = declared
+    path = tmp_path / "s2xs3.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == expected_exit
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
 
 
 # ------------------------------------------------------------------ plumbing

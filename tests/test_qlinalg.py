@@ -565,6 +565,11 @@ def test_witness_on_block_systems_matches_fraction_oracle(system):
 
 @settings(max_examples=200, deadline=None)
 @given(block_diagonal_systems(max_block_rows=7, max_block_cols=6))
+# with witnesses (1,), (2,) and (1,): the witness is neither the first
+# infeasible component's filter nor that of the last row's component
+@example(([[1, 1, 0, 0], [0, 0, 1, 1]], 4))
+@example(([[1, -1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]], 4))
+@example(([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]], 4))
 def test_witness_on_larger_block_systems_matches_whole_matrix_greedy_filter(system):
     rows, ncols = system
     m = _qmatrix(rows, ncols)

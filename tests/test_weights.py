@@ -11,6 +11,7 @@ from oracles import (
     brute_force_weights,
     fraction_positive_integer_kernel,
     random_presentation,
+    weight_rows,
 )
 from rht.corpus import entries, load_presentation, load_table
 from rht.errors import ToolkitError
@@ -107,6 +108,18 @@ def test_check_weights_requires_every_generator():
     p = load_presentation("s2")
     bad = check_weights(p, WeightAssignment({"x": 1}))
     assert bad
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.lists(st.integers(1, 4), min_size=5, max_size=5))
+def test_check_weights_flags_exactly_the_rows_the_assignment_breaks(seed, values):
+    p = random_presentation(random.Random(seed))
+    w = {g.name: values[g.gid] for g in p.generators}
+    broken = [
+        row for row in weight_rows(p)
+        if sum(c * w[p.generators[h].name] for h, c in row.items())
+    ]
+    assert len(check_weights(p, WeightAssignment(w))) == len(broken)
 
 
 def test_weight_assignment_rejects_nonpositive():
@@ -210,7 +223,8 @@ def test_witness_search_solves_components_not_the_whole_matrix_per_row(
         "d(i_w): i_a^4",
         "d(i_w): i_p*i_q",
     ]
-    assert len(calls) <= 11, calls
+    # one solve per component, then one trial per synthetic row
+    assert len(calls) == 10, calls
     # each component is solved on its own columns, never the whole matrix,
     # so which block comes first changes no solve
     names, rows = rep.system.generator_names, rep.system.rows
