@@ -467,14 +467,9 @@ def extend_algebra_map(algebra: FreeGCA, images: dict[int, Element]) -> LinearMa
     assignments describe maps fixing the rest.
     """
     kind, img_of = _generator_images(algebra, images, 0)
+    for g in algebra.generators:
+        img_of.setdefault(g.gid, Element._trusted(algebra, kind, {((g.gid, 1),): _one_of(kind)}))
     cache: dict[Monomial, Element] = {UNIT: algebra.one(kind)}
-
-    def image_of_gen(gid: int) -> Element:
-        img = img_of.get(gid)
-        if img is None:
-            img = Element(algebra, kind, {((gid, 1),): _one_of(kind)})
-            img_of[gid] = img
-        return img
 
     def phi_mono(mono: Monomial) -> dict:
         hit = cache.get(mono)
@@ -482,7 +477,7 @@ def extend_algebra_map(algebra: FreeGCA, images: dict[int, Element]) -> LinearMa
             return hit.terms
         out = algebra.one(kind)
         for gid, e in mono:
-            out = out * image_of_gen(gid).power(e)
+            out = out * img_of[gid].power(e)
         cache[mono] = out
         return out.terms
 

@@ -12,6 +12,14 @@ differential.  Inversion works by degree induction: invert the linear
 part, then correct by the already-inverted lower degrees applied to the
 decomposable part.  Conjugation transports a family along an automorphism
 without losing exactness.
+
+Maps and families share one private base, `_GeneratorMap`: a presentation,
+one image per generator and their multiplicative extension, with one
+`apply`, equality, repr, unknown-id refusal and chain check.  Each class
+reads its images its own way: a `ModelMap` fixes the generators it is not
+given and refuses Laurent coefficients, a family needs every image and
+widens it to Laurent scalars.  Maps equal only maps, families only
+families, also where both image dicts are empty.
 """
 
 from __future__ import annotations
@@ -24,45 +32,69 @@ from fractions import Fraction
 from .algebra import Element, LAURENT, RATIONAL, extend_algebra_map
 from .errors import FamilyError, SchemaError, SingularMapError
 from .model import SullivanPresentation, Violation, _loads, element_to_terms, terms_to_element
-from .qlinalg import QMatrix, invert, rank
+from .qlinalg import QMatrix, invert
 from .scalars import Laurent, exact_rational
 from .weights import WeightAssignment, check_weights
 
 
-class ModelMap:
-    """Degree-0 algebra endomorphism of a presentation's algebra, given on
-    generators with rational coefficients.  Not necessarily a chain map."""
+class _GeneratorMap:
+    """One image per generator, extended multiplicatively; `_image` reads an
+    image, and `_name` heads the repr and decides which classes compare."""
 
     def __init__(self, p: SullivanPresentation, images: dict[int, Element]):
         self.presentation = p
-        alg = p.algebra
-        full: dict[int, Element] = {}
-        for g in p.generators:
-            img = images.get(g.gid, alg.gen(g.gid))
-            if img.kind != RATIONAL:
-                raise FamilyError(f"image of {g.name} must have rational coefficients")
-            full[g.gid] = img
+        full = {g.gid: self._image(g, images.get(g.gid)) for g in p.generators}
         if unknown := sorted(images.keys() - full.keys()):
             raise FamilyError(f"image on unknown generator id {unknown[0]}")
         self.images = full
-        self._apply = extend_algebra_map(alg, full)
-        self._inverse: "ModelMap" | weakref.ref | None = None
+        self._apply = extend_algebra_map(p.algebra, full)
 
     def apply(self, x: Element) -> Element:
-        """Apply the extension; the result keeps the kind of x, so Laurent
-        input gives Laurent output."""
+        """Apply the extension; a Laurent map widens x, a rational one keeps its kind."""
         return self._apply(x)
+
+    def _chain_defects(self):
+        """(generator, map(d g), d(map g)) for each generator where the two differ."""
+        p = self.presentation
+        for g in p.generators:
+            lhs, rhs = self.apply(p.d_of(g.gid)), p.d(self.images[g.gid])
+            if lhs != rhs:
+                yield g, lhs, rhs
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _GeneratorMap)
+            and self._name == other._name
+            and self.presentation == other.presentation
+            and self.images == other.images
+        )
+
+    def __repr__(self):
+        parts = ", ".join(
+            f"{g.name} -> {self.images[g.gid]}" for g in self.presentation.generators
+        )
+        return f"{self._name}({parts})"
+
+
+class ModelMap(_GeneratorMap):
+    """Degree-0 algebra endomorphism of a presentation's algebra, given on
+    generators with rational coefficients.  Not necessarily a chain map."""
+
+    _name = "ModelMap"
+    _inverse: "ModelMap | weakref.ref | None" = None
+
+    def _image(self, g, img: Element | None) -> Element:
+        img = self.presentation.algebra.gen(g.gid) if img is None else img
+        if img.kind != RATIONAL:
+            raise FamilyError(f"image of {g.name} must have rational coefficients")
+        return img
 
     def is_identity(self) -> bool:
         alg = self.presentation.algebra
         return all(self.images[g.gid] == alg.gen(g.gid) for g in self.presentation.generators)
 
     def is_chain_map(self) -> bool:
-        d = self.presentation.d
-        return all(
-            self.apply(d(self.presentation.algebra.gen(g.gid))) == d(self.apply(self.presentation.algebra.gen(g.gid)))
-            for g in self.presentation.generators
-        )
+        return next(self._chain_defects(), None) is None
 
     def linear_part(self, degree: int) -> tuple[list[int], QMatrix]:
         """Generator ids of the given degree and the matrix of the linear
@@ -121,19 +153,6 @@ class ModelMap:
         self._inverse = result
         return result
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModelMap)
-            and self.presentation == other.presentation
-            and self.images == other.images
-        )
-
-    def __repr__(self):
-        parts = ", ".join(
-            f"{g.name} -> {self.images[g.gid]}" for g in self.presentation.generators
-        )
-        return f"ModelMap({parts})"
-
 
 class ModelAutomorphism(ModelMap):
     """A ModelMap that commutes with the differential and is invertible."""
@@ -145,41 +164,21 @@ class ModelAutomorphism(ModelMap):
         self.inverse()  # raises SingularMapError when not invertible
 
 
-class OneParameterFamily:
+class OneParameterFamily(_GeneratorMap):
     """Generator assignment with Laurent coefficients in the parameter t."""
 
+    _name = "OneParameterFamily"
+
     def __init__(self, p: SullivanPresentation, images: dict[int, Element]):
-        self.presentation = p
-        alg = p.algebra
-        full: dict[int, Element] = {}
-        for g in p.generators:
-            img = images.get(g.gid)
-            if img is None:
-                raise FamilyError(f"no image for generator {g.name}")
-            full[g.gid] = img.with_laurent_scalars()
-        if unknown := sorted(images.keys() - full.keys()):
-            raise FamilyError(f"image on unknown generator id {unknown[0]}")
-        self.images = full
-        self._apply = extend_algebra_map(alg, full)
+        super().__init__(p, images)
         self._verified: list[Violation] | None = None
         # degree -> (representatives, action columns), see induced_action
         self._actions: dict[int, tuple[list[Element], list[list[Laurent]]]] = {}
 
-    def apply(self, x: Element) -> Element:
-        return self._apply(x)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneParameterFamily)
-            and self.presentation == other.presentation
-            and self.images == other.images
-        )
-
-    def __repr__(self):
-        parts = ", ".join(
-            f"{g.name} -> {self.images[g.gid]}" for g in self.presentation.generators
-        )
-        return f"OneParameterFamily({parts})"
+    def _image(self, g, img: Element | None) -> Element:
+        if img is None:
+            raise FamilyError(f"no image for generator {g.name}")
+        return img.with_laurent_scalars()
 
 
 @dataclass(frozen=True)
@@ -242,17 +241,9 @@ def verify_family(fam: OneParameterFamily) -> list[Violation]:
             out.append(
                 Violation("identity", g.name, f"image at t = 1 is {at_one}, not {g.name}")
             )
-    for g in p.generators:
-        lhs = fam.apply(p.d_of(g.gid))
-        rhs = p.d(fam.images[g.gid])
-        if lhs != rhs:
-            out.append(
-                Violation(
-                    "chain",
-                    g.name,
-                    f"family(d({g.name})) = {lhs} but d(family({g.name})) = {rhs}",
-                )
-            )
+    for g, lhs, rhs in fam._chain_defects():
+        message = f"family(d({g.name})) = {lhs} but d(family({g.name})) = {rhs}"
+        out.append(Violation("chain", g.name, message))
     for g in p.generators:
         for k, part in parts[g.gid].items():
             moved = fam.apply(part)
@@ -266,18 +257,15 @@ def verify_family(fam: OneParameterFamily) -> list[Violation]:
 
 
 def evaluate(fam: OneParameterFamily, t0: Fraction) -> EvaluatedFamily:
-    """Substitute an exact rational parameter value into the family."""
+    """Substitute an exact rational parameter value into the family; the
+    map is invertible iff `ModelMap.inverse` succeeds on it."""
     t0 = exact_rational(t0)
-    p = fam.presentation
-    images = {gid: img.eval_t(t0) for gid, img in fam.images.items()}
-    mm = ModelMap(p, images)
-    invertible = True
-    for deg in sorted({g.degree for g in p.generators}):
-        gids, lin = mm.linear_part(deg)
-        if rank(lin) != len(gids):
-            invertible = False
-            break
-    return EvaluatedFamily(map=mm, parameter=t0, invertible=invertible)
+    mm = ModelMap(fam.presentation, {gid: img.eval_t(t0) for gid, img in fam.images.items()})
+    try:
+        mm.inverse()
+    except SingularMapError:
+        return EvaluatedFamily(mm, t0, invertible=False)
+    return EvaluatedFamily(mm, t0, invertible=True)
 
 
 def compose_families(f: OneParameterFamily, g: OneParameterFamily) -> OneParameterFamily:

@@ -456,6 +456,6 @@ def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
                       key=lambda w: w[0])
         return FeasibilityResult(solution=None, witness=witness)
     solution = coprime_integer_vector(point)
-    if any(m.apply(tuple(map(Fraction, solution)))):
+    if any(sum(a * x for a, x in zip(row, solution) if a) for row in m._rows):
         raise AssertionError("positive solution is not in the kernel")
     return FeasibilityResult(solution=solution, witness=None)

@@ -197,6 +197,23 @@ def test_extend_algebra_map_is_multiplicative(alg):
     assert phi(x + y.scale(Fraction(3))) == phi(x) + phi(y).scale(Fraction(3))
 
 
+def test_partial_algebra_map_fixes_the_absent_generators(alg):
+    from rht.algebra import LAURENT, extend_algebra_map
+    from rht.scalars import Laurent
+
+    # only a has an image; b, c, e and f map to themselves
+    phi = extend_algebra_map(alg, {0: alg.gen("a").scale(Fraction(2))})
+    a, b, e = alg.gen("a"), alg.gen("b"), alg.gen("e")
+    assert phi(b) == b
+    assert phi(a * a * b * e) == (a * a * b * e).scale(Fraction(4))
+    assert phi(b * alg.gen("c") + e) == b * alg.gen("c") + e
+    # in a Laurent map the absent generators are Laurent too
+    lam = extend_algebra_map(alg, {0: a.with_laurent_scalars().scale(Laurent.t(1))})
+    assert lam.kind == LAURENT
+    assert lam(a * b * e) == (a * b * e).with_laurent_scalars().scale(Laurent.t(1))
+    assert lam(b * e) == (b * e).with_laurent_scalars()
+
+
 @given(words)
 def test_sort_word_oracle_agrees_with_normalize(w):
     alg = FreeGCA(GENS)

@@ -33,6 +33,7 @@ from rht.families import (
     verify_family,
 )
 from rht.model import SullivanPresentation
+from rht.qlinalg import rank
 from rht.scalars import Laurent
 from rht.weights import WeightAssignment, find_weights
 
@@ -387,6 +388,75 @@ def test_conjugation_by_identity_is_a_no_op(product_model):
     fam = diagonal_family(p, find_weights(p).assignment)
     ident = ModelAutomorphism(p, {})
     assert conjugate(fam, ident) == fam
+
+
+def test_maps_compare_across_the_automorphism_class_but_never_to_a_family(product_model):
+    p = product_model
+    alg = p.algebra
+    shear = load_corpus_automorphism("s2xs3-shear")
+    plain = ModelMap(p, dict(shear.images))
+    assert type(shear) is ModelAutomorphism
+    assert shear == plain and plain == shear
+    assert repr(shear) == repr(plain) == "ModelMap(x -> x, y -> y + u, u -> u)"
+    assert repr(load_corpus_family("s2xs3-conjugated")) == (
+        "OneParameterFamily(x -> t*x, y -> t^2*y + (-t^2 + t)*u, u -> t*u)"
+    )
+    ident = {g.gid: alg.gen(g.gid) for g in p.generators}
+    widened = {gid: img.with_laurent_scalars() for gid, img in ident.items()}
+    assert ModelMap(p, ident) != OneParameterFamily(p, widened)
+    # with no generators both image dicts are empty; the classes still differ
+    empty = SullivanPresentation("empty", [], {}, 4)
+    fam = OneParameterFamily(empty, {})
+    for mm in (ModelMap(empty, {}), ModelAutomorphism(empty, {})):
+        assert mm != fam and fam != mm
+        assert mm == ModelMap(empty, {}) and repr(mm) == "ModelMap()"
+    assert repr(fam) == "OneParameterFamily()"
+
+
+T0 = st.sampled_from([0, 1, 2, -1, Fraction(-1, 3), Fraction(1, 2)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32), T0)
+def test_evaluate_is_invertible_iff_every_linear_part_has_full_rank(seed, t0):
+    rng = random.Random(seed)
+    p = random_presentation(rng)
+    fam = OneParameterFamily(p, _random_family(rng, p))
+    try:
+        mm = ModelMap(p, {gid: img.eval_t(t0) for gid, img in fam.images.items()})
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            evaluate(fam, t0)
+        return
+    ev = evaluate(fam, t0)
+    assert ev.map == mm and ev.parameter == t0
+    degrees = {g.degree for g in p.generators}
+    full = all(rank(lin) == len(gids) for gids, lin in map(mm.linear_part, degrees))
+    assert ev.invertible == full
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32), T0.filter(bool))
+def test_is_chain_map_agrees_with_the_chain_law_of_verify_family(seed, t0):
+    # the same rational images, read once as a map and once as a family
+    # with constant coefficients; a family from valid weights is a chain map
+    rng = random.Random(seed)
+    p = random_presentation(rng)
+    result = find_weights(p)
+    if result.assignment is not None and rng.random() < 0.5:
+        images = diagonal_family(p, result.assignment).images
+        if rng.random() < 0.5:
+            images = _perturbed(rng, p, images)
+    else:
+        images = _random_family(rng, p)
+    rational = {gid: img.eval_t(t0) for gid, img in images.items()}
+    mm = ModelMap(p, rational)
+    fam = OneParameterFamily(p, rational)
+    chain = [v.subject for v in verify_family(fam) if v.kind == "chain"]
+    assert mm.is_chain_map() == (chain == [])
+    gens, d = p.algebra.gen, p.d
+    broken = [g.name for g in p.generators if mm.apply(d(gens(g.gid))) != d(rational[g.gid])]
+    assert chain == broken
 
 
 # ---- JSON codec: error paths and round trips -------------------------
