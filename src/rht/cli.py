@@ -207,14 +207,12 @@ def _cmd_cohomology(args) -> int:
     fam = None
     if args.family:
         fam = _resolve_family(p, args)
-    if args.weights != "auto" or not args.family:
-        # weight splitting is reported whenever an assignment is available
-        try:
-            w = _resolve_weights(p, args.weights)
-        except _Negative:
-            if args.weights != "auto":
-                raise
-            w = None
+    # weight splitting is reported whenever an assignment is available
+    try:
+        w = _resolve_weights(p, args.weights)
+    except _Negative:
+        if args.weights != "auto":
+            raise
     if w is not None:
         wrep = weight_decomposition(p, w, max_degree)
         weights_doc = {

@@ -217,18 +217,6 @@ class CohomologyReport:
     def betti_list(self) -> list[int]:
         return [self.betti[n] for n in range(self.max_degree + 1)]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.presentation_name,
-            "truncation_degree": self.truncation_degree,
-            "certified_through": self.max_degree,
-            "betti": {str(n): self.betti[n] for n in sorted(self.betti)},
-            "representatives": {
-                str(n): [element_to_terms(x) for x in xs]
-                for n, xs in sorted(self.representatives.items())
-            },
-        }
-
 
 def cohomology(p: SullivanPresentation, max_degree: int | None = None) -> CohomologyReport:
     """Betti numbers and representative cocycles through max_degree.

@@ -1,16 +1,13 @@
 """Bigraded minimal models for cohomology tables with zero differential.
 
 Given a finite graded-commutative algebra table, the builder produces a
-presentation realizing it degree by degree.  At degree k it first adds
-closed generators of weight k covering whatever the current model misses
-in table degree k, then adds generators one degree below whose
-differentials kill the degree-(k + 1) classes the table cannot see.
-Both steps read only the degree they work on: its cohomology
-representatives grouped by weight (`CochainComplex.weight_classes`), each
-weight-homogeneous since the partial model's differential preserves weight.
-Covering reads the weight-k stratum of H^k, the only one the map to the
-table does not kill; killing reads every stratum of H^(k+1), so each
-killer has a weight-homogeneous differential and inherits its weight.
+presentation realizing it degree by degree.  Step n reads the degree-n
+cohomology of the partial model once, grouped by weight
+(`CochainComplex.weight_classes`); the partial model's differential
+preserves weight, so each class is weight-homogeneous.  It adds killers
+of degree n - 1, each inheriting the weight of the class it kills, for
+the classes the table cannot see, then closed generators of weight n
+covering whatever the model misses in table degree n.
 
 The outcome carries weights with weight = degree + stage, where stage 0
 marks the closed table-covering generators.  The diagonal family of
@@ -26,7 +23,7 @@ from fractions import Fraction
 from .algebra import Element, FreeGCA, Generator, RATIONAL
 from .cohomology import complex_for
 from .errors import DegreeRangeError
-from .model import GradedAlgebraTable, SullivanPresentation
+from .model import GradedAlgebraTable, SullivanPresentation, presentation_to_dict
 from .qlinalg import EchelonSpan, QMatrix, kernel_basis
 from .weights import WeightAssignment
 
@@ -43,8 +40,6 @@ class FormalModelResult:
     table: GradedAlgebraTable
 
     def to_json_dict(self) -> dict:
-        from .model import presentation_to_dict
-
         return {
             "model": presentation_to_dict(self.model),
             "weights": {k: v for k, v in sorted(self.weights.weights.items())},
@@ -63,7 +58,6 @@ class _Builder:
         self.gens: list[Generator] = []
         self.diff: dict[int, Element] = {}
         self.weights: dict[str, int] = {}
-        self.stages: dict[str, int] = {}
         self.images: dict[int, dict[str, Fraction]] = {}
         self.used_names: set[str] = set()
 
@@ -104,7 +98,6 @@ class _Builder:
         if differential is not None and not differential.is_zero():
             self.diff[gid] = differential
         self.weights[name] = weight
-        self.stages[name] = weight - degree
         self.images[gid] = dict(table_image)
         return name
 
@@ -149,58 +142,54 @@ def build_formal_model(table: GradedAlgebraTable, truncation_degree: int) -> For
             f"of truncation degree {truncation_degree}"
         )
     b = _Builder(table, truncation_degree)
-    for k in range(2, truncation_degree):
-        _cover_cokernel(b, k)
-        if k + 1 <= truncation_degree - 1:
-            _kill_kernel(b, k)
+    for n in range(2, truncation_degree):
+        _extend(b, n)
     formal_dimension = top if top > 0 and len(table.degree_basis(top)) == 1 else None
     return FormalModelResult(
         model=b.presentation(formal_dimension),
         weights=WeightAssignment(dict(b.weights)),
-        stages=dict(b.stages),
+        stages={g.name: b.weights[g.name] - g.degree for g in b.gens},
         quasi_iso={g.name: b.images[g.gid] for g in b.gens},
         table=table,
     )
 
 
-def _cover_cokernel(b: _Builder, k: int):
-    table_basis = b.table.degree_basis(k)
-    if not table_basis:
-        return
-    # rho kills every monomial of weight above its degree, so the classes
-    # of weight k span the whole image of H^k in the table
-    classes = b.weight_classes(k).get(k, [])
-    dim = len(table_basis)
-    span = EchelonSpan(dim, (b.rho_vector(x, k) for x in classes))
-    for idx, cls in enumerate(table_basis):
-        if span.add([int(i == idx) for i in range(dim)]):
-            b.add_generator(cls, k, k, None, {cls: Fraction(1)})
+def _extend(b: _Builder, n: int):
+    """Kill the degree-n classes the table cannot see with generators of
+    degree n - 1, then cover table degree n with closed generators.
 
-
-def _kill_kernel(b: _Builder, k: int):
-    if not b.gens:
-        return
-    target = k + 1
-    strata = b.weight_classes(target)
+    Both steps come from one read of H^n, taken before the killers.  The
+    killers have degree n - 1 and no generator has degree 1, so neither
+    C^n nor d on it changes, and neither does Z^n.  The only new
+    coboundaries are the killed cocycles, which rho sends to 0.  So
+    rho(H^n) read before the killers equals rho(H^n) read after them.
+    rho kills every monomial of weight above its degree, so the weight-n
+    classes span that image; an `EchelonSpan` pick of unit vectors
+    depends only on the span and the candidate order.
+    """
+    rho_rows: list[tuple[Fraction, ...]] = []
     killer_index = 0
-    for mw in sorted(strata):
-        class_basis = strata[mw]
-        if mw == target:
+    for mw, class_basis in b.weight_classes(n).items():
+        if mw == n:
             # the only stratum the table can see; kill just the part
             # mapping to zero there
-            rho_rows = [b.rho_vector(x, target) for x in class_basis]
-            columns_are_classes = QMatrix.from_rows(zip(*rho_rows), len(class_basis))
+            rho_rows = [b.rho_vector(x, n) for x in class_basis]
             zero = class_basis[0].algebra.zero()
             to_kill = [
                 sum((x.scale(c) for c, x in zip(v, class_basis) if c), zero)
-                for v in kernel_basis(columns_are_classes)
+                for v in kernel_basis(QMatrix.from_rows(zip(*rho_rows), len(class_basis)))
             ]
         else:
             # classes of weight other than the degree vanish in the table
-            to_kill = list(class_basis)
+            to_kill = class_basis
         for cocycle in to_kill:
-            b.add_generator(f"z{k}_{killer_index}", k, mw, cocycle, {})
+            b.add_generator(f"z{n - 1}_{killer_index}", n - 1, mw, cocycle, {})
             killer_index += 1
+    table_basis = b.table.degree_basis(n)
+    span = EchelonSpan(len(table_basis), rho_rows)
+    for cls in table_basis:
+        if span.add([int(c == cls) for c in table_basis]):
+            b.add_generator(cls, n, n, None, {cls: Fraction(1)})
 
 
 def verify_formal_result(result: FormalModelResult) -> list[str]:

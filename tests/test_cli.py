@@ -318,6 +318,22 @@ def test_cohomology_without_weights_still_reports_betti(capsys):
     assert doc["betti"] == [1, 0, 1, 1, 0, 2, 0, 0]
 
 
+def test_cohomology_with_a_family_still_reports_the_weight_split(capsys):
+    # --family picks the action; the split comes from the solved weights
+    argv = ["cohomology", corpus("s2xs3.json"), "--family", corpus("s2xs3-conjugated-family.json")]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "weights: x:1 y:2 u:1" in lines
+    assert "weights: infeasible" not in lines
+    assert "H^5: w2:1" in lines
+    assert "action H^5: [['t^2']]" in lines
+    assert main([*argv, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["weights"]["assignment"] == {"u": 1, "x": 1, "y": 2}
+    assert doc["weights"]["betti_by_weight"]["3"] == {"1": 1}
+    assert doc["action"]["5"] == [["t^2"]]
+
+
 # ------------------------------------------------------------------- family
 
 

@@ -3,15 +3,16 @@
 import hashlib
 import importlib
 import json
+from collections import Counter
 
 import pytest
 
-from rht.cohomology import cohomology, induced_action, weight_decomposition
-from rht.corpus import load_table, table_keys
+from rht.cohomology import CochainComplex, cohomology, complex_for, induced_action, weight_decomposition
+from rht.corpus import entries, load_presentation, load_table, table_keys
 from rht.errors import DegreeRangeError
 from rht.families import diagonal_family
 from rht.formal import build_formal_model, verify_formal_result
-from rht.model import serialize_presentation
+from rht.model import BasisClass, GradedAlgebraTable, serialize_presentation
 from rht.scalars import Laurent
 from rht.weights import check_weights, find_weights
 
@@ -178,3 +179,78 @@ def test_formal_model_of_s2_wedge_s4_is_frozen(truncation):
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     assert digest == S2WS4_MODEL_DIGESTS[truncation]
+
+
+def ring_table(p) -> GradedAlgebraTable:
+    """The cohomology ring of p through its formal dimension D as a table:
+    class h{n}_{i} is the i-th default representative of H^n, a product
+    of two representatives is read with `class_coordinates` when its
+    degree is at most D, and every product past D is zero."""
+    top = p.formal_dimension
+    cx = complex_for(p)
+    reps = {n: cx.representatives(n) for n in range(top + 1)}
+    names = {n: [f"h{n}_{i}" for i in range(len(xs))] for n, xs in reps.items()}
+    basis = [BasisClass(name, n) for n in sorted(names) for name in names[n]]
+    products = {}
+    for a in range(2, top + 1):
+        for b in range(2, top + 1 - a):
+            for na, x in zip(names[a], reps[a]):
+                for nb, y in zip(names[b], reps[b]):
+                    coords = cx.class_coordinates(x * y, a + b)
+                    products[(na, nb)] = {c: v for c, v in zip(names[a + b], coords) if v}
+    return GradedAlgebraTable(f"ring-{p.name}", basis, names[0][0], products)
+
+
+# SHA-256 of the sorted `to_json_dict()` of each ring table's formal model
+# at the presentation's truncation, frozen before the builder read each
+# degree's cohomology once
+RING_MODEL_DIGESTS = {
+    "cp2": "c2b12f157429c768e5ead8a7ee3c14f09ed6074144db80f8ed7ba9df26aa8463",
+    "cp3": "60eda7f91288bc2e7c6c1ac3956012d2e603bdce29ecb25e4896a12e26409dd4",
+    "cp4": "164d0bbf36309f2abd3ee268d1e58d119877fac0b7cb2c4bc01f43da4917c6c2",
+    "s2": "fd4cf67ff385265c1e996470ecb2b36b43e25c119ad05b6726eb548e133529e1",
+    "s2-wedge-s4": "6b5bafbcf464c2c9435d00bc66370e4cb755d57b9a62492190c4f0deb497bcb7",
+    "s2xs3": "ee383654fa435e3ed967f81a4d4317d6c73e69c25c13c5cd959e5736e831cc01",
+    "s3": "db3347cf82e6d2b27510605378576eee5b86e702684a511b2c78565c97a8c1aa",
+    "s4": "2abe540ee0ce811bcc708c40e9cec18a2980310d1e443a76d5bfae935e8467bb",
+    "s5": "317581fb41c248ce0f680004f38f7c59f430ea95e904d6a8b3ce07ac42689015",
+    "s6": "a22548b975909626db1880f00b20572ed4c6b1dde3cc23c8ee4cf6c540ce4965",
+    "s7": "423705116ef79b697aa44871022199700a9eab76f2bed2695ea3582aa30f60fb",
+}
+
+
+def test_ring_round_trip_covers_every_valid_model_with_a_formal_dimension():
+    models = {e.key: e.load() for e in entries()}
+    keys = [key for key, p in models.items() if p.formal_dimension is not None and not p.validate()]
+    assert sorted(keys) == sorted(RING_MODEL_DIGESTS)
+
+
+@pytest.mark.parametrize("key", sorted(RING_MODEL_DIGESTS))
+def test_formal_model_of_a_ring_table_round_trips(key):
+    # the formal model of a formal model's own ring has its generator
+    # degrees through N - 2, where the ring decides them
+    p = load_presentation(key)
+    n = p.truncation_degree
+    res = build_formal_model(ring_table(p), n)
+    assert verify_formal_result(res) == []
+
+    def degrees(gens):
+        return Counter(g.degree for g in gens if g.degree <= n - 2)
+
+    assert degrees(res.model.generators) == degrees(p.generators)
+    digest = hashlib.sha256(json.dumps(res.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == RING_MODEL_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key,truncation", [("h-s2ws4", 15), ("h-cp3", 10)])
+def test_builder_reads_each_degree_once(monkeypatch, key, truncation):
+    read = []
+    weight_classes = CochainComplex.weight_classes
+
+    def logged(self, n, w):
+        read.append(n)
+        return weight_classes(self, n, w)
+
+    monkeypatch.setattr(CochainComplex, "weight_classes", logged)
+    build_formal_model(load_table(key), truncation)
+    assert read == list(range(2, truncation))
