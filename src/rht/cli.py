@@ -14,35 +14,47 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from .cohomology import (
-    cohomology,
-    flexibility_report,
-    homology_action,
-    induced_action,
-    weight_decomposition,
-)
 from .errors import (
     AmbientMismatchError,
     DegreeRangeError,
     SchemaError,
     ToolkitError,
 )
-from .families import (
-    OneParameterFamily,
-    conjugate,
-    diagonal_family,
-    evaluate,
-    family_to_dict,
-    load_automorphism,
-    load_family,
-    verify_family,
-)
-from .formal import build_formal_model
-from .growth import growth_report
 from .model import SullivanPresentation, _loads, load_presentation, load_table
 from .rationals import format_rational, parse_rational
 from .weights import WeightAssignment, check_weights, find_weights
+
+if TYPE_CHECKING:
+    from .families import OneParameterFamily
+
+
+def _lazy(module: str, name: str):
+    """`name` from `module`, imported on the first call: `rht weights` then
+    never loads the cohomology, family, formal or growth layers."""
+    def call(*args, **kwargs):
+        return getattr(import_module(module, __package__), name)(*args, **kwargs)
+    return call
+
+
+# bound here, not imported inside the subcommands, so that patching a name
+# on this module (as the benchmark's spans do) still wraps the call made
+cohomology = _lazy(".cohomology", "cohomology")
+flexibility_report = _lazy(".cohomology", "flexibility_report")
+homology_action = _lazy(".cohomology", "homology_action")
+induced_action = _lazy(".cohomology", "induced_action")
+weight_decomposition = _lazy(".cohomology", "weight_decomposition")
+conjugate = _lazy(".families", "conjugate")
+diagonal_family = _lazy(".families", "diagonal_family")
+evaluate = _lazy(".families", "evaluate")
+family_to_dict = _lazy(".families", "family_to_dict")
+load_automorphism = _lazy(".families", "load_automorphism")
+load_family = _lazy(".families", "load_family")
+verify_family = _lazy(".families", "verify_family")
+build_formal_model = _lazy(".formal", "build_formal_model")
+growth_report = _lazy(".growth", "growth_report")
 
 
 class _Negative(ToolkitError):

@@ -19,16 +19,21 @@ asking for them raises DegreeRangeError.
 
 from __future__ import annotations
 
+import sys
+import types
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import Element, LAURENT, RATIONAL
 from .errors import DegreeRangeError, FamilyError, HomogeneityError, ScalarKindError, ToolkitError
-from .families import OneParameterFamily, verify_family
 from .model import SullivanPresentation, element_to_terms
 from .qlinalg import QMatrix, invert, quotient_basis, rank
 from .scalars import Laurent
 from .weights import WeightAssignment, check_weights
+
+if TYPE_CHECKING:
+    from .families import OneParameterFamily
 
 
 class CochainComplex:
@@ -209,17 +214,15 @@ def complex_for(p: SullivanPresentation) -> CochainComplex:
 @dataclass
 class CohomologyReport:
     presentation_name: str
-    truncation_degree: int
     max_degree: int
     betti: dict[int, int]
-    representatives: dict[int, list[Element]]
 
     def betti_list(self) -> list[int]:
         return [self.betti[n] for n in range(self.max_degree + 1)]
 
 
 def cohomology(p: SullivanPresentation, max_degree: int | None = None) -> CohomologyReport:
-    """Betti numbers and representative cocycles through max_degree.
+    """Betti numbers through max_degree, each read from two ranks.
 
     The default and the largest allowed max_degree is one below the
     truncation degree; beyond that the answer would depend on truncated
@@ -229,17 +232,10 @@ def cohomology(p: SullivanPresentation, max_degree: int | None = None) -> Cohomo
     if max_degree is None:
         max_degree = cx.certified_through
     cx.check_degree(max_degree)
-    betti = {}
-    reps = {}
-    for n in range(max_degree + 1):
-        betti[n] = cx.betti(n)
-        reps[n] = cx.representatives(n)
     return CohomologyReport(
         presentation_name=p.name,
-        truncation_degree=p.truncation_degree,
         max_degree=max_degree,
-        betti=betti,
-        representatives=reps,
+        betti={n: cx.betti(n) for n in range(max_degree + 1)},
     )
 
 
@@ -340,15 +336,19 @@ def induced_action(
     """
     if fam.presentation != p:
         raise FamilyError("family belongs to a different presentation")
-    problems = verify_family(fam)
-    if problems:
-        raise FamilyError(
-            "family fails verification: " + "; ".join(str(v) for v in problems)
-        )
-    # the family keeps its action on the default representatives, not others
+    # the family keeps its action on the default representatives, not
+    # others, and only once it has passed verification
     if representatives is None and n in fam._actions:
         reps, columns = fam._actions[n]
     else:
+        # imported here, so that callers who never act load no family layer
+        from .families import verify_family
+
+        problems = verify_family(fam)
+        if problems:
+            raise FamilyError(
+                "family fails verification: " + "; ".join(str(v) for v in problems)
+            )
         cx = complex_for(p)
         if representatives is None:
             reps, t_rows = cx.quotient_data(n)
@@ -553,3 +553,15 @@ def flexibility_report(
         top_weight=power,
         action_entry=entry,
     )
+
+
+class _CallableModule(types.ModuleType):
+    """`rht.cohomology` is this module and also names its `cohomology`
+    function: calling the module calls the function, so the package name
+    works as either in any import order."""
+
+    def __call__(self, *args, **kwargs) -> CohomologyReport:
+        return cohomology(*args, **kwargs)
+
+
+sys.modules[__name__].__class__ = _CallableModule

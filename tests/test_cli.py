@@ -90,6 +90,84 @@ def test_benchmark_imports_from_rht_resolve():
     assert missing == []
 
 
+def test_benchmark_spans_fire_on_the_calls_the_cli_makes(monkeypatch, capsys):
+    # the benchmark wraps names on rht.cli; a layer imported inside a
+    # subcommand would bypass the wrapper and lose its span without error
+    calls = {}
+    for name in ("cohomology", "build_formal_model", "growth_report"):
+        def counting(*args, _name=name, _call=getattr(rht.cli, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(rht.cli, name, counting)
+    assert main(["cohomology", corpus("s2.json"), "--json"]) == 0
+    assert main(["formal-model", corpus("h-s2.json"), "--json"]) == 0
+    assert main(["growth", corpus("s2xs3.json"), "--json"]) == 0
+    capsys.readouterr()
+    assert calls == {"cohomology": 1, "build_formal_model": 1, "growth_report": 1}
+
+
+_LAYERS = {"rht.cohomology", "rht.families", "rht.formal", "rht.growth"}
+# run `python -m rht ARGV...`, then print the rht modules it loaded
+_LOADED_PROBE = """
+import json, runpy, sys
+sys.argv[0] = "rht"
+code = None
+try:
+    runpy.run_module("rht", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("rht"))]))
+"""
+
+
+def _loaded_modules(*argv: str) -> tuple[int, set[str]]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+# one command line per subcommand, its exit code, and the layers it must not load
+_LOAD_CASES = [
+    (["check", "s2.json"], 0, _LAYERS),
+    (["weights", "cp3.json", "--json"], 0, _LAYERS),
+    (["weights", "infeasible-synthetic.json", "--json"], 1, _LAYERS),
+    (["cohomology", "infeasible-synthetic.json", "--json"], 0, _LAYERS - {"rht.cohomology"}),
+    (["cohomology", "s2xs3.json", "--json"], 0, {"rht.formal", "rht.growth"}),
+    (["family", "s2xs3.json", "--json"], 0, _LAYERS - {"rht.families"}),
+    (["act", "s2xs3.json", "--json"], 0, {"rht.formal", "rht.growth"}),
+    (["formal-model", "h-s2.json", "--json"], 0, {"rht.families", "rht.growth"}),
+    (["growth", "s2xs3.json", "--json"], 0, {"rht.families", "rht.formal"}),
+    (["flex", "s2xs3.json", "--json"], 0, {"rht.formal", "rht.growth"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,absent", _LOAD_CASES, ids=[" ".join(argv[:2]) for argv, _, _ in _LOAD_CASES]
+)
+def test_each_subcommand_loads_only_its_layers(argv, exit_code, absent):
+    code, loaded = _loaded_modules(argv[0], corpus(argv[1]), *argv[2:])
+    assert code == exit_code
+    assert loaded & absent == set()
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, rht; print(json.dumps(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert [m for m in json.loads(proc.stdout) if m.startswith("rht")] == ["rht"]
+
+
 def test_sources_parse_at_the_declared_python_floor():
     # the tests run on one interpreter; parse every module with the grammar
     # of the oldest Python that pyproject.toml accepts

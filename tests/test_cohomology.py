@@ -29,6 +29,7 @@ from oracles import (
 from rht.algebra import RATIONAL, Element
 from rht.cohomology import (
     ActionReport,
+    CochainComplex,
     characteristic_polynomial,
     cohomology,
     complex_for,
@@ -479,7 +480,6 @@ def _count_eliminations(monkeypatch) -> Counter:
     """From now on, count the calls of `_echelon`, of `EchelonSpan.add`
     and of the `invert` that builds the custom cohomology readers."""
     qlinalg = importlib.import_module("rht.qlinalg")
-    # the package re-exports a function named cohomology over the submodule
     module = importlib.import_module("rht.cohomology")
     counts = Counter()
     for owner, name in (
@@ -620,14 +620,29 @@ def test_every_reader_reads_its_representatives_and_kills_the_coboundaries():
 
 def test_weight_split_after_cohomology_eliminates_nothing(monkeypatch):
     # weight_classes groups the cached default representatives, so it
-    # neither eliminates a weight block nor re-ranks a d-matrix
+    # neither eliminates a weight block nor re-ranks a d-matrix; cohomology()
+    # reads only ranks, so the representatives are picked here first
     models = [(p, w) for p, w in _weighted_models() if w is not None]
     for p, _ in models:
         cohomology(p)
+        for n in range(p.truncation_degree):
+            complex_for(p).representatives(n)
     counts = _count_eliminations(monkeypatch)
     for p, w in models:
         weight_decomposition(p, w)
     assert counts["_echelon"] == counts["add"] == 0
+
+
+def test_cohomology_picks_no_representatives(monkeypatch):
+    # Betti numbers come from ranks; picking each degree's representatives
+    # costs a quotient elimination that cohomology() does not need
+    def refuse(self, n):
+        raise AssertionError(f"representatives of degree {n} picked")
+
+    monkeypatch.setattr(CochainComplex, "representatives", refuse)
+    monkeypatch.setattr(CochainComplex, "quotient_data", refuse)
+    p = load_presentation("s2xs3")
+    assert cohomology(p).betti_list() == [1, 0, 1, 1, 0, 1, 0, 0]
 
 
 def test_cached_d_matrix_spans_are_never_extended():
@@ -708,7 +723,6 @@ def test_certificate_does_not_need_the_characteristic_polynomial(monkeypatch):
     def refuse(m):
         raise AssertionError("characteristic polynomial computed")
 
-    # the package re-exports a function named cohomology over the submodule
     module = importlib.import_module("rht.cohomology")
     monkeypatch.setattr(module, "characteristic_polynomial", refuse)
     p = load_presentation("s2xs3")

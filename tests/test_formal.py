@@ -142,7 +142,6 @@ def test_builder_and_verifier_call_no_invert(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
-    # the package re-exports a function named cohomology over the submodule
     module = importlib.import_module("rht.cohomology")
     monkeypatch.setattr(module, "invert", refuse)
     monkeypatch.setattr(module, "weight_decomposition", refuse)
