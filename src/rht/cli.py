@@ -24,7 +24,7 @@ from .errors import (
     ToolkitError,
 )
 from .model import SullivanPresentation, _loads, load_presentation, load_table
-from .rationals import format_rational, parse_rational
+from .scalars import parse_rational
 from .weights import WeightAssignment, check_weights, find_weights
 
 if TYPE_CHECKING:
@@ -229,7 +229,10 @@ def _cmd_cohomology(args) -> int:
         wrep = weight_decomposition(p, w, max_degree)
         weights_doc = {
             "assignment": dict(sorted(w.weights.items())),
-            "betti_by_weight": wrep.to_json_dict()["betti_by_weight"],
+            "betti_by_weight": {
+                str(n): {str(wt): dim for wt, dim in sorted(by_w.items())}
+                for n, by_w in sorted(wrep.dimensions.items())
+            },
         }
         if fam is None:
             fam = diagonal_family(p, w)
@@ -292,13 +295,13 @@ def _cmd_family(args) -> int:
                 args,
                 {
                     "name": p.name,
-                    "parameter": format_rational(t0),
+                    "parameter": str(t0),
                     "invertible": ev.invertible,
                     "images": images,
                 },
             )
         else:
-            lines = [f"evaluated at t = {format_rational(t0)}"]
+            lines = [f"evaluated at t = {t0}"]
             lines += [f"  {n} -> {img}" for n, img in images.items()]
             lines.append("invertible" if ev.invertible else "NOT invertible")
             _emit(args, "\n".join(lines))
@@ -372,8 +375,8 @@ def _cmd_growth(args) -> int:
         _emit_json(args, rep.to_json_dict())
     else:
         lines = [
-            f"r = {format_rational(rep.growth_exponent)}",
-            f"dil = {format_rational(rep.dil_exponent)}",
+            f"r = {rep.growth_exponent}",
+            f"dil = {rep.dil_exponent}",
             f"note: {rep.note}",
         ]
         _emit(args, "\n".join(lines))

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import Element, LAURENT, RATIONAL
 from .errors import DegreeRangeError, FamilyError, HomogeneityError, ScalarKindError, ToolkitError
-from .model import SullivanPresentation, element_to_terms
+from .model import SullivanPresentation
 from .qlinalg import QMatrix, invert, quotient_basis, rank
 from .scalars import Laurent
 from .weights import WeightAssignment, check_weights
@@ -245,23 +245,6 @@ class WeightDecompositionReport:
     max_degree: int
     dimensions: dict[int, dict[int, int]]
     representatives: dict[int, dict[int, list[Element]]]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.presentation_name,
-            "certified_through": self.max_degree,
-            "betti_by_weight": {
-                str(n): {str(w): dim for w, dim in sorted(by_w.items())}
-                for n, by_w in sorted(self.dimensions.items())
-            },
-            "representatives": {
-                str(n): {
-                    str(w): [element_to_terms(x) for x in xs]
-                    for w, xs in sorted(by_w.items())
-                }
-                for n, by_w in sorted(self.representatives.items())
-            },
-        }
 
 
 def weight_decomposition(

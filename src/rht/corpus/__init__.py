@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from ..errors import SchemaError
-from ..families import ModelMap, OneParameterFamily, parse_automorphism, parse_family
 from ..model import GradedAlgebraTable, SullivanPresentation, parse_presentation, parse_table
+
+if TYPE_CHECKING:
+    from ..families import ModelMap, OneParameterFamily
 
 _PKG = "rht.corpus"
 
@@ -90,11 +93,15 @@ def family_keys() -> list[str]:
 
 def load_corpus_family(key: str) -> OneParameterFamily:
     """Load a bundled one-parameter family; its presentation comes along for free."""
+    from ..families import parse_family
+
     rec = _record("families", key, "family")
     return parse_family(load_presentation(rec["presentation"]), _read_text(rec["file"]))
 
 
 def load_corpus_automorphism(key: str) -> ModelMap:
     """Load a bundled automorphism (parameter-free, exact coefficients)."""
+    from ..families import parse_automorphism
+
     rec = _record("families", key, "automorphism")
     return parse_automorphism(load_presentation(rec["presentation"]), _read_text(rec["file"]))

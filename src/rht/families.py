@@ -344,7 +344,7 @@ def parse_family(p: SullivanPresentation, text: str) -> OneParameterFamily:
 
 def load_family(p: SullivanPresentation, path) -> OneParameterFamily:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_family(p, fh.read())
+        return family_from_dict(p, _loads(fh.read(), path))
 
 
 def automorphism_from_dict(p: SullivanPresentation, doc, path: str = "") -> ModelAutomorphism:
@@ -357,7 +357,7 @@ def parse_automorphism(p: SullivanPresentation, text: str) -> ModelAutomorphism:
 
 def load_automorphism(p: SullivanPresentation, path) -> ModelAutomorphism:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_automorphism(p, fh.read())
+        return automorphism_from_dict(p, _loads(fh.read(), path))
 
 
 def _assignment_from_dict(

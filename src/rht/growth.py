@@ -16,7 +16,6 @@ from fractions import Fraction
 from .cohomology import checked_formal_dimension
 from .errors import DegreeRangeError, HomogeneityError
 from .model import SullivanPresentation
-from .rationals import format_rational
 from .weights import WeightAssignment, check_weights
 
 # The growth bound is meaningful for spaces whose families come from
@@ -56,14 +55,14 @@ class GrowthReport:
         return {
             "name": self.presentation_name,
             "formal_dimension": self.formal_dimension,
-            "growth_exponent": format_rational(self.growth_exponent),
-            "dil_exponent": format_rational(self.dil_exponent),
+            "growth_exponent": str(self.growth_exponent),
+            "dil_exponent": str(self.dil_exponent),
             "ratios": {
                 r.name: {
                     "degree": r.degree,
                     "weight": r.weight,
-                    "degree_over_weight": format_rational(r.degree_over_weight),
-                    "weight_over_degree": format_rational(r.weight_over_degree),
+                    "degree_over_weight": str(r.degree_over_weight),
+                    "weight_over_degree": str(r.weight_over_degree),
                 }
                 for r in self.ratios
             },

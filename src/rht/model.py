@@ -20,8 +20,7 @@ from typing import Callable
 
 from .algebra import Element, FreeGCA, Generator, LinearMap, Monomial, RATIONAL, extend_derivation
 from .errors import SchemaError
-from .rationals import format_rational, parse_rational
-from .scalars import exact_rational
+from .scalars import exact_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,7 @@ class SullivanPresentation:
 
 def element_to_terms(x: Element) -> list[dict]:
     """Canonical term list of an element of either scalar kind: terms in
-    (degree, canonical monomial) order, coefficients as their string form
-    (``str`` of a Fraction is its format_rational form)."""
+    (degree, canonical monomial) order, coefficients as their `str`."""
     alg = x.algebra
     out = []
     for m in sorted(x.terms, key=lambda m: (alg.degree_of(m), alg.monomial_key(m))):
@@ -316,7 +314,7 @@ def parse_presentation(text: str) -> SullivanPresentation:
 
 def load_presentation(path) -> SullivanPresentation:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+        return presentation_from_dict(_loads(fh.read(), path))
 
 
 # ---- finite graded algebra tables -------------------------------------
@@ -491,7 +489,7 @@ def table_to_dict(t: GradedAlgebraTable) -> dict:
                     "left": a,
                     "right": b,
                     "value": [
-                        {"coeff": format_rational(v), "basis": k}
+                        {"coeff": str(v), "basis": k}
                         for k, v in sorted(value.items())
                     ],
                 }
@@ -563,4 +561,4 @@ def parse_table(text: str) -> GradedAlgebraTable:
 
 def load_table(path) -> GradedAlgebraTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_table(fh.read())
+        return table_from_dict(_loads(fh.read(), path))

@@ -47,8 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import coprime_integer_vector
-
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
@@ -429,7 +427,7 @@ def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
     The rows are split into the components of the row-column incidence
     graph, and each component's rows are solved once, on its own columns.
     Feasible: returns the joined component points, a column no row
-    touches taking 1, normalised once by `coprime_integer_vector`.  That is
+    touches taking 1, normalised once by `_integer_row`.  That is
     the whole-matrix solve's vector: the RREF, the kernel vectors and every
     Fourier-Motzkin row of a block matrix stay inside one block.
     Infeasible: returns the greedy minimal infeasible row subset of row
@@ -455,7 +453,7 @@ def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
         witness = max((_deletion_filter(m, rows_of[c], columns[c]) for c in infeasible),
                       key=lambda w: w[0])
         return FeasibilityResult(solution=None, witness=witness)
-    solution = coprime_integer_vector(point)
+    solution = tuple(_integer_row(point))
     if any(sum(a * x for a, x in zip(row, solution) if a) for row in m._rows):
         raise AssertionError("positive solution is not in the kernel")
     return FeasibilityResult(solution=solution, witness=None)

@@ -1,6 +1,7 @@
-"""Laurent-polynomial scalars in the family parameter t.
+"""Exact rational and Laurent-polynomial scalars.
 
-A one-parameter rescaling family has images with coefficients in Q[t, 1/t].
+Every rational in a JSON file is written by `str` ("p" or "p/q") and read
+back by `parse_rational`.  A one-parameter rescaling family has images with coefficients in Q[t, 1/t].
 Scalars are dicts t-power -> coefficient.  A coefficient is an `int` when
 it is integral and a `Fraction` otherwise, and zeros are never stored, so
 equality is structural.  Floats and bools are refused: every scalar is
@@ -18,7 +19,6 @@ import re
 from fractions import Fraction
 
 from .errors import SchemaError
-from .rationals import format_rational, parse_rational
 
 
 def exact_rational(v) -> Fraction:
@@ -26,6 +26,20 @@ def exact_rational(v) -> Fraction:
     if isinstance(v, (bool, float)):
         raise TypeError(f"scalars are exact rationals, not {type(v).__name__}")
     return Fraction(v)
+
+
+def parse_rational(text: str, path: str = "") -> Fraction:
+    """Parse "p" or "p/q" into an exact Fraction, the inverse of `str`;
+    decimals and exponents are refused."""
+    s = text.strip()
+    if not s:
+        raise SchemaError("empty rational literal", path)
+    if any(c in s for c in ".eE"):
+        raise SchemaError(f"not an exact rational: {text!r}", path)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"not an exact rational: {text!r}", path) from exc
 
 
 def _coefficient(v):
@@ -204,10 +218,10 @@ class Laurent:
         parts = []
         for k, c in sorted(self._terms.items(), reverse=True):
             if not k:
-                body = format_rational(abs(c))
+                body = str(abs(c))
             else:
                 power = "t" if k == 1 else f"t^{k}"
-                body = power if abs(c) == 1 else f"{format_rational(abs(c))}*{power}"
+                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
             sign = "-" if c < 0 else "+"
             parts.append((sign, body))
         first_sign, first_body = parts[0]

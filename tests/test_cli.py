@@ -360,6 +360,28 @@ def test_malformed_weight_file_is_an_input_error(tmp_path, capsys, text, message
     assert captured.err == f"error: {f}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{f}"],
+        ["formal-model", "{f}"],
+        ["family", corpus("s2xs3.json"), "--family", "{f}"],
+        ["family", corpus("s2xs3.json"), "--conjugate-by", "{f}"],
+    ],
+    ids=["presentation", "table", "family", "automorphism"],
+)
+def test_invalid_json_error_names_the_file(tmp_path, capsys, argv):
+    f = tmp_path / "bad.json"
+    f.write_text('{"name": "x",')
+    assert main([str(f) if a == "{f}" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {f}: invalid JSON at line 1, column 14: "
+        "Expecting property name enclosed in double quotes\n"
+    )
+
+
 def test_invalid_weight_file_rejected(tmp_path, capsys):
     f = tmp_path / "w.json"
     f.write_text('{"x": 1, "y": 3}\n')

@@ -76,6 +76,26 @@ def test_cohomology_is_the_module_and_calls_the_function():
         assert json.loads(proc.stdout) == [True, "CochainComplex", betti, betti], prelude
 
 
+def test_loading_a_corpus_presentation_loads_no_weight_or_family_layer():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json, sys\n"
+            "from rht.corpus import load_presentation\n"
+            "load_presentation('s2xs3')\n"
+            "print(json.dumps(sorted(sys.modules)))\n",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(json.loads(proc.stdout))
+    assert "rht.model" in loaded
+    assert loaded & {"rht.families", "rht.weights", "rht.qlinalg"} == set()
+
+
 def test_every_public_name_resolves():
     assert rht.__all__ == sorted(set(rht.__all__))
     missing = [name for name in rht.__all__ if getattr(rht, name, None) is None]

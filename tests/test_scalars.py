@@ -1,4 +1,5 @@
-"""Laurent scalars in t: ring laws, evaluation, canonical strings."""
+"""Exact scalars: the rational text form, and Laurent scalars in t (ring
+laws, evaluation, canonical strings)."""
 
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from rht.corpus import load_corpus_family
 from rht.errors import SchemaError
 from rht.families import evaluate
 from rht.model import BasisClass, GradedAlgebraTable
-from rht.scalars import Laurent
+from rht.scalars import Laurent, parse_rational
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
 
@@ -84,6 +85,31 @@ def test_parse_rejects_garbage():
     for bad in ("t^", "1//2", "t**2", "q + 1", ""):
         with pytest.raises(SchemaError):
             Laurent.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("3", 3), ("-3", -3), ("+3", 3), (" 3/4 ", Fraction(3, 4)), ("6/8", Fraction(3, 4))],
+)
+def test_parse_rational_accepts_exact_literals(text, value):
+    q = parse_rational(text)
+    assert type(q) is Fraction and q == value
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [(bad, f"p: not an exact rational: {bad!r}") for bad in ("1.5", "1e3", "1E3", "1/0", "abc", "3/-4")]
+    + [("", "p: empty rational literal")],
+)
+def test_parse_rational_refuses_inexact_or_malformed_text(text, message):
+    with pytest.raises(SchemaError) as info:
+        parse_rational(text, "p")
+    assert str(info.value) == message
+
+
+@given(st.fractions())
+def test_parse_rational_inverts_str(q):
+    assert parse_rational(str(q)) == q
 
 
 @given(laurents(), st.integers(0, 4))
