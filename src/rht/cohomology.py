@@ -4,12 +4,14 @@ Everything is exact.  Each degree n gets its monomial basis, the matrix
 d_n of the differential into degree n + 1, and its default reader
 (reps, T) from one elimination, `quotient_basis` (`quotient_data`, on
 first use): the representatives are rational cocycles whose classes
-form a basis of H^n, and T has one rational row per representative and
-reads a cocycle's class coordinates.  A caller's representatives get
-the reader C^-1 . T, where C holds their default class coordinates
+form a basis of H^n, and T has one row per representative and reads a
+cocycle's class coordinates.  A T row is stored sparse, as the rational
+element whose coefficient at a monomial is the row's entry there, and is
+read against an element's terms (`_dot`).  A caller's representatives
+get the reader C^-1 . T, where C holds their default class coordinates
 (`quotient_for`).  Whether an element is a cocycle is decided by the
-derivation alone: it is one exactly when d of it is zero.  Applying T
-entrywise to vectors with Laurent coefficients gives induced actions
+derivation alone: it is one exactly when d of it is zero.  Reading
+elements with Laurent coefficients through T gives induced actions
 without ever dividing in the Laurent ring.  Betti numbers come from
 ranks, and a weight split groups the default representatives.
 
@@ -50,7 +52,6 @@ class CochainComplex:
         self.truncation_degree = p.truncation_degree
         self.d = p.d
         self._basis: dict[int, list] = {}
-        self._index: dict[int, dict] = {}
         self._dmat: dict[int, QMatrix] = {}
         self._quotient: dict[int, tuple] = {}
 
@@ -73,11 +74,6 @@ class CochainComplex:
             self._basis[n] = self.algebra.monomial_basis(n)
         return self._basis[n]
 
-    def basis_index(self, n: int) -> dict:
-        if n not in self._index:
-            self._index[n] = {m: i for i, m in enumerate(self.basis(n))}
-        return self._index[n]
-
     def d_matrix(self, n: int) -> QMatrix:
         """Matrix of the differential from degree n to degree n + 1: column j
         is the derivation's cached image of basis monomial j, ints where the
@@ -86,7 +82,7 @@ class CochainComplex:
         if n in self._dmat:
             return self._dmat[n]
         src = self.basis(n)
-        dst_index = self.basis_index(n + 1)
+        dst_index = {m: i for i, m in enumerate(self.basis(n + 1))}
         rows = [[0] * len(src) for _ in dst_index]
         for j, mono in enumerate(src):
             for m, c in self.d.of_monomial(mono).items():
@@ -102,14 +98,17 @@ class CochainComplex:
     def quotient_data(self, n: int):
         """The default reader (reps, T) of degree n, cached: the kernel vectors
         of d_n that `quotient_basis` picks, as rational cocycles, and rows
-        with T . rep_j = e_j and T . b = 0 on every coboundary b."""
+        with T . rep_j = e_j and T . b = 0 on every coboundary b, each the
+        rational element whose coefficient at a monomial is its entry there."""
         self.check_degree(n)
         if n not in self._quotient:
             vectors, t_rows = quotient_basis(self.d_matrix(n - 1), self.d_matrix(n))
             if len(vectors) != self.betti(n):
                 raise AssertionError(f"{len(vectors)} classes picked, b_{n} = {self.betti(n)}")
-            terms = [{m: c for m, c in zip(self.basis(n), v) if c} for v in vectors]
-            self._quotient[n] = [Element(self.algebra, RATIONAL, x) for x in terms], t_rows
+            basis = self.basis(n)
+            reps = [dict(zip(basis, v)) for v in vectors]
+            rows = [{basis[j]: c for j, c in row.items()} for row in t_rows]
+            self._quotient[n] = tuple([Element(self.algebra, RATIONAL, x) for x in xs] for xs in (reps, rows))
         return self._quotient[n]
 
     def quotient_for(self, n: int, reps: list[Element]):
@@ -117,7 +116,7 @@ class CochainComplex:
         Raises ToolkitError unless they are rational cocycles of degree n
         whose classes form a basis of H^n.  The default reader gives their
         class coordinates, the columns of an h x h matrix C, and the reader
-        is C^-1 . T."""
+        is C^-1 . T: row i is the sum of s . T_j over row i of C^-1."""
         self.check_degree(n)
         reps = list(reps)
         for x in reps:
@@ -134,11 +133,11 @@ class CochainComplex:
                 f"{len(reps)} representatives supplied for a quotient of dimension {self.betti(n)}"
             )
         t_rows = self.quotient_data(n)[1]
-        vectors = [self.element_vector(x, n) for x in reps]
-        inverse = invert(QMatrix.from_rows([[_dot(row, v) for v in vectors] for row in t_rows], len(reps)))
+        inverse = invert(QMatrix.from_rows([[_dot(row, x) for x in reps] for row in t_rows], len(reps)))
         if inverse is None:
             raise ToolkitError("supplied representatives do not project to a basis of the quotient")
-        return reps, [tuple(_dot(s_row, column) for column in zip(*t_rows)) for s_row in inverse]
+        zero = self.algebra.zero()
+        return reps, [sum((row.scale(s) for s, row in zip(s_row, t_rows)), zero) for s_row in inverse]
 
     def betti(self, n: int) -> int:
         """dim H^n = dim C^n - rank d_n - rank d_(n-1)."""
@@ -163,15 +162,6 @@ class CochainComplex:
             classes.setdefault(weights[0], []).append(x)
         return dict(sorted(classes.items()))
 
-    def element_vector(self, x: Element, n: int) -> list:
-        """Coordinates of a homogeneous element in the degree-n basis."""
-        index = self.basis_index(n)
-        zero = Laurent.zero() if x.kind == LAURENT else Fraction(0)
-        vec = [zero] * len(index)
-        for m, c in x.terms.items():
-            vec[index[m]] = c
-        return vec
-
     def class_coordinates(self, x: Element, n: int) -> list:
         """Coordinates of a degree-n cocycle's class in the representative
         basis.  Raises ToolkitError unless d of the element is zero; an
@@ -180,22 +170,23 @@ class CochainComplex:
         if not x.is_homogeneous(n):
             raise HomogeneityError(f"element is not homogeneous of degree {n}")
         return self._coordinates(
-            self.quotient_data(n)[1], x, n, f"element of degree {n} is not a certified cocycle"
+            self.quotient_data(n)[1], x, f"element of degree {n} is not a certified cocycle"
         )
 
-    def _coordinates(self, t_rows: list, x: Element, n: int, error: str) -> list:
-        """Class coordinates of a degree-n element, one per row of a reader's
-        T; raises ToolkitError with the given message unless d of the
-        element is zero, that is, unless it is a cocycle."""
+    def _coordinates(self, t_rows: list[Element], x: Element, error: str) -> list:
+        """Class coordinates of an element, one per row of a reader's T;
+        raises ToolkitError with the given message unless d of the element
+        is zero, that is, unless it is a cocycle."""
         if not self.d(x).is_zero():
             raise ToolkitError(error)
-        vec = self.element_vector(x, n)
-        return [_dot(row, vec) for row in t_rows]
+        return [_dot(row, x) for row in t_rows]
 
 
-def _dot(rational_row, vec):
-    pairs = [(c, v) for c, v in zip(rational_row, vec) if c]
-    if vec and isinstance(vec[0], Laurent):
+def _dot(row: Element, x: Element):
+    """The sum of row[m] . x[m] over the monomials m of the T row that x also
+    has, a scalar of x's kind."""
+    pairs = [(c, x.terms[m]) for m, c in row.terms.items() if m in x.terms]
+    if x.kind == LAURENT:
         return Laurent.sum_of_products(pairs)
     return sum((v * c for c, v in pairs), Fraction(0))
 
@@ -341,7 +332,6 @@ def induced_action(
             cx._coordinates(
                 t_rows,
                 fam.apply(rep.with_laurent_scalars()),
-                n,
                 f"image in degree {n} is not a certified cocycle",
             )
             for rep in reps

@@ -301,11 +301,14 @@ def presentation_from_dict(doc, path: str = "") -> SullivanPresentation:
 
 
 def _loads(text: str, path: str = ""):
-    """Decode a JSON document, reporting syntax errors as SchemaError."""
+    """Decode a JSON document, reporting syntax errors and nesting deeper
+    than the decoder's recursion limit as SchemaError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", path) from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply", path) from exc
 
 
 def parse_presentation(text: str) -> SullivanPresentation:

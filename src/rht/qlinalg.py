@@ -23,8 +23,8 @@ rank reaches the column count; a matrix keeps that span, so it is
 eliminated at most once.  A span's reduced rows have one reader,
 `EchelonSpan.kernel_vector`, and every kernel answer is built from it:
 `kernel_basis`; `quotient_basis`, which picks the kernel vectors whose
-classes form a basis of a quotient ker / im, and the rows that read a
-class in their basis, from one elimination of the image's columns on the
+classes form a basis of a quotient ker / im, and the sparse rows that read
+a class in their basis, from one elimination of the image's columns on the
 kernel's free columns; and `invert`, from one elimination of [m | -I].
 
 `positive_integer_kernel` answers the question the weight solver needs:
@@ -256,7 +256,7 @@ def independent_columns(m: QMatrix) -> list[Vector]:
     return [tuple(row[j] for row in m._rows) for j in m.echelon().pivots]
 
 
-def quotient_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[Vector]]:
+def quotient_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[dict[int, Fraction]]]:
     """Kernel vectors of d_out whose classes form a basis of ker d_out / im d_in,
     and rows T with T . rep_j = e_j and T . b = 0 on every column b of d_in.
 
@@ -266,7 +266,8 @@ def quotient_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[Ve
     decides both: a kernel vector is picked when its free column is no
     pivot, which is when it is independent of the coboundaries and of the
     vectors before it, and its T row is that elimination's kernel vector at
-    the pick, read back on the free columns of d_out.
+    the pick, read back on the free columns of d_out.  A T row is sparse,
+    {column of d_out: nonzero entry}, since it vanishes off the free columns.
     """
     kernel = d_out.echelon()
     free = kernel.free_columns()[::-1]
@@ -274,8 +275,7 @@ def quotient_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[Ve
     reps, t_rows = [], []
     for i in reversed(span.free_columns()):
         reps.append(kernel.kernel_vector(free[i]))
-        t_row = dict(zip(free, span.kernel_vector(i)))
-        t_rows.append(tuple(t_row.get(j, _ZERO) for j in range(d_out.cols)))
+        t_rows.append({f: c for f, c in zip(free, span.kernel_vector(i)) if c})
     return reps, t_rows
 
 

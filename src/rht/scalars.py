@@ -240,26 +240,22 @@ class Laurent:
             raise SchemaError("empty scalar literal", path)
         if src == "0":
             return cls.zero()
-        # split into signed chunks at top level
+        # split into signed chunks at top level: a sign opens the text or
+        # follows a space, and every sign needs a term before the next one
         chunks: list[tuple[int, str]] = []
         sign, buf = 1, []
-        first = True
-        i = 0
-        while i < len(src):
-            ch = src[i]
-            if ch in "+-" and (first or (buf and src[i - 1] == " ")):
-                if buf and "".join(buf).strip():
+        for i, ch in enumerate(src):
+            if ch in "+-" and (i == 0 or (buf and src[i - 1] == " ")):
+                if i:
                     chunks.append((sign, "".join(buf).strip()))
-                sign = -1 if ch == "-" else 1
-                buf = []
+                sign, buf = (-1 if ch == "-" else 1), []
             else:
                 buf.append(ch)
-            first = False
-            i += 1
-        if "".join(buf).strip():
-            chunks.append((sign, "".join(buf).strip()))
+        chunks.append((sign, "".join(buf).strip()))
         terms: dict[int, Fraction] = {}
         for sgn, chunk in chunks:
+            if not chunk:
+                raise SchemaError(f"sign with no term in scalar literal {text!r}", path)
             coeff, k = _parse_term(chunk, path)
             terms[k] = terms.get(k, Fraction(0)) + sgn * coeff
         return cls(terms)

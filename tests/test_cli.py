@@ -367,19 +367,22 @@ def test_malformed_weight_file_is_an_input_error(tmp_path, capsys, text, message
         ["formal-model", "{f}"],
         ["family", corpus("s2xs3.json"), "--family", "{f}"],
         ["family", corpus("s2xs3.json"), "--conjugate-by", "{f}"],
+        ["weights", corpus("s2.json"), "--weights", "{f}"],
     ],
-    ids=["presentation", "table", "family", "automorphism"],
+    ids=["presentation", "table", "family", "automorphism", "weights"],
 )
 def test_invalid_json_error_names_the_file(tmp_path, capsys, argv):
     f = tmp_path / "bad.json"
-    f.write_text('{"name": "x",')
-    assert main([str(f) if a == "{f}" else a for a in argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: {f}: invalid JSON at line 1, column 14: "
-        "Expecting property name enclosed in double quotes\n"
-    )
+    for text, message in (
+        ('{"name": "x",', "invalid JSON at line 1, column 14: Expecting property name enclosed in double quotes"),
+        # deeper than the decoder's recursion limit
+        ("[" * 200_000, "invalid JSON: nested too deeply"),
+    ):
+        f.write_text(text)
+        assert main([str(f) if a == "{f}" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {f}: {message}\n"
 
 
 def test_invalid_weight_file_rejected(tmp_path, capsys):

@@ -166,7 +166,7 @@ def _cocycle_cases():
     for e in entries():
         cx = complex_for(e.load())
         for n in range(cx.truncation_degree):
-            columns = [tuple(cx.element_vector(x, n)) for x in cx.representatives(n)]
+            columns = [tuple(x.coefficient(m) for m in cx.basis(n)) for x in cx.representatives(n)]
             columns += independent_columns(cx.d_matrix(n - 1))
             k_rows = fraction_quotient_transform(columns, len(cx.basis(n)))[1]
             cases.append((cx, n, columns, k_rows))
@@ -561,8 +561,10 @@ def test_quotient_basis_builds_only_the_vectors_it_returns(monkeypatch):
         assert built == Counter(kernel_vector=2 * picks)
 
 
-def _read(t_rows, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in t_rows]
+def _read(t_rows, x):
+    """Each T row, an element keyed by monomial, paired with the element x
+    through the monomial basis."""
+    return [sum((c * x.coefficient(m) for m, c in row.terms.items()), Fraction(0)) for row in t_rows]
 
 
 def test_quotient_for_refuses_representatives_of_too_few_classes():
@@ -574,8 +576,8 @@ def test_quotient_for_refuses_representatives_of_too_few_classes():
     reps, t_rows = cx.quotient_for(5, [r0 + r1, r0 - r1])
     assert reps == [r0 + r1, r0 - r1]
     half = Fraction(1, 2)
-    assert _read(t_rows, cx.element_vector(r0, 5)) == [half, half]
-    assert _read(t_rows, cx.element_vector(r1, 5)) == [half, -half]
+    assert _read(t_rows, r0) == [half, half]
+    assert _read(t_rows, r1) == [half, -half]
 
 
 def _off_pick_model():
@@ -596,11 +598,14 @@ def test_every_reader_reads_its_representatives_and_kills_the_coboundaries():
     # T . rep_j = e_j and T . b = 0 for every independent coboundary column
     # b, for the default reader and for custom ones on the default
     # representatives reversed and mixed by a unitriangular matrix; no
-    # corpus reader has an entry off its picks, so one more model has
+    # corpus reader has an entry off its picks, so one more model has, and
+    # seeded random presentations add models the corpus does not hold
     off_pick = _off_pick_model()
     assert [str(x) for x in complex_for(off_pick).representatives(6)] == ["a*b"]
-    assert complex_for(off_pick).quotient_data(6)[1] == [(1, 2)]
-    for key, p in [(e.key, e.load()) for e in entries()] + [("off-pick", off_pick)]:
+    assert [str(row) for row in complex_for(off_pick).quotient_data(6)[1]] == ["a*b + 2*a^3"]
+    models = [(e.key, e.load()) for e in entries()] + [("off-pick", off_pick)]
+    models += [(f"seed {seed}", random_presentation(random.Random(seed))) for seed in range(20)]
+    for key, p in models:
         cx = complex_for(p)
         for n in range(cx.truncation_degree):
             reps = cx.representatives(n)
@@ -608,12 +613,15 @@ def test_every_reader_reads_its_representatives_and_kills_the_coboundaries():
             for j in range(len(reps)):
                 for k in range(j + 1, len(reps)):
                     mixed[j] = mixed[j] + reps[k].scale(Fraction(k + 1, j + 2))
-            bound = independent_columns(cx.d_matrix(n - 1))
+            bound = [
+                Element(cx.algebra, RATIONAL, dict(zip(cx.basis(n), b)))
+                for b in independent_columns(cx.d_matrix(n - 1))
+            ]
             readers = [cx.quotient_data(n)] + [cx.quotient_for(n, xs) for xs in (reps[::-1], mixed)]
             for basis, t_rows in readers:
                 for j, x in enumerate(basis):
                     unit = [int(i == j) for i in range(len(basis))]
-                    assert _read(t_rows, cx.element_vector(x, n)) == unit, (key, n)
+                    assert _read(t_rows, x) == unit, (key, n)
                 for b in bound:
                     assert not any(_read(t_rows, b)), (key, n)
 

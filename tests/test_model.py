@@ -141,6 +141,7 @@ def test_table_add_and_scale():
     t = cp2_table()
     x = {"x": Fraction(1)}
     assert t.add(x, t.scale(x, Fraction(-1))) == {}
+    assert t.add(x, {"x2": Fraction(2)}) == {"x": Fraction(1), "x2": Fraction(2)}
     assert t.scale(x, Fraction(0)) == {}
     assert t.scale(x, Fraction(3, 2)) == {"x": Fraction(3, 2)}
 

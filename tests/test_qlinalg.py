@@ -471,11 +471,13 @@ def test_quotient_basis_picks_the_greedy_complement_and_reads_it(system, data):
         span.add(col)
     assert reps == [v for v in kernel if span.add(v)]
     assert len(t_rows) == len(reps)
-    _assert_fractions(*reps, *t_rows)
+    _assert_fractions(*reps, *(row.values() for row in t_rows))
     for i, row in enumerate(t_rows):
+        # a sparse row, {column: nonzero entry}
+        assert all(row.values()) and set(row) <= set(range(ncols))
         unit = [int(i == j) for j in range(len(reps))]
-        assert [sum(a * b for a, b in zip(row, v)) for v in reps] == unit
-        assert not any(sum(a * b for a, b in zip(row, col)) for col in image)
+        assert [sum(c * v[j] for j, c in row.items()) for v in reps] == unit
+        assert not any(sum(c * col[j] for j, c in row.items()) for col in image)
 
 
 @settings(max_examples=300, deadline=None)
@@ -597,6 +599,9 @@ def test_from_rows_without_rows_keeps_the_column_shape():
     m = QMatrix.from_rows([], 3)
     assert (m.rows, m.cols) == (0, 3)
     assert kernel_basis(m) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    m = QMatrix.from_rows([])
+    assert (m.rows, m.cols) == (0, 0)
+    assert kernel_basis(m) == []
 
 
 def test_from_rows_refuses_ragged_rows():

@@ -62,6 +62,8 @@ def test_canonical_string_examples():
     assert str(Laurent.one()) == "1"
     assert str(Laurent.t(-1)) == "t^-1"
     assert str(Laurent({0: -1, -2: 3})) == "-1 + 3*t^-2"
+    # a rational minus a Laurent, through __rsub__
+    assert 1 - Laurent.t() == Laurent({0: 1, 1: -1})
 
 
 def test_t_power_zero_is_one():
@@ -82,9 +84,12 @@ def test_as_rational_rejects_t_terms():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("t^", "1//2", "t**2", "q + 1", ""):
+    # a sign needs a term before the next sign and before the end
+    for bad in ("t^", "1//2", "t**2", "q + 1", "", "2 - -3", "t - - t", "-", "+", "1 +", "1 -"):
         with pytest.raises(SchemaError):
             Laurent.parse(bad)
+    good = [Laurent.parse(text) for text in ("- 1", "--1", "1 -t", "t^-1")]
+    assert good == [Laurent({0: -1}), Laurent.one(), Laurent({0: 1, 1: -1}), Laurent.t(-1)]
 
 
 @pytest.mark.parametrize(
