@@ -33,18 +33,23 @@ if so, which coprime positive integer vector does the deterministic
 elimination order produce.  Each connected component of the row-column
 incidence graph is solved once, and the joined points are the whole
 matrix's, since a block matrix's elimination stays inside its blocks.
-When some component is infeasible, the answer is certified by the greedy
-minimal infeasible row set of row order (the deletion filter of J. W.
-Chinneck and E. W. Dravnieks, ORSA J. Computing 3 (1991)), run on each
-infeasible component alone: the whole matrix's is the one of these whose
-first kept row is latest.
+A solve reads its kernel basis by substitution in dependency order when
+every row has the shape of a weight constraint, a single negative entry,
+-1, at its source (`_substitution_kernel`), and from `kernel_basis`
+otherwise; both give the same basis.  When some component is infeasible,
+the answer is certified by the greedy minimal infeasible row set of row
+order (the deletion filter of J. W. Chinneck and E. W. Dravnieks, ORSA
+J. Computing 3 (1991)), run on each infeasible component alone: the
+whole matrix's is the one of these whose first kept row is latest.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
@@ -59,11 +64,12 @@ class QMatrix:
     Fractions, kept as given; every algorithm reads the rows through one
     door, `_echelon`, which feeds them to the one elimination loop,
     `EchelonSpan`, and stops at full column rank.  `echelon` keeps that
-    span, and no caller extends it.  The class is a value type:
+    span, and no caller extends it.  `supports` reads each row's nonzero
+    columns once for the sparse readers.  The class is a value type:
     operations return new matrices.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_span")
+    __slots__ = ("rows", "cols", "_rows", "_span", "_supports")
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "QMatrix":
@@ -76,8 +82,12 @@ class QMatrix:
             raise ValueError("negative dimension")
         if any(len(row) != cols for row in dense):
             raise ValueError(f"every row must have length {cols}")
+        return cls._of(dense, cols)
+
+    @classmethod
+    def _of(cls, dense: list[list], cols: int, supports: list[list[int]] | None = None) -> "QMatrix":
         m = cls.__new__(cls)
-        m.rows, m.cols, m._rows, m._span = len(dense), cols, dense, None
+        m.rows, m.cols, m._rows, m._span, m._supports = len(dense), cols, dense, None, supports
         return m
 
     def echelon(self) -> "EchelonSpan":
@@ -95,11 +105,23 @@ class QMatrix:
     def row(self, i: int) -> Vector:
         return tuple(self._rows[i])
 
-    def submatrix(self, rows: list[int], cols: list[int]) -> "QMatrix":
-        """The entries at the given rows and columns, in the given order."""
-        return QMatrix.from_rows(
-            [[self._rows[i][j] for j in cols] for i in rows], len(cols)
-        )
+    def supports(self) -> list[list[int]]:
+        """The columns of each row's nonzero entries, in increasing order,
+        read once and shared by every sparse reader of the matrix."""
+        if self._supports is None:
+            self._supports = [list(compress(range(self.cols), row)) for row in self._rows]
+        return self._supports
+
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "QMatrix":
+        """The entries at the given rows and columns, in the given order,
+        read through the row supports, which the submatrix keeps."""
+        at, own = {j: k for k, j in enumerate(cols)}, self.supports()
+        supports = [sorted(at[j] for j in own[i] if j in at) for i in rows]
+        dense = [[0] * len(cols) for _ in supports]
+        for new, i, support in zip(dense, rows, supports):
+            for k in support:
+                new[k] = self._rows[i][cols[k]]
+        return QMatrix._of(dense, len(cols), supports)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
@@ -367,9 +389,65 @@ def _fourier_motzkin(rows: list[list[int]], nvars: int) -> list[Fraction] | None
     return values
 
 
+def _substitution_kernel(m: QMatrix) -> list[Vector] | None:
+    """`kernel_basis(m)` by substitution, or None unless each row has one
+    negative entry, a -1 at its source, and no sources' first rows form a
+    cycle.  Each source's first row writes its column as a form in the free
+    columns (no row's source), resolved in dependency order; each later row
+    is a condition on the free columns, and one `EchelonSpan` of those gives
+    their kernel.  Lifted to full vectors, it is echelonned with the column
+    order reversed and read back: the RREF kernel basis is exactly that
+    form, as its vector at free column f has a 1 at f, zeros at the RREF's
+    other free columns and nothing after f."""
+    rows, supports = m._rows, m.supports()
+    first, later = {}, []
+    for i, (row, support) in enumerate(zip(rows, supports)):
+        negative = [j for j in support if row[j] < 0]
+        if len(negative) != 1 or row[negative[0]] != -1:
+            return None
+        if negative[0] in first:
+            later.append((negative[0], i))
+        else:
+            first[negative[0]] = i
+    free = [j for j in range(m.cols) if j not in first]
+    forms = {j: {k: 1} for k, j in enumerate(free)}
+
+    def image(s: int, i: int) -> dict[int, Fraction]:
+        """The form that row i gives its source s, {free index: coefficient}."""
+        out: dict[int, Fraction] = {}
+        for j in supports[i]:
+            if j != s:
+                for k, x in forms[j].items():
+                    out[k] = out.get(k, 0) + rows[i][j] * x
+        return out
+
+    todo = list(first)
+    while todo:
+        ready = [s for s in todo if all(j in forms for j in supports[first[s]] if j != s)]
+        if not ready:
+            return None
+        forms.update((s, image(s, first[s])) for s in ready)
+        todo = [s for s in todo if s not in forms]
+    conditions = [(forms[s], image(s, i)) for s, i in later]
+    span = _echelon([[a.get(k, 0) - b.get(k, 0) for k in range(len(free))] for a, b in conditions], len(free))
+    lifted = [[sum(x * u[k] for k, x in forms[j].items()) for j in reversed(range(m.cols))]
+              for u in (_integer_row(span.kernel_vector(f)) for f in span.free_columns())]
+    span = _echelon(lifted, m.cols)
+    return [tuple(Fraction(x, row[p]) if x else _ZERO for x in reversed(row))
+            for row, p in zip(reversed(span.integer_rows), reversed(span.pivots))]
+
+
 def _positive_kernel_point(m: QMatrix) -> list[Fraction] | None:
-    """A strictly positive rational kernel vector of m, or None."""
-    basis = kernel_basis(m)
+    """A strictly positive rational kernel vector of m, or None.
+
+    The basis is `kernel_basis(m)` by one of two paths: substitution when
+    every row has the weight-constraint shape, as every subset of the rows
+    of a valid presentation does, and the elimination of every row when
+    some row does not (a cyclic dependency, an entry below -1, no or two
+    negative entries)."""
+    basis = _substitution_kernel(m)
+    if basis is None:
+        basis = kernel_basis(m)
     if not basis:
         return None
     coord_rows = [_integer_row([v[j] for v in basis]) for j in range(m.cols)]
@@ -399,7 +477,7 @@ def _row_components(m: QMatrix) -> tuple[list[int | None], dict[int, list[int]]]
             j = parent[j]
         return j
 
-    supports = [[j for j, x in enumerate(row) if x] for row in m._rows]
+    supports = m.supports()
     for support in supports:
         for j in support[1:]:
             parent[find(j)] = find(support[0])
@@ -454,6 +532,6 @@ def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
                       key=lambda w: w[0])
         return FeasibilityResult(solution=None, witness=witness)
     solution = tuple(_integer_row(point))
-    if any(sum(a * x for a, x in zip(row, solution) if a) for row in m._rows):
+    if any(sum(row[j] * solution[j] for j in s) for row, s in zip(m._rows, m.supports())):
         raise AssertionError("positive solution is not in the kernel")
     return FeasibilityResult(solution=solution, witness=None)

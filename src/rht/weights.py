@@ -16,6 +16,7 @@ automorphism (families.transport_presentation) probes other bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import FreeGCA, Monomial
 from .errors import ToolkitError
@@ -42,7 +43,7 @@ class WeightConstraintSystem:
     rows: tuple[ConstraintRow, ...]
 
     def matrix(self) -> QMatrix:
-        return QMatrix.from_rows([list(r.coefficients) for r in self.rows])
+        return QMatrix.from_rows([r.coefficients for r in self.rows])
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,10 @@ def find_weights(p: SullivanPresentation) -> WeightReport:
     The outcome is deterministic in the presentation alone.
     """
     system = extract_constraints(p)
-    n = len(system.generator_names)
-    constrained = sorted(
-        {j for row in system.rows for j in range(n) if row.coefficients[j]}
-    )
+    m = system.matrix()
+    constrained = sorted(set(chain.from_iterable(m.supports())))
     col_of = {j: k for k, j in enumerate(constrained)}
-    sub_rows = [[row.coefficients[j] for j in constrained] for row in system.rows]
-    sub = QMatrix.from_rows(sub_rows, len(constrained))
-    result = positive_integer_kernel(sub)
+    result = positive_integer_kernel(m.submatrix(range(m.rows), constrained))
     if not result.feasible:
         witness = tuple(system.rows[i] for i in result.witness)
         return WeightReport(False, None, witness, system)

@@ -76,6 +76,12 @@ def test_odd_generator_squares_to_zero(alg):
     assert (b * b).is_zero()
 
 
+def test_zeroth_power_is_the_unit(alg):
+    for name in ("a", "b"):
+        assert alg.gen(name).power(0) == alg.one()
+    assert alg.zero().power(0) == alg.one()
+
+
 def test_even_generator_powers_survive(alg):
     a = alg.gen("a")
     cube = a * a * a

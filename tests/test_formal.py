@@ -32,6 +32,21 @@ def test_two_sphere_model_structure():
     assert p.formal_dimension == 2
 
 
+def test_unit_only_table_at_truncation_two_has_no_generators():
+    res = build_formal_model(GradedAlgebraTable("point", [BasisClass("1", 0)], "1", {}), 2)
+    assert res.model.generators == ()
+    assert res.model.formal_dimension is None
+
+
+def test_a_killer_named_like_a_table_class_takes_the_next_suffix():
+    # the killer of a^2 in degree 3 would be z3_0, which the table class holds
+    basis = [BasisClass("1", 0), BasisClass("a", 2), BasisClass("z3_0", 3)]
+    res = build_formal_model(GradedAlgebraTable("a-z", basis, "1", {}), 5)
+    names = [(g.name, g.degree) for g in res.model.generators]
+    assert names == [("a", 2), ("z3_0", 3), ("z3_0_1", 3)]
+    assert verify_formal_result(res) == []
+
+
 def test_cp2_model_gains_its_killer_at_high_truncation():
     res = build_formal_model(load_table("h-cp2"), 7)
     p = res.model

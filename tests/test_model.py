@@ -32,6 +32,13 @@ def test_valid_presentation_has_no_violations():
     assert two_sphere().validate() == []
 
 
+def test_generator_of_the_truncation_degree_is_valid():
+    # y has degree exactly N = 3; only a degree above N is flagged
+    p = two_sphere()
+    p = SullivanPresentation("s2", p.generators, p.differential, 3, 2)
+    assert p.validate() == []
+
+
 def test_degree_one_generator_is_flagged():
     gens = [Generator(0, "x", 1)]
     p = SullivanPresentation("bad", gens, {}, 5, None)

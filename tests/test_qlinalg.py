@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,11 +18,13 @@ from oracles import (
     fraction_quotient_transform,
     fraction_rref,
     greedy_witness,
+    random_presentation,
 )
 from rht.corpus import load_presentation
 from rht.qlinalg import (
     EchelonSpan,
     QMatrix,
+    _substitution_kernel,
     independent_columns,
     invert,
     kernel_basis,
@@ -30,6 +33,7 @@ from rht.qlinalg import (
     rank,
     rref,
 )
+from rht.weights import extract_constraints
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -590,6 +594,125 @@ def test_joined_component_points_match_the_whole_matrix_solution(system):
     res = positive_integer_kernel(_qmatrix(rows, ncols))
     assert res.feasible
     assert res.solution == fraction_positive_integer_kernel(rows, ncols)[0]
+
+
+# --------------------------------------------- weight-constraint shape kernels
+
+shape_entries = st.sampled_from([0, 0, 1, 2, 3, Fraction(1, 2)])
+
+
+@st.composite
+def shaped_systems(draw, max_cols=7):
+    """(rows, ncols) with the shape of a weight constraint matrix: column
+    j > 0 of a dependency DAG on the columns in order is the source of zero
+    to three rows, each with a -1 at j and nonnegative entries only on
+    columns before j; rows and columns then shuffled.  The first row of
+    each source fixes its entry of a point x, and half the later rows are
+    made to agree with x at one entry, so feasible draws are common as
+    well as infeasible ones (a source set to 0, or two rows of one source
+    that disagree)."""
+    c = draw(st.integers(1, max_cols))
+    rows, x = [], []
+    for j in range(c):
+        own = []
+        for _ in range(draw(st.integers(0, 3)) if j else 0):
+            row = [draw(shape_entries) if k < j else 0 for k in range(c)]
+            if own and draw(st.booleans()):
+                k = draw(st.integers(0, j - 1))
+                row[k], rest = 0, sum(a * b for a, b in zip(row, x))
+                if rest > x[j]:
+                    row, rest = [0] * c, 0
+                row[k] = Fraction(x[j] - rest) / x[k] if x[k] else 0
+            if not own:
+                x.append(sum(a * b for a, b in zip(row, x)))
+            row[j] = -1
+            own.append(row)
+        if not own:
+            x.append(draw(st.integers(1, 3)))
+        rows += own
+    rows = draw(st.permutations(rows))
+    order = draw(st.permutations(range(c)))
+    return [[row[j] for j in order] for row in rows], c
+
+
+# one matrix for each way a matrix misses the shape, with the answer the
+# general elimination gives it
+UNSHAPED = [
+    ([[-1, 1], [1, -1]], (1, 1), None),  # the sources' first rows form a 2-cycle
+    ([[-2, 1, 0], [1, 1, -1]], (1, 2, 3), None),  # an entry below -1
+    ([[-1, -1, 2]], (1, 1, 1), None),  # two negative entries
+    ([[1, 1, 0], [0, 1, -1]], None, (0,)),  # no negative entry
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_systems())
+def test_substitution_kernel_is_the_rref_kernel_basis_on_shaped_matrices(system):
+    rows, ncols = system
+    m = _qmatrix(rows, ncols)
+    basis = _substitution_kernel(m)
+    assert basis == kernel_basis(m) == fraction_kernel_basis(rows, ncols)
+    _assert_fractions(*basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_systems())
+@example(([[-1, 1], [1, -1]], 2))
+@example(([[-2, 1, 0], [1, 1, -1]], 3))
+@example(([[-1, -1, 2]], 3))
+@example(([[1, 1, 0], [0, 1, -1]], 3))
+def test_positive_integer_kernel_on_shaped_matrices_matches_fraction_oracle(system):
+    # solution and witness, feasible or not; every deletion trial is shaped too
+    rows, ncols = system
+    res = positive_integer_kernel(_qmatrix(rows, ncols))
+    assert (res.solution, res.witness) == fraction_positive_integer_kernel(rows, ncols)
+
+
+@pytest.mark.parametrize("rows,solution,witness", UNSHAPED)
+def test_matrices_without_the_shape_take_the_general_elimination(rows, solution, witness):
+    m = QMatrix.from_rows(rows)
+    assert _substitution_kernel(m) is None
+    res = positive_integer_kernel(m)
+    assert (res.solution, res.witness) == (solution, witness)
+
+
+@pytest.fixture(scope="module")
+def simplex():
+    return pytest.importorskip("sympy.solvers.simplex")
+
+
+def _simplex_feasible(simplex, rows, ncols):
+    """Whether ker m meets the open positive orthant, by sympy's exact
+    simplex: the largest t <= 1 with m x = 0 and every x_j >= t >= 0 is 1
+    when it does, since a positive kernel vector scales to one with every
+    entry at least 1, and 0 when it does not.  The origin is a vertex of
+    that program, so the simplex needs no search for a feasible start: on
+    these degenerate systems sympy 1.14's search can return a point that
+    breaks a constraint, or cycle.  Its point is checked before t is read."""
+    from sympy import Matrix, eye, ones, zeros
+
+    k = len(rows)
+    m = Matrix(k, ncols, [x for row in rows for x in row])
+    a = Matrix.vstack(m.row_join(zeros(k, 1)), (-m).row_join(zeros(k, 1)),
+                      (-eye(ncols)).row_join(ones(ncols, 1)), zeros(1, ncols).row_join(ones(1, 1)))
+    b = Matrix.vstack(zeros(2 * k + ncols, 1), ones(1, 1))
+    _, v = simplex.linprog(zeros(1, ncols).row_join(-ones(1, 1)), A=a, b=b)
+    x, t = Matrix(v[:ncols]), v[ncols]
+    assert not any(m * x) and all(xj >= t for xj in x) and t in (0, 1)
+    return t == 1
+
+
+def _constraint_system(seed):
+    system = extract_constraints(random_presentation(random.Random(seed)))
+    return [list(r.coefficients) for r in system.rows], len(system.generator_names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(shaped_systems(), st.integers(0, 10**9).map(_constraint_system)))
+def test_feasibility_matches_an_exact_simplex(simplex, system):
+    rows, ncols = system
+    res = positive_integer_kernel(_qmatrix(rows, ncols))
+    assert res.feasible == _simplex_feasible(simplex, rows, ncols)
 
 
 # ------------------------------------------------------- QMatrix row contract

@@ -1,5 +1,7 @@
 """Positive weight detection: solver vs oracle, frozen cases, witnesses."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -49,6 +51,49 @@ def test_every_formal_corpus_entry_is_feasible():
         assert rep.feasible == e.expected["feasible"], e.key
         if rep.feasible:
             assert dict(sorted(rep.assignment.weights.items())) == e.expected["weights"]
+
+
+# SHA-256 of the `to_json_dict()` of `find_weights` on every corpus
+# presentation, keyed by manifest key, then on the h-s2ws4 formal models at
+# N = 8-21, keyed by N; frozen while every kernel came from eliminating
+# every constraint row
+WEIGHT_REPORTS_DIGEST = "ef89c57bf6ebdbdc03f8ee9ed7d73f0675b0c317dfab241f3db4e13a911dcae9"
+
+
+def test_weight_reports_are_frozen():
+    docs = [[e.key, find_weights(e.load()).to_json_dict()] for e in entries()]
+    for n in range(8, 22):
+        model = build_formal_model(load_table("h-s2ws4"), n).model
+        docs.append([n, find_weights(model).to_json_dict()])
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == WEIGHT_REPORTS_DIGEST
+
+
+def test_solves_add_no_more_full_width_rows_than_the_kernel_dimension(monkeypatch):
+    # eliminating every row of the N=18 model's 280 x 79 matrix added 280
+    add, solve = qlinalg.EchelonSpan.add, qlinalg._positive_kernel_point
+    widths, solves = [], []
+
+    def counted_add(self, v):
+        widths.append(len(v))
+        return add(self, v)
+
+    def counted_solve(m):
+        widths.clear()
+        point = solve(m)
+        solves.append((m, widths.count(m.cols)))
+        return point
+
+    monkeypatch.setattr(qlinalg.EchelonSpan, "add", counted_add)
+    monkeypatch.setattr(qlinalg, "_positive_kernel_point", counted_solve)
+    for e in entries():
+        find_weights(e.load())
+    rep = find_weights(build_formal_model(load_table("h-s2ws4"), 18).model)
+    monkeypatch.undo()
+    assert (len(rep.system.rows), len(rep.system.generator_names)) == (280, 79)
+    assert max(m.rows for m, _ in solves) == 280
+    for m, adds in solves:
+        assert adds <= len(qlinalg.kernel_basis(m)), (m.rows, m.cols, adds)
 
 
 def test_synthetic_entry_is_infeasible_with_frozen_witness():
