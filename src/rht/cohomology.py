@@ -2,18 +2,19 @@
 
 Everything is exact.  Each degree n gets its monomial basis, the matrix
 d_n of the differential into degree n + 1, and its default reader
-(reps, T) from one elimination, `quotient_basis` (`quotient_data`, on
-first use): the representatives are rational cocycles whose classes
-form a basis of H^n, and T has one row per representative and reads a
-cocycle's class coordinates.  A T row is stored sparse, as the rational
-element whose coefficient at a monomial is the row's entry there, and is
-read against an element's terms (`_dot`).  A caller's representatives
-get the reader C^-1 . T, where C holds their default class coordinates
-(`quotient_for`).  Whether an element is a cocycle is decided by the
-derivation alone: it is one exactly when d of it is zero.  Reading
-elements with Laurent coefficients through T gives induced actions
-without ever dividing in the Laurent ring.  Betti numbers come from
-ranks, and a weight split groups the default representatives.
+(reps, T) from one elimination, `quotient_basis` (`quotient_data`, on first
+use): the representatives are rational cocycles whose classes form a
+basis of H^n, and T has one row per representative and reads a cocycle's
+class coordinates.  Matrices are sparse; a representative or a T row is
+the rational element whose coefficient at a monomial is its nonzero
+entry there, and T is read against an element's terms (`_dot`).  A
+caller's representatives get the reader C^-1 . T, where C holds their
+default class coordinates (`quotient_for`).  Whether an element is a
+cocycle is decided by the derivation alone: it is one exactly when d of
+it is zero.  Reading elements with Laurent coefficients through T gives
+induced actions without ever dividing in the Laurent ring.  Betti
+numbers come from ranks, and a weight split groups the default
+representatives.
 
 Degrees at and above the truncation degree are unavailable, not zero:
 asking for them raises DegreeRangeError.
@@ -76,14 +77,14 @@ class CochainComplex:
 
     def d_matrix(self, n: int) -> QMatrix:
         """Matrix of the differential from degree n to degree n + 1: column j
-        is the derivation's cached image of basis monomial j, ints where the
-        differential's coefficients are integral, Fractions otherwise.
-        Degree -1 has an empty basis, so d_matrix(-1) has no columns."""
+        is the derivation's cached image of basis monomial j, in sparse rows:
+        ints where the differential's coefficients are integral, Fractions
+        otherwise.  Degree -1 has an empty basis, so d_matrix(-1) has none."""
         if n in self._dmat:
             return self._dmat[n]
         src = self.basis(n)
         dst_index = {m: i for i, m in enumerate(self.basis(n + 1))}
-        rows = [[0] * len(src) for _ in dst_index]
+        rows = [{} for _ in dst_index]
         for j, mono in enumerate(src):
             for m, c in self.d.of_monomial(mono).items():
                 rows[dst_index[m]][j] = c
@@ -99,16 +100,17 @@ class CochainComplex:
         """The default reader (reps, T) of degree n, cached: the kernel vectors
         of d_n that `quotient_basis` picks, as rational cocycles, and rows
         with T . rep_j = e_j and T . b = 0 on every coboundary b, each the
-        rational element whose coefficient at a monomial is its entry there."""
+        rational element of its nonzero Fraction entries, keyed by monomial."""
         self.check_degree(n)
         if n not in self._quotient:
             vectors, t_rows = quotient_basis(self.d_matrix(n - 1), self.d_matrix(n))
             if len(vectors) != self.betti(n):
                 raise AssertionError(f"{len(vectors)} classes picked, b_{n} = {self.betti(n)}")
             basis = self.basis(n)
-            reps = [dict(zip(basis, v)) for v in vectors]
-            rows = [{basis[j]: c for j, c in row.items()} for row in t_rows]
-            self._quotient[n] = tuple([Element(self.algebra, RATIONAL, x) for x in xs] for xs in (reps, rows))
+            self._quotient[n] = tuple(
+                [Element._trusted(self.algebra, RATIONAL, {basis[j]: c for j, c in v.items()}) for v in vs]
+                for vs in (vectors, t_rows)
+            )
         return self._quotient[n]
 
     def quotient_for(self, n: int, reps: list[Element]):

@@ -187,8 +187,8 @@ def _extend(b: _Builder, n: int):
             killer_index += 1
     table_basis = b.table.degree_basis(n)
     span = EchelonSpan(len(table_basis), rho_rows)
-    for cls in table_basis:
-        if span.add([int(c == cls) for c in table_basis]):
+    for k, cls in enumerate(table_basis):
+        if span.add({k: 1}):
             b.add_generator(cls, n, n, None, {cls: Fraction(1)})
 
 

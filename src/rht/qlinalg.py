@@ -12,20 +12,23 @@ are exact `Fraction`s: a pivot row is divided by its pivot only when it is
 returned, and since the reduced row echelon form is canonical it is the
 one rational elimination would reach.
 
-There is one Gauss-Jordan loop, `EchelonSpan`: it keeps a span in
-reduced echelon form and grows it one candidate at a time, so choosing
-the candidates that extend a span costs one reduction per candidate
-rather than one elimination of the whole span.  A `QMatrix` stores dense
-rows, the right trade at the sizes this package meets (tens to a few
-hundred rows), and every elimination of a matrix enters through one door,
+There is one row format, {column: nonzero entry}, from a matrix through
+a span's rows to its kernel vectors, so a step costs the nonzero entries
+it touches, not the width (T. A. Davis, *Direct Methods for Sparse
+Linear Systems*, SIAM, 2006).  There is one Gauss-Jordan loop,
+`EchelonSpan`: it keeps a span in reduced echelon form and grows it one
+candidate at a time, so choosing the candidates that extend a span costs
+one reduction per candidate rather than one elimination of the whole
+span.  Every elimination of a `QMatrix` enters through one door,
 `_echelon`, which adds its rows to an `EchelonSpan` and stops once the
 rank reaches the column count; a matrix keeps that span, so it is
 eliminated at most once.  A span's reduced rows have one reader,
 `EchelonSpan.kernel_vector`, and every kernel answer is built from it:
-`kernel_basis`; `quotient_basis`, which picks the kernel vectors whose
-classes form a basis of a quotient ker / im, and the sparse rows that read
-a class in their basis, from one elimination of the image's columns on the
-kernel's free columns; and `invert`, from one elimination of [m | -I].
+`kernel_basis`, written out dense; `quotient_basis`, which picks the
+kernel vectors whose classes form a basis of a quotient ker / im, and
+the rows that read a class in their basis, from one elimination of the
+image's columns on the kernel's free columns; and `invert`, from one
+elimination of [m | -I].
 
 `positive_integer_kernel` answers the question the weight solver needs:
 does the kernel of an integer matrix meet the open positive orthant, and
@@ -45,12 +48,12 @@ whole matrix's is the one of these whose first kept row is latest.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
+from operator import mul
 
 Vector = tuple[Fraction, ...]
 
@@ -58,36 +61,41 @@ _ZERO = Fraction(0)
 
 
 class QMatrix:
-    """Immutable rational matrix stored as dense rows.
+    """Immutable rational matrix stored as sparse rows.
 
-    `from_rows` is the one constructor.  Each row is a list of ints or
-    Fractions, kept as given; every algorithm reads the rows through one
-    door, `_echelon`, which feeds them to the one elimination loop,
-    `EchelonSpan`, and stops at full column rank.  `echelon` keeps that
-    span, and no caller extends it.  `supports` reads each row's nonzero
-    columns once for the sparse readers.  The class is a value type:
-    operations return new matrices.
+    `from_rows` is the one constructor.  A row is given dense, a sequence
+    of ints or Fractions, or sparse, a dict {column: entry}; either way it
+    is stored as {column: nonzero entry}, the entries kept as given.  Every
+    algorithm reads the rows through one door, `_echelon`, which feeds them
+    to the one elimination loop, `EchelonSpan`, and stops at full column
+    rank.  `echelon` keeps that span, and no caller extends it.  The dense
+    readers `entry`, `row` and `dense_rows` fill the zeros in.  The class
+    is a value type: operations return new matrices.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_span", "_supports")
+    __slots__ = ("rows", "cols", "_rows", "_span")
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "QMatrix":
         """The matrix with a copy of each row.  `cols` is the shape, read
-        from the first row when omitted; a matrix with no rows needs it."""
-        dense = [list(row) for row in rows]
+        from the first row when omitted; sparse rows and a matrix with no
+        rows need it."""
+        rows = list(rows)
         if cols is None:
-            cols = len(dense[0]) if dense else 0
+            cols = len(rows[0]) if rows else 0
         if cols < 0:
             raise ValueError("negative dimension")
-        if any(len(row) != cols for row in dense):
+        if any(not isinstance(row, dict) and len(row) != cols for row in rows):
             raise ValueError(f"every row must have length {cols}")
-        return cls._of(dense, cols)
+        sparse = [{j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x} for row in rows]
+        if any(min(row) < 0 or max(row) >= cols for row in sparse if row):
+            raise ValueError(f"every column must lie in 0..{cols - 1}")
+        return cls._of(sparse, cols)
 
     @classmethod
-    def _of(cls, dense: list[list], cols: int, supports: list[list[int]] | None = None) -> "QMatrix":
+    def _of(cls, sparse: list[dict], cols: int) -> "QMatrix":
         m = cls.__new__(cls)
-        m.rows, m.cols, m._rows, m._span, m._supports = len(dense), cols, dense, None, supports
+        m.rows, m.cols, m._rows, m._span = len(sparse), cols, sparse, None
         return m
 
     def echelon(self) -> "EchelonSpan":
@@ -97,37 +105,28 @@ class QMatrix:
         return self._span
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+        return self._rows[i].get(j, _ZERO)
 
     def dense_rows(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._rows]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def row(self, i: int) -> Vector:
-        return tuple(self._rows[i])
+        return _dense(self._rows[i], self.cols)
 
     def supports(self) -> list[list[int]]:
-        """The columns of each row's nonzero entries, in increasing order,
-        read once and shared by every sparse reader of the matrix."""
-        if self._supports is None:
-            self._supports = [list(compress(range(self.cols), row)) for row in self._rows]
-        return self._supports
+        """The columns of each row's nonzero entries."""
+        return [list(row) for row in self._rows]
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "QMatrix":
-        """The entries at the given rows and columns, in the given order,
-        read through the row supports, which the submatrix keeps."""
-        at, own = {j: k for k, j in enumerate(cols)}, self.supports()
-        supports = [sorted(at[j] for j in own[i] if j in at) for i in rows]
-        dense = [[0] * len(cols) for _ in supports]
-        for new, i, support in zip(dense, rows, supports):
-            for k in support:
-                new[k] = self._rows[i][cols[k]]
-        return QMatrix._of(dense, len(cols), supports)
+        """The entries at the given rows and columns, in the given order."""
+        at = {j: k for k, j in enumerate(cols)}
+        return QMatrix._of([{at[j]: x for j, x in self._rows[i].items() if j in at} for i in rows], len(cols))
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("length mismatch")
-        return tuple(sum((a * x for a, x in zip(row, v) if a), _ZERO) for row in self._rows)
+        return tuple(sum((x * v[j] for j, x in row.items()), _ZERO) for row in self._rows)
 
     def __eq__(self, other):
         return (
@@ -141,27 +140,30 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}, {self._rows})"
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """Divide an integer row by its content; the zero row stays as it is."""
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+def _dense(row: dict, ncols: int) -> Vector:
+    """A sparse row written out, Fraction zeros filled in."""
+    v = [_ZERO] * ncols
+    for j, x in row.items():
+        v[j] = x
+    return tuple(v)
 
 
-def _integer_row(v) -> list[int]:
-    """The primitive integer row on the ray of a row of ints or Fractions."""
-    l = lcm(*[x.denominator for x in v])
-    return _primitive([x.numerator * (l // x.denominator) for x in v])
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide a sparse integer row by its content; the zero row stays as it is."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _eliminate(row: list[int], c: int, pivot_row: list[int]) -> list[int]:
-    """Clear column c of row against a row with a positive pivot at c.
+def _integer_row(v: dict) -> dict[int, int]:
+    """The primitive integer row on the ray of a sparse row of ints or
+    Fractions, zero entries dropped."""
+    l = lcm(*[x.denominator for x in v.values()])
+    return _primitive({j: x.numerator * (l // x.denominator) for j, x in v.items() if x})
+
+
+def _eliminate(row: dict[int, int], c: int, pivot_row: dict[int, int]) -> dict[int, int]:
+    """Clear column c of a sparse row against a row with a positive pivot
+    at c, touching only the two rows' nonzero entries.
 
     The result is primitive and a positive multiple of
     pivot_row[c] * row - row[c] * pivot_row.
@@ -170,12 +172,19 @@ def _eliminate(row: list[int], c: int, pivot_row: list[int]) -> list[int]:
     g = gcd(p, a)
     p //= g
     a //= g
-    return _primitive([p * x - a * y for x, y in zip(row, pivot_row)])
+    out = {j: p * x for j, x in row.items()} if p != 1 else dict(row)
+    for j, y in pivot_row.items():
+        x = out.get(j, 0) - a * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out)
 
 
 def _echelon(rows, ncols: int) -> EchelonSpan:
-    """The one door into elimination: the rows of ints or Fractions added
-    one at a time to an `EchelonSpan`, stopping once the rank reaches the
+    """The one door into elimination: the rows, dense or sparse, added one
+    at a time to an `EchelonSpan`, stopping once the rank reaches the
     column count, since no later row can then extend the span."""
     span = EchelonSpan(ncols)
     for row in rows:
@@ -193,8 +202,8 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     nonzero rows are padded with zero rows to the row count of m.
     """
     span = _echelon(m._rows, m.cols)
-    zero_rows = [[_ZERO] * m.cols for _ in range(m.rows - len(span.pivots))]
-    return QMatrix.from_rows(span.rows + zero_rows, m.cols), tuple(span.pivots)
+    rows = [{j: Fraction(x, row[p]) for j, x in row.items()} for row, p in zip(span.integer_rows, span.pivots)]
+    return QMatrix._of(rows + [{} for _ in range(m.rows - len(rows))], m.cols), tuple(span.pivots)
 
 
 def rank(m: QMatrix) -> int:
@@ -203,101 +212,116 @@ def rank(m: QMatrix) -> int:
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
     """Basis of the right kernel: `EchelonSpan.kernel_vector` at each free
-    column, in column order."""
+    column, in column order, written out dense."""
     span = m.echelon()
-    return [span.kernel_vector(f) for f in span.free_columns()]
+    return [_dense(span.kernel_vector(f), m.cols) for f in span.free_columns()]
 
 
 class EchelonSpan:
     """A span of row vectors kept in reduced row echelon form.
 
-    The span is stored as `integer_rows`: primitive integer rows, each
-    with a positive entry in its pivot column and zeros in every other
-    pivot column.  `rows` divides each by its pivot; rows are ordered by
-    their pivot columns, so they always equal the nonzero rows of the RREF
-    of the vectors added so far.  This is the one Gauss-Jordan loop of the
-    package: `_echelon` feeds it the rows of every matrix it eliminates.
+    Each row is a primitive integer row {column: nonzero int}, found by its
+    pivot column, positive there and zero in every other pivot column.  `add`
+    and `kernel_vector` read no zero entry, only one lookup per stored row
+    for the column they clear or read.  `rows` divides each by its pivot,
+    dense and in pivot order: the nonzero rows of the RREF of the vectors
+    added so far.  This is the one Gauss-Jordan loop of the package:
+    `_echelon` feeds it the rows of every matrix it eliminates.
     """
 
-    __slots__ = ("ncols", "integer_rows", "pivots")
+    __slots__ = ("ncols", "pivots", "_row_at")
 
     def __init__(self, ncols: int, vectors=()):
         self.ncols = ncols
-        self.integer_rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self._row_at: dict[int, dict[int, int]] = {}
         for v in vectors:
             self.add(v)
 
     @property
+    def integer_rows(self) -> list[dict[int, int]]:
+        """The stored rows, in pivot order."""
+        return [self._row_at[p] for p in self.pivots]
+
+    @property
     def rows(self) -> list[list[Fraction]]:
-        return [[Fraction(x, row[p]) for x in row] for row, p in zip(self.integer_rows, self.pivots)]
+        return [[Fraction(row.get(j, 0), row[p]) for j in range(self.ncols)]
+                for row, p in zip(self.integer_rows, self.pivots)]
 
     def add(self, v) -> bool:
-        """Insert v (ints or Fractions) if it lies outside the span; report
-        whether it did."""
-        if len(v) != self.ncols:
-            raise ValueError("length mismatch")
-        if not any(v):
-            return False
+        """Insert v if it lies outside the span; report whether it did.  v is
+        dense, a sequence of ints or Fractions, or sparse, {column: entry}."""
+        if not isinstance(v, dict):
+            if len(v) != self.ncols:
+                raise ValueError("length mismatch")
+            v = dict(enumerate(v))
         r = _integer_row(v)
-        for row, p in zip(self.integer_rows, self.pivots):
-            if r[p]:
-                r = _eliminate(r, p, row)
-        c = next((j for j, x in enumerate(r) if x), None)
-        if c is None:
+        row_at = self._row_at
+        for p in [j for j in r if j in row_at]:
+            r = _eliminate(r, p, row_at[p])
+        if not r:
             return False
+        c = min(r)
         if r[c] < 0:
-            r = [-x for x in r]
-        for i, row in enumerate(self.integer_rows):
-            if row[c]:
-                self.integer_rows[i] = _eliminate(row, c, r)
-        k = bisect(self.pivots, c)
-        self.integer_rows.insert(k, r)
-        self.pivots.insert(k, c)
+            r = {j: -x for j, x in r.items()}
+        for p, row in row_at.items():
+            if c in row:
+                row_at[p] = _eliminate(row, c, r)
+        row_at[c] = r
+        insort(self.pivots, c)
         return True
 
     def free_columns(self) -> list[int]:
         """The columns that hold no pivot, in increasing order."""
-        pivots = set(self.pivots)
-        return [c for c in range(self.ncols) if c not in pivots]
+        return [c for c in range(self.ncols) if c not in self._row_at]
 
-    def kernel_vector(self, f: int) -> Vector:
-        """The kernel vector of the span at free column f: 1 there, minus
-        the reduced entry at f of each pivot's row in that pivot's slot,
-        and zero at every other free column."""
-        v = [_ZERO] * self.ncols
-        v[f] = Fraction(1)
-        for row, p in zip(self.integer_rows, self.pivots):
-            if row[f]:
+    def kernel_vector(self, f: int) -> dict[int, Fraction]:
+        """The kernel vector of the span at free column f, sparse: 1 at f,
+        and minus the reduced entry at f of each pivot's row in that pivot's
+        slot where that entry is nonzero."""
+        v = {f: Fraction(1)}
+        for p, row in self._row_at.items():
+            if f in row:
                 v[p] = Fraction(-row[f], row[p])
-        return tuple(v)
+        return v
 
 
 def independent_columns(m: QMatrix) -> list[Vector]:
-    """The pivot columns of m: each column independent of those before it."""
-    return [tuple(row[j] for row in m._rows) for j in m.echelon().pivots]
+    """The pivot columns of m, each independent of those before it, dense."""
+    return [_dense(column, m.rows) for column in _pivot_columns(m)]
 
 
-def quotient_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[Vector], list[dict[int, Fraction]]]:
+def _pivot_columns(m: QMatrix) -> list[dict[int, Fraction]]:
+    """`independent_columns` read from the rows' nonzero entries, {row: entry}."""
+    columns = {j: {} for j in m.echelon().pivots}
+    for i, row in enumerate(m._rows):
+        for j, x in row.items():
+            if j in columns:
+                columns[j][i] = x
+    return list(columns.values())
+
+
+def quotient_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[dict[int, Fraction]], list[dict[int, Fraction]]]:
     """Kernel vectors of d_out whose classes form a basis of ker d_out / im d_in,
     and rows T with T . rep_j = e_j and T . b = 0 on every column b of d_in.
 
     A kernel vector is fixed by its entries on the free columns of d_out,
-    where `kernel_basis(d_out)` is the unit basis.  So one elimination of
-    `independent_columns(d_in)` on the free columns, taken last first,
-    decides both: a kernel vector is picked when its free column is no
-    pivot, which is when it is independent of the coboundaries and of the
-    vectors before it, and its T row is that elimination's kernel vector at
-    the pick, read back on the free columns of d_out.  A T row is sparse,
-    {column of d_out: nonzero entry}, since it vanishes off the free columns.
+    where the kernel vectors of d_out's span are the unit basis.  So one
+    elimination of `independent_columns(d_in)` on the free columns, taken
+    last first, decides both: a kernel vector is picked when its free column
+    is no pivot, which is when it is independent of the coboundaries and of
+    the vectors before it, and its T row is that elimination's kernel vector
+    at the pick, read back on the free columns of d_out.  Representatives
+    and T rows are sparse, {column of d_out: nonzero entry}.
     """
     kernel = d_out.echelon()
     free = kernel.free_columns()[::-1]
-    span = _echelon([[b[f] for f in free] for b in independent_columns(d_in)], len(free))
+    at = {f: k for k, f in enumerate(free)}
+    span = _echelon([{at[i]: x for i, x in b.items() if i in at} for b in _pivot_columns(d_in)], len(free))
     reps, t_rows = [], []
     for i in reversed(span.free_columns()):
         reps.append(kernel.kernel_vector(free[i]))
-        t_rows.append({f: c for f, c in zip(free, span.kernel_vector(i)) if c})
+        t_rows.append({free[k]: c for k, c in span.kernel_vector(i).items()})
     return reps, t_rows
 
 
@@ -309,11 +333,11 @@ def invert(m: QMatrix) -> list[Vector] | None:
     n = m.rows
     if m.cols != n:
         raise ValueError(f"cannot invert a {n}x{m.cols} matrix")
-    span = _echelon([row + [-int(i == j) for j in range(n)] for i, row in enumerate(m._rows)], 2 * n)
+    span = _echelon([{**row, n + i: -1} for i, row in enumerate(m._rows)], 2 * n)
     if span.pivots != list(range(n)):
         return None
-    columns = [span.kernel_vector(n + j)[:n] for j in range(n)]
-    return list(zip(*columns))
+    columns = [span.kernel_vector(n + j) for j in range(n)]
+    return [tuple(column.get(i, _ZERO) for column in columns) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -371,10 +395,13 @@ def _fourier_motzkin(rows: list[list[int]], nvars: int) -> list[Fraction] | None
         combined = list(zero)
         for p in lower:
             for n in upper:
-                new = _eliminate(n, var, p)
-                if not any(new):
+                g = gcd(p[var], n[var])
+                a, b = p[var] // g, n[var] // g
+                new = [a * x - b * y for x, y in zip(n, p)]
+                g = gcd(*new)
+                if not g:
                     return None
-                combined.append(tuple(new))
+                combined.append(tuple(x // g for x in new))
         stages.append((var, lower, upper))
         system = combined
     values = [Fraction(0)] * nvars
@@ -399,10 +426,10 @@ def _substitution_kernel(m: QMatrix) -> list[Vector] | None:
     order reversed and read back: the RREF kernel basis is exactly that
     form, as its vector at free column f has a 1 at f, zeros at the RREF's
     other free columns and nothing after f."""
-    rows, supports = m._rows, m.supports()
+    rows = m._rows
     first, later = {}, []
-    for i, (row, support) in enumerate(zip(rows, supports)):
-        negative = [j for j in support if row[j] < 0]
+    for i, row in enumerate(rows):
+        negative = [j for j, x in row.items() if x < 0]
         if len(negative) != 1 or row[negative[0]] != -1:
             return None
         if negative[0] in first:
@@ -412,33 +439,36 @@ def _substitution_kernel(m: QMatrix) -> list[Vector] | None:
     free = [j for j in range(m.cols) if j not in first]
     forms = {j: {k: 1} for k, j in enumerate(free)}
 
-    def image(s: int, i: int) -> dict[int, Fraction]:
+    def image(s: int, i: int) -> dict[int, int]:
         """The form that row i gives its source s, {free index: coefficient}."""
-        out: dict[int, Fraction] = {}
-        for j in supports[i]:
+        out: dict[int, int] = {}
+        for j, x in rows[i].items():
             if j != s:
-                for k, x in forms[j].items():
-                    out[k] = out.get(k, 0) + rows[i][j] * x
+                for k, y in forms[j].items():
+                    out[k] = out.get(k, 0) + x * y
         return out
 
     todo = list(first)
     while todo:
-        ready = [s for s in todo if all(j in forms for j in supports[first[s]] if j != s)]
+        ready = [s for s in todo if all(j in forms for j in rows[first[s]] if j != s)]
         if not ready:
             return None
         forms.update((s, image(s, first[s])) for s in ready)
         todo = [s for s in todo if s not in forms]
-    conditions = [(forms[s], image(s, i)) for s, i in later]
-    span = _echelon([[a.get(k, 0) - b.get(k, 0) for k in range(len(free))] for a, b in conditions], len(free))
-    lifted = [[sum(x * u[k] for k, x in forms[j].items()) for j in reversed(range(m.cols))]
+    # each later row's condition: the form of s minus the form the row gives s
+    span = _echelon(({**forms[s], **{k: forms[s].get(k, 0) - x for k, x in image(s, i).items()}}
+                     for s, i in later), len(free))
+    last = m.cols - 1
+    lifted = [{last - j: sum(x * u[k] for k, x in form.items() if k in u) for j, form in forms.items()}
               for u in (_integer_row(span.kernel_vector(f)) for f in span.free_columns())]
     span = _echelon(lifted, m.cols)
-    return [tuple(Fraction(x, row[p]) if x else _ZERO for x in reversed(row))
+    return [_dense({last - j: Fraction(x, row[p]) for j, x in row.items()}, m.cols)
             for row, p in zip(reversed(span.integer_rows), reversed(span.pivots))]
 
 
-def _positive_kernel_point(m: QMatrix) -> list[Fraction] | None:
-    """A strictly positive rational kernel vector of m, or None.
+def _positive_kernel_point(m: QMatrix) -> tuple[list[int], int] | None:
+    """A strictly positive rational kernel vector of m, as integer
+    numerators over one positive denominator, or None.
 
     The basis is `kernel_basis(m)` by one of two paths: substitution when
     every row has the weight-constraint shape, as every subset of the rows
@@ -450,16 +480,20 @@ def _positive_kernel_point(m: QMatrix) -> list[Fraction] | None:
         basis = kernel_basis(m)
     if not basis:
         return None
-    coord_rows = [_integer_row([v[j] for v in basis]) for j in range(m.cols)]
-    if not all(map(any, coord_rows)):
+    # the basis times l and the combination times d are integers
+    l = lcm(*[x.denominator for v in basis for x in v])
+    columns = list(zip(*[[x.numerator * (l // x.denominator) for x in v] for v in basis]))
+    if not all(map(any, columns)):
         return None
-    combo = _fourier_motzkin(coord_rows, len(basis))
+    combo = _fourier_motzkin([[x // g for x in c] for c in columns for g in [gcd(*c)]], len(basis))
     if combo is None:
         return None
-    point = [sum(v[j] * combo[k] for k, v in enumerate(basis)) for j in range(m.cols)]
+    d = lcm(*[c.denominator for c in combo])
+    combo = [c.numerator * (d // c.denominator) for c in combo]
+    point = [sum(map(mul, combo, c)) for c in columns]
     if not all(x > 0 for x in point):
         raise AssertionError("kernel point is not strictly positive")
-    return point
+    return point, d * l
 
 
 def _row_components(m: QMatrix) -> tuple[list[int | None], dict[int, list[int]]]:
@@ -525,13 +559,14 @@ def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
         part = _positive_kernel_point(m.submatrix(rows, columns[c]))
         if part is None:
             infeasible.append(c)
-        for j, x in zip(columns[c], part or ()):
-            point[j] = x
+            continue
+        for j, x in zip(columns[c], part[0]):
+            point[j] = Fraction(x, part[1])
     if infeasible:
         witness = max((_deletion_filter(m, rows_of[c], columns[c]) for c in infeasible),
                       key=lambda w: w[0])
         return FeasibilityResult(solution=None, witness=witness)
-    solution = tuple(_integer_row(point))
-    if any(sum(row[j] * solution[j] for j in s) for row, s in zip(m._rows, m.supports())):
+    solution = tuple(_integer_row(dict(enumerate(point))).values())
+    if any(sum(x * solution[j] for j, x in row.items()) for row in m._rows):
         raise AssertionError("positive solution is not in the kernel")
     return FeasibilityResult(solution=solution, witness=None)

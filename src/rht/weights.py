@@ -15,7 +15,7 @@ automorphism (families.transport_presentation) probes other bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .algebra import FreeGCA, Monomial
@@ -26,15 +26,28 @@ from .qlinalg import QMatrix, positive_integer_kernel
 
 @dataclass(frozen=True)
 class ConstraintRow:
-    """One homogeneity condition: sum of exponent * n_factor - n_source = 0."""
+    """One homogeneity condition, sum of exponent * n_factor - n_source = 0, for
+    one monomial of d(source); its label and dense coefficients are built on demand."""
 
     source: str
-    monomial_name: str
-    coefficients: tuple[int, ...]
+    monomial: Monomial
+    algebra: FreeGCA = field(compare=False, repr=False)
 
     @property
     def label(self) -> str:
-        return f"d({self.source}): {self.monomial_name}"
+        return f"d({self.source}): {self.algebra.monomial_name(self.monomial)}"
+
+    @property
+    def entries(self) -> dict[int, int]:
+        """The nonzero coefficients, {generator id: coefficient}."""
+        row, gid = dict(self.monomial), self.algebra.by_name[self.source].gid
+        row[gid] = row.get(gid, 0) - 1
+        return {j: x for j, x in row.items() if x}
+
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        row = self.entries
+        return tuple(row.get(j, 0) for j in range(len(self.algebra.generators)))
 
 
 @dataclass(frozen=True)
@@ -43,7 +56,7 @@ class WeightConstraintSystem:
     rows: tuple[ConstraintRow, ...]
 
     def matrix(self) -> QMatrix:
-        return QMatrix.from_rows([r.coefficients for r in self.rows])
+        return QMatrix.from_rows([r.entries for r in self.rows], len(self.generator_names))
 
 
 @dataclass(frozen=True)
@@ -95,24 +108,13 @@ def extract_constraints(p: SullivanPresentation) -> WeightConstraintSystem:
     the image; column order is generator order.  The row for monomial m of
     d(x) holds the exponents of m, with the slot of x decremented by one.
     """
-    names = tuple(g.name for g in p.generators)
-    rows: list[ConstraintRow] = []
-    for gid in sorted(p.differential):
-        img = p.differential[gid]
-        alg = p.algebra
-        for mono in sorted(img.terms, key=alg.monomial_key):
-            coeffs = [0] * len(names)
-            for g, e in mono:
-                coeffs[g] += e
-            coeffs[gid] -= 1
-            rows.append(
-                ConstraintRow(
-                    source=p.generators[gid].name,
-                    monomial_name=alg.monomial_name(mono),
-                    coefficients=tuple(coeffs),
-                )
-            )
-    return WeightConstraintSystem(generator_names=names, rows=tuple(rows))
+    alg = p.algebra
+    rows = tuple(
+        ConstraintRow(p.generators[gid].name, mono, alg)
+        for gid in sorted(p.differential)
+        for mono in sorted(p.differential[gid].terms, key=alg.monomial_key)
+    )
+    return WeightConstraintSystem(generator_names=tuple(g.name for g in p.generators), rows=rows)
 
 
 def find_weights(p: SullivanPresentation) -> WeightReport:

@@ -325,6 +325,48 @@ def random_presentation(rng: random.Random, max_generators=5):
     )
 
 
+def coboundary_presentation(rng: random.Random, max_generators=6):
+    """A random valid truncated presentation whose images hit products of
+    earlier generators, closed or not, so that coboundaries are common.
+
+    Generators come in increasing degree; the first one or two are closed.
+    Each later one maps to a random combination of one or two cocycles of
+    its degree + 1 built from the generators before it: a product of
+    closed generators, or d of a product that holds a non-closed one,
+    which d^2 = 0 makes a cocycle.  So d^2 = 0 holds by construction and
+    every image is decomposable.  A generator left without a candidate
+    stays closed.
+    """
+    from rht.algebra import FreeGCA, Generator, extend_derivation
+    from rht.model import SullivanPresentation
+
+    k = rng.randint(3, max_generators)
+    degrees = sorted(rng.randint(2, 5) for _ in range(k))
+    gens = [Generator(i, f"g{i}", deg) for i, deg in enumerate(degrees)]
+    alg = FreeGCA(gens)
+    d_images = {}
+    for g in gens[rng.randint(1, 2):]:
+        earlier = {h.gid: h.degree for h in gens[: g.gid]}
+        closed = {gid: deg for gid, deg in earlier.items() if gid not in d_images}
+        d = extend_derivation(alg, d_images)
+        candidates = []
+        for w in enumerate_words(closed, g.degree + 1):
+            if len(w) >= 2 and (word := alg.normalize_word(list(w))) is not None:
+                candidates.append(alg.element({word[1]: word[0]}))
+        for w in enumerate_words(earlier, g.degree):
+            if any(x in d_images for x in w) and (word := alg.normalize_word(list(w))) is not None:
+                if not (image := d(alg.element({word[1]: word[0]}))).is_zero():
+                    candidates.append(image)
+        img = alg.zero()
+        for x in rng.sample(candidates, k=min(len(candidates), rng.randint(1, 2))):
+            img = img + x.scale(Fraction(rng.choice([1, -1, 2])))
+        if not img.is_zero():
+            d_images[g.gid] = img
+    return SullivanPresentation(
+        f"coboundary-{rng.randrange(10**6)}", gens, d_images, max(degrees) + 4, None
+    )
+
+
 # ----------------------------------------------- Fraction elimination reference
 #
 # The dense-`Fraction` elimination `rht.qlinalg` used before its integer

@@ -359,3 +359,8 @@ def test_arithmetic_results_equal_the_validated_terms(alg, case):
     ):
         assert got == Element(alg, kind, raw)
         assert all(c and type(c) is coefficient_type for c in got.terms.values())
+
+
+def test_repr_lists_generators_with_their_degrees_in_id_order():
+    assert repr(FreeGCA(GENS)) == "FreeGCA(a:2, b:3, c:3, e:4, f:5)"
+    assert repr(FreeGCA([])) == "FreeGCA()"

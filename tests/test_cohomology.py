@@ -16,11 +16,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
+    FractionEchelonSpan,
     apply_d_word,
     brute_force_weights,
     canonical_monomial,
+    coboundary_presentation,
     enumerate_words,
+    fraction_kernel_basis,
     fraction_quotient_transform,
+    fraction_rref,
     naive_betti,
     oracle_weight_betti,
     presentation_data,
@@ -50,7 +54,7 @@ from rht.errors import (
 from rht.families import OneParameterFamily, diagonal_family, verify_family
 from rht.formal import build_formal_model
 from rht.model import presentation_from_dict
-from rht.qlinalg import _echelon, independent_columns
+from rht.qlinalg import _echelon, independent_columns, kernel_basis, rank, rref
 from rht.scalars import Laurent
 from rht.weights import WeightAssignment, find_weights
 
@@ -606,24 +610,74 @@ def test_every_reader_reads_its_representatives_and_kills_the_coboundaries():
     models = [(e.key, e.load()) for e in entries()] + [("off-pick", off_pick)]
     models += [(f"seed {seed}", random_presentation(random.Random(seed))) for seed in range(20)]
     for key, p in models:
+        _assert_readers_read_and_kill(key, p)
+
+
+def _assert_readers_read_and_kill(key, p):
+    """T . rep_j = e_j and T . b = 0 on every independent coboundary column
+    b, in every certified degree of p, for the default reader and custom
+    ones on its representatives reversed and mixed unitriangularly."""
+    cx = complex_for(p)
+    for n in range(cx.truncation_degree):
+        reps = cx.representatives(n)
+        mixed = list(reps)
+        for j in range(len(reps)):
+            for k in range(j + 1, len(reps)):
+                mixed[j] = mixed[j] + reps[k].scale(Fraction(k + 1, j + 2))
+        bound = [
+            Element(cx.algebra, RATIONAL, dict(zip(cx.basis(n), b)))
+            for b in independent_columns(cx.d_matrix(n - 1))
+        ]
+        readers = [cx.quotient_data(n)] + [cx.quotient_for(n, xs) for xs in (reps[::-1], mixed)]
+        for basis, t_rows in readers:
+            for j, x in enumerate(basis):
+                unit = [int(i == j) for i in range(len(basis))]
+                assert _read(t_rows, x) == unit, (key, n)
+            for b in bound:
+                assert not any(_read(t_rows, b)), (key, n)
+
+
+COBOUNDARY_DRAWS = [coboundary_presentation(random.Random(seed)) for seed in range(20)]
+
+
+def test_coboundary_draws_have_coboundaries_and_off_pick_readers():
+    # random_presentation gives d_(n-1) positive rank on 2 of seeds 0-19;
+    # these draws on 16, and T rows with an entry off their pick
+    ranks, off_pick = [], 0
+    for p in COBOUNDARY_DRAWS:
+        assert p.validate() == [], p.name
         cx = complex_for(p)
-        for n in range(cx.truncation_degree):
-            reps = cx.representatives(n)
-            mixed = list(reps)
-            for j in range(len(reps)):
-                for k in range(j + 1, len(reps)):
-                    mixed[j] = mixed[j] + reps[k].scale(Fraction(k + 1, j + 2))
-            bound = [
-                Element(cx.algebra, RATIONAL, dict(zip(cx.basis(n), b)))
-                for b in independent_columns(cx.d_matrix(n - 1))
-            ]
-            readers = [cx.quotient_data(n)] + [cx.quotient_for(n, xs) for xs in (reps[::-1], mixed)]
-            for basis, t_rows in readers:
-                for j, x in enumerate(basis):
-                    unit = [int(i == j) for i in range(len(basis))]
-                    assert _read(t_rows, x) == unit, (key, n)
-                for b in bound:
-                    assert not any(_read(t_rows, b)), (key, n)
+        ranks.append(sum(rank(cx.d_matrix(n - 1)) for n in range(p.truncation_degree)))
+        off_pick += sum(len(row.terms) > 1 for n in range(p.truncation_degree)
+                        for row in cx.quotient_data(n)[1])
+    assert (sum(map(bool, ranks)), sum(ranks), off_pick) == (16, 65, 8)
+
+
+def test_coboundary_draws_readers_read_their_classes_and_kill_coboundaries():
+    for seed, p in enumerate(COBOUNDARY_DRAWS):
+        _assert_readers_read_and_kill(f"seed {seed}", p)
+
+
+def test_coboundary_draws_match_the_fraction_oracle():
+    # d-matrices by the oracle's Leibniz expansion, their RREF and kernels
+    # by dense Fraction elimination, the picks by the greedy complement of
+    # the coboundaries, and the Betti numbers by naive_betti
+    for p in COBOUNDARY_DRAWS:
+        _assert_d_matrices_match_the_oracle(p)
+        cx = complex_for(p)
+        for n in range(p.truncation_degree):
+            m = cx.d_matrix(n)
+            rows = m.dense_rows()
+            reduced, pivots = rref(m)
+            assert (reduced.dense_rows(), list(pivots)) == fraction_rref(rows, m.cols), (p.name, n)
+            assert kernel_basis(m) == fraction_kernel_basis(rows, m.cols), (p.name, n)
+            span = FractionEchelonSpan(m.cols)
+            for b in independent_columns(cx.d_matrix(n - 1)):
+                assert span.add(b), (p.name, n)
+            picked = [v for v in fraction_kernel_basis(rows, m.cols) if span.add(v)]
+            reps = [[x.coefficient(mono) for mono in cx.basis(n)] for x in cx.representatives(n)]
+            assert reps == [list(v) for v in picked], (p.name, n)
+            assert cx.betti(n) == naive_betti(p, n), (p.name, n)
 
 
 def test_weight_split_after_cohomology_eliminates_nothing(monkeypatch):

@@ -532,3 +532,43 @@ def test_assignment_files_round_trip_byte_identical(a, b, p_x, p_z, c):
     text = serialize_automorphism(phi)
     assert parse_automorphism(p, text) == phi
     assert serialize_automorphism(parse_automorphism(p, text)) == text
+
+
+def test_serialize_family_text_is_pinned_on_the_corpus_diagonal_family():
+    # sorted generator keys, two-space indent, one line per JSON token
+    assert serialize_family(load_corpus_family("s2xs3-diagonal")) == """{
+  "u": [
+    {
+      "coeff": "t",
+      "monomial": [
+        [
+          "u",
+          1
+        ]
+      ]
+    }
+  ],
+  "x": [
+    {
+      "coeff": "t",
+      "monomial": [
+        [
+          "x",
+          1
+        ]
+      ]
+    }
+  ],
+  "y": [
+    {
+      "coeff": "t^2",
+      "monomial": [
+        [
+          "y",
+          1
+        ]
+      ]
+    }
+  ]
+}
+"""

@@ -413,12 +413,13 @@ def test_invert_refuses_a_matrix_that_is_not_square():
 
 def _eliminated_shapes(call):
     """(row count, row lengths, column count) of each elimination that
-    call() runs."""
+    call() runs; a sparse row is written out dense, and `from_rows` refuses
+    one with a column outside the elimination's width."""
     module = importlib.import_module("rht.qlinalg")
     echelon, shapes = module._echelon, []
 
     def recording(rows, ncols):
-        rows = [list(row) for row in rows]
+        rows = module.QMatrix.from_rows(rows, ncols).dense_rows()
         shapes.append((len(rows), {len(row) for row in rows}, ncols))
         return echelon(rows, ncols)
 
@@ -473,14 +474,14 @@ def test_quotient_basis_picks_the_greedy_complement_and_reads_it(system, data):
     span = FractionEchelonSpan(ncols)
     for col in image:
         span.add(col)
-    assert reps == [v for v in kernel if span.add(v)]
+    # representatives and T rows are sparse, {column: nonzero entry}
+    assert reps == [{j: x for j, x in enumerate(v) if x} for v in kernel if span.add(v)]
     assert len(t_rows) == len(reps)
-    _assert_fractions(*reps, *(row.values() for row in t_rows))
+    _assert_fractions(*(row.values() for row in reps + t_rows))
     for i, row in enumerate(t_rows):
-        # a sparse row, {column: nonzero entry}
         assert all(row.values()) and set(row) <= set(range(ncols))
         unit = [int(i == j) for j in range(len(reps))]
-        assert [sum(c * v[j] for j, c in row.items()) for v in reps] == unit
+        assert [sum(c * v.get(j, 0) for j, c in row.items()) for v in reps] == unit
         assert not any(sum(c * col[j] for j, c in row.items()) for col in image)
 
 
@@ -495,6 +496,26 @@ def test_echelon_span_matches_fraction_oracle(system, as_ints):
         assert span.rows == reference.rows
         assert span.pivots == reference.pivots
         _assert_fractions(*span.rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dense_systems(), tall_full_rank_systems()), st.booleans(), st.booleans())
+def test_echelon_span_reads_sparse_rows_as_it_reads_dense_ones(system, as_ints, keep_zeros):
+    # each row fed dense and as {column: entry}, with or without its zero
+    # entries, gives one span; no stored row or kernel vector holds a zero
+    rows, ncols = system
+    rows = [[int(x) if as_ints and x.denominator == 1 else x for x in row] for row in rows]
+    sparse_rows = [{j: x for j, x in enumerate(row) if x or keep_zeros} for row in rows]
+    assert QMatrix.from_rows(sparse_rows, ncols) == QMatrix.from_rows(rows, ncols)
+    dense, sparse = EchelonSpan(ncols), EchelonSpan(ncols)
+    for row, sparse_row in zip(rows, sparse_rows):
+        assert dense.add(row) == sparse.add(sparse_row)
+    assert (sparse.rows, sparse.pivots) == (dense.rows, dense.pivots)
+    assert sparse.free_columns() == dense.free_columns()
+    kernel = [sparse.kernel_vector(f) for f in sparse.free_columns()]
+    assert kernel == [dense.kernel_vector(f) for f in dense.free_columns()]
+    assert all(all(v.values()) for v in kernel)
+    assert all(all(row.values()) for span in (dense, sparse) for row in span.integer_rows)
 
 
 @settings(max_examples=200, deadline=None)
