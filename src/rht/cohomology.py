@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import Element, LAURENT, RATIONAL
+from .algebra import Element, FreeGCA, LAURENT, LinearMap, RATIONAL
 from .errors import DegreeRangeError, FamilyError, HomogeneityError, ScalarKindError, ToolkitError
 from .model import SullivanPresentation
 from .qlinalg import QMatrix, invert, quotient_basis, rank
@@ -40,18 +40,19 @@ if TYPE_CHECKING:
 
 
 class CochainComplex:
-    """Per-degree bases and differential matrices of a presentation.
+    """Per-degree bases and differential matrices of a free algebra with a
+    derivation d, certified below a truncation degree.
 
     Degree n is certified only for n <= truncation_degree - 1; the
-    accessor methods enforce that bound.  The complex keeps the algebra,
-    the truncation degree and the derivation, not the presentation, so a
-    presentation caching its complex forms no reference cycle.
+    accessor methods enforce that bound.  `complex_for` builds one from a
+    presentation, the formal builder one per step from its partial model;
+    holding no presentation, a complex cached on one forms no cycle.
     """
 
-    def __init__(self, p: SullivanPresentation):
-        self.algebra = p.algebra
-        self.truncation_degree = p.truncation_degree
-        self.d = p.d
+    def __init__(self, algebra: FreeGCA, d: LinearMap, truncation_degree: int):
+        self.algebra = algebra
+        self.truncation_degree = truncation_degree
+        self.d = d
         self._basis: dict[int, list] = {}
         self._dmat: dict[int, QMatrix] = {}
         self._quotient: dict[int, tuple] = {}
@@ -199,7 +200,7 @@ _CACHE_ATTR = "_cochain_complex_cache"
 def complex_for(p: SullivanPresentation) -> CochainComplex:
     cached = getattr(p, _CACHE_ATTR, None)
     if cached is None:
-        cached = CochainComplex(p)
+        cached = CochainComplex(p.algebra, p.d, p.truncation_degree)
         setattr(p, _CACHE_ATTR, cached)
     return cached
 

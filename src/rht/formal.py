@@ -1,13 +1,16 @@
 """Bigraded minimal models for cohomology tables with zero differential.
 
 Given a finite graded-commutative algebra table, the builder produces a
-presentation realizing it degree by degree.  Step n reads the degree-n
-cohomology of the partial model once, grouped by weight
-(`CochainComplex.weight_classes`); the partial model's differential
-preserves weight, so each class is weight-homogeneous.  It adds killers
-of degree n - 1, each inheriting the weight of the class it kills, for
-the classes the table cannot see, then closed generators of weight n
-covering whatever the model misses in table degree n.
+presentation realizing it degree by degree.  The partial model is a
+generator list with weights, table images and each differential as its
+term dict; step n builds from it one algebra, its derivation and a
+`CochainComplex`, and reads the degree-n cohomology once, grouped by
+weight (`CochainComplex.weight_classes`).  The partial model's
+differential preserves weight, so each class is weight-homogeneous.  The
+step adds killers of degree n - 1, each inheriting the weight of the
+class it kills, for the classes the table cannot see, then closed
+generators of weight n covering whatever the model misses in table
+degree n.  Only the finished model becomes a `SullivanPresentation`.
 
 The outcome carries weights with weight = degree + stage, where stage 0
 marks the closed table-covering generators.  The diagonal family of
@@ -20,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, FreeGCA, Generator, RATIONAL
-from .cohomology import complex_for
+from .algebra import Element, FreeGCA, Generator, RATIONAL, extend_derivation
+from .cohomology import CochainComplex, complex_for
 from .errors import DegreeRangeError
 from .model import GradedAlgebraTable, SullivanPresentation, presentation_to_dict
 from .qlinalg import EchelonSpan, QMatrix, kernel_basis
@@ -52,58 +55,40 @@ class FormalModelResult:
 
 
 class _Builder:
+    """The partial model: generators in order of addition, their weights
+    and table images, and each nonzero differential as its term dict
+    {monomial: coefficient}.  A monomial names generators by id and ids
+    never change, so a term dict is an element of every later algebra."""
+
     def __init__(self, table: GradedAlgebraTable, truncation: int):
         self.table = table
         self.truncation = truncation
         self.gens: list[Generator] = []
-        self.diff: dict[int, Element] = {}
+        self.diff: dict[int, dict] = {}
         self.weights: dict[str, int] = {}
         self.images: dict[int, dict[str, Fraction]] = {}
-        self.used_names: set[str] = set()
-
-    def presentation(self, formal_dimension: int | None = None) -> SullivanPresentation:
-        alg = FreeGCA(self.gens)
-        diff = {
-            gid: Element(alg, RATIONAL, dict(img.terms))
-            for gid, img in self.diff.items()
-        }
-        name, gens = f"formal-{self.table.name}", list(alg.generators)
-        return SullivanPresentation(name, gens, diff, self.truncation, formal_dimension)
-
-    def weight_classes(self, n: int) -> dict[int, list[Element]]:
-        """Degree-n cohomology classes of the current model, by weight."""
-        cx = complex_for(self.presentation())
-        return cx.weight_classes(n, WeightAssignment(self.weights))
-
-    def fresh_name(self, base: str) -> str:
-        name = base
-        i = 1
-        while name in self.used_names:
-            name = f"{base}_{i}"
-            i += 1
-        self.used_names.add(name)
-        return name
 
     def add_generator(
         self,
         base_name: str,
         degree: int,
         weight: int,
-        differential: Element | None,
+        differential: dict,
         table_image: dict[str, Fraction],
-    ) -> str:
-        name = self.fresh_name(base_name)
+    ):
+        """Append a generator named base_name, or base_name_i for the least
+        i >= 1 that no generator has taken."""
+        name = base_name
+        i = 1
+        while name in self.weights:
+            name = f"{base_name}_{i}"
+            i += 1
         gid = len(self.gens)
         self.gens.append(Generator(gid, name, degree))
-        if differential is not None and not differential.is_zero():
+        if differential:
             self.diff[gid] = differential
         self.weights[name] = weight
         self.images[gid] = dict(table_image)
-        return name
-
-    def rho_vector(self, x: Element, degree: int) -> tuple[Fraction, ...]:
-        img = _rho(self.table, self.images, x)
-        return tuple(img.get(b, Fraction(0)) for b in self.table.degree_basis(degree))
 
 
 def _rho(
@@ -145,8 +130,11 @@ def build_formal_model(table: GradedAlgebraTable, truncation_degree: int) -> For
     for n in range(2, truncation_degree):
         _extend(b, n)
     formal_dimension = top if top > 0 and len(table.degree_basis(top)) == 1 else None
+    alg = FreeGCA(b.gens)
+    diff = {gid: Element(alg, RATIONAL, terms) for gid, terms in b.diff.items()}
+    model = SullivanPresentation(f"formal-{table.name}", b.gens, diff, truncation_degree, formal_dimension)
     return FormalModelResult(
-        model=b.presentation(formal_dimension),
+        model=model,
         weights=WeightAssignment(dict(b.weights)),
         stages={g.name: b.weights[g.name] - g.degree for g in b.gens},
         quasi_iso={g.name: b.images[g.gid] for g in b.gens},
@@ -167,29 +155,34 @@ def _extend(b: _Builder, n: int):
     classes span that image; an `EchelonSpan` pick of unit vectors
     depends only on the span and the candidate order.
     """
+    alg = FreeGCA(b.gens)
+    d = extend_derivation(alg, {gid: Element._trusted(alg, RATIONAL, terms) for gid, terms in b.diff.items()})
+    classes = CochainComplex(alg, d, b.truncation).weight_classes(n, WeightAssignment(b.weights))
+    table_basis = b.table.degree_basis(n)
     rho_rows: list[tuple[Fraction, ...]] = []
     killer_index = 0
-    for mw, class_basis in b.weight_classes(n).items():
+    for mw, class_basis in classes.items():
         if mw == n:
             # the only stratum the table can see; kill just the part
             # mapping to zero there
-            rho_rows = [b.rho_vector(x, n) for x in class_basis]
-            zero = class_basis[0].algebra.zero()
+            rho_rows = [
+                tuple(_rho(b.table, b.images, x).get(cls, Fraction(0)) for cls in table_basis)
+                for x in class_basis
+            ]
             to_kill = [
-                sum((x.scale(c) for c, x in zip(v, class_basis) if c), zero)
+                sum((x.scale(c) for c, x in zip(v, class_basis) if c), alg.zero())
                 for v in kernel_basis(QMatrix.from_rows(zip(*rho_rows), len(class_basis)))
             ]
         else:
             # classes of weight other than the degree vanish in the table
             to_kill = class_basis
         for cocycle in to_kill:
-            b.add_generator(f"z{n - 1}_{killer_index}", n - 1, mw, cocycle, {})
+            b.add_generator(f"z{n - 1}_{killer_index}", n - 1, mw, cocycle.terms, {})
             killer_index += 1
-    table_basis = b.table.degree_basis(n)
     span = EchelonSpan(len(table_basis), rho_rows)
     for k, cls in enumerate(table_basis):
         if span.add({k: 1}):
-            b.add_generator(cls, n, n, None, {cls: Fraction(1)})
+            b.add_generator(cls, n, n, {}, {cls: Fraction(1)})
 
 
 def verify_formal_result(result: FormalModelResult) -> list[str]:

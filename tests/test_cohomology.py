@@ -35,6 +35,7 @@ from rht.cohomology import (
     ActionReport,
     CochainComplex,
     characteristic_polynomial,
+    checked_formal_dimension,
     cohomology,
     complex_for,
     diagonalization_certificate,
@@ -53,7 +54,7 @@ from rht.errors import (
 )
 from rht.families import OneParameterFamily, diagonal_family, verify_family
 from rht.formal import build_formal_model
-from rht.model import presentation_from_dict
+from rht.model import SullivanPresentation, presentation_from_dict
 from rht.qlinalg import _echelon, independent_columns, kernel_basis, rank, rref
 from rht.scalars import Laurent
 from rht.weights import WeightAssignment, find_weights
@@ -848,6 +849,14 @@ def test_flexibility_requires_formal_dimension():
     with pytest.raises((DegreeRangeError, FamilyError)):
         fam = diagonal_family(p, w)
         flexibility_report(p, fam)
+
+
+def test_a_class_just_above_the_declared_formal_dimension_is_refused():
+    # s2xs3 has b_2 = b_3 = 1, so D = 2 is contradicted by H^3 itself
+    p = load_presentation("s2xs3")
+    p = SullivanPresentation(p.name, list(p.generators), p.differential, p.truncation_degree, 2)
+    with pytest.raises(ToolkitError, match=r"declares formal dimension 2, but H\^3 has dimension 1"):
+        checked_formal_dimension(p)
 
 
 def test_presentation_is_freed_by_reference_counting_after_cohomology():

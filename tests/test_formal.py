@@ -7,12 +7,13 @@ from collections import Counter
 
 import pytest
 
+from rht.algebra import FreeGCA
 from rht.cohomology import CochainComplex, cohomology, complex_for, induced_action, weight_decomposition
 from rht.corpus import entries, load_presentation, load_table, table_keys
 from rht.errors import DegreeRangeError
 from rht.families import diagonal_family
 from rht.formal import build_formal_model, verify_formal_result
-from rht.model import BasisClass, GradedAlgebraTable, serialize_presentation
+from rht.model import BasisClass, GradedAlgebraTable, SullivanPresentation, serialize_presentation
 from rht.scalars import Laurent
 from rht.weights import check_weights, find_weights
 
@@ -44,6 +45,14 @@ def test_a_killer_named_like_a_table_class_takes_the_next_suffix():
     res = build_formal_model(GradedAlgebraTable("a-z", basis, "1", {}), 5)
     names = [(g.name, g.degree) for g in res.model.generators]
     assert names == [("a", 2), ("z3_0", 3), ("z3_0_1", 3)]
+    assert verify_formal_result(res) == []
+
+
+def test_a_killer_takes_the_least_free_suffix():
+    # z3_0 and z3_0_1 are table classes, so the killer of a^2 is z3_0_2
+    basis = [BasisClass("1", 0), BasisClass("a", 2), BasisClass("z3_0", 3), BasisClass("z3_0_1", 3)]
+    res = build_formal_model(GradedAlgebraTable("a-z-z", basis, "1", {}), 5)
+    assert [g.name for g in res.model.generators] == ["a", "z3_0", "z3_0_1", "z3_0_2"]
     assert verify_formal_result(res) == []
 
 
@@ -167,7 +176,9 @@ def test_builder_and_verifier_call_no_invert(monkeypatch):
 
 # SHA-256 of the serialized model of h-s2ws4 with its sorted weights and
 # stages, frozen before the Leibniz rule on monomials and the degree-pruned
-# basis enumeration replaced the suffix recursion and the full search
+# basis enumeration replaced the suffix recursion and the full search;
+# N = 19-21 frozen before the builder kept its partial model as a
+# generator list
 S2WS4_MODEL_DIGESTS = {
     8: "d7cb76ba52c9a4dd23c255a445bf9fd0f04ebf767fc6a9780011a8d4eb395c2a",
     9: "6491880203a9efdb3bf88174bd24e4ec0187a372c8f641613d8a6f59dc80522e",
@@ -180,6 +191,9 @@ S2WS4_MODEL_DIGESTS = {
     16: "e8dc74ffa730c8e1cee151df06f565a43c5d4905cc1537b2852b16ee6b1c9131",
     17: "05d1d180e00c5b283567c6004c385280a2093b6508a2f76854fd8474c3eca518",
     18: "044e90dbe82dfc9295c06a8dd06557dfe387e3e4c581cf0bf44c6edb977ad668",
+    19: "e35e6095d4d0a738d2341e4cbd7775b3f3ebb6d291da79705098e0865fc685ab",
+    20: "f5c1a5df330308c4573be1320a789b923cdef8b3e002fadd5cd94582aa5ff19a",
+    21: "744250e9364eeb80d78c708f614f143a25a0f8496663a82269f5d909ea93060c",
 }
 
 
@@ -268,3 +282,71 @@ def test_builder_reads_each_degree_once(monkeypatch, key, truncation):
     monkeypatch.setattr(CochainComplex, "weight_classes", logged)
     build_formal_model(load_table(key), truncation)
     assert read == list(range(2, truncation))
+
+
+def test_builder_makes_one_presentation_and_one_algebra_per_step(monkeypatch):
+    # the partial model is a generator list with term-dict differentials:
+    # each step builds one FreeGCA for its complex, and only the finished
+    # model is a presentation (one FreeGCA for its differentials, one its own)
+    made = Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            made[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    counting(SullivanPresentation)
+    counting(FreeGCA)
+    truncation = 15
+    build_formal_model(load_table("h-s2ws4"), truncation)
+    assert made["SullivanPresentation"] == 1
+    assert made["FreeGCA"] <= len(range(2, truncation)) + 2
+
+
+def connected_table(name, products) -> GradedAlgebraTable:
+    """A Poincare duality algebra with two degree-2 classes a, b and top
+    class t in degree 4, given by the products landing on t."""
+    basis = [BasisClass("1", 0), BasisClass("a", 2), BasisClass("b", 2), BasisClass("t", 4)]
+    return GradedAlgebraTable(name, basis, "1", products)
+
+
+HAND_TABLES = {
+    # S^2 x S^2: a*b = t, a^2 = b^2 = 0
+    "s2xs2": {("a", "b"): {"t": 1}},
+    # CP^2 # CP^2: a^2 = b^2 = t, a*b = 0; rho of the killer -a^2 + b^2
+    # sums two terms on the same class to zero
+    "cp2#cp2": {("a", "a"): {"t": 1}, ("b", "b"): {"t": 1}},
+}
+
+# SHA-256 of the serialized model with its sorted weights and stages, as
+# for h-s2ws4, frozen before the builder kept its partial model as a
+# generator list
+HAND_TABLE_MODEL_DIGESTS = {
+    ("s2xs2", 6): "fb83ec6cd3e589fcd3bfa855a074f7f1498c3c1afecc6f0de0adc8ef329d868d",
+    ("s2xs2", 8): "64cfd90b6b65cfd3c6c31e14263bc123c2a2091f4dc64cd8c17f3b6f80e64e2b",
+    ("s2xs2", 10): "6fc1ef6bdd569242eb26b7d3ea7c23e8bf2c3b77332e61dbbaa6eaace9dc26a1",
+    ("s2xs2", 12): "a30d7d3b915835e7257e60a412cc6152007822068437f0753080f1864c2e0612",
+    ("cp2#cp2", 6): "28d578bc7533b274fa599ef8518d417a73909e4a55d00f5a5e458e8632500bc3",
+    ("cp2#cp2", 8): "fc50a43c143a0421852aca6eaf05a7986c54de4bbcd23c41bdf487e09a7df465",
+    ("cp2#cp2", 10): "7cd8b637827476a98f5750bbb29dc0c9dcd7b1f89280db4a7c16e6df2db2572b",
+    ("cp2#cp2", 12): "e9c35010160fe014fb5b6dbeb2e87cfe3be71f13d50c2ea4b88d13e4d530c0d5",
+}
+
+
+@pytest.mark.parametrize("key,truncation", sorted(HAND_TABLE_MODEL_DIGESTS))
+def test_formal_model_of_a_connected_sum_or_product_is_frozen(key, truncation):
+    table = connected_table(key, HAND_TABLES[key])
+    res = build_formal_model(table, truncation)
+    assert verify_formal_result(res) == []
+    assert cohomology(res.model).betti_list() == betti_of_table(table, truncation - 1)
+    doc = [
+        serialize_presentation(res.model),
+        sorted(res.weights.weights.items()),
+        sorted(res.stages.items()),
+    ]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == HAND_TABLE_MODEL_DIGESTS[(key, truncation)]
