@@ -119,7 +119,8 @@ class CochainComplex:
         Raises ToolkitError unless they are rational cocycles of degree n
         whose classes form a basis of H^n.  The default reader gives their
         class coordinates, the columns of an h x h matrix C, and the reader
-        is C^-1 . T: row i is the sum of s . T_j over row i of C^-1."""
+        is C^-1 . T: row i is the sum of s . T_j over row i of C^-1, which
+        is column i of the inverse of C^T."""
         self.check_degree(n)
         reps = list(reps)
         for x in reps:
@@ -136,11 +137,11 @@ class CochainComplex:
                 f"{len(reps)} representatives supplied for a quotient of dimension {self.betti(n)}"
             )
         t_rows = self.quotient_data(n)[1]
-        inverse = invert(QMatrix.from_rows([[_dot(row, x) for x in reps] for row in t_rows], len(reps)))
+        inverse = invert(QMatrix.from_rows([[_dot(row, x) for row in t_rows] for x in reps], len(reps)))
         if inverse is None:
             raise ToolkitError("supplied representatives do not project to a basis of the quotient")
         zero = self.algebra.zero()
-        return reps, [sum((row.scale(s) for s, row in zip(s_row, t_rows)), zero) for s_row in inverse]
+        return reps, [sum((t_rows[k].scale(s) for k, s in s_row.items()), zero) for s_row in inverse]
 
     def betti(self, n: int) -> int:
         """dim H^n = dim C^n - rank d_n - rank d_(n-1)."""

@@ -120,8 +120,8 @@ class ModelMap(_GeneratorMap):
         inv_images: dict[int, Element] = {}
         for deg in degrees:
             gids, lin = self.linear_part(deg)
-            inv_rows = invert(lin)
-            if inv_rows is None:
+            inv_columns = invert(lin)
+            if inv_columns is None:
                 raise SingularMapError(f"linear part in degree {deg} is singular")
             psi_lower = extend_algebra_map(alg, dict(inv_images))
             residues: list[Element] = []
@@ -133,14 +133,9 @@ class ModelMap(_GeneratorMap):
                 )
                 residues.append(alg.gen(gid) - psi_lower(decomposable))
             # the images solve L^T (psi(h))_h = (residue(x))_x, so
-            # psi(h) = sum_x inv(L)[x, h] residue(x)
-            for h, hid in enumerate(gids):
-                acc = alg.zero()
-                for x, residue in enumerate(residues):
-                    c = inv_rows[x][h]
-                    if c:
-                        acc = acc + residue.scale(c)
-                inv_images[hid] = acc
+            # psi(h) = sum_x inv(L)[x, h] residue(x), over column h of inv(L)
+            for hid, column in zip(gids, inv_columns):
+                inv_images[hid] = sum((residues[x].scale(c) for x, c in column.items()), alg.zero())
         result = ModelMap(p, inv_images)
         # both compositions must fix every generator exactly
         for g in p.generators:

@@ -159,19 +159,18 @@ def _extend(b: _Builder, n: int):
     d = extend_derivation(alg, {gid: Element._trusted(alg, RATIONAL, terms) for gid, terms in b.diff.items()})
     classes = CochainComplex(alg, d, b.truncation).weight_classes(n, WeightAssignment(b.weights))
     table_basis = b.table.degree_basis(n)
-    rho_rows: list[tuple[Fraction, ...]] = []
+    at = {cls: k for k, cls in enumerate(table_basis)}
+    rho_rows: list[dict[int, Fraction]] = []
     killer_index = 0
     for mw, class_basis in classes.items():
         if mw == n:
             # the only stratum the table can see; kill just the part
             # mapping to zero there
-            rho_rows = [
-                tuple(_rho(b.table, b.images, x).get(cls, Fraction(0)) for cls in table_basis)
-                for x in class_basis
-            ]
+            rho_rows = [{at[cls]: c for cls, c in _rho(b.table, b.images, x).items()} for x in class_basis]
+            columns = [{i: row[k] for i, row in enumerate(rho_rows) if k in row} for k in range(len(table_basis))]
             to_kill = [
-                sum((x.scale(c) for c, x in zip(v, class_basis) if c), alg.zero())
-                for v in kernel_basis(QMatrix.from_rows(zip(*rho_rows), len(class_basis)))
+                sum((class_basis[j].scale(c) for j, c in v.items()), alg.zero())
+                for v in kernel_basis(QMatrix.from_rows(columns, len(class_basis)))
             ]
         else:
             # classes of weight other than the degree vanish in the table

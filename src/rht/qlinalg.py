@@ -24,11 +24,12 @@ span.  Every elimination of a `QMatrix` enters through one door,
 rank reaches the column count; a matrix keeps that span, so it is
 eliminated at most once.  A span's reduced rows have one reader,
 `EchelonSpan.kernel_vector`, and every kernel answer is built from it:
-`kernel_basis`, written out dense; `quotient_basis`, which picks the
-kernel vectors whose classes form a basis of a quotient ker / im, and
-the rows that read a class in their basis, from one elimination of the
-image's columns on the kernel's free columns; and `invert`, from one
-elimination of [m | -I].
+`kernel_basis`; `quotient_basis`, which picks the kernel vectors whose
+classes form a basis of a quotient ker / im, and the rows that read a
+class in their basis, from one elimination of the image's columns on the
+kernel's free columns; and `invert`, from one elimination of [m | -I].
+The answers are in the same row format, so a caller reads the nonzero
+entries alone.
 
 `positive_integer_kernel` answers the question the weight solver needs:
 does the kernel of an integer matrix meet the open positive orthant, and
@@ -55,10 +56,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-Vector = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
-
 
 class QMatrix:
     """Immutable rational matrix stored as sparse rows.
@@ -68,8 +65,7 @@ class QMatrix:
     is stored as {column: nonzero entry}, the entries kept as given.  Every
     algorithm reads the rows through one door, `_echelon`, which feeds them
     to the one elimination loop, `EchelonSpan`, and stops at full column
-    rank.  `echelon` keeps that span, and no caller extends it.  The dense
-    readers `entry`, `row` and `dense_rows` fill the zeros in.  The class
+    rank.  `echelon` keeps that span, and no caller extends it.  The class
     is a value type: operations return new matrices.
     """
 
@@ -104,15 +100,6 @@ class QMatrix:
             self._span = _echelon(self._rows, self.cols)
         return self._span
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i].get(j, _ZERO)
-
-    def dense_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def row(self, i: int) -> Vector:
-        return _dense(self._rows[i], self.cols)
-
     def supports(self) -> list[list[int]]:
         """The columns of each row's nonzero entries."""
         return [list(row) for row in self._rows]
@@ -121,12 +108,6 @@ class QMatrix:
         """The entries at the given rows and columns, in the given order."""
         at = {j: k for k, j in enumerate(cols)}
         return QMatrix._of([{at[j]: x for j, x in self._rows[i].items() if j in at} for i in rows], len(cols))
-
-    def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError("length mismatch")
-        return tuple(sum((x * v[j] for j, x in row.items()), _ZERO) for row in self._rows)
 
     def __eq__(self, other):
         return (
@@ -138,14 +119,6 @@ class QMatrix:
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols}, {self._rows})"
-
-
-def _dense(row: dict, ncols: int) -> Vector:
-    """A sparse row written out, Fraction zeros filled in."""
-    v = [_ZERO] * ncols
-    for j, x in row.items():
-        v[j] = x
-    return tuple(v)
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -183,9 +156,9 @@ def _eliminate(row: dict[int, int], c: int, pivot_row: dict[int, int]) -> dict[i
 
 
 def _echelon(rows, ncols: int) -> EchelonSpan:
-    """The one door into elimination: the rows, dense or sparse, added one
-    at a time to an `EchelonSpan`, stopping once the rank reaches the
-    column count, since no later row can then extend the span."""
+    """The one door into elimination: the sparse rows added one at a time
+    to an `EchelonSpan`, stopping once the rank reaches the column count,
+    since no later row can then extend the span."""
     span = EchelonSpan(ncols)
     for row in rows:
         if len(span.pivots) == ncols:
@@ -210,11 +183,11 @@ def rank(m: QMatrix) -> int:
     return len(m.echelon().pivots)
 
 
-def kernel_basis(m: QMatrix) -> list[Vector]:
+def kernel_basis(m: QMatrix) -> list[dict[int, Fraction]]:
     """Basis of the right kernel: `EchelonSpan.kernel_vector` at each free
-    column, in column order, written out dense."""
+    column, in column order."""
     span = m.echelon()
-    return [_dense(span.kernel_vector(f), m.cols) for f in span.free_columns()]
+    return [span.kernel_vector(f) for f in span.free_columns()]
 
 
 class EchelonSpan:
@@ -223,9 +196,9 @@ class EchelonSpan:
     Each row is a primitive integer row {column: nonzero int}, found by its
     pivot column, positive there and zero in every other pivot column.  `add`
     and `kernel_vector` read no zero entry, only one lookup per stored row
-    for the column they clear or read.  `rows` divides each by its pivot,
-    dense and in pivot order: the nonzero rows of the RREF of the vectors
-    added so far.  This is the one Gauss-Jordan loop of the package:
+    for the column they clear or read.  Each row divided by its pivot is a
+    nonzero row of the RREF of the vectors added so far.  This is the one
+    Gauss-Jordan loop of the package:
     `_echelon` feeds it the rows of every matrix it eliminates.
     """
 
@@ -243,18 +216,9 @@ class EchelonSpan:
         """The stored rows, in pivot order."""
         return [self._row_at[p] for p in self.pivots]
 
-    @property
-    def rows(self) -> list[list[Fraction]]:
-        return [[Fraction(row.get(j, 0), row[p]) for j in range(self.ncols)]
-                for row, p in zip(self.integer_rows, self.pivots)]
-
-    def add(self, v) -> bool:
-        """Insert v if it lies outside the span; report whether it did.  v is
-        dense, a sequence of ints or Fractions, or sparse, {column: entry}."""
-        if not isinstance(v, dict):
-            if len(v) != self.ncols:
-                raise ValueError("length mismatch")
-            v = dict(enumerate(v))
+    def add(self, v: dict) -> bool:
+        """Insert v, {column: int or Fraction entry}, if it lies outside the
+        span; report whether it did."""
         r = _integer_row(v)
         row_at = self._row_at
         for p in [j for j in r if j in row_at]:
@@ -286,13 +250,9 @@ class EchelonSpan:
         return v
 
 
-def independent_columns(m: QMatrix) -> list[Vector]:
-    """The pivot columns of m, each independent of those before it, dense."""
-    return [_dense(column, m.rows) for column in _pivot_columns(m)]
-
-
-def _pivot_columns(m: QMatrix) -> list[dict[int, Fraction]]:
-    """`independent_columns` read from the rows' nonzero entries, {row: entry}."""
+def independent_columns(m: QMatrix) -> list[dict[int, Fraction]]:
+    """The pivot columns of m, each independent of those before it, read
+    from the rows' nonzero entries, {row: entry}."""
     columns = {j: {} for j in m.echelon().pivots}
     for i, row in enumerate(m._rows):
         for j, x in row.items():
@@ -317,7 +277,7 @@ def quotient_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[dict[int, Fracti
     kernel = d_out.echelon()
     free = kernel.free_columns()[::-1]
     at = {f: k for k, f in enumerate(free)}
-    span = _echelon([{at[i]: x for i, x in b.items() if i in at} for b in _pivot_columns(d_in)], len(free))
+    span = _echelon([{at[i]: x for i, x in b.items() if i in at} for b in independent_columns(d_in)], len(free))
     reps, t_rows = [], []
     for i in reversed(span.free_columns()):
         reps.append(kernel.kernel_vector(free[i]))
@@ -325,19 +285,19 @@ def quotient_basis(d_in: QMatrix, d_out: QMatrix) -> tuple[list[dict[int, Fracti
     return reps, t_rows
 
 
-def invert(m: QMatrix) -> list[Vector] | None:
-    """The rows of the inverse of a square matrix, or None when it is
-    singular.  The rows [m | -I] are eliminated once; m is invertible
-    exactly when the pivots are the first n columns, and then column j of
-    the inverse is the first n entries of the kernel vector at n + j."""
+def invert(m: QMatrix) -> list[dict[int, Fraction]] | None:
+    """The columns of the inverse of a square matrix, {row: nonzero
+    entry}, or None when it is singular.  The rows [m | -I] are eliminated
+    once; m is invertible exactly when the pivots are the first n columns,
+    and then column j of the inverse is the first n entries of the kernel
+    vector at n + j."""
     n = m.rows
     if m.cols != n:
         raise ValueError(f"cannot invert a {n}x{m.cols} matrix")
     span = _echelon([{**row, n + i: -1} for i, row in enumerate(m._rows)], 2 * n)
     if span.pivots != list(range(n)):
         return None
-    columns = [span.kernel_vector(n + j) for j in range(n)]
-    return [tuple(column.get(i, _ZERO) for column in columns) for i in range(n)]
+    return [{i: x for i, x in span.kernel_vector(n + j).items() if i < n} for j in range(n)]
 
 
 @dataclass(frozen=True)
@@ -416,7 +376,7 @@ def _fourier_motzkin(rows: list[list[int]], nvars: int) -> list[Fraction] | None
     return values
 
 
-def _substitution_kernel(m: QMatrix) -> list[Vector] | None:
+def _substitution_kernel(m: QMatrix) -> list[dict[int, Fraction]] | None:
     """`kernel_basis(m)` by substitution, or None unless each row has one
     negative entry, a -1 at its source, and no sources' first rows form a
     cycle.  Each source's first row writes its column as a form in the free
@@ -462,7 +422,7 @@ def _substitution_kernel(m: QMatrix) -> list[Vector] | None:
     lifted = [{last - j: sum(x * u[k] for k, x in form.items() if k in u) for j, form in forms.items()}
               for u in (_integer_row(span.kernel_vector(f)) for f in span.free_columns())]
     span = _echelon(lifted, m.cols)
-    return [_dense({last - j: Fraction(x, row[p]) for j, x in row.items()}, m.cols)
+    return [{last - j: Fraction(x, row[p]) for j, x in row.items()}
             for row, p in zip(reversed(span.integer_rows), reversed(span.pivots))]
 
 
@@ -481,8 +441,11 @@ def _positive_kernel_point(m: QMatrix) -> tuple[list[int], int] | None:
     if not basis:
         return None
     # the basis times l and the combination times d are integers
-    l = lcm(*[x.denominator for v in basis for x in v])
-    columns = list(zip(*[[x.numerator * (l // x.denominator) for x in v] for v in basis]))
+    l = lcm(*[x.denominator for v in basis for x in v.values()])
+    columns = [[0] * len(basis) for _ in range(m.cols)]
+    for k, v in enumerate(basis):
+        for j, x in v.items():
+            columns[j][k] = x.numerator * (l // x.denominator)
     if not all(map(any, columns)):
         return None
     combo = _fourier_motzkin([[x // g for x in c] for c in columns for g in [gcd(*c)]], len(basis))

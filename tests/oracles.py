@@ -367,6 +367,60 @@ def coboundary_presentation(rng: random.Random, max_generators=6):
     )
 
 
+# -------------------------------------- pure models of homogeneous spaces
+#
+# Milnor-Stasheff, *Characteristic Classes*, section 14, and Borel (1953):
+# each is a polynomial algebra on even generators with odd generators
+# killing a regular sequence, so its cohomology, formal dimension D and
+# weights are known in closed form.  Each is truncated at D + 2 and
+# declares D.
+
+
+def _pure_presentation(name, even, odd, relations, dim):
+    """even and odd are (name, degree) lists; relations(alg, gens) gives the
+    differential of each odd generator in order, from the algebra and the
+    even generators' elements."""
+    from rht.algebra import FreeGCA, Generator
+    from rht.model import SullivanPresentation
+
+    gens = [Generator(i, g, deg) for i, (g, deg) in enumerate(even + odd)]
+    alg = FreeGCA(gens)
+    images = relations(alg, [alg.gen(i) for i in range(len(even))])
+    d = {len(even) + i: x for i, x in enumerate(images)}
+    return SullivanPresentation(name, gens, d, dim + 2, dim)
+
+
+def grassmannian_presentation(k, n):
+    """Gr_k(C^n) for n >= 2k: c_i in degree 2i for i <= k, and y_j in degree
+    2j - 1 for n - k < j <= n with d y_j the degree-2j part h_j of
+    (1 + c_1 + ... + c_k)^-1, where h_0 = 1 and h_m = -sum_i c_i h_(m-i).
+    D = 2k(n - k)."""
+    def relations(alg, c):
+        h = [alg.one()]
+        for m in range(1, n + 1):
+            h.append(-sum((c[i - 1] * h[m - i] for i in range(1, min(k, m) + 1)), alg.zero()))
+        return h[n - k + 1:]
+
+    even = [(f"c{i}", 2 * i) for i in range(1, k + 1)]
+    odd = [(f"y{j}", 2 * j - 1) for j in range(n - k + 1, n + 1)]
+    return _pure_presentation(f"gr{k}-{n}", even, odd, relations, 2 * k * (n - k))
+
+
+def flag_presentation(n):
+    """SU(n)/T: x_1 .. x_(n-1) in degree 2, x_n = -(x_1 + ... + x_(n-1)),
+    and y_i in degree 2i - 1 for 2 <= i <= n with d y_i the elementary
+    symmetric polynomial e_i(x_1, ..., x_n).  D = n(n - 1)."""
+    def relations(alg, xs):
+        e = [alg.one()] + [alg.zero()] * n
+        for x in xs + [-sum(xs, alg.zero())]:
+            e = [e[0]] + [e[m] + x * e[m - 1] for m in range(1, n + 1)]
+        return e[2:]
+
+    even = [(f"x{i}", 2) for i in range(1, n)]
+    odd = [(f"y{i}", 2 * i - 1) for i in range(2, n + 1)]
+    return _pure_presentation(f"flag-{n}", even, odd, relations, n * (n - 1))
+
+
 # ----------------------------------------------- Fraction elimination reference
 #
 # The dense-`Fraction` elimination `rht.qlinalg` used before its integer
@@ -375,6 +429,12 @@ def coboundary_presentation(rng: random.Random, max_generators=6):
 # are dense lists of rows; every result is compared for exact equality.
 # `greedy_witness` is the witness filter over the whole matrix that the
 # integer core ran before it split the rows by incidence component.
+
+
+def dense(row, ncols):
+    """A sparse row {column: entry} written out as a tuple of length
+    ncols, its entries as given and Fraction zeros filled in."""
+    return tuple(row.get(j, Fraction(0)) for j in range(ncols))
 
 
 def fraction_rref_rows(rows, ncols):
@@ -578,7 +638,7 @@ def greedy_witness(m):
     kept = list(range(m.rows))
     for i in list(kept):
         trial = [j for j in kept if j != i]
-        if _positive_kernel_point(QMatrix.from_rows([m.row(j) for j in trial], m.cols)) is None:
+        if _positive_kernel_point(QMatrix.from_rows([dense(m._rows[j], m.cols) for j in trial], m.cols)) is None:
             kept = trial
     return tuple(kept)
 

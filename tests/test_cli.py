@@ -1,14 +1,19 @@
 """Command-line behavior: exit codes, flags, error paths, golden replays."""
 
 import ast
+import contextlib
+import copy
 import importlib
 import importlib.metadata
 import importlib.util
 import json
 import os
+import io
 import pathlib
+import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -648,3 +653,94 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "x.json"])
     assert exc.value.code == 2
+
+
+# -------------------------------------------------------------- fuzz guard
+
+
+class _CaseTimeout(BaseException):
+    """Raised by the alarm.  `cli.main` catches no BaseException, so an
+    input that outruns the limit is reported, not turned into exit 2 as
+    `TimeoutError`, an `OSError`, would be."""
+
+
+# (corpus file, argv with "{f}" for its mutated copy)
+FUZZ_TARGETS = [
+    *[(name, [command, "{f}"])
+      for name in ("s2.json", "s3.json", "cp2.json", "s2xs3.json", "s2-wedge-s4.json", "infeasible-synthetic.json")
+      for command in ("check", "weights", "cohomology", "growth", "flex")],
+    ("s2xs3-diagonal-family.json", ["act", corpus("s2xs3.json"), "--family", "{f}"]),
+    ("s2xs3-conjugated-family.json", ["family", corpus("s2xs3.json"), "--family", "{f}"]),
+    ("s2xs3-shear-automorphism.json",
+     ["family", corpus("s2xs3.json"), "--family", corpus("s2xs3-diagonal-family.json"), "--conjugate-by", "{f}"]),
+    *[(name, ["formal-model", "{f}"]) for name in ("h-s2.json", "h-cp2.json", "h-s2ws4.json")],
+]
+FUZZ_LEAVES = [0, 1, -1, 2, 9, 1.5, "", "x", "1/0", "2/3", "t^-1", None, True, [], {}]
+
+
+def _mutated(text, rng):
+    """Random edits of a JSON document, one half the time and two or three
+    otherwise, each at a random slot: the value replaced by a FUZZ_LEAVES
+    entry, an integer moved by one, the slot deleted, or a list item
+    doubled; then, one time in ten, the text cut short or one character
+    dropped."""
+    doc = json.loads(text)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        slots = []
+
+        def walk(node):
+            items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+            for key, value in items:
+                slots.append((node, key))
+                walk(value)
+
+        walk(doc)
+        if not slots:
+            break
+        node, key = rng.choice(slots)
+        op = rng.randrange(4)
+        if op == 0:
+            node[key] = copy.deepcopy(rng.choice(FUZZ_LEAVES))
+        elif op == 1 and isinstance(node[key], int):
+            node[key] += rng.choice((-1, 1))
+        elif op == 3 and isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+        else:
+            del node[key]
+    text = json.dumps(doc)
+    if text and rng.random() < 0.1:
+        i = rng.randrange(len(text))
+        text = text[:i] + (text[i + 1:] if rng.random() < 0.5 else "")
+    return text
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_mutated_corpus_files_exit_0_1_or_2_without_a_traceback(tmp_path):
+    # 300 seeded mutants of corpus files through cli.main, each under a
+    # 5 s alarm: a traceback or a time-out is a failure
+    rng = random.Random(30)
+
+    def alarm(signum, frame):
+        raise _CaseTimeout()
+
+    failures = []
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        for case in range(300):
+            name, argv = rng.choice(FUZZ_TARGETS)
+            path = tmp_path / f"case{case}.json"
+            path.write_text(_mutated(pathlib.Path(corpus(name)).read_text(), rng))
+            out, err = io.StringIO(), io.StringIO()
+            signal.setitimer(signal.ITIMER_REAL, 5)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([str(path) if a == "{f}" else a for a in argv])
+            except (Exception, SystemExit, _CaseTimeout) as exc:
+                code = exc
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            if code not in (0, 1, 2) or "Traceback" in err.getvalue():
+                failures.append((case, argv[0], name, path.read_text()[:300], repr(code)))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert failures == []
