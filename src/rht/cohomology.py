@@ -45,8 +45,9 @@ class CochainComplex:
 
     Degree n is certified only for n <= truncation_degree - 1; the
     accessor methods enforce that bound.  `complex_for` builds one from a
-    presentation, the formal builder one per step from its partial model;
-    holding no presentation, a complex cached on one forms no cycle.
+    presentation, the formal builder one per step from its partial model,
+    each `grown` from the one before; holding no presentation, a complex
+    cached on one forms no cycle.
     """
 
     def __init__(self, algebra: FreeGCA, d: LinearMap, truncation_degree: int):
@@ -92,6 +93,34 @@ class CochainComplex:
         mat = QMatrix.from_rows(rows, len(src))
         self._dmat[n] = mat
         return mat
+
+    def grown(self, algebra: FreeGCA, d: LinearMap, n: int) -> "CochainComplex":
+        """The complex of a larger algebra with basis(n), basis(n + 1) and
+        d_matrix(n) filled from this one's, d_n's span not eliminated again.
+
+        The added generators rank after the old ones and none has degree
+        below n - 1, so d_n only gains zero columns for the added cocycles
+        of degree n, appended last, and zero rows for the new monomials of
+        degree n + 1; neither changes its RREF (README, "Guarantees and
+        limits").  Raises AssertionError when a precondition fails."""
+        old = self.algebra.generators
+        added = algebra.generators[len(old):]
+        if algebra.generators[: len(old)] != old:
+            raise AssertionError("the old generators are not a prefix of the new ones")
+        floor = max([2, n - 1] + [g.degree for g in old])
+        if any(g.degree < floor for g in added) or any(g.degree < 2 for g in old):
+            raise AssertionError(f"an added generator has degree below {floor}, or an old one degree 1")
+        appended = [((g.gid, 1),) for g in added if g.degree == n]
+        if any(d.of_monomial(m) for m in appended):
+            raise AssertionError(f"an added generator of degree {n} is not a cocycle")
+        cx = CochainComplex(algebra, d, self.truncation_degree)
+        cx._basis[n] = self.basis(n) + appended
+        at = {m: i for i, m in enumerate(cx.basis(n + 1))}
+        row_at = [at[m] for m in self.basis(n + 1)]
+        if any(a >= b for a, b in zip(row_at, row_at[1:])):
+            raise AssertionError(f"the old basis of degree {n + 1} is not a sub-order of the new one")
+        cx._dmat[n] = self.d_matrix(n).widened(row_at, len(at), len(cx._basis[n]))
+        return cx
 
     def representatives(self, n: int) -> list[Element]:
         """Cocycles whose classes form a basis of H^n: `quotient_data`'s, copied."""

@@ -3,9 +3,11 @@
 Given a finite graded-commutative algebra table, the builder produces a
 presentation realizing it degree by degree.  The partial model is a
 generator list with weights, table images and each differential as its
-term dict; step n builds from it one algebra, its derivation and a
-`CochainComplex`, and reads the degree-n cohomology once, grouped by
-weight (`CochainComplex.weight_classes`).  The partial model's
+term dict; step n builds from it one algebra and its derivation, grows
+the previous step's `CochainComplex` onto them (`CochainComplex.grown`
+carries d_(n-1), its span and the bases of degrees n - 1 and n, so only
+d_n is built and eliminated), and reads the degree-n cohomology once,
+grouped by weight (`CochainComplex.weight_classes`).  The partial model's
 differential preserves weight, so each class is weight-homogeneous.  The
 step adds killers of degree n - 1, each inheriting the weight of the
 class it kills, for the classes the table cannot see, then closed
@@ -58,7 +60,8 @@ class _Builder:
     """The partial model: generators in order of addition, their weights
     and table images, and each nonzero differential as its term dict
     {monomial: coefficient}.  A monomial names generators by id and ids
-    never change, so a term dict is an element of every later algebra."""
+    never change, so a term dict is an element of every later algebra.
+    `complex` is the last step's complex, the one the next step grows."""
 
     def __init__(self, table: GradedAlgebraTable, truncation: int):
         self.table = table
@@ -67,6 +70,7 @@ class _Builder:
         self.diff: dict[int, dict] = {}
         self.weights: dict[str, int] = {}
         self.images: dict[int, dict[str, Fraction]] = {}
+        self.complex: CochainComplex | None = None
 
     def add_generator(
         self,
@@ -157,7 +161,11 @@ def _extend(b: _Builder, n: int):
     """
     alg = FreeGCA(b.gens)
     d = extend_derivation(alg, {gid: Element._trusted(alg, RATIONAL, terms) for gid, terms in b.diff.items()})
-    classes = CochainComplex(alg, d, b.truncation).weight_classes(n, WeightAssignment(b.weights))
+    if b.complex is None:
+        b.complex = CochainComplex(alg, d, b.truncation)
+    else:
+        b.complex = b.complex.grown(alg, d, n - 1)
+    classes = b.complex.weight_classes(n, WeightAssignment(b.weights))
     table_basis = b.table.degree_basis(n)
     at = {cls: k for k, cls in enumerate(table_basis)}
     rho_rows: list[dict[int, Fraction]] = []

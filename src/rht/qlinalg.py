@@ -100,6 +100,22 @@ class QMatrix:
             self._span = _echelon(self._rows, self.cols)
         return self._span
 
+    def widened(self, row_at: Sequence[int], rows: int, cols: int) -> "QMatrix":
+        """The matrix with `rows` rows and `cols` columns whose row row_at[i]
+        is row i, the other rows and the appended columns zero.  Neither
+        changes the RREF of the row space, so the span is carried: its rows
+        and pivots as they are, eliminated no second time."""
+        if cols < self.cols or len(row_at) != self.rows:
+            raise ValueError(f"cannot widen a {self.rows}x{self.cols} matrix to {rows}x{cols}")
+        out = [{} for _ in range(rows)]
+        for i, row in zip(row_at, self._rows):
+            out[i] = row
+        old = self.echelon()
+        m = QMatrix._of(out, cols)
+        m._span = span = EchelonSpan(cols)
+        span.pivots, span._row_at = list(old.pivots), dict(old._row_at)
+        return m
+
     def supports(self) -> list[list[int]]:
         """The columns of each row's nonzero entries."""
         return [list(row) for row in self._rows]
@@ -157,10 +173,12 @@ def _eliminate(row: dict[int, int], c: int, pivot_row: dict[int, int]) -> dict[i
 
 def _echelon(rows, ncols: int) -> EchelonSpan:
     """The one door into elimination: the sparse rows added one at a time
-    to an `EchelonSpan`, stopping once the rank reaches the column count,
-    since no later row can then extend the span."""
+    to an `EchelonSpan`, fewest nonzero entries first, stopping once the
+    rank reaches the column count, since no later row can then extend the
+    span.  Sparse rows first fill in less; the RREF of the span, and with
+    it every row and pivot kept, does not depend on the order."""
     span = EchelonSpan(ncols)
-    for row in rows:
+    for row in sorted(rows, key=len):
         if len(span.pivots) == ncols:
             break
         span.add(row)

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from rht.algebra import FreeGCA
+from rht.algebra import FreeGCA, Generator, extend_derivation
 from rht.cohomology import CochainComplex, cohomology, complex_for, induced_action, weight_decomposition
 from rht.corpus import entries, load_presentation, load_table, table_keys
 from rht.errors import DegreeRangeError
@@ -350,3 +350,95 @@ def test_formal_model_of_a_connected_sum_or_product_is_frozen(key, truncation):
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     assert digest == HAND_TABLE_MODEL_DIGESTS[(key, truncation)]
+
+
+def _table(key):
+    return connected_table(key, HAND_TABLES[key]) if key in HAND_TABLES else load_table(key)
+
+
+CARRY_CASES = (
+    [("h-s2ws4", n) for n in range(8, 19)]
+    + [(key, 12) for key in table_keys()]
+    + [(key, 12) for key in sorted(HAND_TABLES)]
+)
+
+
+@pytest.mark.parametrize("key,truncation", CARRY_CASES)
+def test_each_step_carries_what_a_fresh_complex_builds(monkeypatch, key, truncation):
+    # step n takes d_(n-1), its span and the bases of degrees n - 1 and n
+    # from step n - 1; a fresh complex on the same partial model builds
+    # and eliminates the same rows, pivots, integer rows and bases
+    grown = CochainComplex.grown
+    carried = []
+
+    def checked(self, algebra, d, n):
+        cx = grown(self, algebra, d, n)
+        fresh = CochainComplex(algebra, d, cx.truncation_degree)
+        assert (cx._basis[n], cx._basis[n + 1]) == (fresh.basis(n), fresh.basis(n + 1))
+        assert cx._dmat[n] == fresh.d_matrix(n)
+        span, fresh_span = cx._dmat[n].echelon(), fresh.d_matrix(n).echelon()
+        assert (span.ncols, span.pivots, span.integer_rows) == (
+            fresh_span.ncols, fresh_span.pivots, fresh_span.integer_rows
+        )
+        carried.append(n)
+        return cx
+
+    monkeypatch.setattr(CochainComplex, "grown", checked)
+    build_formal_model(_table(key), truncation)
+    assert carried == list(range(2, truncation - 1))
+
+
+def test_builder_builds_one_d_matrix_and_enumerates_two_bases_per_step(monkeypatch):
+    # after the first step each step carries d_(n-1) and its span, so it
+    # builds only d_n and enumerates only the bases of degrees n and n + 1;
+    # building every step afresh made 26 d-matrices and 39 bases at N = 15
+    made = Counter()
+    d_matrix, monomial_basis = CochainComplex.d_matrix, FreeGCA.monomial_basis
+
+    def counted_d_matrix(self, n):
+        made["d_matrix"] += n not in self._dmat
+        return d_matrix(self, n)
+
+    def counted_basis(self, degree):
+        made["monomial_basis"] += 1
+        return monomial_basis(self, degree)
+
+    monkeypatch.setattr(CochainComplex, "d_matrix", counted_d_matrix)
+    monkeypatch.setattr(FreeGCA, "monomial_basis", counted_basis)
+    build_formal_model(load_table("h-s2ws4"), 15)
+    assert made["d_matrix"] <= 14
+    assert made["monomial_basis"] <= 27
+
+
+def _complex(gens, images=None, truncation=8):
+    alg = FreeGCA(gens)
+    d = extend_derivation(alg, {gid: f(alg) for gid, f in (images or {}).items()})
+    return alg, d, CochainComplex(alg, d, truncation)
+
+
+def test_grown_refuses_what_it_cannot_carry():
+    x, u = Generator(0, "x", 2), Generator(1, "u", 2)
+    _, _, old = _complex([x, u])
+    # the old generators must come first
+    alg, d, _ = _complex([Generator(0, "w", 2), Generator(1, "x", 2), Generator(2, "u", 2)])
+    with pytest.raises(AssertionError, match="prefix"):
+        old.grown(alg, d, 3)
+    # an added generator of degree 2 would make new monomials below degree 4
+    alg, d, _ = _complex([x, u, Generator(2, "z", 2)])
+    with pytest.raises(AssertionError, match="degree below 4"):
+        old.grown(alg, d, 5)
+    # an appended generator of degree n must be a cocycle
+    y = Generator(2, "y", 3)
+    alg, d, _ = _complex([x, u, y], {2: lambda a: a.gen("x") * a.gen("x")})
+    with pytest.raises(AssertionError, match="not a cocycle"):
+        old.grown(alg, d, 3)
+    # the old monomials of degree n + 1 must keep their order
+    alg, d, _ = _complex([x, u, y])
+    alg.monomial_basis = lambda degree: FreeGCA.monomial_basis(alg, degree)[::-1]
+    with pytest.raises(AssertionError, match="sub-order"):
+        old.grown(alg, d, 3)
+    # and with all of that, d_3 gains the zero column of y
+    alg, d, _ = _complex([x, u, y])
+    grown = old.grown(alg, d, 3)
+    assert grown.basis(3) == [((2, 1),)]
+    assert grown.d_matrix(3) == CochainComplex(alg, d, 8).d_matrix(3)

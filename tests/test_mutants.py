@@ -43,10 +43,14 @@ def test_a_run_on_growth_reports_every_mutant_and_leaves_the_worktree(tmp_path):
     before = target.read_bytes()
     report_path = tmp_path / "report.json"
     cmd = [sys.executable, str(TOOL), "growth", "tests/test_growth.py", "--sample", "0", "--seed", "1"]
-    subprocess.run([*cmd, "--timeout", "60", "--report", str(report_path)], cwd=ROOT_DIR, check=True, capture_output=True)
+    subprocess.run([*cmd, "--report", str(report_path)], cwd=ROOT_DIR, check=True, capture_output=True)
     assert target.read_bytes() == before
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert (report["module"], report["tests"], report["seed"]) == ("growth", ["tests/test_growth.py"], 1)
+    # with no --timeout, each mutant gets three times the unmutated run
+    assert report["baseline_s"] > 0
+    assert report["timeout_ratio"] == mutants.TIMEOUT_RATIO == 3
+    assert abs(report["timeout_s"] - 3 * report["baseline_s"]) <= 0.02
     assert report["sampled"] == report["candidates"] == len(report["mutants"]) == sum(report["counts"].values())
     lines = before.decode().splitlines()
     for m in report["mutants"]:

@@ -511,6 +511,22 @@ def test_echelon_span_matches_fraction_oracle(system, as_ints):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.one_of(dense_systems(), tall_full_rank_systems()), st.data())
+def test_a_shuffled_row_order_keeps_every_row_pivot_and_kernel_vector(system, data):
+    # the RREF of a row space is canonical, so neither the fewest-nonzeros
+    # order in which `_echelon` adds a matrix's rows nor any other order
+    # changes what a span keeps
+    rows, ncols = system
+    shuffled = data.draw(st.permutations(rows))
+    m, s = QMatrix.from_rows(rows, ncols), QMatrix.from_rows(shuffled, ncols)
+    span = m.echelon()
+    added = EchelonSpan(ncols, [dict(enumerate(row)) for row in shuffled])
+    for other in (s.echelon(), added):
+        assert (other.integer_rows, other.pivots) == (span.integer_rows, span.pivots)
+    assert kernel_basis(s) == kernel_basis(m)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(dense_systems(), tall_full_rank_systems()), st.booleans(), st.booleans())
 def test_echelon_span_reads_sparse_rows_as_it_reads_dense_ones(system, as_ints, keep_zeros):
     # each row fed to QMatrix dense and as {column: entry}, and to

@@ -1,7 +1,7 @@
 """Seeded mutation analysis of one `rht` module against named test files.
 
     python3 tools/mutants.py growth tests/test_growth.py --sample 5 --seed 1 \
-        --timeout 60 --report mutants-growth.json
+        --report mutants-growth.json
 
 Four operators, each applied to one site of src/rht/<module>.py at a time:
 a comparison flipped to its negation (< to >=, == to !=, in to not in, is
@@ -12,8 +12,11 @@ a temporary project once; each mutant is written into that copy, never
 into the worktree, and the named test files run against it with `pytest
 -x` under a time limit.  A mutant is killed when the tests fail, survived
 when they pass, and timed out when they outrun the limit.  The unmutated
-copy must pass first.  The JSON report lists module, line, operator and
-outcome of every mutant, with the counts.  Standard library only.
+copy must pass first, and its time is the baseline: the limit is three
+times the baseline unless --timeout sets it in seconds, so a slow kill and
+an endless loop part at a known multiple of an honest run.  The JSON
+report lists module, line, operator and outcome of every mutant, with the
+counts, the baseline, the limit and their ratio.  Standard library only.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ COMPARE_FLIP = {
 }
 ADD_SUB = {ast.Add: ast.Sub, ast.Sub: ast.Add}
 OPERATORS = ("compare-flip", "add-sub", "int-plus-one", "drop-not")
+# the default time limit per mutant, in units of the unmutated run
+TIMEOUT_RATIO = 3
 
 
 @dataclass(frozen=True, order=True)
@@ -114,8 +119,9 @@ def _copy_project(dest: Path):
             shutil.copy2(ROOT / name, dest / name)
 
 
-def _run_tests(project: Path, tests: list[str], timeout: float) -> tuple[str, float]:
-    """Run the tests in the project copy: "passed", "failed" or "timed_out"."""
+def _run_tests(project: Path, tests: list[str], timeout: float | None) -> tuple[str, float]:
+    """Run the tests in the project copy, with no limit when timeout is
+    None: "passed", "failed" or "timed_out", and the seconds taken."""
     env = dict(os.environ, PYTHONPATH=str(project / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     t0 = time.perf_counter()
@@ -131,9 +137,10 @@ def _run_tests(project: Path, tests: list[str], timeout: float) -> tuple[str, fl
     return ("passed" if code == 0 else "failed"), time.perf_counter() - t0
 
 
-def run(module: str, tests: list[str], sample: int, seed: int, timeout: float) -> dict:
+def run(module: str, tests: list[str], sample: int, seed: int, timeout: float | None) -> dict:
     """Sample the module's mutants with the seed and run each against the
-    tests; the report as a JSON-ready dict."""
+    tests, each under `timeout` seconds, or TIMEOUT_RATIO times the
+    unmutated run when it is None; the report as a JSON-ready dict."""
     rel = Path("src", "rht", f"{module}.py")
     source = (ROOT / rel).read_bytes()
     every = mutants(source)
@@ -143,12 +150,13 @@ def run(module: str, tests: list[str], sample: int, seed: int, timeout: float) -
         project = Path(tmp)
         _copy_project(project)
         target = project / rel
-        status, _ = _run_tests(project, tests, timeout)
+        status, baseline = _run_tests(project, tests, timeout)
         if status != "passed":
             raise RuntimeError(f"the tests do not pass on the unmutated copy ({status})")
+        limit = TIMEOUT_RATIO * baseline if timeout is None else timeout
         for m in chosen:
             target.write_bytes(m.apply(source))
-            status, seconds = _run_tests(project, tests, timeout)
+            status, seconds = _run_tests(project, tests, limit)
             target.write_bytes(source)
             outcome = {"passed": "survived", "failed": "killed"}.get(status, status)
             results.append({
@@ -164,7 +172,9 @@ def run(module: str, tests: list[str], sample: int, seed: int, timeout: float) -
         "module": module,
         "tests": list(tests),
         "seed": seed,
-        "timeout_s": timeout,
+        "baseline_s": round(baseline, 2),
+        "timeout_s": round(limit, 2),
+        "timeout_ratio": round(limit / baseline, 2),
         "candidates": len(every),
         "sampled": len(chosen),
         "counts": counts,
@@ -178,7 +188,7 @@ def main(argv=None) -> int:
     ap.add_argument("tests", nargs="+", help="test files, relative to the repository root")
     ap.add_argument("--sample", type=int, default=30, help="mutants to sample; 0 runs them all")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--timeout", type=float, default=60.0, help="seconds per mutant")
+    ap.add_argument("--timeout", type=float, help=f"seconds per mutant; {TIMEOUT_RATIO}x the unmutated run by default")
     ap.add_argument("--report", type=Path, required=True, help="path of the JSON report")
     args = ap.parse_args(argv)
     report = run(args.module, args.tests, args.sample, args.seed, args.timeout)
