@@ -23,9 +23,8 @@ monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import AmbientMismatchError, HomogeneityError, ScalarKindError
 from .scalars import Laurent, exact_rational
@@ -39,8 +38,7 @@ Monomial = tuple[tuple[int, int], ...]
 UNIT: Monomial = ()
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
+class Generator(NamedTuple):
     gid: int
     name: str
     degree: int
@@ -167,7 +165,10 @@ class FreeGCA:
         order = self._order
         out: list[Monomial] = []
         # depth-first over (next generator position, degree left, prefix);
-        # an explicit stack, so no closure refers to itself
+        # an explicit stack, so no closure refers to itself.  A node pops
+        # its children with exponents 1, 2, ..., top and then the one that
+        # skips the generator, which is the canonical order of their
+        # monomials, so `out` needs no sort
         stack: list[tuple[int, int, Monomial]] = [(0, degree, UNIT)]
         while stack:
             pos, remaining, acc = stack.pop()
@@ -185,9 +186,8 @@ class FreeGCA:
             top = remaining // d
             if d % 2:
                 top = min(top, 1)
-            for e in range(1, top + 1):
+            for e in range(top, 0, -1):
                 stack.append((pos + 1, remaining - e * d, acc + ((gid, e),)))
-        out.sort(key=self.monomial_key)
         return out
 
     # ---- elements -----------------------------------------------------

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import sys
 import types
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import Element, FreeGCA, LAURENT, LinearMap, RATIONAL
 from .errors import DegreeRangeError, FamilyError, HomogeneityError, ScalarKindError, ToolkitError
@@ -235,8 +234,7 @@ def complex_for(p: SullivanPresentation) -> CochainComplex:
     return cached
 
 
-@dataclass
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     presentation_name: str
     max_degree: int
     betti: dict[int, int]
@@ -263,8 +261,7 @@ def cohomology(p: SullivanPresentation, max_degree: int | None = None) -> Cohomo
     )
 
 
-@dataclass
-class WeightDecompositionReport:
+class WeightDecompositionReport(NamedTuple):
     presentation_name: str
     max_degree: int
     dimensions: dict[int, dict[int, int]]
@@ -300,8 +297,7 @@ def weight_decomposition(
     )
 
 
-@dataclass
-class ActionReport:
+class ActionReport(NamedTuple):
     """Matrix of an induced map on (co)homology in a representative basis.
 
     Columns hold images: the matrix of a composition is the product of
@@ -399,8 +395,7 @@ def homology_action(
 # ---- diagonalizability certificate -----------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalizationCertificate:
+class DiagonalizationCertificate(NamedTuple):
     diagonalizable: bool
     eigenvalue_powers: dict[int, int] | None
     reason: str = ""
@@ -493,8 +488,7 @@ def diagonalization_certificate(action: ActionReport) -> DiagonalizationCertific
 # ---- flexibility ------------------------------------------------------
 
 
-@dataclass
-class FlexibilityReport:
+class FlexibilityReport(NamedTuple):
     presentation_name: str
     formal_dimension: int
     top_weight: int

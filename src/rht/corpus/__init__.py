@@ -9,9 +9,8 @@ exponents) computed once with this toolkit and kept as regression anchors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import SchemaError
 from ..model import GradedAlgebraTable, SullivanPresentation, parse_presentation, parse_table
@@ -35,8 +34,7 @@ def load_manifest() -> dict:
     return json.loads(_read_text("manifest.json"))
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """One presentation in the corpus plus its manifest record."""
 
     key: str

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Element, LAURENT, RATIONAL, extend_algebra_map
 from .errors import FamilyError, SchemaError, SingularMapError
@@ -176,8 +176,7 @@ class OneParameterFamily(_GeneratorMap):
         return img.with_laurent_scalars()
 
 
-@dataclass(frozen=True)
-class EvaluatedFamily:
+class EvaluatedFamily(NamedTuple):
     """A family specialized at a rational parameter value.
 
     At t = 0 the result is still returned but flagged: the assignment is

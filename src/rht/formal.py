@@ -22,8 +22,8 @@ t^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Element, FreeGCA, Generator, RATIONAL, extend_derivation
 from .cohomology import CochainComplex, complex_for
@@ -33,8 +33,7 @@ from .qlinalg import EchelonSpan, QMatrix, kernel_basis
 from .weights import WeightAssignment
 
 
-@dataclass
-class FormalModelResult:
+class FormalModelResult(NamedTuple):
     """A built model together with its weight and stage bookkeeping and
     the multiplicative map onto the table that certifies it."""
 

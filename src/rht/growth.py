@@ -10,8 +10,8 @@ generator attains both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cohomology import checked_formal_dimension
 from .errors import DegreeRangeError, HomogeneityError
@@ -27,8 +27,7 @@ CONDITIONAL_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class GeneratorRatio:
+class GeneratorRatio(NamedTuple):
     name: str
     degree: int
     weight: int
@@ -42,8 +41,7 @@ class GeneratorRatio:
         return Fraction(self.weight, self.degree)
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     presentation_name: str
     formal_dimension: int
     ratios: list[GeneratorRatio]

@@ -14,17 +14,15 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import Element, FreeGCA, Generator, LinearMap, Monomial, RATIONAL, extend_derivation
 from .errors import SchemaError
 from .scalars import exact_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed structural check; `subject` names the generator or pair."""
 
     kind: str
@@ -323,8 +321,7 @@ def load_presentation(path) -> SullivanPresentation:
 # ---- finite graded algebra tables -------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisClass:
+class BasisClass(NamedTuple):
     name: str
     degree: int
 

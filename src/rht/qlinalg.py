@@ -51,10 +51,10 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 
 class QMatrix:
@@ -318,8 +318,7 @@ def invert(m: QMatrix) -> list[dict[int, Fraction]] | None:
     return [{i: x for i, x in span.kernel_vector(n + j).items() if i < n} for j in range(n)]
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """Outcome of a positive-kernel search.
 
     Exactly one of `solution` and `witness` is set.  `solution` is a

@@ -15,8 +15,8 @@ automorphism (families.transport_presentation) probes other bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .algebra import FreeGCA, Monomial
 from .errors import ToolkitError
@@ -24,14 +24,33 @@ from .model import SullivanPresentation, Violation
 from .qlinalg import QMatrix, positive_integer_kernel
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, *value):
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class ConstraintRow:
     """One homogeneity condition, sum of exponent * n_factor - n_source = 0, for
-    one monomial of d(source); its label and dense coefficients are built on demand."""
+    one monomial of d(source); its label and dense coefficients are built on demand.
+    Equality, hash and repr read the source and the monomial, not the algebra."""
 
-    source: str
-    monomial: Monomial
-    algebra: FreeGCA = field(compare=False, repr=False)
+    __slots__ = ("source", "monomial", "algebra")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, source: str, monomial: Monomial, algebra: FreeGCA):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "algebra", algebra)
+
+    def __eq__(self, other):
+        if type(other) is not ConstraintRow:
+            return NotImplemented
+        return self.source == other.source and self.monomial == other.monomial
+
+    def __hash__(self):
+        return hash((self.source, self.monomial))
+
+    def __repr__(self):
+        return f"ConstraintRow(source={self.source!r}, monomial={self.monomial!r})"
 
     @property
     def label(self) -> str:
@@ -50,8 +69,7 @@ class ConstraintRow:
         return tuple(row.get(j, 0) for j in range(len(self.algebra.generators)))
 
 
-@dataclass(frozen=True)
-class WeightConstraintSystem:
+class WeightConstraintSystem(NamedTuple):
     generator_names: tuple[str, ...]
     rows: tuple[ConstraintRow, ...]
 
@@ -59,16 +77,25 @@ class WeightConstraintSystem:
         return QMatrix.from_rows([r.entries for r in self.rows], len(self.generator_names))
 
 
-@dataclass(frozen=True)
 class WeightAssignment:
-    """Positive integer weight per generator name."""
+    """Positive integer weight per generator name; equal by value, unhashable."""
 
-    weights: dict[str, int]
+    __slots__ = ("weights",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        for name, n in self.weights.items():
+    def __init__(self, weights: dict[str, int]):
+        for name, n in weights.items():
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise ToolkitError(f"weight of {name!r} must be a positive integer")
+        object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other):
+        if type(other) is not WeightAssignment:
+            return NotImplemented
+        return self.weights == other.weights
+
+    def __repr__(self):
+        return f"WeightAssignment(weights={self.weights!r})"
 
     def __getitem__(self, name: str) -> int:
         return self.weights[name]
@@ -77,8 +104,7 @@ class WeightAssignment:
         return sum(self.weights[p.generators[g].name] * e for g, e in mono)
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     """find_weights outcome: an assignment or a witness of infeasibility.
 
     `witness_rows` lists a minimal subset of constraint rows that is

@@ -130,6 +130,18 @@ def test_monomial_basis_is_the_sorted_oracle_enumeration(case):
     assert alg.monomial_basis(n) == sorted(oracle, key=key)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=6), st.integers(0, 14))
+def test_monomial_basis_comes_out_in_canonical_order(gen_degrees, n):
+    # the degrees are drawn in arbitrary order, so id order and the
+    # canonical (degree, id) order differ; the enumeration sorts nothing
+    alg = FreeGCA(Generator(g, f"g{g}", d) for g, d in enumerate(gen_degrees))
+    basis = alg.monomial_basis(n)
+    keys = [alg.monomial_key(m) for m in basis]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert basis == sorted(basis, key=alg.monomial_key)
+
+
 def test_elements_from_different_ambients_do_not_mix(alg):
     other = FreeGCA([Generator(0, "a", 2)])
     with pytest.raises(AmbientMismatchError):

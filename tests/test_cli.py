@@ -113,7 +113,7 @@ def test_benchmark_spans_fire_on_the_calls_the_cli_makes(monkeypatch, capsys):
 
 
 _LAYERS = {"rht.cohomology", "rht.families", "rht.formal", "rht.growth"}
-# run `python -m rht ARGV...`, then print the rht modules it loaded
+# run `python -m rht ARGV...`, then print the modules it loaded
 _LOADED_PROBE = """
 import json, runpy, sys
 sys.argv[0] = "rht"
@@ -122,7 +122,7 @@ try:
     runpy.run_module("rht", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("rht"))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
@@ -162,6 +162,33 @@ def test_each_subcommand_loads_only_its_layers(argv, exit_code, absent):
     assert loaded & absent == set()
 
 
+# stdlib modules that cost every process start-up time; dataclasses pulls
+# in inspect, and inspect ast, dis, tokenize and linecache
+_STARTUP_HEAVY = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "filename,argv,expected_exit",
+    golden_regen.build_cases(),
+    ids=lambda v: v if isinstance(v, str) and v.endswith(".json") else None,
+)
+def test_no_command_loads_the_dataclasses_machinery(filename, argv, expected_exit):
+    code, loaded = _loaded_modules(*argv)
+    assert code == expected_exit
+    assert loaded & _STARTUP_HEAVY == set()
+
+
+def test_importing_the_cli_loads_no_dataclasses_machinery():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, rht.cli; print(json.dumps(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert set(json.loads(proc.stdout)) & _STARTUP_HEAVY == set()
+
+
 def test_importing_the_package_loads_no_submodule():
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys, rht; print(json.dumps(sorted(sys.modules)))"],
@@ -184,21 +211,25 @@ def test_sources_parse_at_the_declared_python_floor():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
 
 
+def _absolute_imports():
+    """(file name, top-level package) of every absolute import under src/rht."""
+    for path in sorted((SRC_DIR / "rht").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield path.name, node.module.split(".")[0]
+            elif isinstance(node, ast.Import):
+                yield from ((path.name, alias.name.split(".")[0]) for alias in node.names)
+
+
 def test_sources_import_only_the_standard_library():
     # pyproject.toml declares no runtime dependency; relative imports stay
     # inside the package, so every absolute one must be rht or stdlib
     allowed = set(sys.stdlib_module_names) | {"rht", "__future__"}
-    foreign = []
-    for path in sorted((SRC_DIR / "rht").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
-    assert foreign == []
+    assert [f"{name}: {pkg}" for name, pkg in _absolute_imports() if pkg not in allowed] == []
+
+
+def test_sources_do_not_import_dataclasses():
+    assert [name for name, pkg in _absolute_imports() if pkg == "dataclasses"] == []
 
 
 def test_console_script_is_installed(tmp_path):
