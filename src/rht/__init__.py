@@ -19,9 +19,9 @@ _EXPORTS = {
     "cohomology": (
         "ActionReport", "CochainComplex", "CohomologyReport",
         "DiagonalizationCertificate", "FlexibilityReport",
-        "WeightDecompositionReport", "characteristic_polynomial", "cohomology",
-        "complex_for", "diagonalization_certificate", "flexibility_report",
-        "homology_action", "induced_action", "weight_decomposition",
+        "WeightDecompositionReport", "cohomology", "complex_for",
+        "diagonalization_certificate", "flexibility_report", "homology_action",
+        "induced_action", "weight_decomposition",
     ),
     "errors": (
         "AmbientMismatchError", "DegreeRangeError", "FamilyError",

@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     ToolkitError,
 )
-from .model import SullivanPresentation, _loads, load_presentation, load_table
+from .model import SullivanPresentation, _load_json, load_presentation, load_table
 from .scalars import parse_rational
 from .weights import WeightAssignment, check_weights, find_weights
 
@@ -65,15 +65,12 @@ def _load_presentation(path: str) -> SullivanPresentation:
     p = load_presentation(path)
     bad = p.validate()
     if bad:
-        raise _Negative(
-            "presentation is invalid:\n" + "\n".join(f"  {v}" for v in bad)
-        )
+        raise _Negative("\n".join(_listed("presentation is invalid:", bad)))
     return p
 
 
 def _weights_from_file(p: SullivanPresentation, path: str) -> WeightAssignment:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _loads(fh.read(), path)
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("weight file must hold a JSON object", path)
     # accept either a bare {name: weight} map or a solver report
@@ -96,16 +93,13 @@ def _resolve_weights(p: SullivanPresentation, source: str) -> WeightAssignment:
     if source == "auto":
         rep = find_weights(p)
         if not rep.feasible:
-            lines = ["no positive weights exist"]
-            lines += [f"  witness {r.label}" for r in rep.witness_rows]
-            raise _Negative("\n".join(lines))
+            witnesses = (f"witness {r.label}" for r in rep.witness_rows)
+            raise _Negative("\n".join(_listed("no positive weights exist", witnesses)))
         return rep.assignment
     w = _weights_from_file(p, source)
     bad = check_weights(p, w)
     if bad:
-        raise _Negative(
-            "weight assignment is not valid:\n" + "\n".join(f"  {v}" for v in bad)
-        )
+        raise _Negative("\n".join(_listed("weight assignment is not valid:", bad)))
     return w
 
 
@@ -150,8 +144,8 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args, doc) -> None:
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+def _listed(head: str, items) -> list[str]:
+    return [head, *(f"  {item}" for item in items)]
 
 
 def _weights_line(w: WeightAssignment, p: SullivanPresentation) -> str:
@@ -159,81 +153,64 @@ def _weights_line(w: WeightAssignment, p: SullivanPresentation) -> str:
 
 
 # ---------------------------------------------------------------- subcommands
+# each returns its exit code, its JSON document and its text lines; main
+# writes the one rendering that --json selects
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, dict, list[str]]:
     p = load_presentation(args.file)
-    bad = p.validate()
-    if args.json:
-        _emit_json(
-            args,
-            {"name": p.name, "valid": not bad, "violations": [str(v) for v in bad]},
-        )
-    else:
-        lines = [f"{p.name}: " + ("valid" if not bad else "INVALID")]
-        lines += [f"  {v}" for v in bad]
-        _emit(args, "\n".join(lines))
-    return 1 if bad else 0
+    bad = [str(v) for v in p.validate()]
+    lines = _listed(f"{p.name}: " + ("INVALID" if bad else "valid"), bad)
+    return (1 if bad else 0), {"name": p.name, "valid": not bad, "violations": bad}, lines
 
 
-def _cmd_weights(args) -> int:
+def _cmd_weights(args) -> tuple[int, dict, list[str]]:
     p = _load_presentation(args.file)
     if args.weights != "auto":
         w = _weights_from_file(p, args.weights)
-        bad = check_weights(p, w)
-        if args.json:
-            _emit_json(
-                args,
-                {
-                    "feasible": not bad,
-                    "weights": dict(sorted(w.weights.items())) if not bad else {},
-                    "violations": [str(v) for v in bad],
-                },
-            )
-        else:
-            if bad:
-                _emit(args, "\n".join(["invalid"] + [f"  {v}" for v in bad]))
-            else:
-                _emit(args, "feasible: " + _weights_line(w, p))
-        return 1 if bad else 0
+        bad = [str(v) for v in check_weights(p, w)]
+        doc = {
+            "feasible": not bad,
+            "weights": {} if bad else dict(sorted(w.weights.items())),
+            "violations": bad,
+        }
+        lines = _listed("invalid", bad) if bad else ["feasible: " + _weights_line(w, p)]
+        return (1 if bad else 0), doc, lines
     rep = find_weights(p)
-    if args.json:
-        _emit_json(args, rep.to_json_dict())
-    elif rep.feasible:
-        _emit(args, "feasible: " + _weights_line(rep.assignment, p))
+    if rep.feasible:
+        lines = ["feasible: " + _weights_line(rep.assignment, p)]
     else:
-        lines = ["infeasible"]
-        lines += [f"  witness {r.label}" for r in rep.witness_rows]
-        _emit(args, "\n".join(lines))
-    return 0 if rep.feasible else 1
+        lines = _listed("infeasible", (f"witness {r.label}" for r in rep.witness_rows))
+    return (0 if rep.feasible else 1), rep.to_json_dict(), lines
 
 
-def _cmd_cohomology(args) -> int:
+def _cmd_cohomology(args) -> tuple[int, dict, list[str]]:
     p = _load_presentation(args.file)
     max_degree = _resolve_max_degree(p, args)
-    crep = cohomology(p, max_degree)
-
-    weights_doc = None
-    action_doc = None
-    w = None
-    fam = None
-    if args.family:
-        fam = _resolve_family(p, args)
+    betti = cohomology(p, max_degree).betti_list()
+    lines = [f"{p.name}: Betti through degree {max_degree}"]
+    lines.append("betti: " + " ".join(str(b) for b in betti))
+    weights_doc = action_doc = w = None
+    fam = _resolve_family(p, args) if args.family else None
     # weight splitting is reported whenever an assignment is available
     try:
         w = _resolve_weights(p, args.weights)
     except _Negative:
         if args.weights != "auto":
             raise
-    if w is not None:
-        wrep = weight_decomposition(p, w, max_degree)
+    if w is None:
+        lines.append("weights: infeasible")
+    else:
+        split = sorted(weight_decomposition(p, w, max_degree).dimensions.items())
         weights_doc = {
             "assignment": dict(sorted(w.weights.items())),
             "betti_by_weight": {
-                str(n): {str(wt): dim for wt, dim in sorted(by_w.items())}
-                for n, by_w in sorted(wrep.dimensions.items())
+                str(n): {str(wt): dim for wt, dim in sorted(by_w.items())} for n, by_w in split
             },
         }
+        lines.append("weights: " + _weights_line(w, p))
+        for n, by_w in split:
+            lines.append(f"H^{n}: " + " ".join(f"w{wt}:{dim}" for wt, dim in sorted(by_w.items())))
         if fam is None:
             fam = diagonal_family(p, w)
     if fam is not None:
@@ -241,161 +218,94 @@ def _cmd_cohomology(args) -> int:
             str(n): induced_action(p, fam, n).to_json_dict()["matrix"]
             for n in range(max_degree + 1)
         }
-
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "name": p.name,
-                "certified_through": max_degree,
-                "betti": crep.betti_list(),
-                "weights": weights_doc,
-                "action": action_doc,
-            },
-        )
-        return 0
-
-    lines = [f"{p.name}: Betti through degree {max_degree}"]
-    lines.append("betti: " + " ".join(str(b) for b in crep.betti_list()))
-    if weights_doc is not None:
-        lines.append("weights: " + _weights_line(w, p))
-        for key in sorted(weights_doc["betti_by_weight"], key=int):
-            dims = weights_doc["betti_by_weight"][key]
-            split = " ".join(f"w{wt}:{d}" for wt, d in sorted(dims.items(), key=lambda kv: int(kv[0])))
-            lines.append(f"H^{key}: {split}")
-    else:
-        lines.append("weights: infeasible")
-    if action_doc is not None:
-        for key in sorted(action_doc, key=int):
-            lines.append(f"action H^{key}: {action_doc[key]}")
-    _emit(args, "\n".join(lines))
-    return 0
+        lines += [f"action H^{n}: {matrix}" for n, matrix in action_doc.items()]
+    doc = {
+        "name": p.name,
+        "certified_through": max_degree,
+        "betti": betti,
+        "weights": weights_doc,
+        "action": action_doc,
+    }
+    return 0, doc, lines
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[int, dict, list[str]]:
     p = _load_presentation(args.file)
     fam = _resolve_family(p, args)
-    bad = verify_family(fam)
+    bad = [str(v) for v in verify_family(fam)]
     if bad:
-        doc_bad = [str(v) for v in bad]
-        if args.json:
-            _emit_json(args, {"name": p.name, "verified": False, "violations": doc_bad})
-        else:
-            _emit(args, "\n".join(["family FAILS verification"] + [f"  {v}" for v in doc_bad]))
-        return 1
-
+        doc = {"name": p.name, "verified": False, "violations": bad}
+        return 1, doc, _listed("family FAILS verification", bad)
     if args.eval is not None:
         t0 = parse_rational(args.eval)
         ev = evaluate(fam, t0)
-        images = {
-            g.name: str(ev.map.images[g.gid]) for g in p.generators
-        }
-        if args.json:
-            _emit_json(
-                args,
-                {
-                    "name": p.name,
-                    "parameter": str(t0),
-                    "invertible": ev.invertible,
-                    "images": images,
-                },
-            )
-        else:
-            lines = [f"evaluated at t = {t0}"]
-            lines += [f"  {n} -> {img}" for n, img in images.items()]
-            lines.append("invertible" if ev.invertible else "NOT invertible")
-            _emit(args, "\n".join(lines))
+        images = {g.name: str(ev.map.images[g.gid]) for g in p.generators}
+        doc = {"name": p.name, "parameter": str(t0), "invertible": ev.invertible, "images": images}
+        lines = _listed(f"evaluated at t = {t0}", (f"{n} -> {img}" for n, img in images.items()))
+        lines.append("invertible" if ev.invertible else "NOT invertible")
         # a well-formed evaluation is a success even when not invertible
-        return 0
-
-    if args.json:
-        _emit_json(args, {"name": p.name, "verified": True, "images": family_to_dict(fam)})
-    else:
-        lines = ["family verified: identity at t=1, chain map, group law"]
-        lines += [f"  {g.name} -> {fam.images[g.gid]}" for g in p.generators]
-        _emit(args, "\n".join(lines))
-    return 0
+        return 0, doc, lines
+    lines = _listed(
+        "family verified: identity at t=1, chain map, group law",
+        (f"{g.name} -> {fam.images[g.gid]}" for g in p.generators),
+    )
+    return 0, {"name": p.name, "verified": True, "images": family_to_dict(fam)}, lines
 
 
-def _cmd_act(args) -> int:
+def _cmd_act(args) -> tuple[int, dict, list[str]]:
     p = _load_presentation(args.file)
     max_degree = _resolve_max_degree(p, args)
     fam = _resolve_family(p, args)
     act = homology_action if args.dual else induced_action
     reports = [act(p, fam, n) for n in range(max_degree + 1)]
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "name": p.name,
-                "variance": "homology" if args.dual else "cohomology",
-                "degrees": {str(r.degree): r.to_json_dict() for r in reports},
-            },
-        )
-    else:
-        lines = [f"{p.name}: induced action per degree"]
-        for r in reports:
-            if not r.basis:
-                continue
+    doc = {
+        "name": p.name,
+        "variance": "homology" if args.dual else "cohomology",
+        "degrees": {str(r.degree): r.to_json_dict() for r in reports},
+    }
+    lines = [f"{p.name}: induced action per degree"]
+    for r in reports:
+        if r.basis:
             rows = [[str(c) for c in row] for row in r.matrix]
             lines.append(f"degree {r.degree} on {r.basis}: {rows}")
-        _emit(args, "\n".join(lines))
-    return 0
+    return 0, doc, lines
 
 
-def _cmd_formal_model(args) -> int:
+def _cmd_formal_model(args) -> tuple[int, dict, list[str]]:
     table = load_table(args.file)
     if args.max_degree is not None:
         n_trunc = args.max_degree
     else:
         n_trunc = table.max_degree() + 2
     result = build_formal_model(table, n_trunc)
-    if args.json:
-        _emit_json(args, result.to_json_dict())
-    else:
-        p = result.model
-        lines = [f"built {p.name}: truncation {p.truncation_degree}"]
-        for g in p.generators:
-            w = result.weights[g.name]
-            dg = p.d_of(g.gid)
-            tail = "closed" if dg.is_zero() else f"d -> {dg}"
-            lines.append(
-                f"  {g.name}: degree {g.degree}, weight {w}, "
-                f"stage {result.stages[g.name]}, {tail}"
-            )
-        _emit(args, "\n".join(lines))
-    return 0
-
-
-def _cmd_growth(args) -> int:
-    p = _load_presentation(args.file)
-    w = _resolve_weights(p, args.weights)
-    rep = growth_report(p, w)
-    if args.json:
-        _emit_json(args, rep.to_json_dict())
-    else:
-        lines = [
-            f"r = {rep.growth_exponent}",
-            f"dil = {rep.dil_exponent}",
-            f"note: {rep.note}",
-        ]
-        _emit(args, "\n".join(lines))
-    return 0
-
-
-def _cmd_flex(args) -> int:
-    p = _load_presentation(args.file)
-    fam = _resolve_family(p, args)
-    rep = flexibility_report(p, fam)
-    if args.json:
-        _emit_json(args, rep.to_json_dict())
-    else:
-        _emit(
-            args,
-            f"{p.name}: top-degree action t^{rep.top_weight} "
-            f"in degree {rep.formal_dimension}",
+    p = result.model
+    lines = [f"built {p.name}: truncation {p.truncation_degree}"]
+    for g in p.generators:
+        dg = p.d_of(g.gid)
+        tail = "closed" if dg.is_zero() else f"d -> {dg}"
+        lines.append(
+            f"  {g.name}: degree {g.degree}, weight {result.weights[g.name]}, "
+            f"stage {result.stages[g.name]}, {tail}"
         )
-    return 0
+    return 0, result.to_json_dict(), lines
+
+
+def _cmd_growth(args) -> tuple[int, dict, list[str]]:
+    p = _load_presentation(args.file)
+    rep = growth_report(p, _resolve_weights(p, args.weights))
+    lines = [
+        f"r = {rep.growth_exponent}",
+        f"dil = {rep.dil_exponent}",
+        f"note: {rep.note}",
+    ]
+    return 0, rep.to_json_dict(), lines
+
+
+def _cmd_flex(args) -> tuple[int, dict, list[str]]:
+    p = _load_presentation(args.file)
+    rep = flexibility_report(p, _resolve_family(p, args))
+    line = f"{p.name}: top-degree action t^{rep.top_weight} in degree {rep.formal_dimension}"
+    return 0, rep.to_json_dict(), [line]
 
 
 # -------------------------------------------------------------------- parser
@@ -500,7 +410,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code, doc, lines = args.fn(args)
+        _emit(args, json.dumps(doc, indent=2, sort_keys=True) if args.json else "\n".join(lines))
+        return code
     except _Negative as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -427,23 +427,6 @@ def _trace(m: list[list[Laurent]]) -> Laurent:
     return Laurent.sum_of_products((row[i], 1) for i, row in enumerate(m))
 
 
-def characteristic_polynomial(m: list[list[Laurent]]) -> list[Laurent]:
-    """Coefficients [c_n, ..., c_1, c_0] of det(X I - M), leading first.
-
-    Exact over the Laurent coefficient ring; the only divisions are by
-    the integers 1..n.
-    """
-    n = len(m)
-    coeffs = [Laurent.one()]
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        ck = _trace(mk) * Fraction(-1, k)
-        coeffs.append(ck)
-        if k < n:
-            mk = _mat_mul(m, _mat_minus_scalar(mk, -ck))
-    return coeffs
-
-
 def diagonalization_certificate(action: ActionReport) -> DiagonalizationCertificate:
     """Decide whether the action matrix is conjugate to a diagonal matrix
     with entries t^w, and with which exponent multiset.

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .algebra import Element, LAURENT, RATIONAL, extend_algebra_map
 from .errors import FamilyError, SchemaError, SingularMapError
-from .model import SullivanPresentation, Violation, _loads, element_to_terms, terms_to_element
+from .model import SullivanPresentation, Violation, _load_json, _loads, element_to_terms, terms_to_element
 from .qlinalg import QMatrix, invert
 from .scalars import Laurent, exact_rational
 from .weights import WeightAssignment, check_weights
@@ -337,8 +337,7 @@ def parse_family(p: SullivanPresentation, text: str) -> OneParameterFamily:
 
 
 def load_family(p: SullivanPresentation, path) -> OneParameterFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        return family_from_dict(p, _loads(fh.read(), path))
+    return family_from_dict(p, _load_json(path))
 
 
 def automorphism_from_dict(p: SullivanPresentation, doc, path: str = "") -> ModelAutomorphism:
@@ -350,8 +349,7 @@ def parse_automorphism(p: SullivanPresentation, text: str) -> ModelAutomorphism:
 
 
 def load_automorphism(p: SullivanPresentation, path) -> ModelAutomorphism:
-    with open(path, "r", encoding="utf-8") as fh:
-        return automorphism_from_dict(p, _loads(fh.read(), path))
+    return automorphism_from_dict(p, _load_json(path))
 
 
 def _assignment_from_dict(

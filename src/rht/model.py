@@ -309,13 +309,18 @@ def _loads(text: str, path: str = ""):
         raise SchemaError("invalid JSON: nested too deeply", path) from exc
 
 
+def _load_json(path):
+    """The JSON document in the file at `path`, decoded by `_loads`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _loads(fh.read(), path)
+
+
 def parse_presentation(text: str) -> SullivanPresentation:
     return presentation_from_dict(_loads(text))
 
 
 def load_presentation(path) -> SullivanPresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return presentation_from_dict(_loads(fh.read(), path))
+    return presentation_from_dict(_load_json(path))
 
 
 # ---- finite graded algebra tables -------------------------------------
@@ -560,5 +565,4 @@ def parse_table(text: str) -> GradedAlgebraTable:
 
 
 def load_table(path) -> GradedAlgebraTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return table_from_dict(_loads(fh.read(), path))
+    return table_from_dict(_load_json(path))

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import copy
+import hashlib
 import importlib
 import importlib.metadata
 import importlib.util
@@ -661,6 +662,108 @@ def test_a_declared_formal_dimension_the_cohomology_contradicts_is_refused(
     out, err = capsys.readouterr()
     assert out == ""
     assert message in err
+
+
+# ------------------------------------------------------------- text output
+
+
+# sha256 of stdout and the exit code for each command line of the text
+# rendering: every golden command line without --json, then the text-only
+# cases no golden covers; "{f}" names a weight file holding {"x": 1, "y": 1}
+_TEXT_CASES = [
+    *[(f, [a for a in argv if a != "--json"]) for f, argv, _ in golden_regen.build_cases()],
+    ("family-eval-0", ["family", corpus("s2xs3.json"), "--eval", "0"]),
+    ("family-eval-2", ["family", corpus("s2xs3.json"), "--eval", "2"]),
+    ("act-dual", ["act", corpus("s2xs3.json"), "--dual"]),
+    ("cohomology-max-degree-4", ["cohomology", corpus("s2xs3.json"), "--max-degree", "4"]),
+    ("cohomology-infeasible", ["cohomology", corpus("infeasible-synthetic.json")]),
+    ("weights-file-valid", ["weights", corpus("s2xs3.json"), "--weights", str(DATA_DIR / "s2xs3-stage-weights.json")]),
+    ("weights-file-invalid", ["weights", corpus("s2.json"), "--weights", "{f}"]),
+    ("check-invalid", ["check", str(DATA_DIR / "degree-one-generator.json")]),
+    ("formal-model-max-degree-7", ["formal-model", corpus("h-cp2.json"), "--max-degree", "7"]),
+]
+_TEXT_PINS = {
+    "weights-s2.json": (0, "46c209e2fc9de55c41ec365a0eb6ed5f0fc1c2e0f34a0c4165a55a8a14a11235"),
+    "weights-s3.json": (0, "c002ec8027c78b96366877dbde38d3733ba2114c5af701992e9ec9397ca935c7"),
+    "weights-s4.json": (0, "46c209e2fc9de55c41ec365a0eb6ed5f0fc1c2e0f34a0c4165a55a8a14a11235"),
+    "weights-s5.json": (0, "c002ec8027c78b96366877dbde38d3733ba2114c5af701992e9ec9397ca935c7"),
+    "weights-s6.json": (0, "46c209e2fc9de55c41ec365a0eb6ed5f0fc1c2e0f34a0c4165a55a8a14a11235"),
+    "weights-s7.json": (0, "c002ec8027c78b96366877dbde38d3733ba2114c5af701992e9ec9397ca935c7"),
+    "weights-cp2.json": (0, "02876a5fd8042961177490e8278cddeb3d8e1553cf13e460a3be0992719d4167"),
+    "weights-cp3.json": (0, "3a6e6a266e917fa2d79607f992696ad5111bde4b83d656317f057c0bc08c3201"),
+    "weights-cp4.json": (0, "3a06d4a8ed31bcf09d909c910a83a099fea9c6f396badff10a711e420a4631a7"),
+    "weights-s2xs3.json": (0, "105e5772f2b0a91bf327c669c5a5561c6ed8b4783f72bb8c9cb82c00ab863f15"),
+    "weights-s2-wedge-s4.json": (0, "c81911f68faf0babcb077a0fd30bd7c59c19be0d052672dde13cf0a90c61e7c4"),
+    "weights-infeasible-synthetic.json": (1, "a4f3c88865814166bc6a512162dc8529e72eeec69852d441bf3359483db63739"),
+    "cohomology-s2.json": (0, "58dca50de0dbdec1c82612663d1e527d07d75087677b52aba919cbad069f989a"),
+    "cohomology-cp2.json": (0, "bb9646676852dd9db5afa29d96caf341131678e2c409b4690a855434cdce4022"),
+    "cohomology-s2xs3.json": (0, "5f8a5ed78a8b10fc67ab8f1babd3ba51678fd77f6ab167a3f0a9f5350385a61d"),
+    "cohomology-s2-wedge-s4.json": (0, "612ae2903b0362bd7a6519f5ff4aaf5907f03c0f90d4f6f5c4862823bc850bc8"),
+    "cohomology-infeasible-synthetic.json": (0, "25b9a4ee46c6a459a8642f9aabdc1699dc48e2b398bc06c387f01e731a81fc4f"),
+    "formal-model-h-s2.json": (0, "e080503e1a1e049d4065b8df197827f843a28d741802c6d372d6a1e92c59a3ab"),
+    "formal-model-h-cp2.json": (0, "216738936ba3291fab6060d097650b803767de5e3ae09c8f28f41add697f4e72"),
+    "formal-model-h-cp3.json": (0, "0ff6f24206869676b1ae668d021944c9a3fc2bc0ff6bf7a9c7a47c4fc518ce83"),
+    "formal-model-h-s2ws4.json": (0, "988c2e7b2a39afc0e81dcbe18a83538e7e06f0986c9184b87b1948c3b10ed0b5"),
+    "growth-s2xs3.json": (0, "bb0abc29854b598d0612a7f5376cbacbbc76ae2bc2b5ebb3696b40e5d9412f23"),
+    "growth-cp3.json": (0, "004dd2d503a67bd702fe5d3f4b9625af54b45d0200fe3086071c580d5d5c8635"),
+    "family-s2xs3-diagonal.json": (0, "29ec30f3295538188e4943e1c0d8e52a03f7a04d5c8d0e0d4a5723562ed1fe18"),
+    "family-s2xs3-conjugated.json": (0, "dd7d39b17310ebd6cec2016e0d54d5ec1791fc19f04460ace7cf11b41bb730ad"),
+    "act-s2xs3-conjugated.json": (0, "d2efcc5eecebaee2991730ebe2eb69e00bc60d98d45801471167f4693c3701fa"),
+    "flex-s2xs3-diagonal.json": (0, "9335d4e2d107d4860250ee72301ec06028a0a7ba188e80b148023590b8c5c3e8"),
+    "flex-s2xs3-stage.json": (0, "5548abc515488f53808b0653d3024d3e133605820f10afe17aaebb46e035e5dd"),
+    "family-eval-0": (0, "8264a4d44c42cc8d65cf95ce8ab700f9e258e25fb701802ca6323ab4838cfc87"),
+    "family-eval-2": (0, "26cce2229bd698dd9f7c9e6588950884efa1cd277590d586f42d0e61370a3ffb"),
+    "act-dual": (0, "d2efcc5eecebaee2991730ebe2eb69e00bc60d98d45801471167f4693c3701fa"),
+    "cohomology-max-degree-4": (0, "53b5326dfd658fe854919fc046d479968f04f229f5e737f8a30dff0390d62ab2"),
+    "cohomology-infeasible": (0, "25b9a4ee46c6a459a8642f9aabdc1699dc48e2b398bc06c387f01e731a81fc4f"),
+    "weights-file-valid": (0, "32ae8ed2185a5b8833e0e7853d4b39fd4405773751d13464895e876b7d9838ce"),
+    "weights-file-invalid": (1, "fd00db23b5b7782ac3e816eeeb01c8f255bb8b23b464f04cd85d4ed6e81cc36e"),
+    "check-invalid": (1, "2e98cfef32ee00352c459c62a2d8d9eaad88177ee3d751b8b07d2b5dbb12eae8"),
+    "formal-model-max-degree-7": (0, "3fbad7f6125ca3d9b2ed584505106bb0b4d826104747ba1fb99cb894fd85811b"),
+}
+
+
+@pytest.mark.parametrize("name,argv", _TEXT_CASES, ids=[name for name, _ in _TEXT_CASES])
+def test_text_output_is_pinned(tmp_path, capsys, name, argv):
+    f = tmp_path / "w.json"
+    f.write_text('{"x": 1, "y": 1}')
+    code = main([str(f) if a == "{f}" else a for a in argv])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _TEXT_PINS[name]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cohomology", corpus("s2xs3.json")], ["act", corpus("s2xs3.json"), "--json"]],
+    ids=["text", "json"],
+)
+def test_output_flag_writes_what_stdout_shows(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "report"
+    assert main([*argv, "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode()
+
+
+def test_only_main_writes_the_output():
+    # each subcommand returns its report; main alone renders and writes it
+    tree = ast.parse((SRC_DIR / "rht" / "cli.py").read_text(encoding="utf-8"))
+    writes = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_cmd_"):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("_emit", "print"):
+                writes.append(f"{fn.name}: {node.func.id}()")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("stdout", "stderr")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            ):
+                writes.append(f"{fn.name}: sys.{node.attr}")
+    assert writes == []
 
 
 # ------------------------------------------------------------------ plumbing

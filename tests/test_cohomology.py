@@ -35,7 +35,6 @@ from rht.algebra import RATIONAL, Element
 from rht.cohomology import (
     ActionReport,
     CochainComplex,
-    characteristic_polynomial,
     checked_formal_dimension,
     cohomology,
     complex_for,
@@ -781,14 +780,9 @@ def test_certificate_on_empty_matrix():
     assert cert.to_json_dict() == {"diagonalizable": True, "eigenvalue_powers": {}}
 
 
-def test_certificate_does_not_need_the_characteristic_polynomial(monkeypatch):
-    # trace and annihilator decide alone; see the diagonalization_certificate
-    # docstring for why the characteristic polynomial then always matches
-    def refuse(m):
-        raise AssertionError("characteristic polynomial computed")
-
-    module = importlib.import_module("rht.cohomology")
-    monkeypatch.setattr(module, "characteristic_polynomial", refuse)
+def test_certificate_decides_from_trace_and_annihilator():
+    # see the diagonalization_certificate docstring for why the
+    # characteristic polynomial then always matches
     p = load_presentation("s2xs3")
     for fam in (
         diagonal_family(p, find_weights(p).assignment),
@@ -799,31 +793,6 @@ def test_certificate_does_not_need_the_characteristic_polynomial(monkeypatch):
             cert = diagonalization_certificate(act)
             assert cert.diagonalizable, (n, cert.reason)
             assert sum(cert.eigenvalue_powers.values()) == act.dimension()
-
-
-def test_characteristic_polynomial_of_shear_matrix():
-    # [[t, t], [0, t]] has char poly (X - t)^2
-    m = [
-        [Laurent.t(1), Laurent.t(1)],
-        [Laurent.zero(), Laurent.t(1)],
-    ]
-    coeffs = characteristic_polynomial(m)
-    # X^2 - 2t X + t^2, leading coefficient first
-    assert coeffs == [
-        Laurent.one(),
-        Laurent({1: Fraction(-2)}),
-        Laurent.t(2),
-    ]
-
-
-def test_characteristic_polynomial_matches_trace_and_det_2x2():
-    a = Laurent.t(1)
-    b = Laurent.t(2) - Laurent.t(1)
-    c = Laurent.zero()
-    d = Laurent.t(2)
-    coeffs = characteristic_polynomial([[a, b], [c, d]])
-    assert coeffs[1] == -(a + d)
-    assert coeffs[2] == a * d - b * c
 
 
 # ---------------------------------------------------------------- flexibility
