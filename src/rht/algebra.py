@@ -220,6 +220,19 @@ def _zero_of(kind: str):
     return Fraction(0) if kind == RATIONAL else Laurent.zero()
 
 
+def _reduced(algebra: FreeGCA, kind: str, pairs: dict[Monomial, list]) -> "Element":
+    """The element with coefficient sum(a * b) over the pairs listed at each
+    monomial, one reduction per monomial, in the dict's order; zeros dropped."""
+    total = Laurent.sum_of_products if kind == LAURENT else _sum_of_products
+    terms = {m: c for m, ab in pairs.items() if (c := total(ab))}
+    return Element._trusted(algebra, kind, terms)
+
+
+def _sum_of_products(pairs: list):
+    (a, b), *rest = pairs
+    return sum((x * y for x, y in rest), a * b)
+
+
 def _integral(c):
     """An integral Fraction as an int; any other scalar as it is."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
@@ -305,25 +318,20 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
         alg = self.algebra
-        terms: dict[Monomial, object] = {}
+        pairs: dict[Monomial, list] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 merged = alg.multiply_monomials(ma, mb)
-                if merged is None:
-                    continue
-                sign, m = merged
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                acc = terms.get(m)
-                terms[m] = c if acc is None else acc + c
-        return Element._trusted(alg, self.kind, {m: c for m, c in terms.items() if c})
+                if merged is not None:
+                    sign, m = merged
+                    pairs.setdefault(m, []).append((-ca if sign < 0 else ca, cb))
+        return _reduced(alg, self.kind, pairs)
 
     def power(self, n: int) -> "Element":
         if n < 0:
             raise ValueError("negative element power")
-        out = self.algebra.one(self.kind)
-        for _ in range(n):
+        out = self if n else self.algebra.one(self.kind)
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -414,12 +422,11 @@ class LinearMap:
             raise AmbientMismatchError("element from a different ambient algebra")
         if self.kind == LAURENT:
             x = x.with_laurent_scalars()
-        terms: dict[Monomial, object] = {}
+        pairs: dict[Monomial, list] = {}
         for m, c in x.terms.items():
             for mono, coeff in self.of_monomial(m).items():
-                acc = terms.get(mono)
-                terms[mono] = c * coeff if acc is None else acc + c * coeff
-        return Element._trusted(self.algebra, x.kind, {m: c for m, c in terms.items() if c})
+                pairs.setdefault(mono, []).append((c, coeff))
+        return _reduced(self.algebra, x.kind, pairs)
 
 
 def extend_derivation(algebra: FreeGCA, images: dict[int, Element]) -> LinearMap:
@@ -469,16 +476,22 @@ def extend_algebra_map(algebra: FreeGCA, images: dict[int, Element]) -> LinearMa
     kind, img_of = _generator_images(algebra, images, 0)
     for g in algebra.generators:
         img_of.setdefault(g.gid, Element._trusted(algebra, kind, {((g.gid, 1),): _one_of(kind)}))
+    # every prefix of every word asked for is cached, the generators at once
     cache: dict[Monomial, Element] = {UNIT: algebra.one(kind)}
+    cache.update({((gid, 1),): img for gid, img in img_of.items()})
 
     def phi_mono(mono: Monomial) -> dict:
         hit = cache.get(mono)
         if hit is not None:
             return hit.terms
-        out = algebra.one(kind)
-        for gid, e in mono:
-            out = out * img_of[gid].power(e)
-        cache[mono] = out
+        # the word's prefixes with their last letters; the first is cached
+        steps = [(mono[:i] + ((g, j),), g) for i, (g, e) in enumerate(mono) for j in range(1, e + 1)]
+        k = len(steps) - 1
+        while steps[k][0] not in cache:
+            k -= 1
+        out = cache[steps[k][0]]
+        for prefix, gid in steps[k + 1:]:
+            out = cache[prefix] = out * img_of[gid]
         return out.terms
 
     return LinearMap(algebra, kind, phi_mono)

@@ -412,8 +412,9 @@ class DiagonalizationCertificate(NamedTuple):
 
 
 def _mat_mul(a: list[list[Laurent]], b: list[list[Laurent]]) -> list[list[Laurent]]:
-    columns = list(zip(*b))
-    return [[Laurent.sum_of_products(zip(row, col)) for col in columns] for row in a]
+    # each column's nonzero entries, read once; a zero entry of a row is skipped
+    columns = [[(k, c) for k, c in enumerate(col) if c] for col in zip(*b)]
+    return [[Laurent.sum_of_products((row[k], c) for k, c in col if row[k]) for col in columns] for row in a]
 
 
 def _mat_minus_scalar(m: list[list[Laurent]], c: Laurent) -> list[list[Laurent]]:

@@ -746,6 +746,62 @@ def fraction_diagonalization_certificate(m):
     return True, candidate, ""
 
 
+
+# ------------------------------------------ plain-dict certificate reference
+#
+# A Laurent polynomial here is a plain dict t-power -> nonzero Fraction, and
+# a matrix product visits every entry pair, zeros included.
+
+
+def dict_mat_mul(a, b):
+    """Dense square product of matrices of {power: Fraction} dicts."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = {}
+            for k in range(n):
+                for p1, c1 in a[i][k].items():
+                    for p2, c2 in b[k][j].items():
+                        acc[p1 + p2] = acc.get(p1 + p2, Fraction(0)) + c1 * c2
+            row.append({p: c for p, c in acc.items() if c})
+        out.append(row)
+    return out
+
+
+def dict_diagonalization_certificate(m):
+    """(diagonalizable, eigenvalue powers, reason) of a square matrix of
+    {power: Fraction} dicts, decided as `fraction_diagonalization_certificate`
+    decides: the trace's coefficients are the candidate multiplicities, and
+    prod (M - t^w I) over the distinct w must be the zero matrix."""
+    n = len(m)
+    if n == 0:
+        return True, {}, ""
+    trace = {}
+    for i in range(n):
+        for p, c in m[i][i].items():
+            trace[p] = trace.get(p, Fraction(0)) + c
+    candidate = {}
+    for p, c in sorted(trace.items()):
+        if not c:
+            continue
+        if c.denominator != 1 or c <= 0:
+            return False, None, f"trace coefficient {c} at t^{p} is not a positive integer"
+        candidate[p] = int(c)
+    if sum(candidate.values()) != n:
+        return False, None, f"trace accounts for {sum(candidate.values())} of {n} eigenvalues"
+    product = None
+    for w in sorted(candidate):
+        factor = [[dict(m[i][j]) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            factor[i][i][w] = factor[i][i].get(w, Fraction(0)) - 1
+            factor[i][i] = {p: c for p, c in factor[i][i].items() if c}
+        product = factor if product is None else dict_mat_mul(product, factor)
+    if any(entry for row in product for entry in row):
+        return False, None, "matrix is not annihilated by its candidate eigenvalues"
+    return True, candidate, ""
+
 # ------------------------------------------- two-variable group-law reference
 #
 # The group-law check `rht.families` made before it compared t-coefficients:

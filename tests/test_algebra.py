@@ -4,13 +4,22 @@ The monomial count checks run against the Hilbert series oracle in
 oracles.py, which knows nothing about the package's basis enumeration.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import canonical_monomial, enumerate_words, monomial_count_series, multiply_words, sort_word
-from rht.algebra import FreeGCA, Generator
+from oracles import (
+    canonical_monomial,
+    enumerate_words,
+    monomial_count_series,
+    multiply_words,
+    random_presentation,
+    sort_word,
+)
+from rht.algebra import LAURENT, RATIONAL, FreeGCA, Generator, extend_algebra_map
+from rht.scalars import Laurent
 from rht.errors import AmbientMismatchError
 
 # mixed parities, repeated degrees on purpose
@@ -163,6 +172,19 @@ def test_extend_derivation_satisfies_leibniz(alg):
     # deg(ab) = 5, odd
     right = d(x) * y + (x * d(y)).scale(Fraction(-1))
     assert left == right
+
+
+def test_derivation_of_a_power_keeps_a_fractional_coefficient_and_the_lower_power(alg):
+    from rht.algebra import extend_derivation
+
+    # d(a) = b/2, so d(a^e) = e/2 a^(e-1) b: a^2 keeps one factor a, and the
+    # coefficient 1/2 is read as it is, not as its numerator
+    a, b = alg.gen("a"), alg.gen("b")
+    d = extend_derivation(alg, {0: b.scale(Fraction(1, 2))})
+    assert d(a) == b.scale(Fraction(1, 2))
+    assert d(a * a) == a * b
+    assert d(a.power(3)) == (a * a * b).scale(Fraction(3, 2))
+    assert d.of_monomial(((0, 2),)) == {((0, 1), (1, 1)): 1}
 
 
 def _sample_derivation(alg):
@@ -376,3 +398,50 @@ def test_arithmetic_results_equal_the_validated_terms(alg, case):
 def test_repr_lists_generators_with_their_degrees_in_id_order():
     assert repr(FreeGCA(GENS)) == "FreeGCA(a:2, b:3, c:3, e:4, f:5)"
     assert repr(FreeGCA([])) == "FreeGCA()"
+
+
+def _random_image(rng, alg, degree, kind):
+    """A random element of the given degree, in the given scalar kind."""
+
+    def coeff():
+        c = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2]))
+        return Laurent({rng.randint(-2, 2): c, rng.randint(-2, 2): 1}) if kind == LAURENT else c
+
+    basis = alg.monomial_basis(degree)
+    chosen = rng.sample(basis, rng.randint(0, min(3, len(basis))))
+    return alg.element({m: coeff() for m in chosen}, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([RATIONAL, LAURENT]))
+def test_cached_prefixes_give_each_monomial_the_naive_image(seed, kind):
+    # every word's image equals the product of its generators' images in
+    # word order, taken from 1, whatever the map was asked before
+    rng = random.Random(seed)
+    p = random_presentation(rng)
+    alg = p.algebra
+    images = {g.gid: _random_image(rng, alg, g.degree, kind) for g in p.generators if rng.random() < 0.8}
+    phi = extend_algebra_map(alg, images)
+    full = {g.gid: images.get(g.gid, alg.gen(g.gid)) for g in p.generators}
+    if phi.kind == LAURENT:
+        full = {gid: img.with_laurent_scalars() for gid, img in full.items()}
+    monos = [m for n in range(p.truncation_degree) for m in alg.monomial_basis(n)]
+    for mono in rng.sample(monos, min(len(monos), 40)):
+        naive = alg.one(phi.kind)
+        for gid, e in mono:
+            for _ in range(e):
+                naive = naive * full[gid]
+        assert alg.element(phi.of_monomial(mono), phi.kind) == naive, alg.monomial_name(mono)
+        assert phi(alg.element({mono: 3})) == naive.scale(3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([RATIONAL, LAURENT]))
+def test_power_is_the_n_fold_product_from_one(seed, kind):
+    rng = random.Random(seed)
+    alg = FreeGCA(GENS)
+    x = _random_image(rng, alg, rng.choice([2, 3, 4]), kind)
+    naive = alg.one(kind)
+    for n in range(5):
+        assert x.power(n) == naive, n
+        naive = naive * x

@@ -22,6 +22,8 @@ from oracles import (
     canonical_monomial,
     coboundary_presentation,
     dense,
+    dict_diagonalization_certificate,
+    dict_mat_mul,
     enumerate_words,
     fraction_kernel_basis,
     fraction_quotient_transform,
@@ -794,6 +796,74 @@ def test_certificate_decides_from_trace_and_annihilator():
             assert cert.diagonalizable, (n, cert.reason)
             assert sum(cert.eigenvalue_powers.values()) == act.dimension()
 
+
+
+_T = {1: Fraction(1)}
+_ONE = {0: Fraction(1)}
+small_laurent_dicts = st.dictionaries(
+    st.integers(-2, 2), st.fractions(min_value=-2, max_value=2, max_denominator=2).filter(bool), max_size=2
+)
+
+
+@st.composite
+def sparse_certificate_cases(draw):
+    """A small matrix of {power: Fraction} dicts: random with one row and
+    one column made zero, or U (diag(t^w) + J) U^-1 with U unipotent and
+    integral and J zero or one Jordan join, possibly transposed."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        m = [[draw(small_laurent_dicts) for _ in range(n)] for _ in range(n)]
+        m[draw(st.integers(0, n - 1))] = [{} for _ in range(n)]
+        col = draw(st.integers(0, n - 1))
+        for row in m:
+            row[col] = {}
+        return m
+    ws = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    core = [[{w: Fraction(1)} if i == j else {} for j in range(n)] for i, w in enumerate(ws)]
+    if n > 1 and draw(st.booleans()):
+        # a Jordan block t^w joined to itself, which no product annihilates
+        i = draw(st.integers(0, n - 2))
+        core[i + 1][i + 1] = core[i][i]
+        core[i][i + 1] = {0: Fraction(draw(st.integers(1, 3)))}
+    shears = [[draw(st.integers(-2, 2)) if j > i else 0 for j in range(n)] for i in range(n)]
+    nil = [[{0: Fraction(c)} if c else {} for c in row] for row in shears]
+    # U = I + N and U^-1 = I - N + N^2 - ..., N being nilpotent
+    u = [[dict(_ONE) if i == j else nil[i][j] for j in range(n)] for i in range(n)]
+    inverse = [[{0: Fraction(int(i == j))} for j in range(n)] for i in range(n)]
+    power = nil
+    for k in range(1, n):
+        for i in range(n):
+            for j in range(n):
+                for p, c in power[i][j].items():
+                    inverse[i][j][p] = inverse[i][j].get(p, 0) + (-1) ** k * c
+        power = dict_mat_mul(power, nil)
+    inverse = [[{p: c for p, c in x.items() if c} for x in row] for row in inverse]
+    m = dict_mat_mul(dict_mat_mul(u, core), inverse)
+    if draw(st.booleans()):
+        m = [list(col) for col in zip(*m)]
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_certificate_cases())
+@example([[_T, _ONE], [{}, _T]])
+@example([[_T, _ONE], [{}, _ONE]])
+def test_certificate_matches_the_dense_dict_reference(rows):
+    # the certificate's product skips zero entries; the reference
+    # multiplies every pair of entries as plain dicts
+    cert = diagonalization_certificate(
+        ActionReport("oracle", 0, "cohomology", [], [[Laurent(x) for x in row] for row in rows])
+    )
+    want = dict_diagonalization_certificate(rows)
+    assert (cert.diagonalizable, cert.eigenvalue_powers, cert.reason) == want
+
+
+def test_jordan_block_and_distinct_eigenvalues_by_the_dense_reference():
+    jordan, split = [[_T, _ONE], [{}, _T]], [[_T, _ONE], [{}, _ONE]]
+    assert dict_diagonalization_certificate(jordan) == (
+        False, None, "matrix is not annihilated by its candidate eigenvalues"
+    )
+    assert dict_diagonalization_certificate(split) == (True, {0: 1, 1: 1}, "")
 
 # ---------------------------------------------------------------- flexibility
 

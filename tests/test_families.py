@@ -15,7 +15,8 @@ from rht.corpus import (
     load_manifest,
     load_presentation,
 )
-from rht.algebra import LAURENT, FreeGCA, Generator
+from rht.algebra import LAURENT, Element, FreeGCA, Generator
+from rht.cohomology import induced_action
 from rht.errors import FamilyError, SchemaError, SingularMapError
 from rht.families import (
     ModelAutomorphism,
@@ -32,7 +33,7 @@ from rht.families import (
     transport_presentation,
     verify_family,
 )
-from rht.model import SullivanPresentation
+from rht.model import SullivanPresentation, parse_presentation
 from rht.qlinalg import rank
 from rht.scalars import Laurent
 from rht.weights import WeightAssignment, find_weights
@@ -350,6 +351,48 @@ def test_automorphism_and_its_inverse_need_no_cycle_collection():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _shear_family_k3():
+    """The conjugated diagonal family on S^2 x (S^3)^3 with fixed weights
+    and shears: d y = x^2, y -> y - 2 u0 + u1 + 2 u2, u_i -> u_i + c u_j."""
+    doc = {
+        "name": "s2xs3^3",
+        "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}]
+        + [{"name": f"u{i}", "degree": 3} for i in range(3)],
+        "differential": {"y": [{"coeff": "1", "monomial": [["x", 2]]}]},
+        "truncation_degree": 12,
+        "formal_dimension": 11,
+    }
+    p = parse_presentation(json.dumps(doc))
+    alg = p.algebra
+    fam = diagonal_family(p, WeightAssignment({"x": 2, "y": 4, "u0": 1, "u1": 3, "u2": 2}))
+    u = [alg.gen(f"u{i}") for i in range(3)]
+    images = {
+        alg.by_name["y"].gid: alg.gen("y") + u[0].scale(-2) + u[1] + u[2].scale(2),
+        alg.by_name["u0"].gid: u[0] + u[1].scale(-1) + u[2],
+        alg.by_name["u1"].gid: u[1] + u[2].scale(2),
+    }
+    return p, fam, ModelAutomorphism(p, images)
+
+
+def test_conjugation_and_every_action_of_s2xs3_cubed_take_few_products(monkeypatch):
+    # an algebra map builds each word's image from its longest cached
+    # prefix, one product per further factor; starting every image and
+    # every power from 1 took 79 products here
+    p, fam, phi = _shear_family_k3()
+    multiply, calls = Element.__mul__, []
+
+    def counting(x, y):
+        calls.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr(Element, "__mul__", counting)
+    conj = conjugate(fam, phi)
+    actions = [induced_action(p, conj, n) for n in range(p.truncation_degree)]
+    monkeypatch.undo()
+    assert [a.dimension() for a in actions] == [1, 0, 1, 3, 0, 3, 3, 0, 3, 1, 0, 1]
+    assert len(calls) == 12
 
 
 def test_singular_linear_part_names_its_degree(product_model):

@@ -2,13 +2,16 @@
 one process.
 
     python3 tools/ladder.py --parent ../rht-parent --change . \
-        --truncations 16-23 --repeats 7 --report ladder.json
+        --truncations 16-23 --families 4-5 --repeats 7 --report ladder.json
 
 Each tree's `src/rht` is loaded under its own package name, so both live
 in one interpreter and meet the same caches, allocator and clock.  The
 rungs are `build_formal_model` and `verify_formal_result` on the table
-`h-s2ws4` at each truncation, and `cohomology` of the pure models of the
-flag manifolds SU(4)/T and SU(5)/T.  Each repeat times every rung once
+`h-s2ws4` at each truncation, `cohomology` of the pure models of the
+flag manifolds SU(4)/T and SU(5)/T, and the family-actions computation
+on S^2 x (S^3)^k for each k: a sheared diagonal family conjugated, its
+actions on cohomology and homology in every degree, and their
+diagonalisation certificates.  Each repeat times every rung once
 per side, the side that goes first alternating, each call on inputs made
 afresh and untimed (a presentation caches its complex).  The report gives
 each rung's median seconds per side, the change/parent ratio of every
@@ -37,7 +40,8 @@ def load_package(tree: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return {sub: importlib.import_module(f"{name}.{sub}") for sub in ("algebra", "cohomology", "formal", "model")}
+    subs = ("algebra", "cohomology", "families", "formal", "model", "weights")
+    return {sub: importlib.import_module(f"{name}.{sub}") for sub in subs}
 
 
 def flag_document(rht, n: int) -> str:
@@ -58,7 +62,49 @@ def flag_document(rht, n: int) -> str:
     return model.serialize_presentation(model.SullivanPresentation(f"flag-{n}", gens, d, dim + 2, dim))
 
 
-def rungs(rht, tree: Path, truncations: list[int], flags: str) -> dict:
+def family_document(k: int) -> str:
+    """S^2 x (S^3)^k: x in degree 2, y in degree 3 with d y = x^2, and
+    u_0 .. u_(k-1) in degree 3; formal dimension 2 + 3k."""
+    gens = [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}]
+    gens += [{"name": f"u{i}", "degree": 3} for i in range(k)]
+    return json.dumps({
+        "name": f"s2xs3^{k}",
+        "generators": gens,
+        "differential": {"y": [{"coeff": "1", "monomial": [["x", 2]]}]},
+        "truncation_degree": 3 + 3 * k,
+        "formal_dimension": 2 + 3 * k,
+    })
+
+
+def family_inputs(rht, text: str):
+    """The presentation, its diagonal family with w(x) = 1, w(y) = 2 and
+    w(u_i) = 1, 2, 3, 1, 2, ..., and the shears y -> y + sum c_j u_j and
+    u_i -> u_i + sum_(j > i) c_ij u_j that conjugate it, all fixed."""
+    model, families, weights = rht["model"], rht["families"], rht["weights"]
+    p = model.parse_presentation(text)
+    alg = p.algebra
+    us = [g.name for g in p.generators[2:]]
+    w = {"x": 1, "y": 2, **{u: 1 + i % 3 for i, u in enumerate(us)}}
+    coeffs = (-2, -1, 1, 2)
+    images = {alg.by_name["y"].gid: sum((alg.gen(u).scale(coeffs[j % 4]) for j, u in enumerate(us)), alg.gen("y"))}
+    for i, u in enumerate(us):
+        shear = [alg.gen(v).scale(coeffs[(i + j) % 4]) for j, v in enumerate(us) if j > i]
+        images[alg.by_name[u].gid] = sum(shear, alg.gen(u))
+    return p, families.diagonal_family(p, weights.WeightAssignment(w)), images
+
+
+def family_actions(rht, inputs):
+    """Conjugate the family, then act in every degree both ways and certify."""
+    cohomology, families = rht["cohomology"], rht["families"]
+    p, fam, images = inputs
+    conj = families.conjugate(fam, families.ModelAutomorphism(p, images))
+    actions = []
+    for n in range(p.truncation_degree):
+        actions += [cohomology.induced_action(p, conj, n), cohomology.homology_action(p, conj, n)]
+    return [(a.to_json_dict(), cohomology.diagonalization_certificate(a).to_json_dict()) for a in actions]
+
+
+def rungs(rht, tree: Path, truncations: list[int], flags: str, ks: list[int]) -> dict:
     """Rung name -> (make the untimed input, the timed call, its output as text)."""
     formal, model, cohomology = rht["formal"], rht["model"], rht["cohomology"]
     table = (tree / "src" / "rht" / "corpus" / "h-s2ws4.json").read_text(encoding="utf-8")
@@ -83,13 +129,19 @@ def rungs(rht, tree: Path, truncations: list[int], flags: str) -> dict:
             cohomology.cohomology,
             lambda r: json.dumps(r.betti_list()),
         )
+    for k in ks:
+        out[f"family-actions/s2xs3^{k}"] = (
+            lambda k=k: family_inputs(rht, family_document(k)),
+            lambda inputs: family_actions(rht, inputs),
+            json.dumps,
+        )
     return out
 
 
-def run(trees: dict[str, Path], truncations: list[int], repeats: int) -> dict:
+def run(trees: dict[str, Path], truncations: list[int], repeats: int, ks: list[int]) -> dict:
     packages = {side: load_package(tree, f"rht_ladder_{side}") for side, tree in trees.items()}
     flags = json.dumps({f"su{n}-t": flag_document(packages["change"], n) for n in (4, 5)})
-    ladders = {side: rungs(packages[side], trees[side], truncations, flags) for side in SIDES}
+    ladders = {side: rungs(packages[side], trees[side], truncations, flags, ks) for side in SIDES}
     seconds = {name: {side: [] for side in SIDES} for name in ladders["parent"]}
     outputs = {name: {} for name in seconds}
     for r in range(repeats):
@@ -134,10 +186,13 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="source tree timed as the change")
     ap.add_argument("--truncations", type=truncation_range, default=truncation_range("16-23"),
                     help="formal-model truncations, N or LO-HI")
+    ap.add_argument("--families", type=truncation_range, default=truncation_range("4-5"),
+                    help="family-actions sizes k of S^2 x (S^3)^k, K or LO-HI")
     ap.add_argument("--repeats", type=int, default=7, help="pairs of calls per rung")
     ap.add_argument("--report", type=Path, required=True, help="path of the JSON report")
     args = ap.parse_args(argv)
-    report = run({"parent": args.parent.resolve(), "change": args.change.resolve()}, args.truncations, args.repeats)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    report = run(trees, args.truncations, args.repeats, args.families)
     args.report.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for rung in report["rungs"]:
         print(
