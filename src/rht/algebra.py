@@ -206,7 +206,7 @@ class FreeGCA:
         return Element(self, kind, dict(terms))
 
     def __eq__(self, other):
-        return isinstance(other, FreeGCA) and self.generators == other.generators
+        return self is other or isinstance(other, FreeGCA) and self.generators == other.generators
 
     def __repr__(self):
         return "FreeGCA(" + ", ".join(f"{g.name}:{g.degree}" for g in self.generators) + ")"

@@ -296,13 +296,7 @@ def transport_presentation(p: SullivanPresentation, phi: ModelMap) -> SullivanPr
         img = inv.apply(d(phi.images[g.gid]))
         if not img.is_zero():
             new_diff[g.gid] = img
-    return SullivanPresentation(
-        p.name,
-        list(p.generators),
-        new_diff,
-        p.truncation_degree,
-        p.formal_dimension,
-    )
+    return SullivanPresentation(p.name, p.algebra, new_diff, p.truncation_degree, p.formal_dimension)
 
 
 # ---- JSON -------------------------------------------------------------

@@ -135,7 +135,7 @@ def build_formal_model(table: GradedAlgebraTable, truncation_degree: int) -> For
     formal_dimension = top if top > 0 and len(table.degree_basis(top)) == 1 else None
     alg = FreeGCA(b.gens)
     diff = {gid: Element(alg, RATIONAL, terms) for gid, terms in b.diff.items()}
-    model = SullivanPresentation(f"formal-{table.name}", b.gens, diff, truncation_degree, formal_dimension)
+    model = SullivanPresentation(f"formal-{table.name}", alg, diff, truncation_degree, formal_dimension)
     return FormalModelResult(
         model=model,
         weights=WeightAssignment(dict(b.weights)),

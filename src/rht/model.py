@@ -34,12 +34,13 @@ class Violation(NamedTuple):
 
 
 class SullivanPresentation:
-    """Generators, differential, truncation degree, optional formal dimension."""
+    """Generators, differential, truncation degree, optional formal dimension;
+    given a FreeGCA for its generators, the presentation keeps it as its algebra."""
 
     def __init__(
         self,
         name: str,
-        generators: list[Generator],
+        generators: list[Generator] | FreeGCA,
         differential: dict[int, Element],
         truncation_degree: int,
         formal_dimension: int | None = None,
@@ -47,7 +48,7 @@ class SullivanPresentation:
         if truncation_degree < 2:
             raise SchemaError("truncation_degree must be >= 2", "truncation_degree")
         self.name = name
-        self.algebra = FreeGCA(generators)
+        self.algebra = generators if type(generators) is FreeGCA else FreeGCA(generators)
         self.generators = self.algebra.generators
         self.differential = {
             gid: img for gid, img in differential.items() if not img.is_zero()
@@ -168,18 +169,26 @@ def terms_to_element(
     alg: FreeGCA, terms, path: str, read: Callable = parse_rational, kind: str = RATIONAL
 ) -> Element:
     """Inverse of element_to_terms; `read(text, path)` parses one
-    coefficient into a scalar of the given kind and may refuse it."""
+    coefficient into a scalar of the given kind and may refuse it.  One dict
+    sums the terms in the order that adding them one by one gives: a
+    monomial leaves when its sum cancels and re-enters at the end."""
     if not isinstance(terms, list):
         raise SchemaError("expected a list of terms", path)
-    total = alg.zero(kind)
+    acc: dict = {}
     for i, term in enumerate(terms):
-        tpath = f"{path}[{i}]"
         if not isinstance(term, dict) or set(term) != {"coeff", "monomial"}:
-            raise SchemaError("term must have exactly 'coeff' and 'monomial'", tpath)
-        coeff = read(_expect_str(term["coeff"], f"{tpath}.coeff"), f"{tpath}.coeff")
-        sign, mono = _parse_monomial(alg, term["monomial"], f"{tpath}.monomial")
-        total = total + Element(alg, kind, {mono: sign * coeff})
-    return total
+            raise SchemaError("term must have exactly 'coeff' and 'monomial'", f"{path}[{i}]")
+        cpath = f"{path}[{i}].coeff"
+        coeff = read(_expect_str(term["coeff"], cpath), cpath)
+        sign, mono = _parse_monomial(alg, term["monomial"], f"{path}[{i}].monomial")
+        if coeff:
+            if sign < 0:
+                coeff = -coeff
+            if mono in acc and not (coeff := acc[mono] + coeff):
+                del acc[mono]
+            else:
+                acc[mono] = coeff
+    return Element._trusted(alg, kind, acc)
 
 
 def _parse_monomial(alg: FreeGCA, raw, path: str) -> tuple[int, Monomial]:
@@ -191,23 +200,17 @@ def _parse_monomial(alg: FreeGCA, raw, path: str) -> tuple[int, Monomial]:
     word: list[int] = []
     exponents: dict[int, int] = {}
     for i, pair in enumerate(raw):
-        ppath = f"{path}[{i}]"
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not isinstance(pair[0], str)
-            or not isinstance(pair[1], int)
-            or isinstance(pair[1], bool)
-        ):
-            raise SchemaError("expected [generator name, positive exponent]", ppath)
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+                and isinstance(pair[1], int) and not isinstance(pair[1], bool)):
+            raise SchemaError("expected [generator name, positive exponent]", f"{path}[{i}]")
         name, exp = pair
-        if name not in alg.by_name:
-            raise SchemaError(f"unknown generator {name!r}", ppath)
+        g = alg.by_name.get(name)
+        if g is None:
+            raise SchemaError(f"unknown generator {name!r}", f"{path}[{i}]")
         if exp < 1:
-            raise SchemaError(f"exponent {exp} < 1", ppath)
-        gid = alg.by_name[name].gid
-        word.append(gid)
-        exponents[gid] = exponents.get(gid, 0) + exp
+            raise SchemaError(f"exponent {exp} < 1", f"{path}[{i}]")
+        word.append(g.gid)
+        exponents[g.gid] = exponents.get(g.gid, 0) + exp
     # one letter per pair: the sign only counts odd factors, and an odd
     # factor with a total exponent above 1 makes the monomial vanish
     norm = alg.normalize_word(word)
@@ -295,7 +298,7 @@ def presentation_from_dict(doc, path: str = "") -> SullivanPresentation:
     formal = None
     if "formal_dimension" in doc:
         formal = _expect_int(doc["formal_dimension"], "formal_dimension", minimum=0)
-    return SullivanPresentation(name, gens, differential, trunc, formal)
+    return SullivanPresentation(name, alg, differential, trunc, formal)
 
 
 def _loads(text: str, path: str = ""):

@@ -30,14 +30,14 @@ def exact_rational(v) -> Fraction:
 
 def parse_rational(text: str, path: str = "") -> Fraction:
     """Parse "p" or "p/q" into an exact Fraction, the inverse of `str`;
-    decimals and exponents are refused."""
+    decimals and exponents are refused, and integers are read by `int`."""
     s = text.strip()
     if not s:
         raise SchemaError("empty rational literal", path)
     if any(c in s for c in ".eE"):
         raise SchemaError(f"not an exact rational: {text!r}", path)
     try:
-        return Fraction(s)
+        return Fraction(int(s)) if (s[1:] if s[0] in "+-" else s).isdecimal() else Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"not an exact rational: {text!r}", path) from exc
 

@@ -862,3 +862,85 @@ def oracle_group_law(p, images):
         for g in p.generators
         if apply_s(at_t[g.gid]) != {w: c.subs_t_with_st() for w, c in at_t[g.gid].items()}
     ]
+
+
+# ---- the naive presentation reader -------------------------------------
+
+
+def naive_rational(text, path=""):
+    """A rational literal read by `Fraction(text)` alone: the package's
+    refusals (empty text, decimals, exponents, a zero denominator) and
+    messages, with no integer fast path."""
+    from rht.errors import SchemaError
+
+    s = text.strip()
+    if not s:
+        raise SchemaError("empty rational literal", path)
+    if any(c in s for c in ".eE"):
+        raise SchemaError(f"not an exact rational: {text!r}", path)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"not an exact rational: {text!r}", path) from exc
+
+
+def naive_monomial(alg, raw, path):
+    """(sign, monomial) of a JSON factor list: every [name, exponent] pair
+    checked in order, then the word written out letter by letter and
+    bubble-sorted into the (degree, id) order, one Koszul sign per swap of
+    two odd letters; a repeated odd letter is refused."""
+    from rht.errors import SchemaError
+
+    if not isinstance(raw, list):
+        raise SchemaError("monomial must be a list of [name, exponent] pairs", path)
+    word = []
+    for i, pair in enumerate(raw):
+        ok = isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+        if not ok or type(pair[1]) is not int:
+            raise SchemaError("expected [generator name, positive exponent]", f"{path}[{i}]")
+        name, exp = pair
+        if name not in alg.by_name:
+            raise SchemaError(f"unknown generator {name!r}", f"{path}[{i}]")
+        if exp < 1:
+            raise SchemaError(f"exponent {exp} < 1", f"{path}[{i}]")
+        word += [alg.by_name[name].gid] * exp
+    degrees = [g.degree for g in alg.generators]
+    odd = [g for g in word if degrees[g] % 2]
+    if len(set(odd)) != len(odd):
+        raise SchemaError("monomial repeats an odd generator", path)
+    key = lambda g: (degrees[g], g)
+    sign = 1
+    for i in range(len(word)):
+        for j in range(len(word) - 1 - i):
+            if key(word[j]) > key(word[j + 1]):
+                if degrees[word[j]] % 2 and degrees[word[j + 1]] % 2:
+                    sign = -sign
+                word[j], word[j + 1] = word[j + 1], word[j]
+    mono = []
+    for g in word:
+        if mono and mono[-1][0] == g:
+            mono[-1] = (g, mono[-1][1] + 1)
+        else:
+            mono.append((g, 1))
+    return sign, tuple(mono)
+
+
+def naive_terms_to_element(alg, terms, path, read=naive_rational, kind="rational"):
+    """A JSON term list summed one term at a time: each term becomes its
+    own `Element`, added to the running total with `Element.__add__`."""
+    from rht.algebra import Element
+    from rht.errors import SchemaError
+
+    if not isinstance(terms, list):
+        raise SchemaError("expected a list of terms", path)
+    total = alg.zero(kind)
+    for i, term in enumerate(terms):
+        tpath = f"{path}[{i}]"
+        if not isinstance(term, dict) or set(term) != {"coeff", "monomial"}:
+            raise SchemaError("term must have exactly 'coeff' and 'monomial'", tpath)
+        if not isinstance(term["coeff"], str):
+            raise SchemaError("expected a string", f"{tpath}.coeff")
+        coeff = read(term["coeff"], f"{tpath}.coeff")
+        sign, mono = naive_monomial(alg, term["monomial"], f"{tpath}.monomial")
+        total = total + Element(alg, kind, {mono: sign * coeff})
+    return total

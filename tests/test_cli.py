@@ -809,6 +809,9 @@ FUZZ_TARGETS = [
      ["family", corpus("s2xs3.json"), "--family", corpus("s2xs3-diagonal-family.json"), "--conjugate-by", "{f}"]),
     *[(name, ["formal-model", "{f}"]) for name in ("h-s2.json", "h-cp2.json", "h-s2ws4.json")],
 ]
+# sha256 of every fuzz case's number, exit code and stderr: a refusal whose
+# message, path or exit code changes changes it
+FUZZ_DIGEST = "7daf66e55d5932e1e4a650fd14e0d60c45e03c76d6aead2a49ee5023f6320b3f"
 FUZZ_LEAVES = [0, 1, -1, 2, 9, 1.5, "", "x", "1/0", "2/3", "t^-1", None, True, [], {}]
 
 
@@ -848,16 +851,18 @@ def _mutated(text, rng):
     return text
 
 
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
-def test_mutated_corpus_files_exit_0_1_or_2_without_a_traceback(tmp_path):
-    # 300 seeded mutants of corpus files through cli.main, each under a
-    # 5 s alarm: a traceback or a time-out is a failure
+@pytest.fixture(scope="module")
+def fuzz_cases(tmp_path_factory):
+    """300 seeded mutants of corpus files through cli.main, each under a 5 s
+    alarm: (case, command, corpus file, mutated text, exit code or the
+    exception raised, stderr with the cases' directory written as <tmp>)."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
     rng = random.Random(30)
 
     def alarm(signum, frame):
         raise _CaseTimeout()
 
-    failures = []
+    cases = []
     previous = signal.signal(signal.SIGALRM, alarm)
     try:
         for case in range(300):
@@ -873,8 +878,28 @@ def test_mutated_corpus_files_exit_0_1_or_2_without_a_traceback(tmp_path):
                 code = exc
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
-            if code not in (0, 1, 2) or "Traceback" in err.getvalue():
-                failures.append((case, argv[0], name, path.read_text()[:300], repr(code)))
+            cases.append((case, argv[0], name, path.read_text(), code, err.getvalue().replace(str(tmp_path), "<tmp>")))
     finally:
         signal.signal(signal.SIGALRM, previous)
+    return cases
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_mutated_corpus_files_exit_0_1_or_2_without_a_traceback(fuzz_cases):
+    # a traceback or a time-out is a failure
+    failures = [
+        (case, command, name, text[:300], repr(code))
+        for case, command, name, text, code, err in fuzz_cases
+        if code not in (0, 1, 2) or "Traceback" in err
+    ]
     assert failures == []
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_fuzz_guard_exit_codes_and_messages_are_frozen(fuzz_cases):
+    # every refusal of the 300 fuzz cases keeps its exit code and its stderr,
+    # message and path, byte for byte
+    digest = hashlib.sha256()
+    for case, _, _, _, code, err in fuzz_cases:
+        digest.update(f"{case} {code!r}\n{err}\n".encode())
+    assert digest.hexdigest() == FUZZ_DIGEST

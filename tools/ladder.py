@@ -2,7 +2,8 @@
 one process.
 
     python3 tools/ladder.py --parent ../rht-parent --change . \
-        --truncations 16-23 --families 4-5 --repeats 7 --report ladder.json
+        --truncations 16-23 --families 4-5 --joins 12,14 --parses 20,23 \
+        --repeats 7 --report ladder.json
 
 Each tree's `src/rht` is loaded under its own package name, so both live
 in one interpreter and meet the same caches, allocator and clock.  The
@@ -11,7 +12,11 @@ rungs are `build_formal_model` and `verify_formal_result` on the table
 flag manifolds SU(4)/T and SU(5)/T, and the family-actions computation
 on S^2 x (S^3)^k for each k: a sheared diagonal family conjugated, its
 actions on cohomology and homology in every degree, and their
-diagonalisation certificates.  Each repeat times every rung once
+diagonalisation certificates, the parse and `find_weights` of the witness
+join at each of `--joins` (`infeasible-synthetic` joined to the formal
+model of `h-s2ws4` at that truncation, either block first), and the parse
+of that formal model, serialized, at each of `--parses`.  Text inputs are
+made once, by the change.  Each repeat times every rung once
 per side, the side that goes first alternating, each call on inputs made
 afresh and untimed (a presentation caches its complex).  The report gives
 each rung's median seconds per side, the change/parent ratio of every
@@ -104,14 +109,74 @@ def family_actions(rht, inputs):
     return [(a.to_json_dict(), cohomology.diagonalization_certificate(a).to_json_dict()) for a in actions]
 
 
-def rungs(rht, tree: Path, truncations: list[int], flags: str, ks: list[int]) -> dict:
+def prefixed(doc: dict, prefix: str):
+    """Generators and differential of a presentation document, renamed."""
+    gens = [{"name": prefix + g["name"], "degree": g["degree"]} for g in doc["generators"]]
+    diff = {
+        prefix + src: [{"coeff": t["coeff"], "monomial": [[prefix + g, e] for g, e in t["monomial"]]} for t in terms]
+        for src, terms in doc["differential"].items()
+    }
+    return gens, diff
+
+
+def formal_document(rht, tree: Path, n: int) -> str:
+    """The formal model of the table `h-s2ws4` at truncation n, serialized."""
+    formal, model = rht["formal"], rht["model"]
+    table = model.parse_table((tree / "src" / "rht" / "corpus" / "h-s2ws4.json").read_text(encoding="utf-8"))
+    return model.serialize_presentation(formal.build_formal_model(table, n).model)
+
+
+def witness_join(rht, tree: Path, n: int, formal_first: bool) -> str:
+    """`infeasible-synthetic` (generators i_*) beside the formal model of
+    `h-s2ws4` at truncation n (f_*), at truncation n: an infeasible weight
+    system whose witness search discards every row of the formal block."""
+    infeasible = (tree / "src" / "rht" / "corpus" / "infeasible-synthetic.json").read_text(encoding="utf-8")
+    blocks = [prefixed(json.loads(infeasible), "i_"), prefixed(json.loads(formal_document(rht, tree, n)), "f_")]
+    if formal_first:
+        blocks.reverse()
+    return json.dumps({
+        "name": "infeasible-join",
+        "generators": blocks[0][0] + blocks[1][0],
+        "differential": {**blocks[0][1], **blocks[1][1]},
+        "truncation_degree": n,
+    })
+
+
+def documents(rht, tree: Path, joins: list[int], parses: list[int]) -> dict[str, str]:
+    """Rung name -> the text it reads, for the rungs whose input is a
+    presentation document."""
+    out = {f"cohomology/su{n}-t": flag_document(rht, n) for n in (4, 5)}
+    for n in joins:
+        for first in ("infeasible", "formal"):
+            out[f"find_weights/witness-join/{n}/{first}-first"] = witness_join(rht, tree, n, first == "formal")
+    for n in parses:
+        out[f"parse/formal-h-s2ws4/{n}"] = formal_document(rht, tree, n)
+    return out
+
+
+def rungs(rht, tree: Path, truncations: list[int], docs: dict[str, str], ks: list[int]) -> dict:
     """Rung name -> (make the untimed input, the timed call, its output as text)."""
     formal, model, cohomology = rht["formal"], rht["model"], rht["cohomology"]
+    find_weights = rht["weights"].find_weights
     table = (tree / "src" / "rht" / "corpus" / "h-s2ws4.json").read_text(encoding="utf-8")
 
     def model_text(res) -> str:
         weights = sorted(res.weights.weights.items())
         return json.dumps([model.serialize_presentation(res.model), weights, sorted(res.stages.items())])
+
+    def presentation_text(p) -> str:
+        """The serialized presentation and every image's terms in their order."""
+        orders = [[gid, [[m, str(c)] for m, c in img.terms.items()]] for gid, img in sorted(p.differential.items())]
+        return json.dumps([model.serialize_presentation(p), orders])
+
+    # a document rung's kind: (read its text untimed, the timed call, its output as text)
+    kinds = {
+        "cohomology": (model.parse_presentation, cohomology.cohomology, lambda r: json.dumps(r.betti_list())),
+        "find_weights": (
+            str, lambda text: find_weights(model.parse_presentation(text)), lambda r: json.dumps(r.to_json_dict())
+        ),
+        "parse": (str, model.parse_presentation, presentation_text),
+    }
 
     out = {}
     for n in truncations:
@@ -123,12 +188,9 @@ def rungs(rht, tree: Path, truncations: list[int], flags: str, ks: list[int]) ->
             formal.verify_formal_result,
             json.dumps,
         )
-    for key, text in json.loads(flags).items():
-        out[f"cohomology/{key}"] = (
-            lambda text=text: model.parse_presentation(text),
-            cohomology.cohomology,
-            lambda r: json.dumps(r.betti_list()),
-        )
+    for name, text in docs.items():
+        read, call, output = kinds[name.partition("/")[0]]
+        out[name] = (lambda read=read, text=text: read(text), call, output)
     for k in ks:
         out[f"family-actions/s2xs3^{k}"] = (
             lambda k=k: family_inputs(rht, family_document(k)),
@@ -138,10 +200,12 @@ def rungs(rht, tree: Path, truncations: list[int], flags: str, ks: list[int]) ->
     return out
 
 
-def run(trees: dict[str, Path], truncations: list[int], repeats: int, ks: list[int]) -> dict:
+def run(
+    trees: dict[str, Path], truncations: list[int], repeats: int, ks: list[int], joins: list[int], parses: list[int]
+) -> dict:
     packages = {side: load_package(tree, f"rht_ladder_{side}") for side, tree in trees.items()}
-    flags = json.dumps({f"su{n}-t": flag_document(packages["change"], n) for n in (4, 5)})
-    ladders = {side: rungs(packages[side], trees[side], truncations, flags, ks) for side in SIDES}
+    docs = documents(packages["change"], trees["change"], joins, parses)
+    ladders = {side: rungs(packages[side], trees[side], truncations, docs, ks) for side in SIDES}
     seconds = {name: {side: [] for side in SIDES} for name in ladders["parent"]}
     outputs = {name: {} for name in seconds}
     for r in range(repeats):
@@ -176,8 +240,12 @@ def run(trees: dict[str, Path], truncations: list[int], repeats: int, ks: list[i
 
 
 def truncation_range(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    """N, LO-HI, or a comma-separated list of them."""
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out += range(int(lo), int(hi or lo) + 1)
+    return out
 
 
 def main(argv=None) -> int:
@@ -188,11 +256,15 @@ def main(argv=None) -> int:
                     help="formal-model truncations, N or LO-HI")
     ap.add_argument("--families", type=truncation_range, default=truncation_range("4-5"),
                     help="family-actions sizes k of S^2 x (S^3)^k, K or LO-HI")
+    ap.add_argument("--joins", type=truncation_range, default=truncation_range("12,14"),
+                    help="truncations of the witness join, N, LO-HI or a comma-separated list")
+    ap.add_argument("--parses", type=truncation_range, default=truncation_range("20,23"),
+                    help="truncations of the formal models whose text is parsed, as for --joins")
     ap.add_argument("--repeats", type=int, default=7, help="pairs of calls per rung")
     ap.add_argument("--report", type=Path, required=True, help="path of the JSON report")
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    report = run(trees, args.truncations, args.repeats, args.families)
+    report = run(trees, args.truncations, args.repeats, args.families, args.joins, args.parses)
     args.report.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for rung in report["rungs"]:
         print(
