@@ -428,22 +428,46 @@ def _trace(m: list[list[Laurent]]) -> Laurent:
     return Laurent.sum_of_products((row[i], 1) for i, row in enumerate(m))
 
 
+def _idempotent_powers(m: list[list[Laurent]]) -> dict[int, int] | None:
+    """{k: tr A_k}, k increasing, if the rational A_k of M = sum t^k A_k, read
+    as sparse rows i -> {j: c}, sum to I and are idempotent; otherwise None."""
+    parts: dict[int, dict[int, dict]] = {}
+    for i, row in enumerate(m):
+        for j, entry in enumerate(row):
+            if (entry or i == j) and sum(entry._terms.values()) != (i == j):
+                return None
+            for k, c in entry._terms.items():
+                parts.setdefault(k, {}).setdefault(i, {})[j] = c
+    for rows in parts.values():
+        for row in rows.values():
+            square: dict = {}
+            for l, c in row.items():
+                for j, d in rows.get(l, {}).items():
+                    square[j] = square.get(j, 0) + c * d
+            if {j: v for j, v in square.items() if v} != row:
+                return None
+    return {k: int(sum(r.get(i, 0) for i, r in rows.items())) for k, rows in sorted(parts.items())}
+
+
 def diagonalization_certificate(action: ActionReport) -> DiagonalizationCertificate:
     """Decide whether the action matrix is conjugate to a diagonal matrix
     with entries t^w, and with which exponent multiset.
 
-    The candidate multiset comes from the trace; the matrix must then be
-    annihilated by the squarefree product of (M - t^w I) over distinct
-    candidates.  Nothing more is needed: if tr M = sum m_w t^w and that
-    product is 0, M is diagonalisable over Q(t) with eigenvalues among
-    the t^w.  Distinct t^w are Q-linearly independent, so the trace fixes
-    each multiplicity at m_w, and the characteristic polynomial is
-    prod (X - t^w)^(m_w).
+    If the rational A_k of M = sum t^k A_k are idempotents summing to I, M
+    acts by t^k on the image of A_k and m_k = tr A_k (`_idempotent_powers`;
+    README, "Guarantees and limits"), which every verified family's action
+    passes.  Otherwise the candidate multiset comes from the trace; the
+    matrix must then be annihilated by the squarefree product of
+    (M - t^w I) over distinct candidates.  Nothing more is needed: if
+    tr M = sum m_w t^w and that product is 0, M is diagonalisable over Q(t)
+    with eigenvalues among the t^w.  Distinct t^w are Q-linearly
+    independent, so the trace fixes each multiplicity at m_w, and the
+    characteristic polynomial is prod (X - t^w)^(m_w).
     """
     m = action.matrix
     n = len(m)
-    if n == 0:
-        return DiagonalizationCertificate(True, {})
+    if (powers := _idempotent_powers(m)) is not None:
+        return DiagonalizationCertificate(True, powers)
     tr = _trace(m)
     candidate: dict[int, int] = {}
     total = 0

@@ -422,10 +422,6 @@ class GradedAlgebraTable:
                         "violate graded commutativity",
                         "products",
                     )
-                if a.name == b.name and a.degree % 2 and value:
-                    raise SchemaError(
-                        f"odd class {a.name} has nonzero square", "products"
-                    )
         for a in self.basis:
             for b in self.basis:
                 for c in self.basis:

@@ -4,19 +4,23 @@ naive_betti in oracles.py shares no code with the package's complexes;
 agreement on every corpus model is the load-bearing check here.
 """
 
+import contextlib
 import functools
 import gc
 import importlib
 import random
+import types
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     FractionEchelonSpan,
+    FractionLaurent,
     apply_d_word,
     brute_force_weights,
     canonical_monomial,
@@ -25,6 +29,7 @@ from oracles import (
     dict_diagonalization_certificate,
     dict_mat_mul,
     enumerate_words,
+    fraction_diagonalization_certificate,
     fraction_kernel_basis,
     fraction_quotient_transform,
     fraction_rref,
@@ -37,6 +42,7 @@ from rht.algebra import RATIONAL, Element
 from rht.cohomology import (
     ActionReport,
     CochainComplex,
+    _idempotent_powers,
     checked_formal_dimension,
     cohomology,
     complex_for,
@@ -864,6 +870,101 @@ def test_jordan_block_and_distinct_eigenvalues_by_the_dense_reference():
         False, None, "matrix is not annihilated by its candidate eigenvalues"
     )
     assert dict_diagonalization_certificate(split) == (True, {0: 1, 1: 1}, "")
+
+
+def _counting_mat_mul(monkeypatch) -> list:
+    """From now on, record the size of every Laurent matrix product that
+    the certificate's annihilator check makes."""
+    module = importlib.import_module("rht.cohomology")
+    calls, real = [], module._mat_mul
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(module, "_mat_mul", counting)
+    return calls
+
+
+def _family_actions_workload(seed: int):
+    """The benchmark's family-actions workload on S^2 x (S^3)^4, seeded."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("family_actions_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.FamilyActions(random.Random(seed), False)
+
+
+def test_verified_family_actions_never_reach_the_annihilator(monkeypatch):
+    # a verified family acts by a homomorphism t -> A(t) with A(1) = I, so
+    # its coefficient matrices are complementary idempotents (README,
+    # "Guarantees and limits") and no certificate multiplies Laurent matrices
+    calls = _counting_mat_mul(monkeypatch)
+    families = [load_corpus_family(key) for key in ("s2xs3-conjugated", "s2xs3-diagonal")]
+    for e in entries():
+        p = e.load()
+        if (w := find_weights(p).assignment) is not None:
+            families.append(diagonal_family(p, w))
+    for fam in families:
+        p = fam.presentation
+        for n in range(p.truncation_degree):
+            for act in (induced_action(p, fam, n), homology_action(p, fam, n)):
+                cert = diagonalization_certificate(act)
+                rows = [[{k: Fraction(c) for k, c in x.items()} for x in row] for row in act.matrix]
+                assert (cert.diagonalizable, cert.eigenvalue_powers, cert.reason) == (
+                    dict_diagonalization_certificate(rows)
+                ), (p.name, n, act.variance)
+    tracer = types.SimpleNamespace(span=lambda name: contextlib.nullcontext())
+    for seed in (1, 2, 3):
+        wl = _family_actions_workload(seed)
+        for _, inp in wl.job_list():
+            out = wl.run(inp, tracer)
+            assert len(out["certs"]) == 2 * wl.truncation
+            assert wl.check(inp, out) == []
+    assert calls == []
+
+
+@st.composite
+def constant_conjugates(draw):
+    """(P diag(t^k) P^-1 as {power: Fraction} dicts, True), P an invertible
+    constant rational matrix."""
+    n = draw(st.integers(0, 4))
+    ks = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    p = [[draw(st.fractions(-2, 2, max_denominator=2)) for _ in range(n)] for _ in range(n)]
+    reduced, pivots = fraction_rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(p)], 2 * n)
+    assume(pivots == list(range(n)))
+    inverse = [r[n:] for r in reduced]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entry = {}
+            for l, k in enumerate(ks):
+                entry[k] = entry.get(k, Fraction(0)) + p[i][l] * inverse[l][j]
+            row.append({k: c for k, c in entry.items() if c})
+        rows.append(row)
+    return rows, True
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_conjugates())
+@example(([[{2: Fraction(1)}, {2: Fraction(1), 3: Fraction(-1)}], [{}, _T]], False))
+def test_idempotent_certificate_matches_the_fraction_oracle(case):
+    # a constant conjugate of diag(t^k) is a homomorphism with A(1) = I and
+    # takes the idempotent check.  The example is P(t) diag(t^2, t) P(t)^-1
+    # with P(t) = [[1, t], [0, 1]]: diagonalisable, but its A_3 is
+    # [[0, -1], [0, 0]], which squares to 0, so only the annihilator
+    # certifies it
+    rows, constant = case
+    matrix = [[Laurent(x) for x in row] for row in rows]
+    cert = diagonalization_certificate(ActionReport("oracle", 0, "cohomology", [], matrix))
+    want = fraction_diagonalization_certificate(
+        [[FractionLaurent({(k, 0): c for k, c in x.items()}) for x in row] for row in rows]
+    )
+    assert cert.diagonalizable
+    assert (cert.diagonalizable, cert.eigenvalue_powers, cert.reason) == want
+    assert list(cert.eigenvalue_powers) == sorted(cert.eigenvalue_powers)
+    assert (_idempotent_powers(matrix) is not None) == constant
 
 # ---------------------------------------------------------------- flexibility
 

@@ -442,3 +442,17 @@ def test_grown_refuses_what_it_cannot_carry():
     grown = old.grown(alg, d, 3)
     assert grown.basis(3) == [((2, 1),)]
     assert grown.d_matrix(3) == CochainComplex(alg, d, 8).d_matrix(3)
+
+
+def test_grown_refuses_two_swapped_neighbours_among_the_old_monomials():
+    # xu, x^2, u^2 read as x^2, xu, u^2: only the first pair is out of
+    # order, so every pair must be compared, not just the ends
+    x, u, y = Generator(0, "x", 2), Generator(1, "u", 2), Generator(2, "y", 3)
+    _, _, old = _complex([x, u])
+    alg, d, _ = _complex([x, u, y])
+    basis = FreeGCA.monomial_basis(alg, 4)
+    assert len(basis) == 3
+    swapped = [basis[1], basis[0], basis[2]]
+    alg.monomial_basis = lambda degree: swapped if degree == 4 else FreeGCA.monomial_basis(alg, degree)
+    with pytest.raises(AssertionError, match="sub-order"):
+        old.grown(alg, d, 3)

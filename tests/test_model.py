@@ -193,7 +193,8 @@ def test_table_graded_commutativity_disagreement():
 def test_odd_class_with_nonzero_square_is_rejected():
     from rht.model import BasisClass
 
-    with pytest.raises(SchemaError):
+    # u*u is its own mirror, so graded commutativity asks u*u = -u*u
+    with pytest.raises(SchemaError, match="violate graded commutativity"):
         GradedAlgebraTable(
             "bad",
             [BasisClass("1", 0), BasisClass("u", 3), BasisClass("v", 6)],

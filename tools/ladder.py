@@ -12,13 +12,14 @@ rungs are `build_formal_model` and `verify_formal_result` on the table
 flag manifolds SU(4)/T and SU(5)/T, and the family-actions computation
 on S^2 x (S^3)^k for each k: a sheared diagonal family conjugated, its
 actions on cohomology and homology in every degree, and their
-diagonalisation certificates, the parse and `find_weights` of the witness
-join at each of `--joins` (`infeasible-synthetic` joined to the formal
-model of `h-s2ws4` at that truncation, either block first), and the parse
-of that formal model, serialized, at each of `--parses`.  Text inputs are
-made once, by the change.  Each repeat times every rung once
-per side, the side that goes first alternating, each call on inputs made
-afresh and untimed (a presentation caches its complex).  The report gives
+diagonalisation certificates; then, for the same k, those certificates
+alone, of actions made untimed.  The others are the parse and `find_weights`
+of the witness join at each of `--joins` (`infeasible-synthetic` joined
+to the formal model of `h-s2ws4` at that truncation, either block first),
+and the parse of that formal model, serialized, at each of `--parses`.
+Text inputs are made once, by the change.  Each repeat times every rung
+once per side, the side that goes first alternating, each call on inputs
+made afresh and untimed (a presentation caches its complex).  The report gives
 each rung's median seconds per side, the change/parent ratio of every
 pair and their median, and whether the two sides' serialized outputs are
 identical.  Standard library only.
@@ -98,15 +99,26 @@ def family_inputs(rht, text: str):
     return p, families.diagonal_family(p, weights.WeightAssignment(w)), images
 
 
-def family_actions(rht, inputs):
-    """Conjugate the family, then act in every degree both ways and certify."""
+def family_actions(rht, inputs) -> list:
+    """Conjugate the family, then act in every degree both ways."""
     cohomology, families = rht["cohomology"], rht["families"]
     p, fam, images = inputs
     conj = families.conjugate(fam, families.ModelAutomorphism(p, images))
     actions = []
     for n in range(p.truncation_degree):
         actions += [cohomology.induced_action(p, conj, n), cohomology.homology_action(p, conj, n)]
-    return [(a.to_json_dict(), cohomology.diagonalization_certificate(a).to_json_dict()) for a in actions]
+    return actions
+
+
+def certificates(rht, actions) -> list[dict]:
+    """The diagonalisation certificate of each action, as JSON."""
+    return [rht["cohomology"].diagonalization_certificate(a).to_json_dict() for a in actions]
+
+
+def certified_actions(rht, inputs) -> list:
+    """Every action as JSON beside its certificate."""
+    actions = family_actions(rht, inputs)
+    return list(zip((a.to_json_dict() for a in actions), certificates(rht, actions)))
 
 
 def prefixed(doc: dict, prefix: str):
@@ -194,7 +206,12 @@ def rungs(rht, tree: Path, truncations: list[int], docs: dict[str, str], ks: lis
     for k in ks:
         out[f"family-actions/s2xs3^{k}"] = (
             lambda k=k: family_inputs(rht, family_document(k)),
-            lambda inputs: family_actions(rht, inputs),
+            lambda inputs: certified_actions(rht, inputs),
+            json.dumps,
+        )
+        out[f"certificates/s2xs3^{k}"] = (
+            lambda k=k: family_actions(rht, family_inputs(rht, family_document(k))),
+            lambda actions: certificates(rht, actions),
             json.dumps,
         )
     return out
