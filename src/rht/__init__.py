@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "errors": (
         "AmbientMismatchError", "DegreeRangeError", "FamilyError",
-        "HomogeneityError", "ScalarKindError", "SchemaError",
+        "HomogeneityError", "SchemaError",
         "SingularMapError", "ToolkitError",
     ),
     "families": (

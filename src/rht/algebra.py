@@ -1,4 +1,4 @@
-"""Free graded-commutative algebra over the rationals.
+"""Free graded-commutative algebra over the rationals, graded by powers of t.
 
 The ambient object is Lambda(V) on a finite list of generators, each with
 an integer degree >= 2, so the algebra is simply connected.  Monomials are
@@ -7,30 +7,24 @@ generators with exponent exactly 1, even generators with any positive
 exponent.  Reordering a word picks up the Koszul sign, minus one for every
 transposition of two odd factors; a repeated odd generator kills the word.
 
-Elements carry one of two scalar kinds, plain rationals or Laurent scalars
-in t.  The kinds share the representation but never mix in `Element`
-arithmetic; rational elements embed into Laurent ones explicitly via
-`with_laurent_scalars`.  A coefficient is a `Fraction` or a `Laurent` by
-kind, never zero: `Element(...)` enforces it and refuses floats and bools,
-arithmetic keeps it and builds its results with `Element._trusted`.  Maps
-are defined on generators and extended: a derivation by the graded Leibniz
-rule, an algebra map multiplicatively.  A map's kind comes from its
-images: it is Laurent when some image is, and then it widens its argument;
-otherwise it is rational, and a rational map or derivation keeps the kind
-of its argument, multiplying each coefficient by the rational image of its
-monomial.
+Every coefficient is exact and nonzero: an `int` when integral, a
+`Fraction` otherwise, as in `Laurent`.  `Element(...)` enforces it and
+refuses floats and bools; arithmetic keeps it and builds its results with
+`Element._trusted`.  A family's images live in `FreeGCA.laurent`, the
+monoid algebra Q[t, 1/t] (x) Lambda(V) of monomials (m, k) standing for
+t^k m: t is a grading, not a second kind of scalar.  Maps are defined on
+generators and extended: a derivation by the graded Leibniz rule, an
+algebra map multiplicatively.  A map's images live in the base or its
+`laurent`; on an element of `laurent` the map is t-linear.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import weakref
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import AmbientMismatchError, HomogeneityError, ScalarKindError
-from .scalars import Laurent, exact_rational
-
-RATIONAL = "rational"
-LAURENT = "laurent"
+from .errors import AmbientMismatchError, HomogeneityError
+from .scalars import Laurent, exact_coefficient
 
 # A monomial is a tuple of (generator id, exponent) pairs in canonical
 # order; the empty tuple is the unit.
@@ -67,6 +61,7 @@ class FreeGCA:
         self.by_name = {g.name: g for g in gens}
         self._order = sorted(range(len(gens)), key=lambda i: (gens[i].degree, i))
         self._rank = {gid: r for r, gid in enumerate(self._order)}
+        self._laurent = lambda: None
 
     # ---- monomials ----------------------------------------------------
 
@@ -192,18 +187,39 @@ class FreeGCA:
 
     # ---- elements -----------------------------------------------------
 
-    def zero(self, kind: str = RATIONAL) -> "Element":
-        return Element(self, kind, {})
+    def zero(self) -> "Element":
+        return Element(self, {})
 
-    def one(self, kind: str = RATIONAL) -> "Element":
-        return Element(self, kind, {UNIT: _one_of(kind)})
+    def one(self) -> "Element":
+        return Element(self, {UNIT: 1})
 
     def gen(self, name_or_gid) -> "Element":
         g = self.by_name[name_or_gid] if isinstance(name_or_gid, str) else self.generators[name_or_gid]
-        return Element(self, RATIONAL, {((g.gid, 1),): Fraction(1)})
+        return Element(self, {((g.gid, 1),): 1})
 
-    def element(self, terms: dict[Monomial, object], kind: str = RATIONAL) -> "Element":
-        return Element(self, kind, dict(terms))
+    def element(self, terms: dict[Monomial, object]) -> "Element":
+        return Element(self, dict(terms))
+
+    # ---- the grading by t ---------------------------------------------
+
+    base = property(lambda self: self)
+
+    @property
+    def laurent(self) -> "LaurentGCA":
+        """Q[t, 1/t] (x) this algebra, held weakly here, so that no cycle forms."""
+        if (laurent := self._laurent()) is None:
+            self._laurent = weakref.ref(laurent := LaurentGCA(self))
+        return laurent
+
+    @staticmethod
+    def shifted(mono: Monomial, k: int) -> tuple[Monomial, int]:
+        """The monomial of `laurent` standing for t^k mono."""
+        return mono, k
+
+    @staticmethod
+    def terms_of(mono: Monomial, scalar) -> tuple:
+        """The terms of scalar * mono: none when the rational scalar is 0."""
+        return ((mono, scalar),) if scalar else ()
 
     def __eq__(self, other):
         return self is other or isinstance(other, FreeGCA) and self.generators == other.generators
@@ -212,60 +228,69 @@ class FreeGCA:
         return "FreeGCA(" + ", ".join(f"{g.name}:{g.degree}" for g in self.generators) + ")"
 
 
-def _one_of(kind: str):
-    return Fraction(1) if kind == RATIONAL else Laurent.one()
+class LaurentGCA:
+    """Q[t, 1/t] (x) Lambda(V), the `laurent` of a FreeGCA, its `base`.  A
+    monomial is a pair (m, k) standing for t^k m, of the degree of m.  A
+    product merges two words once, cached: t-elements meet the same pair
+    of words once per pair of powers of t."""
+
+    def __init__(self, base: FreeGCA):
+        self.base, self.generators, self.by_name = base, base.generators, base.by_name
+        self._merged: dict = {}
+
+    laurent = property(lambda self: self)
+
+    def degree_of(self, key: tuple[Monomial, int]) -> int:
+        return self.base.degree_of(key[0])
+
+    def multiply_monomials(self, a: tuple[Monomial, int], b: tuple[Monomial, int]):
+        """(sign, (merged word, summed power)), or None when the words' product vanishes."""
+        words = a[0], b[0]
+        if words not in self._merged:
+            self._merged[words] = self.base.multiply_monomials(*words)
+        merged = self._merged[words]
+        return merged and (merged[0], (merged[1], a[1] + b[1]))
+
+    @staticmethod
+    def shifted(key: tuple[Monomial, int], k: int) -> tuple[Monomial, int]:
+        return key[0], key[1] + k
+
+    def zero(self) -> "Element":
+        return Element(self, {})
+
+    def one(self) -> "Element":
+        return Element(self, {(UNIT, 0): 1})
+
+    def gen(self, name_or_gid) -> "Element":
+        return self.base.gen(name_or_gid).times_t(0)
+
+    def terms_of(self, mono: Monomial, scalar: Laurent):
+        """The terms of scalar * mono, one per power of t."""
+        return [((mono, k), c) for k, c in scalar.items()]
+
+    def __eq__(self, other):
+        return self is other or isinstance(other, LaurentGCA) and self.base == other.base
 
 
-def _zero_of(kind: str):
-    return Fraction(0) if kind == RATIONAL else Laurent.zero()
-
-
-def _reduced(algebra: FreeGCA, kind: str, pairs: dict[Monomial, list]) -> "Element":
-    """The element with coefficient sum(a * b) over the pairs listed at each
-    monomial, one reduction per monomial, in the dict's order; zeros dropped."""
-    total = Laurent.sum_of_products if kind == LAURENT else _sum_of_products
-    terms = {m: c for m, ab in pairs.items() if (c := total(ab))}
-    return Element._trusted(algebra, kind, terms)
-
-
-def _sum_of_products(pairs: list):
-    (a, b), *rest = pairs
-    return sum((x * y for x, y in rest), a * b)
-
-
-def _integral(c):
-    """An integral Fraction as an int; any other scalar as it is."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+def _reduced(algebra, acc: dict) -> "Element":
+    """The element of the summed coefficients in acc, zeros dropped."""
+    return Element._trusted(algebra, {m: exact_coefficient(c) for m, c in acc.items() if c})
 
 
 class Element:
-    """Element of a FreeGCA with scalars of a single kind."""
+    """Element of a FreeGCA or of its `laurent`, as a dict monomial -> coefficient."""
 
-    __slots__ = ("algebra", "kind", "terms")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: FreeGCA, kind: str, terms: dict[Monomial, object]):
-        if kind not in (RATIONAL, LAURENT):
-            raise ValueError(f"unknown scalar kind {kind!r}")
-        clean = {}
-        for m, c in terms.items():
-            if kind == RATIONAL:
-                if isinstance(c, Laurent):
-                    raise ScalarKindError("Laurent scalar in rational element")
-                c = exact_rational(c)
-            else:
-                if not isinstance(c, Laurent):
-                    c = Laurent.from_rational(c)
-            if c:
-                clean[m] = c
+    def __init__(self, algebra, terms: dict):
         self.algebra = algebra
-        self.kind = kind
-        self.terms = clean
+        self.terms = {m: c for m, v in terms.items() if (c := exact_coefficient(v))}
 
     @classmethod
-    def _trusted(cls, algebra: FreeGCA, kind: str, terms: dict[Monomial, object]) -> "Element":
+    def _trusted(cls, algebra, terms: dict) -> "Element":
         """Wrap terms that already keep the class invariant."""
         out = object.__new__(cls)
-        out.algebra, out.kind, out.terms = algebra, kind, terms
+        out.algebra, out.terms = algebra, terms
         return out
 
     # ---- predicates ---------------------------------------------------
@@ -286,51 +311,47 @@ class Element:
     def _check(self, other: "Element"):
         if self.algebra != other.algebra:
             raise AmbientMismatchError("elements from different ambient algebras")
-        if self.kind != other.kind:
-            raise ScalarKindError(f"cannot mix {self.kind} and {other.kind} elements")
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            c = terms[m] + c if m in terms else c
+            c = exact_coefficient(terms[m] + c) if m in terms else c
             if c:
                 terms[m] = c
             else:
                 del terms[m]
-        return Element._trusted(self.algebra, self.kind, terms)
+        return Element._trusted(self.algebra, terms)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return Element._trusted(self.algebra, self.kind, {m: -c for m, c in self.terms.items()})
+        return Element._trusted(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def scale(self, scalar) -> "Element":
-        if self.kind == RATIONAL:
-            if isinstance(scalar, Laurent):
-                raise ScalarKindError("Laurent scalar on rational element")
-            scalar = exact_rational(scalar)
-        terms = {m: c * scalar for m, c in self.terms.items()}
-        # no product of two nonzero scalars is zero, in either kind
-        return Element._trusted(self.algebra, self.kind, terms if scalar else {})
+        scalar = exact_coefficient(scalar)
+        # no product of two nonzero rationals is zero
+        terms = {m: exact_coefficient(c * scalar) for m, c in self.terms.items()} if scalar else {}
+        return Element._trusted(self.algebra, terms)
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
-        alg = self.algebra
-        pairs: dict[Monomial, list] = {}
+        merge = self.algebra.multiply_monomials
+        acc: dict = {}
+        get = acc.get
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                merged = alg.multiply_monomials(ma, mb)
+                merged = merge(ma, mb)
                 if merged is not None:
                     sign, m = merged
-                    pairs.setdefault(m, []).append((-ca if sign < 0 else ca, cb))
-        return _reduced(alg, self.kind, pairs)
+                    acc[m] = get(m, 0) + (ca * cb if sign > 0 else -ca * cb)
+        return _reduced(self.algebra, acc)
 
     def power(self, n: int) -> "Element":
         if n < 0:
             raise ValueError("negative element power")
-        out = self if n else self.algebra.one(self.kind)
+        out = self if n else self.algebra.one()
         for _ in range(n - 1):
             out = out * self
         return out
@@ -338,40 +359,46 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.algebra == other.algebra and self.kind == other.kind and self.terms == other.terms
+        return self.algebra == other.algebra and self.terms == other.terms
 
     def coefficient(self, mono: Monomial):
-        return self.terms.get(mono, _zero_of(self.kind))
+        return self.terms.get(mono, 0)
 
-    def with_laurent_scalars(self) -> "Element":
-        """Embed a rational element into the Laurent kind."""
-        if self.kind == LAURENT:
-            return self
-        return Element(self.algebra, LAURENT, {m: Laurent.from_rational(c) for m, c in self.terms.items()})
+    # ---- powers of t --------------------------------------------------
 
-    def eval_t(self, value: Fraction) -> "Element":
-        """Substitute a rational for t in every coefficient, landing in the
-        rational kind."""
-        if self.kind == RATIONAL:
-            return self
-        terms = {}
-        for m, c in self.terms.items():
-            ev = c.eval_t(value)
-            terms[m] = ev.as_rational()
-        return Element(self.algebra, RATIONAL, terms)
+    def times_t(self, k: int) -> "Element":
+        """t^k times this element, in the `laurent` algebra."""
+        shifted = self.algebra.shifted
+        return Element._trusted(self.algebra.laurent, {shifted(m, k): c for m, c in self.terms.items()})
+
+    def t_components(self) -> dict[int, "Element"]:
+        """The elements P_k of the base algebra with self = sum of t^k P_k,
+        by increasing k; an element of the base algebra is its own P_0."""
+        parts: dict[int, dict] = {}
+        for (m, k), c in self.times_t(0).terms.items():
+            parts.setdefault(k, {})[m] = c
+        return {k: Element._trusted(self.algebra.base, terms) for k, terms in sorted(parts.items())}
+
+    def by_monomial(self) -> dict[Monomial, Laurent]:
+        """Each base monomial with its coefficient, the Laurent polynomial of its powers of t."""
+        groups: dict[Monomial, dict] = {}
+        for (m, k), c in self.times_t(0).terms.items():
+            groups.setdefault(m, {})[k] = c
+        return {m: Laurent._trusted(cs) for m, cs in groups.items()}
+
+    def eval_t(self, value) -> "Element":
+        """Substitute a rational for t, landing in the base algebra."""
+        coeffs = self.by_monomial()
+        return Element(self.algebra.base, {m: c.eval_t(value).as_rational() for m, c in coeffs.items()})
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            name = self.algebra.monomial_name(m)
-            if isinstance(c, Laurent):
-                text = str(c)
-                coeff = text if c.term_count() <= 1 else f"({text})"
-            else:
-                coeff = str(c)
+        # the monomials are distinct, so the sort never compares coefficients
+        for m, c in sorted(self.by_monomial().items()):
+            name = self.algebra.base.monomial_name(m)
+            coeff = str(c) if c.term_count() == 1 else f"({c})"
             if m == UNIT:
                 parts.append(coeff)
             elif coeff == "1":
@@ -388,12 +415,9 @@ class Element:
 # ---- extensions -------------------------------------------------------
 
 
-def _generator_images(
-    algebra: FreeGCA, images: dict[int, Element], shift: int
-) -> tuple[str, dict[int, Element]]:
+def _generator_images(algebra, images: dict[int, Element], shift: int) -> dict[int, Element]:
     """Check that each image lies in the algebra and is homogeneous of its
-    generator's degree plus shift; return the map's kind, Laurent when some
-    image is Laurent and rational otherwise, with the images in that kind."""
+    generator's degree plus shift; return the images."""
     for gid, img in images.items():
         g = algebra.generators[gid]
         if img.algebra != algebra:
@@ -402,31 +426,36 @@ def _generator_images(
             raise HomogeneityError(
                 f"image of {g.name} must be homogeneous of degree {g.degree + shift}"
             )
-    if any(img.kind == LAURENT for img in images.values()):
-        return LAURENT, {gid: img.with_laurent_scalars() for gid, img in images.items()}
-    return RATIONAL, dict(images)
+    return dict(images)
 
 
 class LinearMap:
-    """The linear map sending each monomial m to of_monomial(m), a cached dict
-    of nonzero coefficients that callers only read.  A Laurent map widens its
-    argument; a rational one keeps its kind."""
+    """The linear map sending each monomial m of the base algebra to
+    of_monomial(m), a cached dict of nonzero terms of `algebra`, the base or
+    its `laurent`, that callers only read.  It applies t-linearly to
+    elements of `algebra.laurent`."""
 
-    __slots__ = ("algebra", "kind", "of_monomial")
+    __slots__ = ("algebra", "of_monomial")
 
-    def __init__(self, algebra: FreeGCA, kind: str, of_monomial: Callable[[Monomial], dict]):
-        self.algebra, self.kind, self.of_monomial = algebra, kind, of_monomial
+    def __init__(self, algebra, of_monomial: Callable[[Monomial], dict]):
+        self.algebra, self.of_monomial = algebra, of_monomial
 
     def __call__(self, x: Element) -> Element:
-        if x.algebra != self.algebra:
+        target, acc = self.algebra, {}
+        get = acc.get
+        if x.algebra == target.base:
+            for m, c in x.terms.items():
+                for key, coeff in self.of_monomial(m).items():
+                    acc[key] = get(key, 0) + c * coeff
+            return _reduced(target, acc)
+        if x.algebra != target.laurent:
             raise AmbientMismatchError("element from a different ambient algebra")
-        if self.kind == LAURENT:
-            x = x.with_laurent_scalars()
-        pairs: dict[Monomial, list] = {}
-        for m, c in x.terms.items():
-            for mono, coeff in self.of_monomial(m).items():
-                pairs.setdefault(mono, []).append((c, coeff))
-        return _reduced(self.algebra, x.kind, pairs)
+        shifted = target.shifted
+        for (m, k), c in x.terms.items():
+            for key, coeff in self.of_monomial(m).items():
+                key = shifted(key, k)
+                acc[key] = get(key, 0) + c * coeff
+        return _reduced(target.laurent, acc)
 
 
 def extend_derivation(algebra: FreeGCA, images: dict[int, Element]) -> LinearMap:
@@ -437,11 +466,11 @@ def extend_derivation(algebra: FreeGCA, images: dict[int, Element]) -> LinearMap
     graded Leibniz rule d(ab) = d(a) b + (-1)^{deg a} a d(b), applied once
     per factor of a word m = P g^e S: d(m) is the sum, over factors with
     d(g) != 0, of (-1)^{deg P} e P g^(e-1) d(g) S.  `of_monomial` caches
-    each word's image as a coefficient dict, ints where integral.
+    each word's image as a coefficient dict.
     """
-    kind, img_of = _generator_images(algebra, images, 1)
+    img_of = _generator_images(algebra, images, 1)
     degree = [g.degree for g in algebra.generators]
-    d_gen = {g: [(m, _integral(c)) for m, c in x.terms.items()] for g, x in img_of.items() if x.terms}
+    d_gen = {g: list(x.terms.items()) for g, x in img_of.items() if x.terms}
     cache: dict[Monomial, dict] = {}
 
     def d_mono(mono: Monomial) -> dict:
@@ -460,24 +489,24 @@ def extend_derivation(algebra: FreeGCA, images: dict[int, Element]) -> LinearMap
                         sign, m = merged
                         out[m] = out.get(m, 0) + sign * scale * c
             before += degree[gid] * e
-        cache[mono] = out = {m: c for m, c in out.items() if c}
+        cache[mono] = out = {m: exact_coefficient(c) for m, c in out.items() if c}
         return out
 
-    return LinearMap(algebra, kind, d_mono)
+    return LinearMap(algebra, d_mono)
 
 
-def extend_algebra_map(algebra: FreeGCA, images: dict[int, Element]) -> LinearMap:
+def extend_algebra_map(algebra, images: dict[int, Element]) -> LinearMap:
     """Extend generator images to the degree-0 algebra map.
 
-    `images` maps generator ids to homogeneous elements of the same degree
-    in the same algebra.  Absent generators map to themselves, so partial
-    assignments describe maps fixing the rest.
+    `images` maps generator ids to homogeneous elements of the same degree,
+    all in `algebra`, a FreeGCA or its `laurent`.  Absent generators map to
+    themselves, so partial assignments describe maps fixing the rest.
     """
-    kind, img_of = _generator_images(algebra, images, 0)
+    img_of = _generator_images(algebra, images, 0)
     for g in algebra.generators:
-        img_of.setdefault(g.gid, Element._trusted(algebra, kind, {((g.gid, 1),): _one_of(kind)}))
+        img_of.setdefault(g.gid, algebra.gen(g.gid))
     # every prefix of every word asked for is cached, the generators at once
-    cache: dict[Monomial, Element] = {UNIT: algebra.one(kind)}
+    cache: dict[Monomial, Element] = {UNIT: algebra.one()}
     cache.update({((gid, 1),): img for gid, img in img_of.items()})
 
     def phi_mono(mono: Monomial) -> dict:
@@ -494,4 +523,4 @@ def extend_algebra_map(algebra: FreeGCA, images: dict[int, Element]) -> LinearMa
             out = cache[prefix] = out * img_of[gid]
         return out.terms
 
-    return LinearMap(algebra, kind, phi_mono)
+    return LinearMap(algebra, phi_mono)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import import_module
 from typing import TYPE_CHECKING
@@ -238,6 +239,12 @@ def _cmd_family(args) -> tuple[int, dict, list[str]]:
         return 1, doc, _listed("family FAILS verification", bad)
     if args.eval is not None:
         t0 = parse_rational(args.eval)
+        # t0^k has about |k| log10 max(|p|, q) digits; Python prints ints of at most `limit` (0: any)
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        powers = [(abs(k), k, g.name) for g in p.generators for _, k in fam.images[g.gid].terms]
+        size, k, name = max(powers, default=(0, 0, ""))
+        if limit and size * math.log10(max(abs(t0.numerator), t0.denominator)) >= limit:
+            raise ValueError(f"t^{k} in the image of {name} has more than {limit} digits at t = {t0}")
         ev = evaluate(fam, t0)
         images = {g.name: str(ev.map.images[g.gid]) for g in p.generators}
         doc = {"name": p.name, "parameter": str(t0), "invertible": ev.invertible, "images": images}

@@ -11,10 +11,10 @@ entry there, and T is read against an element's terms (`_dot`).  A
 caller's representatives get the reader C^-1 . T, where C holds their
 default class coordinates (`quotient_for`).  Whether an element is a
 cocycle is decided by the derivation alone: it is one exactly when d of
-it is zero.  Reading elements with Laurent coefficients through T gives
-induced actions without ever dividing in the Laurent ring.  Betti
-numbers come from ranks, and a weight split groups the default
-representatives.
+it is zero.  An element of `FreeGCA.laurent` is read one power of t at a
+time, so induced actions come out as Laurent polynomials without ever
+dividing in the Laurent ring.  Betti numbers come from ranks, and a
+weight split groups the default representatives.
 
 Degrees at and above the truncation degree are unavailable, not zero:
 asking for them raises DegreeRangeError.
@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import sys
 import types
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import Element, FreeGCA, LAURENT, LinearMap, RATIONAL
-from .errors import DegreeRangeError, FamilyError, HomogeneityError, ScalarKindError, ToolkitError
+from .algebra import Element, FreeGCA, LinearMap
+from .errors import DegreeRangeError, FamilyError, HomogeneityError, ToolkitError
 from .model import SullivanPresentation
 from .qlinalg import QMatrix, invert, quotient_basis, rank
 from .scalars import Laurent
@@ -129,7 +128,7 @@ class CochainComplex:
         """The default reader (reps, T) of degree n, cached: the kernel vectors
         of d_n that `quotient_basis` picks, as rational cocycles, and rows
         with T . rep_j = e_j and T . b = 0 on every coboundary b, each the
-        rational element of its nonzero Fraction entries, keyed by monomial."""
+        rational element of its nonzero entries, keyed by monomial."""
         self.check_degree(n)
         if n not in self._quotient:
             vectors, t_rows = quotient_basis(self.d_matrix(n - 1), self.d_matrix(n))
@@ -137,8 +136,7 @@ class CochainComplex:
                 raise AssertionError(f"{len(vectors)} classes picked, b_{n} = {self.betti(n)}")
             basis = self.basis(n)
             self._quotient[n] = tuple(
-                [Element._trusted(self.algebra, RATIONAL, {basis[j]: c for j, c in v.items()}) for v in vs]
-                for vs in (vectors, t_rows)
+                [Element(self.algebra, {basis[j]: c for j, c in v.items()}) for v in vs] for vs in (vectors, t_rows)
             )
         return self._quotient[n]
 
@@ -152,12 +150,12 @@ class CochainComplex:
         self.check_degree(n)
         reps = list(reps)
         for x in reps:
-            if x.kind != RATIONAL:
-                raise ScalarKindError(f"representative {x} is a Laurent element")
+            if x.algebra == self.algebra.laurent:
+                raise ToolkitError(f"representative {x} is a Laurent element")
             if not x.is_homogeneous(n):
                 raise HomogeneityError(f"representative {x} is not homogeneous of degree {n}")
-            # a rational differential keeps a Laurent argument's kind, hence
-            # the kind check above; foreign elements it refuses itself
+            # d is t-linear on a t-element, hence the check above; foreign
+            # elements it refuses itself
             if not (dx := self.d(x)).is_zero():
                 raise ToolkitError(f"representative {x} is not a cocycle: d of it is {dx}")
         if len(reps) != self.betti(n):
@@ -206,21 +204,21 @@ class CochainComplex:
         )
 
     def _coordinates(self, t_rows: list[Element], x: Element, error: str) -> list:
-        """Class coordinates of an element, one per row of a reader's T;
-        raises ToolkitError with the given message unless d of the element
-        is zero, that is, unless it is a cocycle."""
+        """Class coordinates of an element, one per row of a reader's T, read
+        one t-component at a time for an element of `laurent`; raises
+        ToolkitError with the given message unless d of the element is zero."""
         if not self.d(x).is_zero():
             raise ToolkitError(error)
-        return [_dot(row, x) for row in t_rows]
+        if x.algebra == self.algebra:
+            return [_dot(row, x) for row in t_rows]
+        parts = x.t_components()
+        return [Laurent({k: _dot(row, part) for k, part in parts.items()}) for row in t_rows]
 
 
 def _dot(row: Element, x: Element):
-    """The sum of row[m] . x[m] over the monomials m of the T row that x also
-    has, a scalar of x's kind."""
-    pairs = [(c, x.terms[m]) for m, c in row.terms.items() if m in x.terms]
-    if x.kind == LAURENT:
-        return Laurent.sum_of_products(pairs)
-    return sum((v * c for c, v in pairs), Fraction(0))
+    """The sum of row[m] . x[m] over the monomials m of the T row that x also has."""
+    terms = x.terms
+    return sum(terms[m] * c for m, c in row.terms.items() if m in terms)
 
 
 _CACHE_ATTR = "_cochain_complex_cache"
@@ -360,7 +358,7 @@ def induced_action(
         columns = [
             cx._coordinates(
                 t_rows,
-                fam.apply(rep.with_laurent_scalars()),
+                fam.apply(rep),
                 f"image in degree {n} is not a certified cocycle",
             )
             for rep in reps

@@ -2,8 +2,8 @@
 
 Domain-level negatives (an infeasible weight system, a family that fails
 verification) are returned as values, not raised.  Exceptions are reserved
-for inputs that violate a contract: malformed files, mixed scalar kinds,
-out-of-range degree requests, singular linear parts.
+for inputs that violate a contract: malformed files, elements of different
+algebras, out-of-range degree requests, singular linear parts.
 """
 
 
@@ -22,12 +22,8 @@ class SchemaError(ToolkitError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-class ScalarKindError(ToolkitError):
-    """Arithmetic attempted between rational-scalar and Laurent-scalar elements."""
-
-
 class AmbientMismatchError(ToolkitError):
-    """Two elements from different ambient generator lists were combined."""
+    """Elements of different algebras were combined, e.g. of a FreeGCA and its `laurent`."""
 
 
 class HomogeneityError(ToolkitError):

@@ -2,10 +2,11 @@
 
 A valid positive weight assignment n turns into the family
 x_i -> t^{n_i} x_i, an automorphism of the presentation for every t != 0.
-Families are stored as generator assignments with Laurent coefficients in
-t, and no other variable.  The group law, that the family at a product of
-two parameters is the composite of the family at each, is checked one
-power of t at a time, so it needs no second variable.
+Families are stored as generator assignments with images in
+`FreeGCA.laurent`, graded by t, and no other variable.  The group law,
+that the family at a product of two parameters is the composite of the
+family at each, is checked one power of t at a time, so it needs no
+second variable.
 
 Model automorphisms have rational coefficients and commute with the
 differential.  Inversion works by degree induction: invert the linear
@@ -17,9 +18,9 @@ Maps and families share one private base, `_GeneratorMap`: a presentation,
 one image per generator and their multiplicative extension, with one
 `apply`, equality, repr, unknown-id refusal and chain check.  Each class
 reads its images its own way: a `ModelMap` fixes the generators it is not
-given and refuses Laurent coefficients, a family needs every image and
-widens it to Laurent scalars.  Maps equal only maps, families only
-families, also where both image dicts are empty.
+given, a family needs every image and moves it into `laurent` with
+`times_t(0)`.  Maps equal only maps, families only families, also where
+both image dicts are empty.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import Element, LAURENT, RATIONAL, extend_algebra_map
+from .algebra import Element, extend_algebra_map
 from .errors import FamilyError, SchemaError, SingularMapError
 from .model import SullivanPresentation, Violation, _load_json, _loads, element_to_terms, terms_to_element
 from .qlinalg import QMatrix, invert
@@ -41,16 +42,17 @@ class _GeneratorMap:
     """One image per generator, extended multiplicatively; `_image` reads an
     image, and `_name` heads the repr and decides which classes compare."""
 
-    def __init__(self, p: SullivanPresentation, images: dict[int, Element]):
+    def __init__(self, p: SullivanPresentation, images: dict[int, Element], algebra=None):
+        """`images` live in `algebra`, by default the presentation's."""
         self.presentation = p
         full = {g.gid: self._image(g, images.get(g.gid)) for g in p.generators}
         if unknown := sorted(images.keys() - full.keys()):
             raise FamilyError(f"image on unknown generator id {unknown[0]}")
         self.images = full
-        self._apply = extend_algebra_map(p.algebra, full)
+        self._apply = extend_algebra_map(algebra or p.algebra, full)
 
     def apply(self, x: Element) -> Element:
-        """Apply the extension; a Laurent map widens x, a rational one keeps its kind."""
+        """Apply the extension, t-linearly to an element of `laurent`."""
         return self._apply(x)
 
     def _chain_defects(self):
@@ -84,10 +86,7 @@ class ModelMap(_GeneratorMap):
     _inverse: "ModelMap | weakref.ref | None" = None
 
     def _image(self, g, img: Element | None) -> Element:
-        img = self.presentation.algebra.gen(g.gid) if img is None else img
-        if img.kind != RATIONAL:
-            raise FamilyError(f"image of {g.name} must have rational coefficients")
-        return img
+        return self.presentation.algebra.gen(g.gid) if img is None else img
 
     def is_identity(self) -> bool:
         alg = self.presentation.algebra
@@ -126,11 +125,8 @@ class ModelMap(_GeneratorMap):
             psi_lower = extend_algebra_map(alg, dict(inv_images))
             residues: list[Element] = []
             for gid in gids:
-                decomposable = Element(
-                    alg,
-                    RATIONAL,
-                    {m: c for m, c in self.images[gid].terms.items() if alg.word_length(m) >= 2},
-                )
+                terms = self.images[gid].terms
+                decomposable = Element(alg, {m: c for m, c in terms.items() if alg.word_length(m) >= 2})
                 residues.append(alg.gen(gid) - psi_lower(decomposable))
             # the images solve L^T (psi(h))_h = (residue(x))_x, so
             # psi(h) = sum_x inv(L)[x, h] residue(x), over column h of inv(L)
@@ -160,12 +156,12 @@ class ModelAutomorphism(ModelMap):
 
 
 class OneParameterFamily(_GeneratorMap):
-    """Generator assignment with Laurent coefficients in the parameter t."""
+    """Generator assignment with images in `p.algebra.laurent`, graded by t."""
 
     _name = "OneParameterFamily"
 
     def __init__(self, p: SullivanPresentation, images: dict[int, Element]):
-        super().__init__(p, images)
+        super().__init__(p, images, p.algebra.laurent)
         self._verified: list[Violation] | None = None
         # degree -> (representatives, action columns), see induced_action
         self._actions: dict[int, tuple[list[Element], list[list[Laurent]]]] = {}
@@ -173,7 +169,7 @@ class OneParameterFamily(_GeneratorMap):
     def _image(self, g, img: Element | None) -> Element:
         if img is None:
             raise FamilyError(f"no image for generator {g.name}")
-        return img.with_laurent_scalars()
+        return img.times_t(0)
 
 
 class EvaluatedFamily(NamedTuple):
@@ -197,20 +193,7 @@ def diagonal_family(p: SullivanPresentation, w: WeightAssignment) -> OneParamete
             + "; ".join(str(v) for v in problems)
         )
     alg = p.algebra
-    images = {
-        g.gid: alg.gen(g.gid).with_laurent_scalars().scale(Laurent.t(w[g.name]))
-        for g in p.generators
-    }
-    return OneParameterFamily(p, images)
-
-
-def _t_components(x: Element) -> dict[int, Element]:
-    """The rational elements P_k with x = sum of t^k P_k, by increasing k."""
-    parts: dict[int, dict] = {}
-    for m, c in x.terms.items():
-        for k, q in c.items():
-            parts.setdefault(k, {})[m] = q
-    return {k: Element(x.algebra, RATIONAL, terms) for k, terms in sorted(parts.items())}
+    return OneParameterFamily(p, {g.gid: alg.gen(g.gid).times_t(w[g.name]) for g in p.generators})
 
 
 def verify_family(fam: OneParameterFamily) -> list[Violation]:
@@ -228,7 +211,7 @@ def verify_family(fam: OneParameterFamily) -> list[Violation]:
     p = fam.presentation
     alg = p.algebra
     out: list[Violation] = []
-    parts = {gid: _t_components(img) for gid, img in fam.images.items()}
+    parts = {gid: img.t_components() for gid, img in fam.images.items()}
     for g in p.generators:
         at_one = sum(parts[g.gid].values(), alg.zero())
         if at_one != alg.gen(g.gid):
@@ -241,8 +224,7 @@ def verify_family(fam: OneParameterFamily) -> list[Violation]:
     for g in p.generators:
         for k, part in parts[g.gid].items():
             moved = fam.apply(part)
-            scaled = part.with_laurent_scalars().scale(Laurent.t(k))
-            if moved != scaled:
+            if moved != part.times_t(k):
                 message = f"the family maps the t^{k} part {part} of {g.name} to {moved}"
                 out.append(Violation("group", g.name, message))
                 break
@@ -304,7 +286,7 @@ def transport_presentation(p: SullivanPresentation, phi: ModelMap) -> SullivanPr
 
 def family_to_dict(fam: OneParameterFamily | ModelMap) -> dict:
     """Generator name -> canonical term list; families and model maps
-    share the format and differ only in their scalars."""
+    share the format, a family's coefficients being Laurent polynomials."""
     return {g.name: element_to_terms(fam.images[g.gid]) for g in fam.presentation.generators}
 
 
@@ -323,7 +305,7 @@ def _automorphism_coeff(text: str, path: str) -> Fraction:
 
 
 def family_from_dict(p: SullivanPresentation, doc, path: str = "") -> OneParameterFamily:
-    return OneParameterFamily(p, _assignment_from_dict(p, doc, path, Laurent.parse, LAURENT))
+    return OneParameterFamily(p, _assignment_from_dict(p.algebra.laurent, doc, path, Laurent.parse))
 
 
 def parse_family(p: SullivanPresentation, text: str) -> OneParameterFamily:
@@ -335,7 +317,7 @@ def load_family(p: SullivanPresentation, path) -> OneParameterFamily:
 
 
 def automorphism_from_dict(p: SullivanPresentation, doc, path: str = "") -> ModelAutomorphism:
-    return ModelAutomorphism(p, _assignment_from_dict(p, doc, path, _automorphism_coeff, RATIONAL))
+    return ModelAutomorphism(p, _assignment_from_dict(p.algebra, doc, path, _automorphism_coeff))
 
 
 def parse_automorphism(p: SullivanPresentation, text: str) -> ModelAutomorphism:
@@ -346,13 +328,11 @@ def load_automorphism(p: SullivanPresentation, path) -> ModelAutomorphism:
     return automorphism_from_dict(p, _load_json(path))
 
 
-def _assignment_from_dict(
-    p: SullivanPresentation, doc, path: str, read, kind: str
-) -> dict[int, Element]:
+def _assignment_from_dict(alg, doc, path: str, read) -> dict[int, Element]:
+    """Generator id -> image in `alg`, a presentation's algebra or its `laurent`."""
     if not isinstance(doc, dict):
         raise SchemaError("assignment must be a JSON object", path)
-    alg = p.algebra
-    known = {g.name for g in p.generators}
+    known = {g.name for g in alg.generators}
     extra = set(doc) - known
     if extra:
         raise SchemaError(f"unknown generators {sorted(extra)}", path)
@@ -360,8 +340,6 @@ def _assignment_from_dict(
     if missing:
         raise SchemaError(f"missing generators {sorted(missing)}", path)
     return {
-        alg.by_name[gname].gid: terms_to_element(
-            alg, terms, f"{path}.{gname}" if path else gname, read, kind
-        )
+        alg.by_name[gname].gid: terms_to_element(alg, terms, f"{path}.{gname}" if path else gname, read)
         for gname, terms in doc.items()
     }

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import Element, FreeGCA, Generator, RATIONAL, extend_derivation
+from .algebra import Element, FreeGCA, Generator, extend_derivation
 from .cohomology import CochainComplex, complex_for
 from .errors import DegreeRangeError
 from .model import GradedAlgebraTable, SullivanPresentation, presentation_to_dict
@@ -134,7 +134,7 @@ def build_formal_model(table: GradedAlgebraTable, truncation_degree: int) -> For
         _extend(b, n)
     formal_dimension = top if top > 0 and len(table.degree_basis(top)) == 1 else None
     alg = FreeGCA(b.gens)
-    diff = {gid: Element(alg, RATIONAL, terms) for gid, terms in b.diff.items()}
+    diff = {gid: Element(alg, terms) for gid, terms in b.diff.items()}
     model = SullivanPresentation(f"formal-{table.name}", alg, diff, truncation_degree, formal_dimension)
     return FormalModelResult(
         model=model,
@@ -159,7 +159,7 @@ def _extend(b: _Builder, n: int):
     depends only on the span and the candidate order.
     """
     alg = FreeGCA(b.gens)
-    d = extend_derivation(alg, {gid: Element._trusted(alg, RATIONAL, terms) for gid, terms in b.diff.items()})
+    d = extend_derivation(alg, {gid: Element._trusted(alg, terms) for gid, terms in b.diff.items()})
     if b.complex is None:
         b.complex = CochainComplex(alg, d, b.truncation)
     else:

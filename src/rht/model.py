@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .algebra import Element, FreeGCA, Generator, LinearMap, Monomial, RATIONAL, extend_derivation
+from .algebra import Element, FreeGCA, Generator, LinearMap, Monomial, extend_derivation
 from .errors import SchemaError
 from .scalars import exact_rational, parse_rational
 
@@ -60,8 +60,6 @@ class SullivanPresentation:
                 raise SchemaError(f"differential on unknown generator id {gid}")
             if img.algebra != self.algebra:
                 raise SchemaError("differential image outside the presentation algebra")
-            if img.kind != RATIONAL:
-                raise SchemaError("differential coefficients must be rational")
         self._d: LinearMap | None = None
 
     def d_of(self, gid: int) -> Element:
@@ -150,28 +148,19 @@ class SullivanPresentation:
 
 
 def element_to_terms(x: Element) -> list[dict]:
-    """Canonical term list of an element of either scalar kind: terms in
-    (degree, canonical monomial) order, coefficients as their `str`."""
-    alg = x.algebra
-    out = []
-    for m in sorted(x.terms, key=lambda m: (alg.degree_of(m), alg.monomial_key(m))):
-        c = x.terms[m]
-        out.append(
-            {
-                "coeff": str(c),
-                "monomial": [[alg.generators[g].name, e] for g, e in m],
-            }
-        )
-    return out
+    """Canonical term list of an element of a FreeGCA or its `laurent`: terms
+    in (degree, canonical monomial) order, coefficients as their `str`."""
+    alg = x.algebra.base
+    coeffs = x.by_monomial()
+    order = sorted(coeffs, key=lambda m: (alg.degree_of(m), alg.monomial_key(m)))
+    return [{"coeff": str(coeffs[m]), "monomial": [[alg.generators[g].name, e] for g, e in m]} for m in order]
 
 
-def terms_to_element(
-    alg: FreeGCA, terms, path: str, read: Callable = parse_rational, kind: str = RATIONAL
-) -> Element:
-    """Inverse of element_to_terms; `read(text, path)` parses one
-    coefficient into a scalar of the given kind and may refuse it.  One dict
-    sums the terms in the order that adding them one by one gives: a
-    monomial leaves when its sum cancels and re-enters at the end."""
+def terms_to_element(alg, terms, path: str, read: Callable = parse_rational) -> Element:
+    """Inverse of element_to_terms into `alg`, a FreeGCA or its `laurent`;
+    `read(text, path)` parses one coefficient, a Laurent for `laurent`, and
+    may refuse it.  One dict sums the terms in the order that adding them
+    one by one gives: a term leaves when its sum cancels and re-enters at the end."""
     if not isinstance(terms, list):
         raise SchemaError("expected a list of terms", path)
     acc: dict = {}
@@ -180,15 +169,13 @@ def terms_to_element(
             raise SchemaError("term must have exactly 'coeff' and 'monomial'", f"{path}[{i}]")
         cpath = f"{path}[{i}].coeff"
         coeff = read(_expect_str(term["coeff"], cpath), cpath)
-        sign, mono = _parse_monomial(alg, term["monomial"], f"{path}[{i}].monomial")
-        if coeff:
-            if sign < 0:
-                coeff = -coeff
-            if mono in acc and not (coeff := acc[mono] + coeff):
-                del acc[mono]
+        sign, mono = _parse_monomial(alg.base, term["monomial"], f"{path}[{i}].monomial")
+        for key, c in alg.terms_of(mono, coeff if sign > 0 else -coeff):
+            if key in acc and not (c := acc[key] + c):
+                del acc[key]
             else:
-                acc[mono] = coeff
-    return Element._trusted(alg, kind, acc)
+                acc[key] = c
+    return Element(alg, acc)
 
 
 def _parse_monomial(alg: FreeGCA, raw, path: str) -> tuple[int, Monomial]:

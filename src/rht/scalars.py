@@ -1,16 +1,16 @@
 """Exact rational and Laurent-polynomial scalars.
 
 Every rational in a JSON file is written by `str` ("p" or "p/q") and read
-back by `parse_rational`.  A one-parameter rescaling family has images with coefficients in Q[t, 1/t].
-Scalars are dicts t-power -> coefficient.  A coefficient is an `int` when
-it is integral and a `Fraction` otherwise, and zeros are never stored, so
-equality is structural.  Floats and bools are refused: every scalar is
-exact.
+back by `parse_rational`; a family's coefficients in Q[t, 1/t] by `Laurent`,
+also the entry type of action matrices: a dict t-power -> coefficient.  A
+coefficient is an `int` when it is integral and a `Fraction` otherwise,
+in every `Element` too, and zeros are never stored, so equality is
+structural.  Floats and bools are refused: every scalar is exact.
 
-`_coefficient` is the one normaliser.  The public constructor runs it on
-every term; the results of arithmetic go through `Laurent._trusted`, which
-stores its dict as given.  Its callers keep the invariant: every value is
-an int or a non-integral Fraction, and none is zero.
+`exact_coefficient` is the one normaliser.  The public constructor runs it
+on every term; the results of arithmetic go through `Laurent._trusted`,
+which stores its dict as given.  Its callers keep the invariant: every
+value is an int or a non-integral Fraction, and none is zero.
 """
 
 from __future__ import annotations
@@ -42,19 +42,19 @@ def parse_rational(text: str, path: str = "") -> Fraction:
         raise SchemaError(f"not an exact rational: {text!r}", path) from exc
 
 
-def _coefficient(v):
+def exact_coefficient(v):
     """An int when v is integral, a Fraction otherwise; floats and bools
     raise TypeError."""
     if type(v) is int:
         return v
     if type(v) is Fraction:
         return v.numerator if v.denominator == 1 else v
-    return _coefficient(exact_rational(v))
+    return exact_coefficient(exact_rational(v))
 
 
 def _collect(acc: dict) -> "Laurent":
     """The Laurent of raw sums: zeros dropped, integral Fractions made ints."""
-    return Laurent._trusted({k: _coefficient(v) for k, v in acc.items() if v})
+    return Laurent._trusted({k: exact_coefficient(v) for k, v in acc.items() if v})
 
 
 class Laurent:
@@ -66,7 +66,7 @@ class Laurent:
         clean = {}
         if terms:
             for k, v in terms.items():
-                v = _coefficient(v)
+                v = exact_coefficient(v)
                 if v:
                     clean[k] = v
         self._terms = clean
@@ -160,7 +160,7 @@ class Laurent:
         for k, v in other._terms.items():
             v = terms.get(k, 0) + v
             if v:
-                terms[k] = _coefficient(v)
+                terms[k] = exact_coefficient(v)
             else:
                 del terms[k]
         return Laurent._trusted(terms)
@@ -192,7 +192,7 @@ class Laurent:
             if len(self._terms) != 1:
                 raise ValueError("negative powers only of single terms")
             (k, c), = self._terms.items()
-            return Laurent._trusted({k * n: _coefficient(Fraction(1) / c ** (-n))})
+            return Laurent._trusted({k * n: exact_coefficient(Fraction(1) / c ** (-n))})
         out = Laurent.one()
         base = self
         k = n
@@ -205,7 +205,7 @@ class Laurent:
 
     def eval_t(self, value: Fraction) -> "Laurent":
         """Substitute a rational value for t: a constant Laurent."""
-        value = Fraction(_coefficient(value))
+        value = Fraction(exact_coefficient(value))
         if value == 0 and any(k < 0 for k in self._terms):
             raise ZeroDivisionError("t^-1 at t = 0")
         return _collect({0: sum(c * value**k for k, c in self._terms.items())})

@@ -810,16 +810,23 @@ def dict_diagonalization_certificate(m):
 
 
 def element_words(x, degrees):
-    """A package element with Laurent coefficients as a dict word ->
-    FractionLaurent.  Each monomial is expanded into its factors in the
-    package's order and sorted into an oracle word with its Koszul sign;
-    each coefficient is read through its sorted (t-power, value) items."""
+    """A package element as a dict word -> FractionLaurent.  A key of an
+    element over Q[t, 1/t] is a pair (monomial, power of t), told apart
+    from a monomial by its int last entry; any other key is a monomial of
+    power 0.  Each monomial is expanded into its factors in the package's
+    order and sorted into an oracle word with its Koszul sign."""
     out = {}
-    for mono, c in x.terms.items():
+    for key, c in x.terms.items():
+        mono, k = key if key and isinstance(key[-1], int) else (key, 0)
         sign, word = sort_word([g for g, e in mono for _ in range(e)], degrees)
-        value = FractionLaurent({(k, 0): sign * Fraction(v) for k, v in c.items()})
-        out[word] = out.get(word, FractionLaurent()) + value
+        out[word] = out.get(word, FractionLaurent()) + FractionLaurent({(k, 0): sign * Fraction(c)})
     return {w: c for w, c in out.items() if c.terms}
+
+
+def times_laurent(x, scalar):
+    """A rational package element times a `Laurent` scalar: the sum of
+    c_k * x.times_t(k), an element of x.algebra.laurent."""
+    return sum((x.scale(c).times_t(k) for k, c in scalar.items()), x.algebra.laurent.zero())
 
 
 def word_algebra_map(images, degrees):
@@ -925,15 +932,18 @@ def naive_monomial(alg, raw, path):
     return sign, tuple(mono)
 
 
-def naive_terms_to_element(alg, terms, path, read=naive_rational, kind="rational"):
+def naive_terms_to_element(alg, terms, path, read=naive_rational):
     """A JSON term list summed one term at a time: each term becomes its
-    own `Element`, added to the running total with `Element.__add__`."""
+    own `Element`, added to the running total with `Element.__add__`; a
+    `Laurent` coefficient, read for `alg.laurent`, adds t^k (c_k m) for
+    each of its powers k in increasing order."""
     from rht.algebra import Element
     from rht.errors import SchemaError
+    from rht.scalars import Laurent
 
     if not isinstance(terms, list):
         raise SchemaError("expected a list of terms", path)
-    total = alg.zero(kind)
+    total = alg.zero()
     for i, term in enumerate(terms):
         tpath = f"{path}[{i}]"
         if not isinstance(term, dict) or set(term) != {"coeff", "monomial"}:
@@ -942,5 +952,9 @@ def naive_terms_to_element(alg, terms, path, read=naive_rational, kind="rational
             raise SchemaError("expected a string", f"{tpath}.coeff")
         coeff = read(term["coeff"], f"{tpath}.coeff")
         sign, mono = naive_monomial(alg, term["monomial"], f"{tpath}.monomial")
-        total = total + Element(alg, kind, {mono: sign * coeff})
+        if isinstance(coeff, Laurent):
+            for k, c in coeff.items():
+                total = total + Element(alg.base, {mono: sign * c}).times_t(k)
+        else:
+            total = total + Element(alg, {mono: sign * coeff})
     return total

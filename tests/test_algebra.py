@@ -17,8 +17,9 @@ from oracles import (
     multiply_words,
     random_presentation,
     sort_word,
+    times_laurent,
 )
-from rht.algebra import LAURENT, RATIONAL, FreeGCA, Generator, extend_algebra_map
+from rht.algebra import Element, FreeGCA, Generator, extend_algebra_map
 from rht.scalars import Laurent
 from rht.errors import AmbientMismatchError
 
@@ -238,8 +239,7 @@ def test_extend_algebra_map_is_multiplicative(alg):
 
 
 def test_partial_algebra_map_fixes_the_absent_generators(alg):
-    from rht.algebra import LAURENT, extend_algebra_map
-    from rht.scalars import Laurent
+    from rht.algebra import extend_algebra_map
 
     # only a has an image; b, c, e and f map to themselves
     phi = extend_algebra_map(alg, {0: alg.gen("a").scale(Fraction(2))})
@@ -247,11 +247,11 @@ def test_partial_algebra_map_fixes_the_absent_generators(alg):
     assert phi(b) == b
     assert phi(a * a * b * e) == (a * a * b * e).scale(Fraction(4))
     assert phi(b * alg.gen("c") + e) == b * alg.gen("c") + e
-    # in a Laurent map the absent generators are Laurent too
-    lam = extend_algebra_map(alg, {0: a.with_laurent_scalars().scale(Laurent.t(1))})
-    assert lam.kind == LAURENT
-    assert lam(a * b * e) == (a * b * e).with_laurent_scalars().scale(Laurent.t(1))
-    assert lam(b * e) == (b * e).with_laurent_scalars()
+    # in a map of t-elements the absent generators are t-elements too
+    lam = extend_algebra_map(alg.laurent, {0: a.times_t(1)})
+    assert lam.algebra == alg.laurent
+    assert lam(a * b * e) == (a * b * e).times_t(1)
+    assert lam(b * e) == (b * e).times_t(0)
 
 
 @given(words)
@@ -307,8 +307,8 @@ laurent_parts = st.lists(
 @given(laurent_parts)
 def test_a_maps_kind_comes_from_its_images(alg, parts):
     # x = sum t^a x_a with rational x_a; a rational map or derivation
-    # keeps the kind of its argument and commutes with the Laurent scalars
-    from rht.algebra import LAURENT, RATIONAL, extend_algebra_map, extend_derivation
+    # keeps the algebra of its argument and commutes with the powers of t
+    from rht.algebra import extend_algebra_map
     from rht.scalars import Laurent
 
     phi = extend_algebra_map(alg, _sample_images(alg))
@@ -319,25 +319,24 @@ def test_a_maps_kind_comes_from_its_images(alg, parts):
         pieces.append(
             (Laurent({a: 1}), alg.element({basis[pick % len(basis)]: Fraction(coeff)}))
         )
-    x = alg.zero(LAURENT)
+    x = alg.laurent.zero()
     for scalar, x_a in pieces:
-        x = x + x_a.with_laurent_scalars().scale(scalar)
+        x = x + times_laurent(x_a, scalar)
     for f in (phi, d):
-        expected = alg.zero(LAURENT)
+        expected = alg.laurent.zero()
         for scalar, x_a in pieces:
             image = f(x_a)
-            assert image.kind == RATIONAL
-            expected = expected + image.with_laurent_scalars().scale(scalar)
+            assert image.algebra == alg
+            expected = expected + times_laurent(image, scalar)
         got = f(x)
-        assert got.kind == LAURENT
+        assert got.algebra == alg.laurent
         assert got == expected
-    # one Laurent image makes the whole map Laurent: it widens a rational
-    # argument, and a widened image changes no value
-    images = _sample_images(alg)
-    images[0] = images[0].with_laurent_scalars()
-    widened = extend_algebra_map(alg, images)
+    # a map of t-elements takes a rational argument into alg.laurent, and
+    # images moved there by times_t(0) change no value
+    images = {gid: img.times_t(0) for gid, img in _sample_images(alg).items()}
+    widened = extend_algebra_map(alg.laurent, images)
     for _, x_a in pieces:
-        assert widened(x_a) == phi(x_a).with_laurent_scalars()
+        assert widened(x_a) == phi(x_a).times_t(0)
 
 
 SCALARS = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2)]
@@ -345,54 +344,69 @@ SCALARS = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2)]
 
 @st.composite
 def arithmetic_cases(draw):
-    """A kind, two elements of it over a small monomial pool with small
-    coefficients, so sums and products cancel often, and a scalar."""
-    from rht.algebra import LAURENT, RATIONAL
+    """Whether the elements are t-elements, two elements over a small pool
+    of monomials, each with a power of t in -1..1 for t-elements, with small
+    coefficients, so sums and products cancel often, a rational scalar and
+    a Laurent one."""
     from rht.scalars import Laurent
 
-    kind = draw(st.sampled_from([RATIONAL, LAURENT]))
+    laurent = draw(st.booleans())
     pool = [m for n in (2, 3, 5) for m in FreeGCA(GENS).monomial_basis(n)]
+    if laurent:
+        pool = [(m, k) for m in pool for k in (-1, 0, 1)]
     rational = st.sampled_from(SCALARS)
-    if kind == RATIONAL:
-        coeff = rational.map(Fraction)
-    else:
-        coeff = st.dictionaries(st.integers(-1, 1), rational, max_size=2).map(Laurent)
-    element = st.dictionaries(st.sampled_from(pool), coeff, max_size=4)
-    scalar = rational if kind == RATIONAL else st.one_of(rational, coeff)
-    return kind, draw(element), draw(element), draw(scalar)
+    element = st.dictionaries(st.sampled_from(pool), rational.map(Fraction), max_size=4)
+    scalar = st.dictionaries(st.integers(-1, 1), rational, max_size=2).map(Laurent)
+    return laurent, draw(element), draw(element), draw(rational), draw(scalar)
 
 
 @given(arithmetic_cases())
 def test_arithmetic_results_equal_the_validated_terms(alg, case):
     # sums, products, scalings and negations build their results without
     # re-validation; each must equal its raw terms passed through the
-    # validating constructor, with no zero and no wrong-kind coefficient
-    from rht.algebra import RATIONAL, Element
-    from rht.scalars import Laurent
-
-    kind, tx, ty, q = case
-    x, y = Element(alg, kind, tx), Element(alg, kind, ty)
+    # validating constructor, with no zero and every coefficient an int
+    # when integral and a Fraction otherwise
+    laurent, tx, ty, q, scalar = case
+    ambient = alg.laurent if laurent else alg
+    x, y = Element(ambient, tx), Element(ambient, ty)
     raw_sum = dict(x.terms)
     for m, c in y.terms.items():
         raw_sum[m] = raw_sum[m] + c if m in raw_sum else c
     raw_product: dict = {}
     for ma, ca in x.terms.items():
         for mb, cb in y.terms.items():
-            merged = alg.multiply_monomials(ma, mb)
+            merged = ambient.multiply_monomials(ma, mb)
             if merged is not None:
                 sign, m = merged
                 c = ca * cb * sign
                 raw_product[m] = raw_product[m] + c if m in raw_product else c
-    coefficient_type = Fraction if kind == RATIONAL else Laurent
+    # a Laurent scalar multiplies through times_t, into alg.laurent
+    raw_scaled: dict = {}
+    for key, c in x.terms.items():
+        m, j = key if laurent else (key, 0)
+        for k, s in scalar.items():
+            raw_scaled[m, j + k] = raw_scaled.get((m, j + k), 0) + c * s
     for got, raw in (
         (x + y, raw_sum),
         (x * y, raw_product),
         (x.scale(q), {m: c * q for m, c in x.terms.items()}),
         (-x, {m: -c for m, c in x.terms.items()}),
         (x + -x, {}),
+        (times_laurent(x, scalar), raw_scaled),
     ):
-        assert got == Element(alg, kind, raw)
-        assert all(c and type(c) is coefficient_type for c in got.terms.values())
+        assert got == Element(got.algebra, raw) and got.algebra in (ambient, alg.laurent)
+        assert all(
+            c and (type(c) is int or type(c) is Fraction and c.denominator != 1) for c in got.terms.values()
+        )
+
+
+def test_a_degree_one_generator_is_admitted_and_degree_zero_refused():
+    # validation reports degree 1 as a simple-connectivity violation, so
+    # the algebra itself must still admit it
+    a = FreeGCA([Generator(0, "a", 1)]).gen("a")
+    assert a.is_homogeneous(1) and (a * a).is_zero()
+    with pytest.raises(ValueError, match="generator 'a' has degree 0 < 1"):
+        FreeGCA([Generator(0, "a", 0)])
 
 
 def test_repr_lists_generators_with_their_degrees_in_id_order():
@@ -400,48 +414,49 @@ def test_repr_lists_generators_with_their_degrees_in_id_order():
     assert repr(FreeGCA([])) == "FreeGCA()"
 
 
-def _random_image(rng, alg, degree, kind):
-    """A random element of the given degree, in the given scalar kind."""
+def _random_image(rng, alg, degree, laurent):
+    """A random element of the given degree, in alg.laurent when `laurent`."""
 
     def coeff():
         c = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2]))
-        return Laurent({rng.randint(-2, 2): c, rng.randint(-2, 2): 1}) if kind == LAURENT else c
+        return Laurent({rng.randint(-2, 2): c, rng.randint(-2, 2): 1}) if laurent else c
 
     basis = alg.monomial_basis(degree)
     chosen = rng.sample(basis, rng.randint(0, min(3, len(basis))))
-    return alg.element({m: coeff() for m in chosen}, kind)
+    if laurent:
+        return sum((times_laurent(alg.element({m: 1}), coeff()) for m in chosen), alg.laurent.zero())
+    return alg.element({m: coeff() for m in chosen})
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from([RATIONAL, LAURENT]))
-def test_cached_prefixes_give_each_monomial_the_naive_image(seed, kind):
+@given(st.integers(0, 10**6), st.booleans())
+def test_cached_prefixes_give_each_monomial_the_naive_image(seed, laurent):
     # every word's image equals the product of its generators' images in
     # word order, taken from 1, whatever the map was asked before
     rng = random.Random(seed)
     p = random_presentation(rng)
     alg = p.algebra
-    images = {g.gid: _random_image(rng, alg, g.degree, kind) for g in p.generators if rng.random() < 0.8}
-    phi = extend_algebra_map(alg, images)
-    full = {g.gid: images.get(g.gid, alg.gen(g.gid)) for g in p.generators}
-    if phi.kind == LAURENT:
-        full = {gid: img.with_laurent_scalars() for gid, img in full.items()}
+    ambient = alg.laurent if laurent else alg
+    images = {g.gid: _random_image(rng, alg, g.degree, laurent) for g in p.generators if rng.random() < 0.8}
+    phi = extend_algebra_map(ambient, images)
+    full = {g.gid: images.get(g.gid, ambient.gen(g.gid)) for g in p.generators}
     monos = [m for n in range(p.truncation_degree) for m in alg.monomial_basis(n)]
     for mono in rng.sample(monos, min(len(monos), 40)):
-        naive = alg.one(phi.kind)
+        naive = ambient.one()
         for gid, e in mono:
             for _ in range(e):
                 naive = naive * full[gid]
-        assert alg.element(phi.of_monomial(mono), phi.kind) == naive, alg.monomial_name(mono)
+        assert Element(ambient, phi.of_monomial(mono)) == naive, alg.monomial_name(mono)
         assert phi(alg.element({mono: 3})) == naive.scale(3)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from([RATIONAL, LAURENT]))
-def test_power_is_the_n_fold_product_from_one(seed, kind):
+@given(st.integers(0, 10**6), st.booleans())
+def test_power_is_the_n_fold_product_from_one(seed, laurent):
     rng = random.Random(seed)
     alg = FreeGCA(GENS)
-    x = _random_image(rng, alg, rng.choice([2, 3, 4]), kind)
-    naive = alg.one(kind)
+    x = _random_image(rng, alg, rng.choice([2, 3, 4]), laurent)
+    naive = x.algebra.one()
     for n in range(5):
         assert x.power(n) == naive, n
         naive = naive * x

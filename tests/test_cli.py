@@ -534,6 +534,43 @@ def test_family_eval_at_a_pole_is_an_input_error(tmp_path, capsys):
     assert code == 2
     assert "error: t^-1 at t = 0" in err
 
+
+def _huge_power_family(tmp_path, power: int) -> str:
+    # x -> t^power x, y -> t^(2 power) y, u -> u: a verified family of s2xs3
+    return _family_file(tmp_path, {"x": (f"t^{power}", "x"), "y": (f"t^{2 * power}", "y"), "u": ("1", "u")})
+
+
+def test_family_eval_refuses_a_power_of_t_too_large_to_print(tmp_path):
+    # 3^(2 10^9) has about 9.5 10^8 digits: computing it used to run on
+    # past 20 s, and at t^(10^6) str() failed with CPython's own message
+    family = _huge_power_family(tmp_path, 10**9)
+    argv = [sys.executable, "-m", "rht", "family", corpus("s2xs3.json"), "--family", family]
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    verified = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
+    assert verified.returncode == 0, verified.stderr
+    for t0, power in (("3", 2 * 10**9), ("-1/2", 2 * 10**9)):
+        proc = subprocess.run([*argv, f"--eval={t0}"], env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        limit = sys.get_int_max_str_digits()
+        assert proc.stderr == f"error: t^{power} in the image of y has more than {limit} digits at t = {t0}\n"
+
+
+@pytest.mark.parametrize("t0", ["0", "1", "-1"])
+def test_family_eval_never_refuses_zero_or_a_unit(tmp_path, capsys, t0):
+    family = _huge_power_family(tmp_path, 10**9)
+    assert main(["family", corpus("s2xs3.json"), "--family", family, f"--eval={t0}", "--json"]) == 0
+    images = json.loads(capsys.readouterr().out)["images"]
+    # (-1)^(10^9) = 1: both powers are even
+    assert images == {"x": "0", "y": "0", "u": "u"} if t0 == "0" else {"x": "x", "y": "y", "u": "u"}
+
+
+def test_family_eval_below_the_digit_limit_still_evaluates(tmp_path, capsys):
+    family = _huge_power_family(tmp_path, 1000)
+    assert main(["family", corpus("s2xs3.json"), "--family", family, "--eval", "10", "--json"]) == 0
+    images = json.loads(capsys.readouterr().out)["images"]
+    assert images["x"] == f"{10**1000}*x" and images["u"] == "u"
+
+
 def test_family_conjugation_changes_the_images(capsys):
     assert main(["family", corpus("s2xs3.json"), "--json"]) == 0
     plain = json.loads(capsys.readouterr().out)

@@ -38,7 +38,7 @@ from oracles import (
     presentation_data,
     random_presentation,
 )
-from rht.algebra import RATIONAL, Element
+from rht.algebra import Element
 from rht.cohomology import (
     ActionReport,
     CochainComplex,
@@ -193,8 +193,8 @@ def _check_cocycle_refusal(cx, n, k_rows, v):
     d_n = cx.d_matrix(n)
     cocycle = not any(sum(a * b for a, b in zip(dense(row, d_n.cols), v)) for row in d_n._rows)
     assert cocycle == (not any(sum(a * b for a, b in zip(row, v)) for row in k_rows))
-    x = Element(cx.algebra, RATIONAL, {m: c for m, c in zip(cx.basis(n), v) if c})
-    for y in (x, x.with_laurent_scalars()):
+    x = Element(cx.algebra, {m: c for m, c in zip(cx.basis(n), v) if c})
+    for y in (x, x.times_t(0)):
         if cocycle:
             assert len(cx.class_coordinates(y, n)) == cx.betti(n)
         else:
@@ -422,7 +422,7 @@ def test_unverified_family_is_rejected():
     p = load_presentation("s2xs3")
     alg = p.algebra
     images = {
-        g.gid: alg.gen(g.name).with_laurent_scalars().scale(Laurent.t(1))
+        g.gid: alg.gen(g.name).times_t(1)
         for g in p.generators
     }
     # x,y,u all weight 1 is not a chain map since d(y) = x^2
@@ -454,7 +454,7 @@ def _s2xs3_diagonal():
         # d(y) = x^2; the diagonal family scales y by t^2 and u by t
         (lambda y, u: [y], "representative y is not a cocycle"),
         (lambda y, u: [y + u], "representative y . u is not a cocycle"),
-        (lambda y, u: [u.with_laurent_scalars()], "Laurent element"),
+        (lambda y, u: [u.times_t(0)], "Laurent element"),
     ],
     ids=["y", "y+u", "laurent-u"],
 )
@@ -476,13 +476,12 @@ def test_action_refuses_an_image_that_is_not_a_cocycle():
     # the family is not a chain map, so its verification is stubbed out
     p = load_presentation("s2xs3")
     alg = p.algebra
-    t = Laurent.t(1)
-    images = {g.gid: alg.gen(g.gid).with_laurent_scalars() for g in p.generators}
-    images[alg.by_name["u"].gid] = (alg.gen("u") + alg.gen("y")).with_laurent_scalars().scale(t)
+    images = {g.gid: alg.gen(g.gid).times_t(0) for g in p.generators}
+    images[alg.by_name["u"].gid] = (alg.gen("u") + alg.gen("y")).times_t(1)
     fam = OneParameterFamily(p, images)
     fam._verified = []
-    image = fam.apply(alg.gen("u").with_laurent_scalars())
-    assert p.d(image) == (alg.gen("x") * alg.gen("x")).with_laurent_scalars().scale(t)
+    image = fam.apply(alg.gen("u").times_t(0))
+    assert p.d(image) == (alg.gen("x") * alg.gen("x")).times_t(1)
     for reps in (None, [alg.gen("u")]):
         with pytest.raises(ToolkitError, match="image in degree 3 is not a certified cocycle"):
             induced_action(p, fam, 3, representatives=reps)
@@ -633,7 +632,7 @@ def _assert_readers_read_and_kill(key, p):
             for k in range(j + 1, len(reps)):
                 mixed[j] = mixed[j] + reps[k].scale(Fraction(k + 1, j + 2))
         bound = [
-            Element(cx.algebra, RATIONAL, {cx.basis(n)[i]: x for i, x in b.items()})
+            Element(cx.algebra, {cx.basis(n)[i]: x for i, x in b.items()})
             for b in independent_columns(cx.d_matrix(n - 1))
         ]
         readers = [cx.quotient_data(n)] + [cx.quotient_for(n, xs) for xs in (reps[::-1], mixed)]

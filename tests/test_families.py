@@ -8,14 +8,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_group_law, random_presentation
+from oracles import (
+    brute_force_weights,
+    element_words,
+    oracle_group_law,
+    random_presentation,
+    times_laurent,
+    word_algebra_map,
+)
 from rht.corpus import (
     load_corpus_automorphism,
     load_corpus_family,
     load_manifest,
     load_presentation,
 )
-from rht.algebra import LAURENT, Element, FreeGCA, Generator
+from rht.algebra import Element, FreeGCA, Generator
 from rht.cohomology import induced_action
 from rht.errors import FamilyError, SchemaError, SingularMapError
 from rht.families import (
@@ -80,7 +87,7 @@ def test_conjugated_family_matches_frozen_formula(product_model):
     # y goes to t^2 y + (t - t^2) u
     _, my = alg.normalize_word([y])
     _, mu = alg.normalize_word([u])
-    assert img.terms == {
+    assert img.by_monomial() == {
         my: laurent("t^2"),
         mu: laurent("t - t^2"),
     }
@@ -121,7 +128,7 @@ def _assignment(p, **changed):
         ModelMap,
         ModelAutomorphism,
         lambda p, images: OneParameterFamily(
-            p, {gid: img.with_laurent_scalars() for gid, img in images.items()}
+            p, {gid: img.times_t(0) for gid, img in images.items()}
         ),
     ],
     ids=["map", "automorphism", "family"],
@@ -140,11 +147,13 @@ def test_map_images_are_checked_once_by_the_extension(product_model, build):
 def test_map_and_family_keep_their_own_image_checks(product_model):
     p = product_model
     alg = p.algebra
-    x_t = alg.gen("x").with_laurent_scalars().scale(laurent("t"))
-    with pytest.raises(FamilyError, match="image of x must have rational coefficients"):
+    from rht.errors import AmbientMismatchError
+
+    x_t = alg.gen("x").times_t(1)
+    with pytest.raises(AmbientMismatchError, match="image of x lives in a different algebra"):
         ModelMap(p, _assignment(p, x=x_t))
     laurent_images = {
-        gid: img.with_laurent_scalars() for gid, img in _assignment(p, x=x_t).items()
+        gid: img.times_t(0) for gid, img in _assignment(p, x=x_t).items()
     }
     partial = dict(laurent_images)
     del partial[alg.by_name["u"].gid]
@@ -162,7 +171,7 @@ def test_map_refuses_an_image_on_an_unknown_generator_id(product_model):
 
 def test_family_refuses_an_image_on_an_unknown_generator_id(product_model):
     p = product_model
-    images = {g.gid: p.algebra.gen(g.gid).with_laurent_scalars() for g in p.generators}
+    images = {g.gid: p.algebra.gen(g.gid).times_t(0) for g in p.generators}
     with pytest.raises(FamilyError, match="image on unknown generator id -1"):
         OneParameterFamily(p, {**images, -1: images[0]})
 
@@ -171,9 +180,9 @@ def test_non_chain_map_family_fails_verification(product_model):
     p = product_model
     alg = p.algebra
     images = {
-        alg.by_name["x"].gid: alg.gen("x").with_laurent_scalars().scale(laurent("t")),
-        alg.by_name["y"].gid: alg.gen("y").with_laurent_scalars().scale(laurent("t^3")),
-        alg.by_name["u"].gid: alg.gen("u").with_laurent_scalars().scale(laurent("t")),
+        alg.by_name["x"].gid: times_laurent(alg.gen("x"), laurent("t")),
+        alg.by_name["y"].gid: times_laurent(alg.gen("y"), laurent("t^3")),
+        alg.by_name["u"].gid: times_laurent(alg.gen("u"), laurent("t")),
     }
     fam = OneParameterFamily(p, images)
     kinds = {v.kind for v in verify_family(fam)}
@@ -186,9 +195,9 @@ def test_group_law_violation_detected(product_model):
     # t -> t + 1 on x breaks lambda_s . lambda_t = lambda_st but keeps t=1
     half = laurent("1/2*t + 1/2")
     images = {
-        alg.by_name["x"].gid: alg.gen("x").with_laurent_scalars().scale(half),
-        alg.by_name["y"].gid: alg.gen("y").with_laurent_scalars().scale(half * half),
-        alg.by_name["u"].gid: alg.gen("u").with_laurent_scalars().scale(half),
+        alg.by_name["x"].gid: times_laurent(alg.gen("x"), half),
+        alg.by_name["y"].gid: times_laurent(alg.gen("y"), half * half),
+        alg.by_name["u"].gid: times_laurent(alg.gen("u"), half),
     }
     fam = OneParameterFamily(p, images)
     kinds = {v.kind for v in verify_family(fam)}
@@ -208,7 +217,7 @@ def _perturbed(rng, p, images):
     to the image of one random generator g."""
     g = rng.choice(p.generators)
     m = rng.choice(p.algebra.monomial_basis(g.degree))
-    extra = p.algebra.element({m: 1}).with_laurent_scalars().scale(_random_scalar(rng))
+    extra = times_laurent(p.algebra.element({m: 1}), _random_scalar(rng))
     return {**images, g.gid: images[g.gid] + extra}
 
 
@@ -219,7 +228,7 @@ def _random_family(rng, p):
     alg = p.algebra
     weights = {g.gid: rng.randint(-2, 3) for g in p.generators}
     diagonal = {
-        g.gid: alg.gen(g.gid).with_laurent_scalars().scale(Laurent.t(weights[g.gid]))
+        g.gid: alg.gen(g.gid).times_t(weights[g.gid])
         for g in p.generators
     }
     mode = rng.choice(["diagonal", "conjugated", "random"])
@@ -241,10 +250,10 @@ def _random_family(rng, p):
     else:
         images = {}
         for g in p.generators:
-            x = alg.zero(LAURENT)
+            x = alg.laurent.zero()
             basis = alg.monomial_basis(g.degree)
             for m in rng.sample(basis, min(2, len(basis))):
-                x = x + alg.element({m: 1}).with_laurent_scalars().scale(_random_scalar(rng))
+                x = x + times_laurent(alg.element({m: 1}), _random_scalar(rng))
             images[g.gid] = x
     return _perturbed(rng, p, images) if rng.random() < 0.5 else images
 
@@ -271,13 +280,90 @@ def test_group_law_matches_two_variable_oracle_on_corpus_families(seed):
         assert _group_subjects(broken) == oracle_group_law(p, broken.images)
 
 
+
+def _unipotent_automorphism(rng, p):
+    """g -> g + c m, with m a random decomposable monomial of g's degree or
+    a later generator of that degree: the linear part is the identity plus
+    a strictly triangular part, so the map is always invertible."""
+    alg = p.algebra
+    images = {}
+    for g in p.generators:
+        basis = alg.monomial_basis(g.degree)
+        others = [m for m in basis if alg.word_length(m) >= 2 or m[0][0] > g.gid]
+        if others:
+            shift = alg.element({rng.choice(others): rng.choice([1, -1, 2, Fraction(1, 2)])})
+            images[g.gid] = alg.gen(g.gid) + shift
+    return ModelMap(p, images)
+
+
+def _check_against_word_oracle(rng, p, fam):
+    """fam.apply on random rational and t-elements, fam composed with
+    itself, and fam conjugated by a random unipotent automorphism, each
+    against the word oracle's algebra maps."""
+    degrees = {g.gid: g.degree for g in p.generators}
+
+    def oracle(m):
+        return word_algebra_map({gid: element_words(img, degrees) for gid, img in m.images.items()}, degrees)
+
+    apply = oracle(fam)
+    alg = p.algebra
+    monos = [m for n in range(p.truncation_degree) for m in alg.monomial_basis(n)]
+    for _ in range(4):
+        x = alg.element({m: rng.choice([1, -2, Fraction(1, 3)]) for m in rng.sample(monos, min(3, len(monos)))})
+        for y in (x, x.times_t(-1) + x.scale(3).times_t(rng.randint(-1, 2))):
+            assert element_words(fam.apply(y), degrees) == apply(element_words(y, degrees))
+    composed = compose_families(fam, fam)
+    phi = _unipotent_automorphism(rng, p)
+    conj = conjugate(fam, phi)
+    to_phi, from_phi = oracle(phi), oracle(phi.inverse())
+    for g in p.generators:
+        words = element_words(fam.images[g.gid], degrees)
+        assert element_words(composed.images[g.gid], degrees) == apply(words)
+        gen = element_words(alg.gen(g.gid), degrees)
+        assert element_words(conj.images[g.gid], degrees) == from_phi(apply(to_phi(gen)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32))
+def test_family_application_composition_and_conjugation_match_the_word_oracle(seed):
+    # a diagonal family of brute-forced weights (random weights when there
+    # are none), conjugated by a random unipotent automorphism
+    rng = random.Random(seed)
+    p = random_presentation(rng)
+    weights = brute_force_weights(p)
+    if weights is None:
+        diag = OneParameterFamily(p, {g.gid: p.algebra.gen(g.gid).times_t(rng.randint(-2, 3)) for g in p.generators})
+    else:
+        diag = diagonal_family(p, WeightAssignment(weights))
+    _check_against_word_oracle(rng, p, conjugate(diag, _unipotent_automorphism(rng, p)))
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(0, 2**32))
+def test_family_files_with_inverse_powers_match_the_word_oracle(seed):
+    # each corpus family at 1/t, written to its JSON text and read back
+    rng = random.Random(seed)
+    families = load_manifest()["families"]
+    for key in sorted(k for k, rec in families.items() if rec["kind"] == "family"):
+        fam = load_corpus_family(key)
+        p = fam.presentation
+        inverted = {
+            gid: sum((part.times_t(-k) for k, part in img.t_components().items()), p.algebra.laurent.zero())
+            for gid, img in fam.images.items()
+        }
+        text = serialize_family(OneParameterFamily(p, inverted))
+        assert "t^-1" in text
+        read = parse_family(p, text)
+        assert verify_family(read) == []
+        _check_against_word_oracle(rng, p, read)
+
 def test_identity_violation_detected(product_model):
     p = product_model
     alg = p.algebra
     images = {
-        alg.by_name["x"].gid: alg.gen("x").with_laurent_scalars().scale(laurent("t^2")),
-        alg.by_name["y"].gid: alg.gen("y").with_laurent_scalars().scale(laurent("t^4")),
-        alg.by_name["u"].gid: alg.gen("u").with_laurent_scalars().scale(laurent("2*t")),
+        alg.by_name["x"].gid: times_laurent(alg.gen("x"), laurent("t^2")),
+        alg.by_name["y"].gid: times_laurent(alg.gen("y"), laurent("t^4")),
+        alg.by_name["u"].gid: times_laurent(alg.gen("u"), laurent("2*t")),
     }
     fam = OneParameterFamily(p, images)
     kinds = {v.kind for v in verify_family(fam)}
@@ -445,7 +531,7 @@ def test_maps_compare_across_the_automorphism_class_but_never_to_a_family(produc
         "OneParameterFamily(x -> t*x, y -> t^2*y + (-t^2 + t)*u, u -> t*u)"
     )
     ident = {g.gid: alg.gen(g.gid) for g in p.generators}
-    widened = {gid: img.with_laurent_scalars() for gid, img in ident.items()}
+    widened = {gid: img.times_t(0) for gid, img in ident.items()}
     assert ModelMap(p, ident) != OneParameterFamily(p, widened)
     # with no generators both image dicts are empty; the classes still differ
     empty = SullivanPresentation("empty", [], {}, 4)

@@ -25,6 +25,7 @@ def test_a_tree_against_itself_reports_every_rung_with_equal_outputs(tmp_path):
         "parse/formal-h-s2ws4/8",
         "family-actions/s2xs3^2",
         "certificates/s2xs3^2",
+        "family-json/s2xs3^2",
     ]
     for rung in report["rungs"]:
         assert rung["same_output"]

@@ -11,7 +11,7 @@ from oracles import (
     fraction_diagonalization_certificate,
     fraction_mat_mul,
 )
-from rht.algebra import RATIONAL, Element
+from rht.algebra import Element
 from rht.cohomology import ActionReport, _mat_mul, diagonalization_certificate
 from rht.corpus import load_corpus_family
 from rht.errors import SchemaError
@@ -226,7 +226,7 @@ def _exact_scalar_takers():
     x = alg.gen("x")
     (mono,) = x.terms
     return [
-        lambda c: Element(alg, RATIONAL, {mono: c}),
+        lambda c: Element(alg, {mono: c}),
         lambda c: alg.element({mono: c}),
         x.scale,
         lambda c: evaluate(fam, c),

@@ -13,7 +13,9 @@ flag manifolds SU(4)/T and SU(5)/T, and the family-actions computation
 on S^2 x (S^3)^k for each k: a sheared diagonal family conjugated, its
 actions on cohomology and homology in every degree, and their
 diagonalisation certificates; then, for the same k, those certificates
-alone, of actions made untimed.  The others are the parse and `find_weights`
+alone, of actions made untimed; then the same conjugation, its
+verification and the family written out, as its JSON file and as the
+`str` of every image.  The others are the parse and `find_weights`
 of the witness join at each of `--joins` (`infeasible-synthetic` joined
 to the formal model of `h-s2ws4` at that truncation, either block first),
 and the parse of that formal model, serialized, at each of `--parses`.
@@ -108,6 +110,16 @@ def family_actions(rht, inputs) -> list:
     for n in range(p.truncation_degree):
         actions += [cohomology.induced_action(p, conj, n), cohomology.homology_action(p, conj, n)]
     return actions
+
+
+def family_json(rht, inputs) -> list:
+    """Conjugate the family, verify it, and write it out: the family's JSON
+    file, the `str` of every image, and the violations found."""
+    families = rht["families"]
+    p, fam, images = inputs
+    conj = families.conjugate(fam, families.ModelAutomorphism(p, images))
+    violations = [str(v) for v in families.verify_family(conj)]
+    return [families.serialize_family(conj), [str(conj.images[g.gid]) for g in p.generators], violations]
 
 
 def certificates(rht, actions) -> list[dict]:
@@ -212,6 +224,11 @@ def rungs(rht, tree: Path, truncations: list[int], docs: dict[str, str], ks: lis
         out[f"certificates/s2xs3^{k}"] = (
             lambda k=k: family_actions(rht, family_inputs(rht, family_document(k))),
             lambda actions: certificates(rht, actions),
+            json.dumps,
+        )
+        out[f"family-json/s2xs3^{k}"] = (
+            lambda k=k: family_inputs(rht, family_document(k)),
+            lambda inputs: family_json(rht, inputs),
             json.dumps,
         )
     return out
