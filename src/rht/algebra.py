@@ -8,9 +8,9 @@ exponent.  Reordering a word picks up the Koszul sign, minus one for every
 transposition of two odd factors; a repeated odd generator kills the word.
 
 Every coefficient is exact and nonzero: an `int` when integral, a
-`Fraction` otherwise, as in `Laurent`.  `Element(...)` enforces it and
-refuses floats and bools; arithmetic keeps it and builds its results with
-`Element._trusted`.  A family's images live in `FreeGCA.laurent`, the
+`Fraction` otherwise, as in `Laurent`.  `Element(...)` enforces it,
+refusing floats, bools and keys that are no monomials; arithmetic keeps it
+and builds its results with `Element._trusted`.  A family's images live in `FreeGCA.laurent`, the
 monoid algebra Q[t, 1/t] (x) Lambda(V) of monomials (m, k) standing for
 t^k m: t is a grading, not a second kind of scalar.  Maps are defined on
 generators and extended: a derivation by the graded Leibniz rule, an
@@ -59,9 +59,14 @@ class FreeGCA:
             raise ValueError("duplicate generator names")
         self.generators = gens
         self.by_name = {g.name: g for g in gens}
-        self._order = sorted(range(len(gens)), key=lambda i: (gens[i].degree, i))
-        self._rank = {gid: r for r, gid in enumerate(self._order)}
+        order = sorted(range(len(gens)), key=lambda i: (gens[i].degree, i))
+        self._rank = {gid: r for r, gid in enumerate(order)}
         self._laurent = lambda: None
+        # the enumeration of `monomial_basis`: the bases of degrees 0 .. len - 1,
+        # and the frontier of the walk, each entry led by the degree at which it grows
+        self._ranked = [(gid, gens[gid].degree) for gid in order]
+        self._bases: list[list[Monomial]] = [[UNIT]]
+        self._frontier = [(self._ranked[0][1], UNIT, 0, 0, 1, len(gens))] if gens else []
 
     # ---- monomials ----------------------------------------------------
 
@@ -151,51 +156,72 @@ class FreeGCA:
         return sign, tuple(out)
 
     def monomial_basis(self, degree: int) -> list[Monomial]:
-        """All canonical monomials of the given degree, in deterministic
-        order (lexicographic in the canonical generator order)."""
+        """All canonical monomials of the given degree, in canonical order
+        (lexicographic in the canonical generator order): the cached list,
+        which callers only read.  One pre-order walk per algebra makes every
+        basis, resumed up to the largest degree asked so far (README,
+        "Guarantees and limits")."""
         if degree < 0:
             return []
-        if degree == 0:
-            return [UNIT]
-        order = self._order
-        out: list[Monomial] = []
-        # depth-first over (next generator position, degree left, prefix);
-        # an explicit stack, so no closure refers to itself.  A node pops
-        # its children with exponents 1, 2, ..., top and then the one that
-        # skips the generator, which is the canonical order of their
-        # monomials, so `out` needs no sort
-        stack: list[tuple[int, int, Monomial]] = [(0, degree, UNIT)]
-        while stack:
-            pos, remaining, acc = stack.pop()
-            if remaining == 0:
-                out.append(acc)
+        if degree >= len(self._bases):
+            self._walk(degree)
+        return self._bases[degree]
+
+    def _walk(self, top: int):
+        """Walk on through every monomial of degree <= top.  A state (m, deg m,
+        r, e, stop) is the interval of the walk made of the words m g_r^e' S,
+        e' >= e and S in the ranks after r, then the same for the ranks after
+        r below stop.  It waits, led by the degree of m g_r^e, when that word
+        does not fit: whole when e = 1, as no later rank has a smaller degree,
+        else cut at rank r + 1, the walk going on from there."""
+        bases, ranked = self._bases, self._ranked
+        bases += [[] for _ in range(top + 1 - len(bases))]
+        frontier, self._frontier = self._frontier, []
+        wait, last = self._frontier.append, len(ranked)
+        for entry in frontier:
+            if entry[0] > top:
+                wait(entry)
                 continue
-            if pos == len(order):
-                continue
-            gid = order[pos]
-            d = self.generators[gid].degree
-            if d > remaining:
-                # the order sorts by degree: every later generator is too big
-                continue
-            stack.append((pos + 1, remaining, acc))
-            top = remaining // d
-            if d % 2:
-                top = min(top, 1)
-            for e in range(top, 0, -1):
-                stack.append((pos + 1, remaining - e * d, acc + ((gid, e),)))
-        return out
+            stack = [entry[1:]]
+            while stack:
+                mono, deg, r, e, stop = stack.pop()
+                gid, d = ranked[r]
+                grown = deg + e * d
+                if grown > top:
+                    wait((grown, mono, deg, r, e, stop if e == 1 else r + 1))
+                    if e > 1 and r + 1 < stop:
+                        stack.append((mono, deg, r + 1, 1, stop))
+                    continue
+                child = mono + ((gid, e),)
+                bases[grown].append(child)
+                if d % 2 == 0:
+                    stack.append((mono, deg, r, e + 1, stop))
+                elif r + 1 < stop:
+                    stack.append((mono, deg, r + 1, 1, stop))
+                if r + 1 < last:
+                    stack.append((child, grown, r + 1, 1, last))
 
     # ---- elements -----------------------------------------------------
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        return Element._trusted(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {UNIT: 1})
+        return Element._trusted(self, {UNIT: 1})
 
     def gen(self, name_or_gid) -> "Element":
         g = self.by_name[name_or_gid] if isinstance(name_or_gid, str) else self.generators[name_or_gid]
-        return Element(self, {((g.gid, 1),): 1})
+        return Element._trusted(self, {((g.gid, 1),): 1})
+
+    def is_monomial(self, key) -> bool:
+        """Whether key is a canonical word: a tuple of (gid, exponent) pairs
+        of ints by increasing rank, each exponent positive, an odd
+        generator's 1."""
+        if type(key) is not tuple or any(type(f) is not tuple or [*map(type, f)] != [int, int] for f in key):
+            return False
+        ranks = [self._rank.get(g, -1) for g, _ in key]
+        return min(ranks, default=0) >= 0 and ranks == sorted(set(ranks)) and all(
+            e == 1 or e > 1 and self.generators[g].degree % 2 == 0 for g, e in key)
 
     def element(self, terms: dict[Monomial, object]) -> "Element":
         return Element(self, dict(terms))
@@ -255,11 +281,14 @@ class LaurentGCA:
     def shifted(key: tuple[Monomial, int], k: int) -> tuple[Monomial, int]:
         return key[0], key[1] + k
 
+    def is_monomial(self, key) -> bool:
+        return type(key) is tuple and len(key) == 2 and type(key[1]) is int and self.base.is_monomial(key[0])
+
     def zero(self) -> "Element":
-        return Element(self, {})
+        return Element._trusted(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {(UNIT, 0): 1})
+        return Element._trusted(self, {(UNIT, 0): 1})
 
     def gen(self, name_or_gid) -> "Element":
         return self.base.gen(name_or_gid).times_t(0)
@@ -278,11 +307,15 @@ def _reduced(algebra, acc: dict) -> "Element":
 
 
 class Element:
-    """Element of a FreeGCA or of its `laurent`, as a dict monomial -> coefficient."""
+    """Element of a FreeGCA or of its `laurent`, as a dict monomial -> coefficient.
+    The constructor refuses a key that is no monomial of the algebra."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, terms: dict):
+        for m in terms:
+            if not algebra.is_monomial(m):
+                raise ValueError(f"{m!r} is not a monomial of {type(algebra).__name__}")
         self.algebra = algebra
         self.terms = {m: c for m, v in terms.items() if (c := exact_coefficient(v))}
 
@@ -371,18 +404,24 @@ class Element:
         shifted = self.algebra.shifted
         return Element._trusted(self.algebra.laurent, {shifted(m, k): c for m, c in self.terms.items()})
 
+    def _t_terms(self):
+        """The terms keyed (m, k) as in `laurent`: a t-element's own, a base element's at k = 0."""
+        if isinstance(self.algebra, LaurentGCA):
+            return self.terms.items()
+        return (((m, 0), c) for m, c in self.terms.items())
+
     def t_components(self) -> dict[int, "Element"]:
         """The elements P_k of the base algebra with self = sum of t^k P_k,
         by increasing k; an element of the base algebra is its own P_0."""
         parts: dict[int, dict] = {}
-        for (m, k), c in self.times_t(0).terms.items():
+        for (m, k), c in self._t_terms():
             parts.setdefault(k, {})[m] = c
         return {k: Element._trusted(self.algebra.base, terms) for k, terms in sorted(parts.items())}
 
     def by_monomial(self) -> dict[Monomial, Laurent]:
         """Each base monomial with its coefficient, the Laurent polynomial of its powers of t."""
         groups: dict[Monomial, dict] = {}
-        for (m, k), c in self.times_t(0).terms.items():
+        for (m, k), c in self._t_terms():
             groups.setdefault(m, {})[k] = c
         return {m: Laurent._trusted(cs) for m, cs in groups.items()}
 

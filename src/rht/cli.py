@@ -239,12 +239,17 @@ def _cmd_family(args) -> tuple[int, dict, list[str]]:
         return 1, doc, _listed("family FAILS verification", bad)
     if args.eval is not None:
         t0 = parse_rational(args.eval)
-        # t0^k has about |k| log10 max(|p|, q) digits; Python prints ints of at most `limit` (0: any)
+        # a rational a/b has about log10 max(|a|, b) digits, so a term c t0^k
+        # at most those of c plus |k| times those of t0; Python prints ints
+        # of at most `limit` digits (0: any)
         limit = getattr(sys, "get_int_max_str_digits", int)()
-        powers = [(abs(k), k, g.name) for g in p.generators for _, k in fam.images[g.gid].terms]
-        size, k, name = max(powers, default=(0, 0, ""))
-        if limit and size * math.log10(max(abs(t0.numerator), t0.denominator)) >= limit:
-            raise ValueError(f"t^{k} in the image of {name} has more than {limit} digits at t = {t0}")
+        digits = lambda q: math.log10(max(abs(q.numerator), q.denominator))
+        terms = [(digits(c) + abs(k) * digits(t0), k, c, g.name) for g in p.generators
+                 for (_, k), c in fam.images[g.gid].terms.items()]
+        size, k, c, name = max(terms, default=(0, 0, 1, ""))
+        if limit and size >= limit:
+            term = f"t^{k}" if abs(c) == 1 else f"a {int(digits(c)) + 1}-digit coefficient times t^{k}"
+            raise ValueError(f"{term} in the image of {name} has more than {limit} digits at t = {t0}")
         ev = evaluate(fam, t0)
         images = {g.name: str(ev.map.images[g.gid]) for g in p.generators}
         doc = {"name": p.name, "parameter": str(t0), "invertible": ev.invertible, "images": images}

@@ -30,7 +30,7 @@ from .algebra import Element, FreeGCA, LinearMap
 from .errors import DegreeRangeError, FamilyError, HomogeneityError, ToolkitError
 from .model import SullivanPresentation
 from .qlinalg import QMatrix, invert, quotient_basis, rank
-from .scalars import Laurent
+from .scalars import Laurent, exact_coefficient
 from .weights import WeightAssignment, check_weights
 
 if TYPE_CHECKING:
@@ -88,8 +88,8 @@ class CochainComplex:
         for j, mono in enumerate(src):
             for m, c in self.d.of_monomial(mono).items():
                 rows[dst_index[m]][j] = c
-        mat = QMatrix.from_rows(rows, len(src))
-        self._dmat[n] = mat
+        # fresh rows of nonzero entries in range: no validating copy
+        mat = self._dmat[n] = QMatrix._of(rows, len(src))
         return mat
 
     def grown(self, algebra: FreeGCA, d: LinearMap, n: int) -> "CochainComplex":
@@ -136,7 +136,8 @@ class CochainComplex:
                 raise AssertionError(f"{len(vectors)} classes picked, b_{n} = {self.betti(n)}")
             basis = self.basis(n)
             self._quotient[n] = tuple(
-                [Element(self.algebra, {basis[j]: c for j, c in v.items()}) for v in vs] for vs in (vectors, t_rows)
+                [Element._trusted(self.algebra, {basis[j]: exact_coefficient(c) for j, c in v.items()}) for v in vs]
+                for vs in (vectors, t_rows)
             )
         return self._quotient[n]
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .algebra import Element, FreeGCA, Generator, LinearMap, Monomial, extend_derivation
 from .errors import SchemaError
-from .scalars import exact_rational, parse_rational
+from .scalars import exact_coefficient, exact_rational, parse_rational
 
 
 class Violation(NamedTuple):
@@ -175,7 +175,8 @@ def terms_to_element(alg, terms, path: str, read: Callable = parse_rational) -> 
                 del acc[key]
             else:
                 acc[key] = c
-    return Element(alg, acc)
+    # `_parse_monomial` makes canonical words, so the keys need no check
+    return Element._trusted(alg, {key: exact_coefficient(c) for key, c in acc.items()})
 
 
 def _parse_monomial(alg: FreeGCA, raw, path: str) -> tuple[int, Monomial]:

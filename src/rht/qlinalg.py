@@ -60,9 +60,10 @@ from typing import NamedTuple
 class QMatrix:
     """Immutable rational matrix stored as sparse rows.
 
-    `from_rows` is the one constructor.  A row is given dense, a sequence
-    of ints or Fractions, or sparse, a dict {column: entry}; either way it
-    is stored as {column: nonzero entry}, the entries kept as given.  Every
+    `from_rows` is the one validating constructor.  A row is given dense, a
+    sequence of ints or Fractions, or sparse, a dict {column: entry}; either
+    way it is stored as {column: nonzero entry}, the entries kept as given.
+    `_of` wraps rows already in that form, such as a fresh d-matrix's.  Every
     algorithm reads the rows through one door, `_echelon`, which feeds them
     to the one elimination loop, `EchelonSpan`, and stops at full column
     rank.  `echelon` keeps that span, and no caller extends it.  The class
@@ -173,12 +174,13 @@ def _eliminate(row: dict[int, int], c: int, pivot_row: dict[int, int]) -> dict[i
 
 def _echelon(rows, ncols: int) -> EchelonSpan:
     """The one door into elimination: the sparse rows added one at a time
-    to an `EchelonSpan`, fewest nonzero entries first, stopping once the
-    rank reaches the column count, since no later row can then extend the
-    span.  Sparse rows first fill in less; the RREF of the span, and with
-    it every row and pivot kept, does not depend on the order."""
+    to an `EchelonSpan`, fewest nonzero entries first, empty ones skipped,
+    stopping once the rank reaches the column count, since no later row can
+    then extend the span.  Sparse rows first fill in less; the RREF of the
+    span, and with it every row and pivot kept, does not depend on the
+    order."""
     span = EchelonSpan(ncols)
-    for row in sorted(rows, key=len):
+    for row in sorted(filter(None, rows), key=len):
         if len(span.pivots) == ncols:
             break
         span.add(row)

@@ -81,6 +81,31 @@ def canonical_monomial(word, degrees):
     return sign, tuple((g, word.count(g)) for g in sorted(set(word), key=key))
 
 
+def searched_monomial_basis(degrees, n):
+    """The monomials of degree n by a fresh depth-first search per degree,
+    as `FreeGCA.monomial_basis` made them before one walk served every
+    degree: a node (position in the (degree, id) order, degree left,
+    prefix) pushes the child that skips the generator, then those with
+    exponents top, ..., 1, so the stack pops them in canonical order."""
+    if n < 0:
+        return []
+    order = sorted(degrees, key=lambda g: (degrees[g], g))
+    out = []
+    stack = [(0, n, ())]
+    while stack:
+        pos, remaining, acc = stack.pop()
+        if remaining == 0:
+            out.append(acc)
+        elif pos < len(order) and degrees[order[pos]] <= remaining:
+            g = order[pos]
+            d = degrees[g]
+            stack.append((pos + 1, remaining, acc))
+            top = 1 if d % 2 else remaining // d
+            for e in range(top, 0, -1):
+                stack.append((pos + 1, remaining - e * d, acc + ((g, e),)))
+    return out
+
+
 def apply_d_word(word, degrees, d_images):
     """Leibniz expansion of d on a single word.
 

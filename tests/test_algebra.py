@@ -5,6 +5,7 @@ oracles.py, which knows nothing about the package's basis enumeration.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     monomial_count_series,
     multiply_words,
     random_presentation,
+    searched_monomial_basis,
     sort_word,
     times_laurent,
 )
@@ -79,6 +81,25 @@ def test_graded_commutativity(w1, w2):
     d2 = sum(degrees()[g] for g in w2)
     sign = -1 if (d1 % 2 == 1 and d2 % 2 == 1) else 1
     assert x * y == (y * x).scale(Fraction(sign))
+
+
+def test_every_product_of_small_monomials_has_the_oracle_sign(alg):
+    # exhaustive where random words may miss a case, such as (c f) b: b
+    # crosses two odd factors, so the sign stays +1
+    pool = [m for n in range(9) for m in alg.monomial_basis(n)]
+    for ma in pool:
+        for mb in pool:
+            words = [tuple(g for g, e in m for _ in range(e)) for m in (ma, mb)]
+            sign, merged = multiply_words(*words, degrees())
+            want = alg.element({alg.normalize_word(merged)[1]: sign}) if sign else alg.zero()
+            assert alg.element({ma: 1}) * alg.element({mb: 1}) == want, (ma, mb)
+
+
+def test_an_element_of_two_or_three_degrees_is_not_homogeneous(alg):
+    a, b, e = alg.gen("a"), alg.gen("b"), alg.gen("e")
+    for x in (a + b, a + b + e, (a + b).times_t(1)):
+        assert not x.is_homogeneous() and not x.is_homogeneous(2)
+    assert (a * a + e).is_homogeneous(4) and alg.zero().is_homogeneous(7)
 
 
 def test_odd_generator_squares_to_zero(alg):
@@ -150,6 +171,37 @@ def test_monomial_basis_comes_out_in_canonical_order(gen_degrees, n):
     keys = [alg.monomial_key(m) for m in basis]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert basis == sorted(basis, key=alg.monomial_key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 7), max_size=7),
+    st.lists(st.integers(-2, 16), min_size=1, max_size=10),
+    st.data(),
+)
+def test_every_ask_sequence_gives_the_searched_bases(gen_degrees, asks, data):
+    # one walk resumed by asks in any order (repeats, descending, 0 and
+    # negative degrees included) gives each degree the list that a fresh
+    # per-degree search gives, on generators of both parities in any id order
+    asks += data.draw(st.lists(st.sampled_from(asks), max_size=4))
+    degrees = dict(enumerate(gen_degrees))
+    alg = FreeGCA(Generator(g, f"g{g}", d) for g, d in degrees.items())
+    for n in asks:
+        assert alg.monomial_basis(n) == searched_monomial_basis(degrees, n), n
+
+
+def test_a_basis_is_enumerated_once_and_never_past_the_largest_degree_asked(monkeypatch):
+    # six degree-2 generators, as in a truncation-60 input: degree 60 has
+    # C(35, 5) = 324,632 monomials, and asking degree 4 walks to degree 4
+    alg = FreeGCA(Generator(g, f"x{g}", 2) for g in range(6))
+    walks, walk = [], FreeGCA._walk
+    monkeypatch.setattr(FreeGCA, "_walk", lambda self, top: walks.append(top) or walk(self, top))
+    first = alg.monomial_basis(4)
+    assert len(first) == 21 and len(alg._bases) == 5
+    for n in (4, 3, 0, -1, 4, 2):
+        alg.monomial_basis(n)
+    assert walks == [4] and alg.monomial_basis(4) is first
+    assert len(alg.monomial_basis(6)) == 56 and walks == [4, 6]
 
 
 def test_elements_from_different_ambients_do_not_mix(alg):
@@ -398,6 +450,44 @@ def test_arithmetic_results_equal_the_validated_terms(alg, case):
         assert all(
             c and (type(c) is int or type(c) is Fraction and c.denominator != 1) for c in got.terms.values()
         )
+
+
+@pytest.mark.parametrize(
+    "laurent, key",
+    [
+        (True, ((0, 1),)),  # a word where (word, power of t) belongs
+        (True, (((0, 1),), 1.0)),
+        (True, (((1, 2),), 0)),  # b is odd
+        (False, ((0, 1), 3)),  # a (word, power of t) pair
+        (False, ((1, 1), (0, 1))),  # out of canonical order
+        (False, ((0, 1), (0, 1))),
+        (False, ((5, 1),)),  # no generator 5
+        (False, ((0, 0),)),
+        (False, ((0, True),)),
+        (False, ((0, 1, 1),)),
+        (False, "a"),
+    ],
+)
+def test_a_key_that_is_no_monomial_is_refused_at_construction(alg, laurent, key):
+    ambient = alg.laurent if laurent else alg
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(key))} is not a monomial of "):
+        Element(ambient, {key: 1})
+
+
+def test_canonical_keys_are_admitted_in_either_algebra(alg):
+    for mono in [()] + [m for n in range(2, 9) for m in alg.monomial_basis(n)]:
+        assert Element(alg, {mono: 2}).terms == {mono: 2}
+        assert Element(alg.laurent, {(mono, -3): 2}) == Element(alg, {mono: 2}).times_t(-3)
+
+
+def test_t_components_and_by_monomial_read_the_keys_without_times_t(alg, monkeypatch):
+    x = (alg.gen("a") * alg.gen("b")).times_t(2) + alg.gen("e").times_t(-1) + (alg.gen("a") * alg.gen("b")).times_t(0)
+    monkeypatch.setattr(Element, "times_t", lambda self, k: pytest.fail("times_t called"))
+    ab, e = ((0, 1), (1, 1)), ((3, 1),)
+    assert {k: part.terms for k, part in x.t_components().items()} == {-1: {e: 1}, 0: {ab: 1}, 2: {ab: 1}}
+    assert x.by_monomial() == {ab: Laurent({0: 1, 2: 1}), e: Laurent({-1: 1})}
+    assert {k: part.terms for k, part in alg.gen("e").t_components().items()} == {0: {e: 1}}
+    assert alg.gen("e").by_monomial() == {e: Laurent({0: 1})}
 
 
 def test_a_degree_one_generator_is_admitted_and_degree_zero_refused():

@@ -555,6 +555,32 @@ def test_family_eval_refuses_a_power_of_t_too_large_to_print(tmp_path):
         assert proc.stderr == f"error: t^{power} in the image of y has more than {limit} digits at t = {t0}\n"
 
 
+def test_family_eval_bounds_the_coefficient_times_the_power_of_t(tmp_path):
+    # y -> t^2 y + c (t - t^2) u with c of 4,000 digits: at t = 10^200 the
+    # term c t^2 has 4,400 digits though t^2 has only 401; it used to exit 2
+    # with CPython's own "Exceeds the limit" message
+    c = "7" * 4000
+    doc = {
+        "x": [{"coeff": "t", "monomial": [["x", 1]]}],
+        "y": [{"coeff": "t^2", "monomial": [["y", 1]]}, {"coeff": f"{c}*t - {c}*t^2", "monomial": [["u", 1]]}],
+        "u": [{"coeff": "t", "monomial": [["u", 1]]}],
+    }
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [sys.executable, "-m", "rht", "family", corpus("s2xs3.json"), "--family", str(family)]
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    t0 = "1" + "0" * 200
+    proc = subprocess.run([*argv, f"--eval={t0}"], env=env, capture_output=True, text=True, timeout=10)
+    limit = sys.get_int_max_str_digits()
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: a 4000-digit coefficient times t^2 in the image of y has more than {limit} digits at t = {t0}\n"
+    )
+    # at t = 10^50 every term fits, and the coefficient of u is c (t0 - t0^2)
+    proc = subprocess.run([*argv, "--eval=" + "1" + "0" * 50, "--json"], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["images"]["y"] == f"{10**100}*y - {int(c) * (10**100 - 10**50)}*u"
+
+
 @pytest.mark.parametrize("t0", ["0", "1", "-1"])
 def test_family_eval_never_refuses_zero_or_a_unit(tmp_path, capsys, t0):
     family = _huge_power_family(tmp_path, 10**9)

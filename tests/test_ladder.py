@@ -20,6 +20,8 @@ def test_a_tree_against_itself_reports_every_rung_with_equal_outputs(tmp_path):
         "verify_formal_result/h-s2ws4/8",
         "cohomology/su4-t",
         "cohomology/su5-t",
+        "bases/h-s2ws4/8",
+        "bases/su5-t",
         "find_weights/witness-join/8/infeasible-first",
         "find_weights/witness-join/8/formal-first",
         "parse/formal-h-s2ws4/8",

@@ -9,7 +9,9 @@ Each tree's `src/rht` is loaded under its own package name, so both live
 in one interpreter and meet the same caches, allocator and clock.  The
 rungs are `build_formal_model` and `verify_formal_result` on the table
 `h-s2ws4` at each truncation, `cohomology` of the pure models of the
-flag manifolds SU(4)/T and SU(5)/T, and the family-actions computation
+flag manifolds SU(4)/T and SU(5)/T, the monomial bases of every degree,
+asked in ascending order, of the formal model of `h-s2ws4` at each
+truncation and of SU(5)/T, and the family-actions computation
 on S^2 x (S^3)^k for each k: a sheared diagonal family conjugated, its
 actions on cohomology and homology in every degree, and their
 diagonalisation certificates; then, for the same k, those certificates
@@ -166,10 +168,13 @@ def witness_join(rht, tree: Path, n: int, formal_first: bool) -> str:
     })
 
 
-def documents(rht, tree: Path, joins: list[int], parses: list[int]) -> dict[str, str]:
+def documents(rht, tree: Path, truncations: list[int], joins: list[int], parses: list[int]) -> dict[str, str]:
     """Rung name -> the text it reads, for the rungs whose input is a
     presentation document."""
     out = {f"cohomology/su{n}-t": flag_document(rht, n) for n in (4, 5)}
+    for n in truncations:
+        out[f"bases/h-s2ws4/{n}"] = formal_document(rht, tree, n)
+    out["bases/su5-t"] = out["cohomology/su5-t"]
     for n in joins:
         for first in ("infeasible", "formal"):
             out[f"find_weights/witness-join/{n}/{first}-first"] = witness_join(rht, tree, n, first == "formal")
@@ -200,6 +205,11 @@ def rungs(rht, tree: Path, truncations: list[int], docs: dict[str, str], ks: lis
             str, lambda text: find_weights(model.parse_presentation(text)), lambda r: json.dumps(r.to_json_dict())
         ),
         "parse": (str, model.parse_presentation, presentation_text),
+        "bases": (
+            model.parse_presentation,
+            lambda p: [p.algebra.monomial_basis(n) for n in range(p.truncation_degree)],
+            json.dumps,
+        ),
     }
 
     out = {}
@@ -238,7 +248,7 @@ def run(
     trees: dict[str, Path], truncations: list[int], repeats: int, ks: list[int], joins: list[int], parses: list[int]
 ) -> dict:
     packages = {side: load_package(tree, f"rht_ladder_{side}") for side, tree in trees.items()}
-    docs = documents(packages["change"], trees["change"], joins, parses)
+    docs = documents(packages["change"], trees["change"], truncations, joins, parses)
     ladders = {side: rungs(packages[side], trees[side], truncations, docs, ks) for side in SIDES}
     seconds = {name: {side: [] for side in SIDES} for name in ladders["parent"]}
     outputs = {name: {} for name in seconds}
