@@ -66,7 +66,7 @@ class FreeGCA:
         # and the frontier of the walk, each entry led by the degree at which it grows
         self._ranked = [(gid, gens[gid].degree) for gid in order]
         self._bases: list[list[Monomial]] = [[UNIT]]
-        self._frontier = [(self._ranked[0][1], UNIT, 0, 0, 1, len(gens))] if gens else []
+        self._frontier = [(self._ranked[0][1], UNIT, 0, 0, 1, True)] if gens else []
 
     # ---- monomials ----------------------------------------------------
 
@@ -169,11 +169,11 @@ class FreeGCA:
 
     def _walk(self, top: int):
         """Walk on through every monomial of degree <= top.  A state (m, deg m,
-        r, e, stop) is the interval of the walk made of the words m g_r^e' S,
-        e' >= e and S in the ranks after r, then the same for the ranks after
-        r below stop.  It waits, led by the degree of m g_r^e, when that word
-        does not fit: whole when e = 1, as no later rank has a smaller degree,
-        else cut at rank r + 1, the walk going on from there."""
+        r, e, whole) is the interval of the walk made of the words m g_r^e' S,
+        e' >= e and S in the ranks after r, then, when whole, the same for
+        each later rank.  It waits, led by the degree of m g_r^e, when that
+        word does not fit: whole when e = 1, as no later rank has a smaller
+        degree, else cut to rank r alone, the walk going on from rank r + 1."""
         bases, ranked = self._bases, self._ranked
         bases += [[] for _ in range(top + 1 - len(bases))]
         frontier, self._frontier = self._frontier, []
@@ -184,22 +184,22 @@ class FreeGCA:
                 continue
             stack = [entry[1:]]
             while stack:
-                mono, deg, r, e, stop = stack.pop()
+                mono, deg, r, e, whole = stack.pop()
                 gid, d = ranked[r]
                 grown = deg + e * d
                 if grown > top:
-                    wait((grown, mono, deg, r, e, stop if e == 1 else r + 1))
-                    if e > 1 and r + 1 < stop:
-                        stack.append((mono, deg, r + 1, 1, stop))
+                    wait((grown, mono, deg, r, e, e == 1))
+                    if e > 1 and whole and r + 1 < last:
+                        stack.append((mono, deg, r + 1, 1, True))
                     continue
                 child = mono + ((gid, e),)
                 bases[grown].append(child)
                 if d % 2 == 0:
-                    stack.append((mono, deg, r, e + 1, stop))
-                elif r + 1 < stop:
-                    stack.append((mono, deg, r + 1, 1, stop))
+                    stack.append((mono, deg, r, e + 1, whole))
+                elif whole and r + 1 < last:
+                    stack.append((mono, deg, r + 1, 1, True))
                 if r + 1 < last:
-                    stack.append((child, grown, r + 1, 1, last))
+                    stack.append((child, grown, r + 1, 1, True))
 
     # ---- elements -----------------------------------------------------
 

@@ -410,21 +410,23 @@ class DiagonalizationCertificate(NamedTuple):
         return doc
 
 
-def _mat_mul(a: list[list[Laurent]], b: list[list[Laurent]]) -> list[list[Laurent]]:
-    # each column's nonzero entries, read once; a zero entry of a row is skipped
+def _mat_mul(a: list[list[dict]], b: list[list[dict]]) -> list[list[dict]]:
+    """The product of two matrices of {power: coefficient} entries; no zero
+    coefficient is kept."""
+    # each column's nonzero entries, read once; a zero entry of a row adds no term
     columns = [[(k, c) for k, c in enumerate(col) if c] for col in zip(*b)]
-    return [[Laurent.sum_of_products((row[k], c) for k, c in col if row[k]) for col in columns] for row in a]
-
-
-def _mat_minus_scalar(m: list[list[Laurent]], c: Laurent) -> list[list[Laurent]]:
-    n = len(m)
-    return [
-        [m[i][j] - c if i == j else m[i][j] for j in range(n)] for i in range(n)
-    ]
-
-
-def _trace(m: list[list[Laurent]]) -> Laurent:
-    return Laurent.sum_of_products((row[i], 1) for i, row in enumerate(m))
+    out = []
+    for row in a:
+        out.append([])
+        for col in columns:
+            acc: dict = {}
+            get = acc.get
+            for k, c in col:
+                for p, x in row[k].items():
+                    for q, y in c.items():
+                        acc[p + q] = get(p + q, 0) + x * y
+            out[-1].append({p: exact_coefficient(v) for p, v in acc.items() if v})
+    return out
 
 
 def _idempotent_powers(m: list[list[Laurent]]) -> dict[int, int] | None:
@@ -467,10 +469,16 @@ def diagonalization_certificate(action: ActionReport) -> DiagonalizationCertific
     n = len(m)
     if (powers := _idempotent_powers(m)) is not None:
         return DiagonalizationCertificate(True, powers)
-    tr = _trace(m)
+    rows = [[entry._terms for entry in row] for row in m]
+    tr: dict = {}
+    for i, row in enumerate(rows):
+        for pt, c in row[i].items():
+            tr[pt] = tr.get(pt, 0) + c
     candidate: dict[int, int] = {}
     total = 0
-    for pt, coeff in tr.items():
+    for pt, coeff in sorted(tr.items()):
+        if not coeff:
+            continue
         if coeff.denominator != 1 or coeff <= 0:
             return DiagonalizationCertificate(
                 False, None, f"trace coefficient {coeff} at t^{pt} is not a positive integer"
@@ -483,9 +491,12 @@ def diagonalization_certificate(action: ActionReport) -> DiagonalizationCertific
         )
     product = None
     for w in sorted(candidate):
-        factor = _mat_minus_scalar(m, Laurent.t(w))
+        # M - t^w I: 1 subtracted at power w on the diagonal
+        factor = [list(row) for row in rows]
+        for i, row in enumerate(factor):
+            row[i] = {p: c for p, c in {**row[i], w: row[i].get(w, 0) - 1}.items() if c}
         product = factor if product is None else _mat_mul(product, factor)
-    if any(any(c for c in row) for row in product):
+    if any(any(row) for row in product):
         return DiagonalizationCertificate(
             False, None, "matrix is not annihilated by its candidate eigenvalues"
         )

@@ -8,9 +8,12 @@ in every `Element` too, and zeros are never stored, so equality is
 structural.  Floats and bools are refused: every scalar is exact.
 
 `exact_coefficient` is the one normaliser.  The public constructor runs it
-on every term; the results of arithmetic go through `Laurent._trusted`,
-which stores its dict as given.  Its callers keep the invariant: every
-value is an int or a non-integral Fraction, and none is zero.
+on every term; `Laurent._trusted` stores a dict as given, for callers that
+keep the invariant: every value is an int or a non-integral Fraction, and
+none is zero.  A `Laurent` is a value to parse, print, compare and
+evaluate at a rational t; it has no ring arithmetic.  Code that computes
+with the entries, like the diagonalisation certificate, reads their term
+dicts {power: coefficient}.
 """
 
 from __future__ import annotations
@@ -52,11 +55,6 @@ def exact_coefficient(v):
     return exact_coefficient(exact_rational(v))
 
 
-def _collect(acc: dict) -> "Laurent":
-    """The Laurent of raw sums: zeros dropped, integral Fractions made ints."""
-    return Laurent._trusted({k: exact_coefficient(v) for k, v in acc.items() if v})
-
-
 class Laurent:
     """Laurent polynomial in t over the rationals."""
 
@@ -96,21 +94,6 @@ class Laurent:
     def t(cls, power: int = 1) -> "Laurent":
         return cls({power: 1})
 
-    @classmethod
-    def sum_of_products(cls, pairs) -> "Laurent":
-        """The sum of a * b over pairs (a, b) of Laurents or rationals,
-        accumulated into one term dict."""
-        acc: dict = {}
-        get = acc.get
-        for a, b in pairs:
-            ta = a._terms if type(a) is Laurent else _terms_of(a)
-            tb = b._terms if type(b) is Laurent else _terms_of(b)
-            for k1, c1 in ta.items():
-                for k2, c2 in tb.items():
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
-        return _collect(acc)
-
     # ---- structure ----------------------------------------------------
 
     def items(self):
@@ -120,8 +103,10 @@ class Laurent:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        # an int or a Fraction, not a bool, is the constant of its value
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            other = Laurent.from_rational(other)
+        if not isinstance(other, Laurent):
             return NotImplemented
         return self._terms == other._terms
 
@@ -150,65 +135,17 @@ class Laurent:
         (k, c), = self._terms.items()
         return k if c == 1 else None
 
-    # ---- arithmetic ---------------------------------------------------
-
-    def __add__(self, other) -> "Laurent":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self._terms)
-        for k, v in other._terms.items():
-            v = terms.get(k, 0) + v
-            if v:
-                terms[k] = exact_coefficient(v)
-            else:
-                del terms[k]
-        return Laurent._trusted(terms)
-
-    __radd__ = __add__
+    # ---- negation and evaluation --------------------------------------
 
     def __neg__(self) -> "Laurent":
         return Laurent._trusted({k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other) -> "Laurent":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Laurent":
-        return _coerce(other) - self
-
-    def __mul__(self, other) -> "Laurent":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Laurent.sum_of_products(((self, other),))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Laurent":
-        if n < 0:
-            if len(self._terms) != 1:
-                raise ValueError("negative powers only of single terms")
-            (k, c), = self._terms.items()
-            return Laurent._trusted({k * n: exact_coefficient(Fraction(1) / c ** (-n))})
-        out = Laurent.one()
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def eval_t(self, value: Fraction) -> "Laurent":
         """Substitute a rational value for t: a constant Laurent."""
         value = Fraction(exact_coefficient(value))
         if value == 0 and any(k < 0 for k in self._terms):
             raise ZeroDivisionError("t^-1 at t = 0")
-        return _collect({0: sum(c * value**k for k, c in self._terms.items())})
+        return Laurent({0: sum(c * value**k for k, c in self._terms.items())})
 
     # ---- text form ----------------------------------------------------
 
@@ -283,20 +220,3 @@ def _parse_term(chunk: str, path: str) -> tuple[Fraction, int]:
             coeff = parse_rational(f, path)
             saw_coeff = True
     return coeff, power
-
-
-def _terms_of(value) -> dict:
-    value = _coerce(value)
-    if value is NotImplemented:
-        raise TypeError("expected a Laurent or an exact rational")
-    return value._terms
-
-
-def _coerce(value) -> "Laurent":
-    """value as a Laurent; NotImplemented for anything but a Laurent, an
-    int or a Fraction (bools included)."""
-    if isinstance(value, Laurent):
-        return value
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Laurent.from_rational(value)
-    return NotImplemented

@@ -85,14 +85,17 @@ def test_graded_commutativity(w1, w2):
 
 def test_every_product_of_small_monomials_has_the_oracle_sign(alg):
     # exhaustive where random words may miss a case, such as (c f) b: b
-    # crosses two odd factors, so the sign stays +1
+    # crosses two odd factors, so the sign stays +1, or a word times the unit
     pool = [m for n in range(9) for m in alg.monomial_basis(n)]
     for ma in pool:
         for mb in pool:
             words = [tuple(g for g, e in m for _ in range(e)) for m in (ma, mb)]
             sign, merged = multiply_words(*words, degrees())
-            want = alg.element({alg.normalize_word(merged)[1]: sign}) if sign else alg.zero()
+            word = alg.normalize_word(merged)[1] if sign else None
+            want = alg.element({word: sign}) if sign else alg.zero()
             assert alg.element({ma: 1}) * alg.element({mb: 1}) == want, (ma, mb)
+            # the raw merge too: a product only reads whether its sign is positive
+            assert alg.multiply_monomials(ma, mb) == ((sign, word) if sign else None), (ma, mb)
 
 
 def test_an_element_of_two_or_three_degrees_is_not_homogeneous(alg):

@@ -196,7 +196,7 @@ def test_group_law_violation_detected(product_model):
     half = laurent("1/2*t + 1/2")
     images = {
         alg.by_name["x"].gid: times_laurent(alg.gen("x"), half),
-        alg.by_name["y"].gid: times_laurent(alg.gen("y"), half * half),
+        alg.by_name["y"].gid: times_laurent(alg.gen("y"), laurent("1/4*t^2 + 1/2*t + 1/4")),
         alg.by_name["u"].gid: times_laurent(alg.gen("u"), half),
     }
     fam = OneParameterFamily(p, images)

@@ -1,5 +1,6 @@
 """The scaled ladder `tools/ladder.py`: the repository timed against itself."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -28,8 +29,23 @@ def test_a_tree_against_itself_reports_every_rung_with_equal_outputs(tmp_path):
         "family-actions/s2xs3^2",
         "certificates/s2xs3^2",
         "family-json/s2xs3^2",
+        "certificates/annihilator",
     ]
     for rung in report["rungs"]:
         assert rung["same_output"]
         assert len(rung["ratios"]) == 1
         assert rung["parent_median_s"] > 0 and rung["change_median_s"] > 0
+
+
+def test_the_annihilator_rung_reaches_the_fallback_and_refuses_its_jordan_blocks():
+    import rht.cohomology as cohomology
+    import rht.scalars as scalars
+
+    spec = importlib.util.spec_from_file_location("ladder", TOOL)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    actions = ladder.annihilator_actions({"cohomology": cohomology, "scalars": scalars})
+    assert sorted({len(a.matrix) for a in actions}) == [3, 4, 5, 6]
+    assert all(cohomology._idempotent_powers(a.matrix) is None for a in actions)
+    refused = [i for i, a in enumerate(actions) if not cohomology.diagonalization_certificate(a).diagonalizable]
+    assert refused == list(range(2, 24, 3))

@@ -1,5 +1,6 @@
-"""Exact scalars: the rational text form, and Laurent scalars in t (ring
-laws, evaluation, canonical strings)."""
+"""Exact scalars: the rational text form, Laurent scalars in t (evaluation,
+canonical strings, equality), and the certificate's product of their term
+dicts."""
 
 from fractions import Fraction
 
@@ -31,23 +32,15 @@ def laurents(draw):
     return Laurent(terms)
 
 
-@given(laurents(), laurents(), laurents())
-def test_ring_laws(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + Laurent.zero() == a
-    assert a * Laurent.one() == a
-    assert a - a == Laurent.zero()
-
-
 @given(laurents(), st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool))
 def test_eval_t_is_a_ring_map(a, q):
-    b = Laurent.t(2) - Laurent.from_rational(Fraction(1, 2))
-    assert (a * b).eval_t(q) == a.eval_t(q) * b.eval_t(q)
-    assert (a + b).eval_t(q) == a.eval_t(q) + b.eval_t(q)
+    b = Laurent({2: 1, 0: Fraction(-1, 2)})
+    # a * b and a + b, as the certificate's products of term dicts
+    (product,), = _mat_mul([[dict(a.items())]], [[dict(b.items())]])
+    (total,), = _mat_mul([[dict(a.items()), dict(b.items())]], [[{0: 1}], [{0: 1}]])
+    at, bt = a.eval_t(q).as_rational(), b.eval_t(q).as_rational()
+    assert Laurent(product).eval_t(q) == at * bt
+    assert Laurent(total).eval_t(q) == at + bt
 
 
 @given(laurents())
@@ -60,10 +53,9 @@ def test_canonical_string_examples():
     assert str(x) == "1/2*t^2 - t"
     assert str(Laurent.zero()) == "0"
     assert str(Laurent.one()) == "1"
+    assert str(Laurent.t()) == "t"
     assert str(Laurent.t(-1)) == "t^-1"
     assert str(Laurent({0: -1, -2: 3})) == "-1 + 3*t^-2"
-    # a rational minus a Laurent, through __rsub__
-    assert 1 - Laurent.t() == Laurent({0: 1, 1: -1})
 
 
 def test_t_power_zero_is_one():
@@ -72,8 +64,8 @@ def test_t_power_zero_is_one():
 
 def test_monomial_t_power():
     assert Laurent.t(4).monomial_t_power() == 4
-    assert (Laurent.t(2) + Laurent.t(3)).monomial_t_power() is None
-    assert (Laurent.t(2) * Laurent.from_rational(Fraction(3))).monomial_t_power() is None
+    assert Laurent({2: 1, 3: 1}).monomial_t_power() is None
+    assert Laurent({2: 3}).monomial_t_power() is None
     assert Laurent.zero().monomial_t_power() is None
 
 
@@ -117,14 +109,6 @@ def test_parse_rational_inverts_str(q):
     assert parse_rational(str(q)) == q
 
 
-@given(laurents(), st.integers(0, 4))
-def test_integer_powers_agree_with_repeated_product(a, n):
-    acc = Laurent.one()
-    for _ in range(n):
-        acc = acc * a
-    assert a**n == acc
-
-
 # ------------------------------------------ against the Fraction oracle
 #
 # The oracle keeps (t-power, s-power) keys; a Laurent in t alone is its
@@ -145,10 +129,10 @@ def _pair(terms):
     return Laurent(terms), _reference(terms)
 
 
-def _agrees(x: Laurent, ref: FractionLaurent) -> bool:
-    """Same value, and x keeps the storage invariant: no zero, an int
-    exactly when the coefficient is integral."""
-    items = x.items()
+def _agrees(x, ref: FractionLaurent) -> bool:
+    """Same value, and x, a Laurent or a term dict, keeps the storage
+    invariant: no zero, an int exactly when the coefficient is integral."""
+    items = list(x.items())
     canonical = all(
         c and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
         for _, c in items
@@ -160,28 +144,14 @@ def _agrees(x: Laurent, ref: FractionLaurent) -> bool:
 def test_ring_operations_match_fraction_oracle(ta, tb):
     (a, ra), (b, rb) = _pair(ta), _pair(tb)
     assert _agrees(a, ra) and _agrees(b, rb)
-    assert _agrees(a + b, ra + rb)
-    assert _agrees(a - b, ra - rb)
-    assert _agrees(a * b, ra * rb)
     assert _agrees(-a, -ra)
-    assert _agrees(a - a, FractionLaurent())
 
 
-@given(term_dicts, st.integers(0, 4))
-def test_nonnegative_powers_match_fraction_oracle(terms, n):
-    a, ra = _pair(terms)
-    assert _agrees(a**n, ra**n)
-
-
-@given(
-    st.integers(-3, 3),
-    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
-    st.integers(-4, -1),
-)
-def test_negative_powers_match_fraction_oracle(key, coeff, n):
-    a, ra = _pair({key: coeff})
-    assert _agrees(a**n, ra**n)
-    assert a**n * a ** (-n) == Laurent.one()
+def test_eval_t_at_zero_keeps_the_constant_term_and_refuses_negative_powers():
+    assert Laurent({0: 3, 1: 1, 2: Fraction(1, 2)}).eval_t(0) == 3
+    assert Laurent({1: 1}).eval_t(0) == 0
+    with pytest.raises(ZeroDivisionError, match="t\\^-1 at t = 0"):
+        Laurent({-1: 1, 0: 1}).eval_t(0)
 
 
 @given(term_dicts, st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
@@ -198,8 +168,6 @@ def test_equal_values_hash_equal_however_the_coefficient_was_given(terms):
     halves = Laurent({0: Fraction(1, 2)})
     for x, y in (
         (Laurent(integral), Laurent({k: Fraction(v) for k, v in integral.items()})),
-        (a * Fraction(3, 2) * Fraction(2, 3), a),
-        (halves + halves, Laurent.one()),
         (Laurent.from_rational(Fraction(6, 3)), Laurent.from_rational(2)),
         (Laurent.one(), 1),
         (Laurent.zero(), 0),
@@ -212,10 +180,8 @@ def test_equal_values_hash_equal_however_the_coefficient_was_given(terms):
 
 @given(st.fractions(min_value=-4, max_value=4, max_denominator=3))
 def test_as_rational_returns_a_fraction(q):
-    c = Laurent.from_rational(q)
-    for x, want in ((c, q), (c * 2, 2 * q), (q - Laurent.zero(), q)):
-        got = x.as_rational()
-        assert type(got) is Fraction and got == want
+    got = Laurent.from_rational(q).as_rational()
+    assert type(got) is Fraction and got == q
 
 
 def _exact_scalar_takers():
@@ -257,8 +223,6 @@ def test_floats_and_bools_are_refused():
         0.5 * Laurent.t()
     with pytest.raises(TypeError):
         Laurent.t() + True
-    with pytest.raises(TypeError):
-        Laurent.sum_of_products([(Laurent.t(), 0.5)])
     # a bool is not a scalar, so it compares unequal instead of raising
     assert Laurent.one() != True and Laurent.zero() != False
 
@@ -272,15 +236,16 @@ def test_ints_fractions_and_rational_strings_are_accepted(good):
 
 
 def test_cancellation_stores_no_zero_term():
-    t, u = Laurent.t(), Laurent.t(-2) + 3
+    t, u, minus_u = {1: 1}, {-2: 1, 0: 3}, {-2: -1, 0: -3}
+    half = Fraction(1, 2)
     for x, count in (
-        ((t + 1) * (t - 1), 2),
-        ((t - Fraction(1, 2)) * (t + Fraction(1, 2)), 2),
-        ((t - 1).eval_t(1), 0),
-        (Laurent.sum_of_products([(t, u), (-u, t)]), 0),
-        (_mat_mul([[t, 1], [1, t]], [[t, -1], [-1, t]])[0][1], 0),
+        (_mat_mul([[{1: 1, 0: 1}]], [[{1: 1, 0: -1}]])[0][0], 2),
+        (_mat_mul([[{1: 1, 0: -half}]], [[{1: 1, 0: half}]])[0][0], 2),
+        (dict(Laurent({1: 1, 0: -1}).eval_t(1).items()), 0),
+        (_mat_mul([[t, minus_u]], [[u], [t]])[0][0], 0),
+        (_mat_mul([[t, {0: 1}], [{0: 1}, t]], [[t, {0: -1}], [{0: -1}, t]])[0][1], 0),
     ):
-        assert x.term_count() == count and all(c for _, c in x.items())
+        assert len(x) == count and all(x.values())
 
 
 @st.composite
@@ -295,6 +260,11 @@ def _laurents(rows):
     return [[Laurent(t) for t in row] for row in rows]
 
 
+def _entries(rows):
+    """The term dicts of `_laurents(rows)`: no zero coefficient."""
+    return [[dict(x.items()) for x in row] for row in _laurents(rows)]
+
+
 def _oracle(rows):
     return [[_reference(t) for t in row] for row in rows]
 
@@ -303,7 +273,7 @@ def _oracle(rows):
 @given(matrix_pairs())
 def test_fused_matrix_product_matches_naive_product(pair):
     a, b = pair
-    got = _mat_mul(_laurents(a), _laurents(b))
+    got = _mat_mul(_entries(a), _entries(b))
     want = fraction_mat_mul(_oracle(a), _oracle(b))
     assert all(_agrees(x, y) for row, ref in zip(got, want) for x, y in zip(row, ref))
     assert len(got) == len(a)

@@ -17,10 +17,12 @@ actions on cohomology and homology in every degree, and their
 diagonalisation certificates; then, for the same k, those certificates
 alone, of actions made untimed; then the same conjugation, its
 verification and the family written out, as its JSON file and as the
-`str` of every image.  The others are the parse and `find_weights`
-of the witness join at each of `--joins` (`infeasible-synthetic` joined
-to the formal model of `h-s2ws4` at that truncation, either block first),
-and the parse of that formal model, serialized, at each of `--parses`.
+`str` of every image.  The certificates of hand-made matrices that reach
+the trace-and-annihilator fallback are one more rung.  The others are the
+parse and `find_weights` of the witness join at each of `--joins`
+(`infeasible-synthetic` joined to the formal model of `h-s2ws4` at that
+truncation, either block first), and the parse of that formal model,
+serialized, at each of `--parses`.
 Text inputs are made once, by the change.  Each repeat times every rung
 once per side, the side that goes first alternating, each call on inputs
 made afresh and untimed (a presentation caches its complex).  The report gives
@@ -35,6 +37,7 @@ import argparse
 import importlib.util
 import json
 import platform
+import random
 import statistics
 import sys
 import time
@@ -50,7 +53,7 @@ def load_package(tree: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    subs = ("algebra", "cohomology", "families", "formal", "model", "weights")
+    subs = ("algebra", "cohomology", "families", "formal", "model", "scalars", "weights")
     return {sub: importlib.import_module(f"{name}.{sub}") for sub in subs}
 
 
@@ -127,6 +130,56 @@ def family_json(rht, inputs) -> list:
 def certificates(rht, actions) -> list[dict]:
     """The diagonalisation certificate of each action, as JSON."""
     return [rht["cohomology"].diagonalization_certificate(a).to_json_dict() for a in actions]
+
+
+def _shear(m: list[list[dict]], i: int, j: int, a: dict):
+    """m becomes E m E^-1 for E = I + a e_ij, i != j, its entries and a being
+    {power: coefficient} dicts: row i gains a times row j, then column j
+    loses column i times a."""
+    def plus(x: dict, y: dict, sign: int) -> dict:
+        acc = dict(x)
+        for p, c in a.items():
+            for q, d in y.items():
+                acc[p + q] = acc.get(p + q, 0) + sign * c * d
+        return {k: v for k, v in acc.items() if v}
+
+    m[i] = [plus(x, y, 1) for x, y in zip(m[i], m[j])]
+    for row in m:
+        row[j] = plus(row[j], row[i], -1)
+
+
+def annihilator_matrices() -> list[list[list[dict]]]:
+    """24 fixed n x n matrices, n = 3 .. 6, of {power: coefficient} entries
+    whose rational parts are not idempotents, so that their certificates
+    take the trace-and-annihilator fallback: P(t) D P(t)^-1 with D = diag(t^w)
+    and P(t) a product of shears I + c t^k e_ij, i < j, k != 0.  In every
+    third, D has a 1 joining its two equal first exponents, a Jordan block,
+    which the certificate refuses."""
+    rng = random.Random(39)
+    out = []
+    for case in range(24):
+        n = 3 + case % 4
+        ws = sorted(rng.randint(-2, 3) for _ in range(n))
+        jordan = case % 3 == 2
+        if jordan:
+            ws[1] = ws[0]
+        m = [[{ws[i]: 1} if i == j else {} for j in range(n)] for i in range(n)]
+        if jordan:
+            m[0][1] = {0: 1}
+        for i in range(n):
+            for j in range(i + 1, n):
+                _shear(m, i, j, {rng.choice((-1, 1, 2)): rng.choice((-2, -1, 1, 2))})
+        out.append(m)
+    return out
+
+
+def annihilator_actions(rht) -> list:
+    """The matrices of `annihilator_matrices` as action reports."""
+    laurent, report = rht["scalars"].Laurent, rht["cohomology"].ActionReport
+    return [
+        report("annihilator", 0, "cohomology", [], [[laurent(e) for e in row] for row in m])
+        for m in annihilator_matrices()
+    ]
 
 
 def certified_actions(rht, inputs) -> list:
@@ -241,6 +294,9 @@ def rungs(rht, tree: Path, truncations: list[int], docs: dict[str, str], ks: lis
             lambda inputs: family_json(rht, inputs),
             json.dumps,
         )
+    out["certificates/annihilator"] = (
+        lambda: annihilator_actions(rht), lambda actions: certificates(rht, actions), json.dumps
+    )
     return out
 
 
