@@ -118,7 +118,8 @@ class FreeGCA:
         return sign, tuple(factors)
 
     def multiply_monomials(self, a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
-        """Merge two canonical monomials; None when an odd square appears."""
+        """Merge two canonical monomials, each odd generator's exponent 1 as
+        `is_monomial` asks; None when an odd square appears."""
         if not a:
             return 1, b
         if not b:
@@ -138,11 +139,8 @@ class FreeGCA:
                 out.append((ga, ea))
                 ia += 1
             elif self._rank[ga] > self._rank[gb]:
-                if self.generators[gb].degree % 2:
-                    if eb > 1:
-                        return None
-                    if odd_tail[ia] % 2:
-                        sign = -sign
+                if self.generators[gb].degree % 2 and odd_tail[ia] % 2:
+                    sign = -sign
                 out.append((gb, eb))
                 ib += 1
             else:

@@ -31,20 +31,23 @@ kernel's free columns; and `invert`, from one elimination of [m | -I].
 The answers are in the same row format, so a caller reads the nonzero
 entries alone.
 
-`positive_integer_kernel` answers the question the weight solver needs:
-does the kernel of an integer matrix meet the open positive orthant, and
-if so, which coprime positive integer vector does the deterministic
-elimination order produce.  Each connected component of the row-column
-incidence graph is solved once, and the joined points are the whole
-matrix's, since a block matrix's elimination stays inside its blocks.
-A solve reads its kernel basis by substitution in dependency order when
-every row has the shape of a weight constraint, a single negative entry,
--1, at its source (`_substitution_kernel`), and from `kernel_basis`
-otherwise; both give the same basis.  When some component is infeasible,
-the answer is certified by the greedy minimal infeasible row set of row
-order (the deletion filter of J. W. Chinneck and E. W. Dravnieks, ORSA
-J. Computing 3 (1991)), run on each infeasible component alone: the
-whole matrix's is the one of these whose first kept row is latest.
+`positive_integer_kernel` answers the weight solver's question: does the
+kernel of an integer matrix meet the open positive orthant, and if so,
+which coprime positive integer vector does the deterministic elimination
+order produce.  A decision (`_has_positive_kernel_point`) runs
+Fourier-Motzkin elimination alone on any integer kernel basis, as no
+change of basis moves the kernel into or out of the orthant; a point
+(`_positive_kernel_point`) back-substitutes on the canonical RREF basis.
+Either reads its basis by substitution when every row has the shape of a
+weight constraint, and from `kernel_basis` otherwise.  Each component of
+the row-column incidence graph is taken once, fewest rows first, and
+points are built only while every component so far has one; the joined
+points are the whole matrix's, since elimination stays inside blocks.
+An infeasible answer is certified by the greedy minimal infeasible row
+set of row order (the deletion filter of J. W. Chinneck and E. W.
+Dravnieks, ORSA J. Computing 3 (1991)), each trial decided, on each
+infeasible component alone: the whole matrix's is the one whose first
+kept row is latest.
 """
 
 from __future__ import annotations
@@ -329,8 +332,8 @@ class FeasibilityResult(NamedTuple):
     already infeasible on its own; removing any witness row makes the
     remainder feasible.  It is the greedy witness of row order: each row in
     turn is deleted when the rows kept without it stay infeasible.  Both
-    come from one solve per component of the row-column incidence graph,
-    and the witness lies in one component.
+    come from one point or decision per component of the row-column
+    incidence graph, and the witness lies in one component.
     """
 
     solution: tuple[int, ...] | None
@@ -341,29 +344,18 @@ class FeasibilityResult(NamedTuple):
         return self.solution is not None
 
 
-def _fourier_motzkin(rows: list[list[int]], nvars: int) -> list[Fraction] | None:
-    """Solve the strict homogeneous system {r . c > 0} by elimination.
-
-    The rows are primitive integer rows.  Variables are eliminated left to
-    right, each combined row divided by its content, so every row is the
-    canonical representative of its direction and duplicate inequalities
-    (up to positive scaling) are dropped as equal rows.  Returns one exact
-    solution vector, or None when some combination collapses to 0 > 0.
-
-    Its one caller passes the nonzero coordinate rows of a kernel basis, so
-    each variable's unit row, its free column's row, is a lower row at its
-    stage, and a row outliving the last stage would be a zero combination.
-    """
-    system = [tuple(r) for r in rows]
-    # (var, lower rows, upper rows) stacks for back-substitution
-    stages: list[tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]] = []
+def _fm_stages(rows: list[list[int]], nvars: int) -> list | None:
+    """Fourier-Motzkin elimination of {r . c > 0}, r nonzero integer rows,
+    variables left to right: its stages, or None when a combination
+    collapses to 0 > 0, which is when the system is infeasible.  Each row
+    is kept divided by its content, so every row is the canonical
+    representative of its direction and duplicate inequalities (up to
+    positive scaling) are dropped as equal rows."""
+    system = [tuple(x // g for x in r) for r in rows for g in [gcd(*r)]]
+    stages = []  # (var, lower rows, upper rows) for back-substitution
     for var in range(nvars):
-        seen: set[tuple[int, ...]] = set()
         zero, lower, upper = [], [], []
-        for r in system:
-            if r in seen:
-                continue
-            seen.add(r)
+        for r in dict.fromkeys(system):
             c = r[var]
             if c > 0:
                 lower.append(r)
@@ -383,6 +375,16 @@ def _fourier_motzkin(rows: list[list[int]], nvars: int) -> list[Fraction] | None
                 combined.append(tuple(x // g for x in new))
         stages.append((var, lower, upper))
         system = combined
+    return stages
+
+
+def _fourier_motzkin(rows: list[list[int]], nvars: int) -> list[Fraction] | None:
+    """One solution of {r . c > 0}, back-substituted through `_fm_stages`,
+    or None.  Its one caller passes the coordinate rows of an RREF kernel
+    basis, so each variable's unit row is a lower row at its stage."""
+    stages = _fm_stages(rows, nvars)
+    if stages is None:
+        return None
     values = [Fraction(0)] * nvars
 
     def tail(r: tuple[int, ...], var: int) -> Fraction:
@@ -395,16 +397,13 @@ def _fourier_motzkin(rows: list[list[int]], nvars: int) -> list[Fraction] | None
     return values
 
 
-def _substitution_kernel(m: QMatrix) -> list[dict[int, Fraction]] | None:
-    """`kernel_basis(m)` by substitution, or None unless each row has one
-    negative entry, a -1 at its source, and no sources' first rows form a
-    cycle.  Each source's first row writes its column as a form in the free
-    columns (no row's source), resolved in dependency order; each later row
-    is a condition on the free columns, and one `EchelonSpan` of those gives
-    their kernel.  Lifted to full vectors, it is echelonned with the column
-    order reversed and read back: the RREF kernel basis is exactly that
-    form, as its vector at free column f has a 1 at f, zeros at the RREF's
-    other free columns and nothing after f."""
+def _substitution_basis(m: QMatrix) -> list[dict] | None:
+    """A basis of the kernel of m by substitution, or None unless each row
+    has one negative entry, a -1 at its source, and no sources' first rows
+    form a cycle.  Each source's first row writes its column as a form in
+    the free columns (no row's source), resolved in dependency order; each
+    later row is a condition on the free columns, and one `EchelonSpan` of
+    those gives their kernel, which the forms lift to full vectors."""
     rows = m._rows
     first, later = {}, []
     for i, row in enumerate(rows):
@@ -437,23 +436,41 @@ def _substitution_kernel(m: QMatrix) -> list[dict[int, Fraction]] | None:
     # each later row's condition: the form of s minus the form the row gives s
     span = _echelon(({**forms[s], **{k: forms[s].get(k, 0) - x for k, x in image(s, i).items()}}
                      for s, i in later), len(free))
+    return [{j: sum(x * u[k] for k, x in form.items() if k in u) for j, form in forms.items()}
+            for u in (_integer_row(span.kernel_vector(f)) for f in span.free_columns())]
+
+
+def _substitution_kernel(m: QMatrix) -> list[dict[int, Fraction]] | None:
+    """`kernel_basis(m)`, or None: `_substitution_basis(m)` echelonned with
+    the column order reversed and read back, which is the RREF kernel basis,
+    since its vector at free column f has a 1 at f, zeros at the other free
+    columns and nothing after f."""
+    basis = _substitution_basis(m)
+    if basis is None:
+        return None
     last = m.cols - 1
-    lifted = [{last - j: sum(x * u[k] for k, x in form.items() if k in u) for j, form in forms.items()}
-              for u in (_integer_row(span.kernel_vector(f)) for f in span.free_columns())]
-    span = _echelon(lifted, m.cols)
+    span = _echelon([{last - j: x for j, x in v.items()} for v in basis], m.cols)
     return [{last - j: Fraction(x, row[p]) for j, x in row.items()}
             for row, p in zip(reversed(span.integer_rows), reversed(span.pivots))]
 
 
+def _has_positive_kernel_point(m: QMatrix) -> bool:
+    """Whether ker m meets the open positive orthant: `_fm_stages` alone, on
+    the coordinate rows of `_substitution_basis(m)` or, without the shape,
+    of `kernel_basis(m)`, each vector made a primitive integer row.  Any
+    basis P decides it, since Pc > 0 is solvable iff PAc > 0 is, for A
+    invertible."""
+    basis = _substitution_basis(m)
+    basis = [_integer_row(v) for v in (kernel_basis(m) if basis is None else basis)]
+    columns = [[v.get(j, 0) for v in basis] for j in range(m.cols)]
+    return bool(basis) and all(map(any, columns)) and _fm_stages(columns, len(basis)) is not None
+
+
 def _positive_kernel_point(m: QMatrix) -> tuple[list[int], int] | None:
     """A strictly positive rational kernel vector of m, as integer
-    numerators over one positive denominator, or None.
-
-    The basis is `kernel_basis(m)` by one of two paths: substitution when
-    every row has the weight-constraint shape, as every subset of the rows
-    of a valid presentation does, and the elimination of every row when
-    some row does not (a cyclic dependency, an entry below -1, no or two
-    negative entries)."""
+    numerators over one positive denominator, or None: the point of
+    `_fourier_motzkin` on the RREF kernel basis, `_substitution_kernel(m)`
+    when m has the weight-constraint shape and `kernel_basis(m)` if not."""
     basis = _substitution_kernel(m)
     if basis is None:
         basis = kernel_basis(m)
@@ -467,7 +484,7 @@ def _positive_kernel_point(m: QMatrix) -> tuple[list[int], int] | None:
             columns[j][k] = x.numerator * (l // x.denominator)
     if not all(map(any, columns)):
         return None
-    combo = _fourier_motzkin([[x // g for x in c] for c in columns for g in [gcd(*c)]], len(basis))
+    combo = _fourier_motzkin(columns, len(basis))
     if combo is None:
         return None
     d = lcm(*[c.denominator for c in combo])
@@ -478,13 +495,11 @@ def _positive_kernel_point(m: QMatrix) -> tuple[list[int], int] | None:
     return point, d * l
 
 
-def _row_components(m: QMatrix) -> tuple[list[int | None], dict[int, list[int]]]:
-    """The connected components of the row-column incidence graph of m.
-
-    Returns a label per row, the root column of a small union-find over the
-    columns the row touches (None for an all-zero row, which touches none),
-    and the columns of each label.
-    """
+def _row_components(m: QMatrix) -> list[tuple[list[int], list[int]]]:
+    """The rows and the columns of each connected component of the
+    row-column incidence graph of m that holds a row, fewest rows first,
+    from a small union-find over the columns each row touches (an all-zero
+    row touches none)."""
     parent = list(range(m.cols))
 
     def find(j: int) -> int:
@@ -497,20 +512,23 @@ def _row_components(m: QMatrix) -> tuple[list[int | None], dict[int, list[int]]]
     for support in supports:
         for j in support[1:]:
             parent[find(j)] = find(support[0])
-    columns: dict[int, list[int]] = {}
+    parts: dict[int, tuple[list[int], list[int]]] = {}
     for j in range(m.cols):
-        columns.setdefault(find(j), []).append(j)
-    return [find(s[0]) if s else None for s in supports], columns
+        parts.setdefault(find(j), ([], []))[1].append(j)
+    for i, support in enumerate(supports):
+        if support:
+            parts[find(support[0])][0].append(i)
+    return sorted((part for part in parts.values() if part[0]), key=lambda part: len(part[0]))
 
 
 def _deletion_filter(m: QMatrix, rows: list[int], cols: list[int]) -> tuple[int, ...]:
     """The greedy minimal infeasible subset of `rows` of m, on `cols`: each
-    row in turn is dropped when the rows kept without it, if any, have no
-    positive kernel point; an empty trial counts as feasible."""
+    row in turn is dropped when the rows kept without it, if any, are
+    decided infeasible; an empty trial counts as feasible."""
     kept = list(rows)
     for i in rows:
         trial = [j for j in kept if j != i]
-        if trial and _positive_kernel_point(m.submatrix(trial, cols)) is None:
+        if trial and not _has_positive_kernel_point(m.submatrix(trial, cols)):
             kept = trial
     return tuple(kept)
 
@@ -519,7 +537,8 @@ def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
     """Decide whether ker(m) meets the open positive orthant.
 
     The rows are split into the components of the row-column incidence
-    graph, and each component's rows are solved once, on its own columns.
+    graph, each taken once on its own columns, fewest rows first: a point is
+    built while every component so far has one, the rest only decided.
     Feasible: returns the joined component points, a column no row
     touches taking 1, normalised once by `_integer_row`.  That is
     the whole-matrix solve's vector: the RREF, the kernel vectors and every
@@ -530,23 +549,20 @@ def positive_integer_kernel(m: QMatrix) -> FeasibilityResult:
     drops every row before it, then every row of the other components,
     whose rows after their own first kept row are feasible.
     """
-    label, columns = _row_components(m)
-    rows_of: dict[int, list[int]] = {}
-    for i, c in enumerate(label):
-        if c is not None:
-            rows_of.setdefault(c, []).append(i)
     point = [Fraction(1)] * m.cols
     infeasible = []
-    for c, rows in rows_of.items():
-        part = _positive_kernel_point(m.submatrix(rows, columns[c]))
-        if part is None:
-            infeasible.append(c)
-            continue
-        for j, x in zip(columns[c], part[0]):
-            point[j] = Fraction(x, part[1])
+    for rows, cols in _row_components(m):
+        part = m.submatrix(rows, cols)
+        if infeasible:
+            if not _has_positive_kernel_point(part):
+                infeasible.append((rows, cols))
+        elif (solved := _positive_kernel_point(part)) is None:
+            infeasible.append((rows, cols))
+        else:
+            for j, x in zip(cols, solved[0]):
+                point[j] = Fraction(x, solved[1])
     if infeasible:
-        witness = max((_deletion_filter(m, rows_of[c], columns[c]) for c in infeasible),
-                      key=lambda w: w[0])
+        witness = max((_deletion_filter(m, rows, cols) for rows, cols in infeasible), key=lambda w: w[0])
         return FeasibilityResult(solution=None, witness=witness)
     solution = tuple(_integer_row(dict(enumerate(point))).values())
     if any(sum(x * solution[j] for j, x in row.items()) for row in m._rows):

@@ -25,6 +25,7 @@ def test_a_tree_against_itself_reports_every_rung_with_equal_outputs(tmp_path):
         "bases/su5-t",
         "find_weights/witness-join/8/infeasible-first",
         "find_weights/witness-join/8/formal-first",
+        "find_weights/formal-h-s2ws4/8",
         "parse/formal-h-s2ws4/8",
         "family-actions/s2xs3^2",
         "certificates/s2xs3^2",

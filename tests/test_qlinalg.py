@@ -26,6 +26,8 @@ from rht.corpus import load_presentation
 from rht.qlinalg import (
     EchelonSpan,
     QMatrix,
+    _has_positive_kernel_point,
+    _positive_kernel_point,
     _substitution_kernel,
     independent_columns,
     invert,
@@ -819,6 +821,25 @@ def test_feasibility_matches_an_exact_simplex(simplex, system):
     rows, ncols = system
     res = positive_integer_kernel(_qmatrix(rows, ncols))
     assert res.feasible == _simplex_feasible(simplex, rows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(shaped_systems(), positive_kernel_systems(), st.integers(0, 10**9).map(_constraint_system))
+       .filter(lambda system: system[1]))
+@example(([[1, 0], [0, 1]], 2))  # no kernel
+@example(([[-1, 0], [2, -1]], 2))  # no kernel, shaped
+@example(([[1, 0, 0], [0, 1, -1]], 3))  # column 0 of every kernel basis is zero
+@example(([[0, 1, -1], [0, 0, -1]], 3))  # the same, shaped: a source set to 0
+@example(([[0, 1, -1]], 3))  # a zero column of m, free in the kernel
+@example(([], 2))  # no rows
+def test_the_decision_is_the_point_and_the_fraction_oracle(system):
+    # the decision reads the substituted integer basis or kernel_basis, the
+    # point the RREF basis; no basis change moves ker m into the orthant
+    rows, ncols = system
+    m = _qmatrix(rows, ncols)
+    decided = _has_positive_kernel_point(m)
+    assert decided == (_positive_kernel_point(m) is not None)
+    assert decided == (fraction_positive_integer_kernel(rows, ncols)[0] is not None)
 
 
 # ------------------------------------------------------- QMatrix row contract

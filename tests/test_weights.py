@@ -69,9 +69,22 @@ def test_weight_reports_are_frozen():
     assert digest == WEIGHT_REPORTS_DIGEST
 
 
+# the weight solver's two doors into a component or a trial: the point, and
+# the decision that builds none
+DOORS = {"point": "_positive_kernel_point", "decision": "_has_positive_kernel_point"}
+
+
+def _count_doors(monkeypatch, record):
+    """Patch both doors so that each call runs `record(door, m, call)`,
+    which calls `call(m)` and returns its answer."""
+    for door, name in DOORS.items():
+        call = getattr(qlinalg, name)
+        monkeypatch.setattr(qlinalg, name, lambda m, door=door, call=call: record(door, m, call))
+
+
 def test_solves_add_no_more_full_width_rows_than_the_kernel_dimension(monkeypatch):
     # eliminating every row of the N=18 model's 280 x 79 matrix added 280
-    add, solve = qlinalg.EchelonSpan.add, qlinalg._positive_kernel_point
+    add = qlinalg.EchelonSpan.add
     widths, solves = [], []
 
     def counted_add(self, v):
@@ -79,22 +92,24 @@ def test_solves_add_no_more_full_width_rows_than_the_kernel_dimension(monkeypatc
         widths.append(self.ncols)
         return add(self, v)
 
-    def counted_solve(m):
+    def counted_solve(door, m, call):
         widths.clear()
-        point = solve(m)
-        solves.append((m, widths.count(m.cols)))
-        return point
+        answer = call(m)
+        solves.append((door, m, widths.count(m.cols)))
+        return answer
 
     monkeypatch.setattr(qlinalg.EchelonSpan, "add", counted_add)
-    monkeypatch.setattr(qlinalg, "_positive_kernel_point", counted_solve)
+    _count_doors(monkeypatch, counted_solve)
     for e in entries():
         find_weights(e.load())
     rep = find_weights(build_formal_model(load_table("h-s2ws4"), 18).model)
     monkeypatch.undo()
     assert (len(rep.system.rows), len(rep.system.generator_names)) == (280, 79)
-    assert max(m.rows for m, _ in solves) == 280
-    for m, adds in solves:
-        assert adds <= len(qlinalg.kernel_basis(m)), (m.rows, m.cols, adds)
+    assert max(m.rows for _, m, _ in solves) == 280
+    # the corpus's infeasible entry sends its deletion trials to the decision
+    assert {door for door, _, _ in solves} == set(DOORS)
+    for door, m, adds in solves:
+        assert adds <= len(qlinalg.kernel_basis(m)), (door, m.rows, m.cols, adds)
 
 
 def test_synthetic_entry_is_infeasible_with_frozen_witness():
@@ -251,14 +266,13 @@ def test_witness_search_solves_components_not_the_whole_matrix_per_row(
     formal = build_formal_model(load_table("h-s2ws4"), 12).model
     blocks = [(load_presentation("infeasible-synthetic"), "i_"), (formal, "f_")]
     p = _join(blocks if synthetic_first else blocks[::-1])
-    solve = qlinalg._positive_kernel_point
     calls = []
 
-    def counted(m):
-        calls.append((m.rows, m.cols))
-        return solve(m)
+    def counted(door, m, call):
+        calls.append((door, m.rows, m.cols))
+        return call(m)
 
-    monkeypatch.setattr(qlinalg, "_positive_kernel_point", counted)
+    _count_doors(monkeypatch, counted)
     rep = find_weights(p)
     assert len(rep.system.rows) == 32
     assert [r.label for r in rep.witness_rows] == [
@@ -269,15 +283,39 @@ def test_witness_search_solves_components_not_the_whole_matrix_per_row(
         "d(i_w): i_a^4",
         "d(i_w): i_p*i_q",
     ]
-    # one solve per component, then one trial per synthetic row
+    # one solve per component, then one trial per synthetic row; the smaller
+    # synthetic component comes first and has no point, so the formal
+    # component and every trial are only decided
     assert len(calls) == 10, calls
+    assert Counter(door for door, _, _ in calls) == {"point": 1, "decision": 9}, calls
+    assert calls[0][0] == "point" and calls[0][1] < calls[1][1], calls
     # each component is solved on its own columns, never the whole matrix,
     # so which block comes first changes no solve
     names, rows = rep.system.generator_names, rep.system.rows
     touched = [g for j, g in enumerate(names) if any(r.coefficients[j] for r in rows)]
     wider = max(sum(g.startswith(prefix) for g in touched) for _, prefix in blocks)
-    assert all(cols <= wider for _, cols in calls), calls
+    assert all(cols <= wider for _, _, cols in calls), calls
     shapes = Counter(calls)
     calls.clear()
     find_weights(_join(blocks[::-1] if synthetic_first else blocks))
     assert Counter(calls) == shapes
+
+
+@pytest.mark.parametrize("synthetic_first", [True, False])
+def test_witness_search_back_substitutes_no_point(monkeypatch, synthetic_first):
+    # building the formal block's point and a point for each of the six
+    # feasible trials, only to test each for None, took 7 back-substitutions
+    formal = build_formal_model(load_table("h-s2ws4"), 12).model
+    blocks = [(load_presentation("infeasible-synthetic"), "i_"), (formal, "f_")]
+    fourier_motzkin, points = qlinalg._fourier_motzkin, []
+
+    def counted(rows, nvars):
+        values = fourier_motzkin(rows, nvars)
+        if values is not None:
+            points.append(values)
+        return values
+
+    monkeypatch.setattr(qlinalg, "_fourier_motzkin", counted)
+    rep = find_weights(_join(blocks if synthetic_first else blocks[::-1]))
+    assert len(rep.witness_rows) == 6
+    assert points == []

@@ -21,8 +21,9 @@ verification and the family written out, as its JSON file and as the
 the trace-and-annihilator fallback are one more rung.  The others are the
 parse and `find_weights` of the witness join at each of `--joins`
 (`infeasible-synthetic` joined to the formal model of `h-s2ws4` at that
-truncation, either block first), and the parse of that formal model,
-serialized, at each of `--parses`.
+truncation, either block first), and, at each of `--parses`, the parse
+of that formal model, serialized, and its parse and `find_weights` (the
+model is feasible).
 Text inputs are made once, by the change.  Each repeat times every rung
 once per side, the side that goes first alternating, each call on inputs
 made afresh and untimed (a presentation caches its complex).  The report gives
@@ -232,7 +233,7 @@ def documents(rht, tree: Path, truncations: list[int], joins: list[int], parses:
         for first in ("infeasible", "formal"):
             out[f"find_weights/witness-join/{n}/{first}-first"] = witness_join(rht, tree, n, first == "formal")
     for n in parses:
-        out[f"parse/formal-h-s2ws4/{n}"] = formal_document(rht, tree, n)
+        out[f"find_weights/formal-h-s2ws4/{n}"] = out[f"parse/formal-h-s2ws4/{n}"] = formal_document(rht, tree, n)
     return out
 
 
